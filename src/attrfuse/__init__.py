@@ -1,9 +1,9 @@
 """Attribute-classifier fusion for object recognition under environment-dependent reliability.
 
 Core pipeline: calibrate per-bin two-threshold classifiers from labeled
-scores, gate observations by each classifier's reliable working region, fold
-adopted positives/negatives into a log-domain posterior over objects, and
-decide by MAP with prior and seeded-random tie breaking. ``attrfuse.theory``
+scores, gate observations by each classifier's reliable working region, count
+adopted positives/negatives into an order-independent posterior over objects,
+and decide by MAP with prior and seeded-random tie breaking. ``attrfuse.theory``
 provides the predictive-value floors under which the decision is guaranteed
 correct, and ``attrfuse.experiments`` hosts the Monte Carlo harnesses.
 """

@@ -29,7 +29,7 @@ _ORIENTATIONS = ("lower_is_positive", "higher_is_positive")
 
 
 class CalibrationError(ValueError):
-    """Invalid calibration input (empty samples, bad targets, bad bandwidth)."""
+    """Invalid calibration input (empty or non-finite samples, bad targets, bad bandwidth)."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ def _validate_samples(pos_scores, neg_scores) -> tuple[np.ndarray, np.ndarray]:
     neg = np.asarray(neg_scores, dtype=float).ravel()
     if pos.size == 0 or neg.size == 0:
         raise CalibrationError("calibration needs at least one positive and one negative score")
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise CalibrationError("calibration scores must be finite")
     return pos, neg
 
 
@@ -195,7 +197,9 @@ def calibrate_bin(
 
 
 def classify(model: ClassifierModel, bin_index: int, score: float) -> Outcome:
-    """Ternary decision for one score; unreliable bins always return uncertain."""
+    """Ternary decision for one finite score; unreliable bins always return uncertain."""
+    if not math.isfinite(score):
+        raise ValueError(f"score must be finite, got {score!r}")
     try:
         cal = model.calibrations[bin_index]
     except KeyError:

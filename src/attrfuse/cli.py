@@ -24,9 +24,13 @@ from attrfuse.fusion import decide, init_posterior, make_observation, posterior,
 from attrfuse.simulator import CALIBRATION_STREAM, PICK_STREAM, calibrate_scenario, derived_rng, load_scenario
 
 
-def _read_observation_lines(path: Path) -> list[tuple[str, int, float]]:
-    """Parse observation lines `attribute,bin,score`; a header row and #-comments are skipped."""
-    rows: list[tuple[str, int, float]] = []
+def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
+    """Parse observation lines `attribute,bin,score` into (line number, attribute, bin, score).
+
+    Blank lines, #-comments and an `attribute,bin,score` header before the
+    first observation are skipped.
+    """
+    rows: list[tuple[int, str, int, float]] = []
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -34,10 +38,10 @@ def _read_observation_lines(path: Path) -> list[tuple[str, int, float]]:
         parts = [p.strip() for p in stripped.split(",")]
         if len(parts) != 3:
             raise SystemExit(f"{path}:{line_no}: expected `attribute,bin,score`, got {line!r}")
-        if line_no == 1 and parts == ["attribute", "bin", "score"]:
+        if not rows and parts == ["attribute", "bin", "score"]:
             continue
         try:
-            rows.append((parts[0], int(parts[1]), float(parts[2])))
+            rows.append((line_no, parts[0], int(parts[1]), float(parts[2])))
         except ValueError:
             raise SystemExit(f"{path}:{line_no}: could not parse bin/score in {line!r}") from None
     return rows
@@ -60,18 +64,17 @@ def _cmd_fuse(args) -> int:
     models = load_models(args.model, catalog)
     stats = compute_stats(catalog)
     state = init_posterior(catalog)
-    adopted = skipped = 0
-    for attribute_id, bin_index, score in _read_observation_lines(Path(args.obs)):
-        i = catalog.attribute_index(attribute_id)
-        if i not in models:
-            raise SystemExit(f"no calibrated model for attribute {attribute_id!r}")
-        obs = make_observation(models[i], bin_index, score)
-        new_state = update(state, obs, models[i], stats)
-        if new_state is state:
-            skipped += 1
-        else:
-            adopted += 1
-        state = new_state
+    obs_path = Path(args.obs)
+    rows = _read_observation_lines(obs_path)
+    for line_no, attribute_id, bin_index, score in rows:
+        try:  # unknown attribute, unmodeled attribute, unknown bin, non-finite score
+            i = catalog.attribute_index(attribute_id)
+            if i not in models:
+                raise ValueError(f"no calibrated model for attribute {attribute_id!r}")
+            state = update(state, make_observation(models[i], bin_index, score), models[i], stats)
+        except ValueError as exc:
+            raise SystemExit(f"{obs_path}:{line_no}: {exc}") from None
+    adopted = sum(state.counts.values())
     decision = decide(state, catalog, rng=derived_rng(args.seed, PICK_STREAM))
     probs = posterior(state)
     record = {
@@ -80,9 +83,9 @@ def _cmd_fuse(args) -> int:
         "tie_broken_by": decision.tie_broken_by,
         "posterior": {catalog.objects[j]: float(probs[j]) for j in range(catalog.n_objects)},
         "adopted_observations": adopted,
-        "discarded_observations": skipped,
-        "positive_counts": {catalog.attributes[i]: int(state.n_pos[i]) for i in range(catalog.n_attributes) if state.n_pos[i]},
-        "negative_counts": {catalog.attributes[i]: int(state.n_neg[i]) for i in range(catalog.n_attributes) if state.n_neg[i]},
+        "discarded_observations": len(rows) - adopted,
+        "positive_counts": {catalog.attributes[i]: n for i, n in sorted(state.outcome_counts("positive").items())},
+        "negative_counts": {catalog.attributes[i]: n for i, n in sorted(state.outcome_counts("negative").items())},
         "saturated": state.saturated,
     }
     text = json.dumps(record, indent=2)

@@ -420,7 +420,7 @@ def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
         catalog, stats, models, ground_truth, observations = random_exact_recognition_case(rng)
         state = init_posterior(catalog)
         for i, outcome in observations:
-            obs = Observation(attribute_index=i, bin_index=0, outcome=outcome, in_reliable_region=True)
+            obs = Observation(attribute_index=i, bin_index=0, outcome=outcome)
             state = update(state, obs, models[i], stats)
         decision = decide(state, catalog)
         if decision.winner == ground_truth and len(decision.candidates) == 1:
@@ -476,7 +476,7 @@ def convergence_suite(
                 else:
                     outcome = "negative" if u < true_negative_rate else "positive" if u < true_negative_rate + q else "uncertain"
                 if outcome != "uncertain":
-                    obs = Observation(attribute_index=i, bin_index=0, outcome=outcome, in_reliable_region=True)
+                    obs = Observation(attribute_index=i, bin_index=0, outcome=outcome)
                     state = update(state, obs, models[i], stats)
             if k in k_slot:
                 decision = decide(state, catalog, rng=pick)

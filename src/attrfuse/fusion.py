@@ -1,61 +1,90 @@
-"""Sequential MAP posterior over objects from ternary, environment-tagged observations.
+"""MAP posterior over objects from ternary, environment-tagged observations.
 
-All weight arithmetic is in log domain. An adopted positive observation of
-attribute ``i`` multiplies object ``j``'s weight by ``ppv / prior(i)`` when
-``j`` has the attribute and by ``(1 - ppv) / (1 - prior(i))`` when it does
-not; an adopted negative observation mirrors this with the NPV. Uncertain
-outcomes and observations from outside a classifier's reliable region are
-exact no-ops: their conditional factor reduces to the attribute prior itself,
-so the ratio is 1. The normalization constant of the posterior is never
-computed; normalizing over the finite object set replaces it exactly.
+An adopted positive observation of attribute ``i`` multiplies object ``j``'s
+weight by ``ppv / prior(i)`` when ``j`` has the attribute and by
+``(1 - ppv) / (1 - prior(i))`` when it does not; an adopted negative
+observation mirrors this with the NPV. Uncertain outcomes and observations
+from unreliable bins are exact no-ops: their conditional factor reduces to the
+attribute prior itself, so the ratio is 1. The posterior is a product of these
+factors, so the state only counts how often each was adopted. The
+normalization constant is never computed; normalizing over the finite object
+set replaces it exactly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
 from attrfuse.catalog import CatalogStats, NonDiscriminativeAttributeError, ObjectCatalog
 from attrfuse.classifier import ClassifierModel, Outcome, classify
 
-# Contradiction floor: a weight hit by a log(0) factor is clamped here instead
-# of -inf, so later evidence can still revise a saturated hypothesis.
-LOG_TINY = math.log(1e-300)
-
 TIE_RELATIVE_TOLERANCE = 1e-9
+
+# (attribute index, outcome, predictive value) of one adopted factor.
+FactorKey = tuple[int, str, float]
 
 
 @dataclass(frozen=True)
 class Observation:
-    """One classifier outcome tagged with its environment bin.
-
-    ``in_reliable_region`` is precomputed from the classifier model; an
-    observation outside the reliable region is always uncertain.
-    """
+    """One classifier outcome tagged with its environment bin."""
 
     attribute_index: int
     bin_index: int
     outcome: Outcome
-    in_reliable_region: bool
 
     def __post_init__(self):
         if self.outcome not in ("positive", "negative", "uncertain"):
             raise ValueError(f"unknown outcome {self.outcome!r}")
-        if not self.in_reliable_region and self.outcome != "uncertain":
-            raise ValueError("outcome must be uncertain outside the reliable region")
 
 
 @dataclass(frozen=True)
 class PosteriorState:
-    """Log-domain unnormalized posterior plus adopted-observation bookkeeping."""
+    """Unnormalized log posterior: the log prior plus how often each factor was adopted.
 
-    log_weights: np.ndarray
-    n_pos: np.ndarray
-    n_neg: np.ndarray
-    adopted_pos: frozenset[int]
-    adopted_neg: frozenset[int]
-    saturated: bool = False
+    ``factors`` holds each adopted factor's per-object log row (``-inf``
+    where the factor is 0) from its first adoption. Neither mapping is ever
+    mutated, and any order of the same observations gives the same counts.
+    """
+
+    log_prior: np.ndarray
+    counts: Mapping[FactorKey, int] = field(default_factory=dict)
+    factors: Mapping[FactorKey, np.ndarray] = field(default_factory=dict)
+
+    @cached_property
+    def _tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per object: zero-factor hits, and the log prior plus every finite log factor."""
+        hits = np.zeros(self.log_prior.shape, dtype=np.int64)
+        finite = self.log_prior.copy()
+        for key in sorted(self.counts):
+            zero = np.isneginf(self.factors[key])
+            hits += self.counts[key] * zero
+            finite += self.counts[key] * np.where(zero, 0.0, self.factors[key])
+        return hits, finite
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """The finite sums of the objects with the fewest zero-factor hits; ``-inf`` for every other object."""
+        hits, finite = self._tally
+        log_weights = np.where(hits == hits.min(), finite, -np.inf)
+        log_weights.setflags(write=False)
+        return log_weights
+
+    @property
+    def saturated(self) -> bool:
+        """Whether some object has been hit by a zero factor."""
+        return bool(self._tally[0].any())
+
+    def outcome_counts(self, outcome: Outcome) -> dict[int, int]:
+        """Adoptions of ``outcome`` per attribute index; attributes without any are absent."""
+        per_attribute: dict[int, int] = {}
+        for (i, adopted, _), count in self.counts.items():
+            if adopted == outcome:
+                per_attribute[i] = per_attribute.get(i, 0) + count
+        return per_attribute
 
 
 @dataclass(frozen=True)
@@ -74,25 +103,15 @@ class Decision:
 
 
 def make_observation(model: ClassifierModel, bin_index: int, score: float) -> Observation:
-    """Classify a raw score and tag it with the model's reliability for that bin."""
-    reliable = bin_index in model.reliable_region
-    outcome = classify(model, bin_index, score)
-    return Observation(
-        attribute_index=model.attribute_index,
-        bin_index=bin_index,
-        outcome=outcome,
-        in_reliable_region=reliable,
-    )
+    """Classify a raw score and tag it with its attribute and bin."""
+    return Observation(model.attribute_index, bin_index, classify(model, bin_index, score))
 
 
 def init_posterior(catalog: ObjectCatalog) -> PosteriorState:
     """Posterior initialized to the catalog priors with no adopted observations."""
-    log_weights = np.log(catalog.priors)
-    n_pos = np.zeros(catalog.n_attributes, dtype=np.int64)
-    n_neg = np.zeros(catalog.n_attributes, dtype=np.int64)
-    for arr in (log_weights, n_pos, n_neg):
-        arr.setflags(write=False)
-    return PosteriorState(log_weights, n_pos, n_neg, frozenset(), frozenset())
+    log_prior = np.log(catalog.priors)
+    log_prior.setflags(write=False)
+    return PosteriorState(log_prior)
 
 
 def posterior(state: PosteriorState) -> np.ndarray:
@@ -105,14 +124,25 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _log_factor_row(key: FactorKey, stats: CatalogStats) -> np.ndarray:
+    i, outcome, predictive_value = key
+    w = float(stats.attribute_priors[i])
+    p_match, p_other = predictive_value, 1.0 - predictive_value
+    if outcome == "negative":
+        p_match, p_other = p_other, p_match
+    row = np.where(stats.positive_mask[i], _log(p_match) - math.log(w), _log(p_other) - math.log(1.0 - w))
+    row.setflags(write=False)
+    return row
+
+
 def update(
     state: PosteriorState,
     observation: Observation,
     model: ClassifierModel,
     stats: CatalogStats,
 ) -> PosteriorState:
-    """Fold one observation into the posterior; uncertain/unreliable ones are no-ops."""
-    if observation.outcome == "uncertain" or not observation.in_reliable_region:
+    """Count one observation into the posterior; uncertain ones and unreliable bins return ``state`` itself."""
+    if observation.outcome == "uncertain":
         return state
     i = observation.attribute_index
     if not stats.usable[i]:
@@ -125,44 +155,14 @@ def update(
         raise ValueError(f"bin {observation.bin_index} is not calibrated") from None
     if not cal.reliable:
         return state
-
-    w = float(stats.attribute_priors[i])
-    has_attribute = stats.positive_mask[i]
-    if observation.outcome == "positive":
-        if cal.ppv is None:
-            raise ValueError("adopted positive observation without a calibrated PPV")
-        on_match = _log(cal.ppv) - math.log(w)
-        on_other = _log(1.0 - cal.ppv) - math.log(1.0 - w)
-    else:
-        if cal.npv is None:
-            raise ValueError("adopted negative observation without a calibrated NPV")
-        on_match = _log(1.0 - cal.npv) - math.log(w)
-        on_other = _log(cal.npv) - math.log(1.0 - w)
-
-    log_weights = state.log_weights + np.where(has_attribute, on_match, on_other)
-    saturating = np.isneginf(log_weights)
-    if saturating.any():
-        log_weights = np.where(saturating, LOG_TINY, log_weights)
-
-    n_pos = state.n_pos.copy()
-    n_neg = state.n_neg.copy()
-    adopted_pos, adopted_neg = state.adopted_pos, state.adopted_neg
-    if observation.outcome == "positive":
-        n_pos[i] += 1
-        adopted_pos = adopted_pos | {i}
-    else:
-        n_neg[i] += 1
-        adopted_neg = adopted_neg | {i}
-    for arr in (log_weights, n_pos, n_neg):
-        arr.setflags(write=False)
-    return PosteriorState(
-        log_weights=log_weights,
-        n_pos=n_pos,
-        n_neg=n_neg,
-        adopted_pos=adopted_pos,
-        adopted_neg=adopted_neg,
-        saturated=state.saturated or bool(saturating.any()),
-    )
+    # a reliable calibration always carries both predictive values
+    key = (i, observation.outcome, cal.ppv if observation.outcome == "positive" else cal.npv)
+    factors = state.factors
+    if key not in factors:
+        factors = {**factors, key: _log_factor_row(key, stats)}
+    counts = dict(state.counts)
+    counts[key] = counts.get(key, 0) + 1
+    return PosteriorState(state.log_prior, counts, factors)
 
 
 def decide(
@@ -197,9 +197,15 @@ def decide(
 
 
 def posterior_ratio(state: PosteriorState, object_a: int, object_b: int) -> float:
-    """Log ratio of the unnormalized posterior weights of two objects."""
-    n = state.log_weights.shape[0]
+    """Log ratio of the unnormalized posterior weights of two objects.
+
+    It is ``+inf`` when ``object_a`` has fewer zero-factor hits than
+    ``object_b``, and ``-inf`` when it has more.
+    """
+    hits, finite = state._tally
     for j in (object_a, object_b):
-        if not 0 <= j < n:
+        if not 0 <= j < finite.shape[0]:
             raise IndexError(f"object index {j} out of range")
-    return float(state.log_weights[object_a] - state.log_weights[object_b])
+    if hits[object_a] != hits[object_b]:
+        return math.inf if hits[object_a] < hits[object_b] else -math.inf
+    return float(finite[object_a] - finite[object_b])

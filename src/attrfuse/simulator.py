@@ -325,13 +325,16 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
 
-    catalog_path = Path(raw["catalog"])
-    if not catalog_path.is_absolute():
-        catalog_path = path.parent / catalog_path
-    catalog = load_catalog(catalog_path)
-
-    bins = tuple((float(lo), float(hi)) for lo, hi in raw["bins"])
-    score_models = _parse_score_models(raw["score_models"], catalog, len(bins))
+    try:
+        catalog_path = Path(raw["catalog"])
+        if not catalog_path.is_absolute():
+            catalog_path = path.parent / catalog_path
+        catalog = load_catalog(catalog_path)
+        bins = tuple((float(lo), float(hi)) for lo, hi in raw["bins"])
+        score_models = _parse_score_models(raw["score_models"], catalog, len(bins))
+        seed = int(raw["seed"])
+    except (KeyError, TypeError) as exc:
+        raise ScenarioError(f"{path}: missing or malformed key ({exc})") from exc
 
     cal_raw = raw.get("calibration", {})
     calibration = CalibrationConfig(
@@ -359,7 +362,7 @@ def load_scenario(path: str | Path) -> Scenario:
         catalog=catalog,
         bins=bins,
         score_models=score_models,
-        seed=int(raw["seed"]),
+        seed=seed,
         orientation=raw.get("orientation", "lower_is_positive"),
         schedule=schedule,
         calibration=calibration,

@@ -118,8 +118,8 @@ def requirement_report(models: Mapping[int, ClassifierModel], stats: CatalogStat
 def certify_guaranteed_recognition(
     catalog: ObjectCatalog,
     models: Mapping[int, ClassifierModel],
-    adopted_pos_set,
-    adopted_neg_set,
+    pos_set,
+    neg_set,
 ) -> CertificationVerdict:
     """Brute-force certificate that the given evidence forces a correct MAP winner.
 
@@ -129,8 +129,8 @@ def certify_guaranteed_recognition(
     conclusion does not depend on which bin the evidence came from.
     """
     stats = compute_stats(catalog)
-    pos = frozenset(int(i) for i in adopted_pos_set)
-    neg = frozenset(int(i) for i in adopted_neg_set)
+    pos = frozenset(int(i) for i in pos_set)
+    neg = frozenset(int(i) for i in neg_set)
     candidates = unique_candidates(catalog, pos, neg)
     if len(candidates) == 0:
         return CertificationVerdict(False, None, candidates, "evidence is contradictory: no consistent object")

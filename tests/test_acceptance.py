@@ -69,7 +69,7 @@ def test_criterion_1_exhaustive_small_case_oracle():
             for sequence in itertools.product(slots, repeat=length):
                 state = init_posterior(catalog)
                 for i, outcome in sequence:
-                    state = update(state, Observation(i, 0, outcome, True), models[i], stats)
+                    state = update(state, Observation(i, 0, outcome), models[i], stats)
                 expected = posterior_oracle(
                     catalog.priors.tolist(), catalog.matrix.tolist(), list(sequence), ppv, npv
                 )
@@ -195,7 +195,7 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
         i = int(rng.integers(table1.n_attributes))
         model = make_synthetic_model(i, float(rng.uniform(0.7, 1.0)), float(rng.uniform(0.7, 1.0)))
         outcome = ("positive", "negative")[int(rng.integers(2))]
-        state = update(state, Observation(i, 0, outcome, True), model, stats)
+        state = update(state, Observation(i, 0, outcome), model, stats)
     normalization_ok = abs(posterior(state).sum() - 1.0) <= 1e-12
 
     # order independence within 1e-10 in log domain
@@ -207,7 +207,7 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
     def log_posterior(sequence):
         st = init_posterior(table1)
         for i, outcome in sequence:
-            st = update(st, Observation(i, 0, outcome, True), models[i], stats)
+            st = update(st, Observation(i, 0, outcome), models[i], stats)
         return np.log(posterior(st))
 
     reference = log_posterior(observations)
@@ -223,8 +223,8 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
     # uncertain and unreliable observations are exact no-ops
     base = init_posterior(table1)
     noop_ok = (
-        update(base, Observation(0, 0, "uncertain", True), models[0], stats) is base
-        and update(base, Observation(0, 3, "uncertain", False), models[0], stats) is base
+        update(base, Observation(0, 0, "uncertain"), models[0], stats) is base
+        and update(base, Observation(0, 3, "uncertain"), models[0], stats) is base
     )
 
     # threshold sweep determinism under input permutation and repetition

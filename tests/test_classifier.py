@@ -53,6 +53,13 @@ class TestCalibrateBin:
         with pytest.raises(CalibrationError):
             calibrate_bin([1.0], [])
 
+    @pytest.mark.parametrize("pos, neg", [([1, float("nan"), 2], [5, 6, 7]), ([1, 2], [5, 6, float("inf")])])
+    def test_nonfinite_sample_rejected(self, pos, neg):
+        with pytest.raises(CalibrationError):
+            calibrate_bin(pos, neg)
+        with pytest.raises(CalibrationError):
+            single_threshold_baseline(pos, neg)
+
     def test_bad_targets_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_bin([1], [2], target_ppv=0.0)
@@ -152,6 +159,12 @@ class TestClassify:
     def test_unreliable_bin_always_uncertain(self, model):
         for score in (-100.0, 0.0, 100.0):
             assert classify(model, 1, score) == "uncertain"
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_score_rejected(self, model, score):
+        for bin_index in (0, 1):
+            with pytest.raises(ValueError):
+                classify(model, bin_index, score)
 
     def test_unknown_bin(self, model):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -60,6 +61,49 @@ def test_fuse_rejects_malformed_lines(repo_root, tmp_path):
             "--model", str(model_path),
             "--obs", str(obs),
         ])
+
+
+@pytest.fixture(scope="module")
+def exp2_models(repo_root, tmp_path_factory):
+    path = tmp_path_factory.mktemp("models") / "models.json"
+    main(["calibrate", "--scenario", str(repo_root / "scenarios" / "exp2.json"), "--out", str(path)])
+    return path
+
+
+def _fuse(repo_root, model_path, obs):
+    out = obs.with_suffix(".json")
+    rc = main([
+        "fuse",
+        "--catalog", str(repo_root / "catalogs" / "exp2.json"),
+        "--model", str(model_path),
+        "--obs", str(obs),
+        "--out", str(out),
+    ])
+    assert rc == 0
+    return json.loads(out.read_text())
+
+
+def test_fuse_header_after_comments(repo_root, exp2_models, tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("# recorded on the bench\n\n  attribute,bin,score\nbox shape,0,1.0\n")
+    record = _fuse(repo_root, exp2_models, obs)
+    assert record["adopted_observations"] + record["discarded_observations"] == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("box shape,0,nan", "score must be finite"),
+        ("box shape,0,inf", "score must be finite"),
+        ("no such shape,0,1.0", "unknown attribute id 'no such shape'"),
+        ("box shape,9,1.0", "unknown bin index 9"),
+    ],
+)
+def test_fuse_located_input_errors(repo_root, exp2_models, tmp_path, line, message):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(f"attribute,bin,score\n# comment\nbox shape,0,1.0\n{line}\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:4: {re.escape(message)}"):
+        _fuse(repo_root, exp2_models, obs)
 
 
 def test_exp1_cli(repo_root, tmp_path, capsys):

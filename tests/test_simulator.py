@@ -85,6 +85,23 @@ class TestScenarioValidation:
             load_scenario(path)
 
 
+    @pytest.mark.parametrize("drop", ["seed", "catalog", "bins", "score_models", "mean", "std"])
+    def test_missing_key_names_file_and_key(self, tmp_path, repo_root, drop):
+        import json
+
+        raw = json.loads((repo_root / "scenarios" / "exp2.json").read_text())
+        raw["catalog"] = str(repo_root / "catalogs" / "exp2.json")
+        if drop in ("mean", "std"):
+            first_attribute = next(iter(raw["score_models"].values()))
+            del first_attribute["pos"][0][drop]
+        else:
+            del raw[drop]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError, match=f"{path}.*'{drop}'"):
+            load_scenario(path)
+
+
 class TestSampling:
     def test_deterministic_given_stream(self):
         scn = tiny_scenario()
