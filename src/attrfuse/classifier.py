@@ -32,6 +32,10 @@ class CalibrationError(ValueError):
     """Invalid calibration input (empty or non-finite samples, bad targets, bad bandwidth)."""
 
 
+class ModelFileError(ValueError):
+    """Malformed models file; the message names the file, the attribute and the key."""
+
+
 @dataclass(frozen=True)
 class BinCalibration:
     """Calibration result for one (attribute, environment bin) pair.
@@ -321,30 +325,49 @@ def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, p
     Path(path).write_text(json.dumps({"models": entries}, indent=2) + "\n")
 
 
+_THRESHOLD_KEYS = ("theta_pos", "theta_neg")
+_UNIT_KEYS = ("ppv", "npv", "detection_rate", "true_negative_rate", "false_positive_rate", "false_negative_rate")
+
+
+def _bin_record(rec: Mapping) -> BinCalibration:
+    """One saved bin record; a ValueError names the bin and the key."""
+    where = f"bin {rec.get('bin')!r}"
+    if type(rec.get("bin")) is not int or type(rec.get("reliable")) is not bool:
+        raise ValueError(f"{where}: key 'bin' must be an integer and key 'reliable' true or false")
+    values = {}
+    for key in _THRESHOLD_KEYS + _UNIT_KEYS:
+        if key not in rec:
+            raise ValueError(f"{where}: missing key {key!r}")
+        value = values[key] = rec[key]
+        if value is None and not rec["reliable"] and key in ("theta_pos", "theta_neg", "ppv", "npv"):
+            continue  # an unreliable bin may lack thresholds and predictive values
+        unit = key in _UNIT_KEYS
+        # type() rather than isinstance(): a JSON true is not a number; nan fails both range tests
+        if type(value) not in (int, float) or not (0.0 <= value <= 1.0 if unit else -math.inf < value < math.inf):
+            raise ValueError(f"{where}: key {key!r} must be a finite number{' in [0, 1]' if unit else ''}, got {value!r}")
+        values[key] = float(value)
+    return BinCalibration(bin_index=rec["bin"], reliable=rec["reliable"], **values)
+
+
 def load_models(path: str | Path, catalog: ObjectCatalog) -> dict[int, ClassifierModel]:
-    """Load models persisted by :func:`save_models`, resolving attribute ids via the catalog."""
-    raw = json.loads(Path(path).read_text())
+    """Load models persisted by :func:`save_models`, resolving attribute ids via the catalog.
+
+    A malformed file raises :class:`ModelFileError` naming the file, the
+    attribute and the key. Reliable bins need finite thresholds and
+    predictive values in [0, 1]; unreliable ones may leave them null.
+    """
+    try:
+        entries = json.loads(Path(path).read_text())["models"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ModelFileError(f"{path}: not a models file ({exc!r})") from None
     models: dict[int, ClassifierModel] = {}
-    for entry in raw["models"]:
-        attribute_index = catalog.attribute_index(entry["attribute"])
-        cals = {}
-        for rec in entry["bins"]:
-            cal = BinCalibration(
-                bin_index=int(rec["bin"]),
-                theta_pos=rec["theta_pos"],
-                theta_neg=rec["theta_neg"],
-                ppv=rec["ppv"],
-                npv=rec["npv"],
-                detection_rate=float(rec["detection_rate"]),
-                true_negative_rate=float(rec["true_negative_rate"]),
-                false_positive_rate=float(rec["false_positive_rate"]),
-                false_negative_rate=float(rec["false_negative_rate"]),
-                reliable=bool(rec["reliable"]),
-            )
-            cals[cal.bin_index] = cal
-        models[attribute_index] = ClassifierModel(
-            attribute_index=attribute_index,
-            orientation=entry["orientation"],
-            calibrations=cals,
-        )
+    for entry in entries:
+        attribute = entry.get("attribute") if isinstance(entry, dict) else None
+        try:
+            i = catalog.attribute_index(entry["attribute"])
+            cals = {cal.bin_index: cal for cal in map(_bin_record, entry["bins"])}
+            models[i] = ClassifierModel(attribute_index=i, orientation=entry["orientation"], calibrations=cals)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ModelFileError(f"{path}: attribute {attribute!r}: {reason}") from None
     return models

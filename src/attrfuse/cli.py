@@ -4,11 +4,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from attrfuse._version import __version__
 from attrfuse.catalog import compute_stats, load_catalog
-from attrfuse.classifier import load_models, save_models
+from attrfuse.classifier import ModelFileError, load_models, save_models
 from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
@@ -47,6 +48,13 @@ def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
     return rows
 
 
+def _timed(harness, *args, **kwargs):
+    """The harness's result and its wall time in seconds."""
+    start = time.perf_counter()
+    result = harness(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
 def _cmd_calibrate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
@@ -61,7 +69,10 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_fuse(args) -> int:
     catalog = load_catalog(args.catalog)
-    models = load_models(args.model, catalog)
+    try:
+        models = load_models(args.model, catalog)
+    except ModelFileError as exc:
+        raise SystemExit(str(exc)) from None
     stats = compute_stats(catalog)
     state = init_posterior(catalog)
     obs_path = Path(args.obs)
@@ -100,9 +111,9 @@ def _cmd_exp1(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     n = args.trials
-    result = experiment1_distribution_shift(scenario, n_pos=n, n_neg=n, seed=seed)
+    result, wall_s = _timed(experiment1_distribution_shift, scenario, n_pos=n, n_neg=n, seed=seed)
     paths = write_exp1_csvs(result, args.out)
-    write_manifest(args.out, "exp1", seed, n or result.n_pos, scenario=scenario)
+    write_manifest(args.out, "exp1", seed, n or result.n_pos, scenario=scenario, wall_s=wall_s)
     for k, overlap in enumerate(result.overlap):
         print(f"bin {k} {scenario.bins[k]}: overlap {overlap:.4f}")
     print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -112,9 +123,9 @@ def _cmd_exp1(args) -> int:
 def _cmd_exp2(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    curve = experiment2_threshold_comparison(scenario, trials=args.trials, seed=seed)
+    curve, wall_s = _timed(experiment2_threshold_comparison, scenario, trials=args.trials, seed=seed)
     path = write_exp2_csv(curve, args.out)
-    write_manifest(args.out, "exp2", seed, args.trials, scenario=scenario)
+    write_manifest(args.out, "exp2", seed, args.trials, scenario=scenario, wall_s=wall_s)
     print("K  two_threshold  single_threshold  random_tie")
     for idx, k in enumerate(curve.k_values):
         print(
@@ -128,9 +139,9 @@ def _cmd_exp2(args) -> int:
 def _cmd_exp3(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    result = experiment3_attribute_families(scenario, trials=args.trials, seed=seed)
+    result, wall_s = _timed(experiment3_attribute_families, scenario, trials=args.trials, seed=seed)
     path = write_exp3_csv(result, args.out)
-    write_manifest(args.out, "exp3", seed, args.trials, scenario=scenario)
+    write_manifest(args.out, "exp3", seed, args.trials, scenario=scenario, wall_s=wall_s)
     header = "bin        " + "".join(f"{name:<10}" for name in result.systems)
     print(header)
     for k, interval in enumerate(result.bins):
@@ -141,7 +152,7 @@ def _cmd_exp3(args) -> int:
 
 
 def _cmd_theorems(args) -> int:
-    report = theorem_suites(trials=args.trials, seed=args.seed)
+    report, wall_s = _timed(theorem_suites, trials=args.trials, seed=args.seed)
     status = "PASS" if report.exact_pass else "FAIL"
     print(
         f"[{status}] exact recognition: {report.exact_correct}/{report.exact_cases} "
@@ -155,7 +166,7 @@ def _cmd_theorems(args) -> int:
     )
     if args.out:
         write_theorem_csv(report, args.out)
-        write_manifest(args.out, "theorems", args.seed, args.trials)
+        write_manifest(args.out, "theorems", args.seed, args.trials, wall_s=wall_s)
         print(f"wrote {Path(args.out) / 'theorem_convergence.csv'}")
     return 0 if report.all_pass else 1
 

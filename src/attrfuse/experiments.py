@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,7 +32,7 @@ import numpy as np
 from attrfuse._version import __version__
 from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel, kde_density, make_synthetic_model, single_threshold_baseline
-from attrfuse.fusion import Observation, decide, init_posterior, make_observation, update
+from attrfuse.fusion import counted_posterior, decide
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     CASE_STREAM,
@@ -41,10 +42,12 @@ from attrfuse.simulator import (
     ScenarioError,
     calibrate_from_sets,
     calibrate_scenario,
+    classify_scores,
+    decide_episodes,
     derived_rng,
+    draw_scores,
     draw_training_sets,
-    run_episode,
-    sample_score,
+    stream_draws,
 )
 from attrfuse.theory import required_predictive_values
 
@@ -230,34 +233,22 @@ def experiment2_threshold_comparison(
     bin_index = scenario.schedule[0][0] if scenario.schedule else 0
 
     k_values = tuple(sorted(set(int(k) for k in k_list)))
-    k_max = k_values[-1]
-    k_slot = {k: idx for idx, k in enumerate(k_values)}
-    wrong_two = np.zeros((len(k_values), trials), dtype=bool)
-    wrong_single = np.zeros((len(k_values), trials), dtype=bool)
-    wrong_tie = np.zeros((len(k_values), trials), dtype=bool)
-
-    for t in range(trials):
-        gt = t % catalog.n_objects
-        score_rng = derived_rng(seed, SCORE_STREAM, t)
-        pick_two = derived_rng(seed, PICK_STREAM, t, 0)
-        pick_single = derived_rng(seed, PICK_STREAM, t, 1)
-        state_two = init_posterior(catalog)
-        state_single = init_posterior(catalog)
-        for k in range(1, k_max + 1):
-            for i in attrs:
-                truth = "pos" if catalog.matrix[gt, i] else "neg"
-                score = sample_score(scenario, i, truth, bin_index, score_rng)
-                obs_two = make_observation(two_models[i], bin_index, score)
-                state_two = update(state_two, obs_two, two_models[i], stats)
-                obs_single = make_observation(single_models[i], bin_index, score)
-                state_single = update(state_single, obs_single, single_models[i], stats)
-            if k in k_slot:
-                slot = k_slot[k]
-                d_two = decide(state_two, catalog, rng=pick_two)
-                d_single = decide(state_single, catalog, rng=pick_single)
-                wrong_two[slot, t] = d_two.winner != gt
-                wrong_single[slot, t] = d_single.winner != gt
-                wrong_tie[slot, t] = (d_two.winner != gt) and d_two.tie_broken_by == "random"
+    # every round scores each attribute once; both estimators classify the same scores
+    columns = attrs * k_values[-1]
+    bins = [bin_index] * len(columns)
+    ground_truths = np.arange(trials) % catalog.n_objects
+    z = stream_draws(seed, (SCORE_STREAM,), trials, len(columns))
+    scores = draw_scores(scenario, ground_truths, columns, bins, z)
+    checkpoints = [k * len(attrs) for k in k_values]
+    wrong, random = {}, {}
+    for system, models in enumerate((two_models, single_models)):
+        codes, keys = classify_scores(models, columns, bins, scores)
+        winners, random[system] = decide_episodes(
+            codes, keys, catalog, stats, checkpoints, lambda t, system=system: derived_rng(seed, PICK_STREAM, t, system)
+        )
+        wrong[system] = winners != ground_truths
+    wrong_two, wrong_single = wrong[0], wrong[1]
+    wrong_tie = wrong_two & random[0]
 
     err_two = wrong_two.mean(axis=1)
     err_single = wrong_single.mean(axis=1)
@@ -319,26 +310,30 @@ def experiment3_attribute_families(
     stats = compute_stats(catalog)
     models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
 
+    ground_truths = np.arange(trials) % catalog.n_objects
+    n_draws = rounds_per_bin * max(len(attrs) for attrs in systems.values())
     accuracy = np.zeros((scenario.n_bins, len(EXP3_SYSTEMS)))
     for k in range(scenario.n_bins):
-        correct = np.zeros((len(EXP3_SYSTEMS), trials), dtype=bool)
-        for t in range(trials):
-            gt = t % catalog.n_objects
-            for s_idx, name in enumerate(EXP3_SYSTEMS):
-                record = run_episode(
-                    scenario,
-                    gt,
-                    models,
-                    catalog,
-                    schedule=[(k, rounds_per_bin)],
-                    rng=derived_rng(seed, SCORE_STREAM, k, t),
-                    attributes=systems[name],
-                    stats=stats,
-                    pick_rng=derived_rng(seed, PICK_STREAM, k, t),
-                    trial_index=t,
-                )
-                correct[s_idx, t] = record.correct
-        accuracy[k] = correct.mean(axis=1)
+        # each system reads a prefix of the trial's score draws, and its own
+        # copy of the trial's pick stream: one generator, rewound per system
+        z = stream_draws(seed, (SCORE_STREAM, k), trials, n_draws)
+        picks: dict[int, tuple[np.random.Generator, dict]] = {}
+
+        def pick(t: int, k: int = k) -> np.random.Generator:
+            if t not in picks:
+                rng = derived_rng(seed, PICK_STREAM, k, t)
+                picks[t] = (rng, rng.bit_generator.state)
+            rng, start = picks[t]
+            rng.bit_generator.state = start
+            return rng
+
+        for s_idx, name in enumerate(EXP3_SYSTEMS):
+            columns = list(systems[name]) * rounds_per_bin
+            bins = [k] * len(columns)
+            scores = draw_scores(scenario, ground_truths, columns, bins, z[:, : len(columns)])
+            codes, keys = classify_scores(models, columns, bins, scores)
+            winners, _ = decide_episodes(codes, keys, catalog, stats, [len(columns)], pick)
+            accuracy[k, s_idx] = (winners[0] == ground_truths).mean()
 
     halfwidths = np.array([[halfwidth(a, trials) for a in row] for row in accuracy])
     return FamilyAccuracyResult(
@@ -418,10 +413,12 @@ def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
     for case in range(cases):
         rng = derived_rng(seed, CASE_STREAM, case)
         catalog, stats, models, ground_truth, observations = random_exact_recognition_case(rng)
-        state = init_posterior(catalog)
+        counts: dict = {}
         for i, outcome in observations:
-            obs = Observation(attribute_index=i, bin_index=0, outcome=outcome)
-            state = update(state, obs, models[i], stats)
+            cal = models[i].calibrations[0]
+            key = (i, outcome, cal.ppv if outcome == "positive" else cal.npv)
+            counts[key] = counts.get(key, 0) + 1
+        state = counted_posterior(catalog, stats, counts)
         decision = decide(state, catalog)
         if decision.winner == ground_truth and len(decision.candidates) == 1:
             correct += 1
@@ -451,36 +448,27 @@ def convergence_suite(
         priors=np.array([0.5, 0.5]),
     )
     stats = compute_stats(catalog)
-    models = {
-        i: make_synthetic_model(i, ppv, npv, detection_rate=detection_rate, true_negative_rate=true_negative_rate)
-        for i in (0, 1)
-    }
     q = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
     v = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
-
     k_values = tuple(sorted(set(int(k) for k in k_checkpoints)))
-    k_slot = {k: idx for idx, k in enumerate(k_values)}
-    k_max = k_values[-1]
-    wrong = np.zeros((len(k_values), trials), dtype=bool)
     ground_truth = 0
-    for t in range(trials):
-        rng = derived_rng(seed, SCORE_STREAM, t)
-        pick = derived_rng(seed, PICK_STREAM, t)
-        state = init_posterior(catalog)
-        for k in range(1, k_max + 1):
-            for i in (0, 1):
-                positive_truth = bool(catalog.matrix[ground_truth, i])
-                u = rng.random()
-                if positive_truth:
-                    outcome = "positive" if u < detection_rate else "negative" if u < detection_rate + v else "uncertain"
-                else:
-                    outcome = "negative" if u < true_negative_rate else "positive" if u < true_negative_rate + q else "uncertain"
-                if outcome != "uncertain":
-                    obs = Observation(attribute_index=i, bin_index=0, outcome=outcome)
-                    state = update(state, obs, models[i], stats)
-            if k in k_slot:
-                decision = decide(state, catalog, rng=pick)
-                wrong[k_slot[k], t] = decision.winner != ground_truth
+
+    # each round draws one uniform per attribute; the ground truth has
+    # attribute 0 and lacks attribute 1, and a uniform below the correct
+    # outcome's rate gives it, below that plus the false rate the wrong one
+    u = stream_draws(seed, (SCORE_STREAM,), trials, 2 * k_values[-1], kind="random")
+    keys = sorted((i, outcome, float(ppv if outcome == "positive" else npv)) for i in (0, 1) for outcome in ("positive", "negative"))
+    code = {key[:2]: n for n, key in enumerate(keys)}
+    codes = np.empty(u.shape, dtype=np.intp)
+    has, lacks = u[:, 0::2], u[:, 1::2]
+    codes[:, 0::2] = np.select([has < detection_rate, has < detection_rate + v], [code[0, "positive"], code[0, "negative"]], len(keys))
+    codes[:, 1::2] = np.select(
+        [lacks < true_negative_rate, lacks < true_negative_rate + q], [code[1, "negative"], code[1, "positive"]], len(keys)
+    )
+    winners, _ = decide_episodes(
+        codes, keys, catalog, stats, [2 * k for k in k_values], lambda t: derived_rng(seed, PICK_STREAM, t)
+    )
+    wrong = winners != ground_truth
     return k_values, wrong.mean(axis=1)
 
 
@@ -594,16 +582,22 @@ def write_manifest(
     trials: int,
     scenario: Scenario | None = None,
     extra: dict | None = None,
+    wall_s: float | None = None,
 ) -> Path:
+    """Run provenance: tool, python and numpy versions, seed, trials, scenario digest, harness wall time."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
         "tool": "attrfuse",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "experiment": experiment,
         "seed": seed,
         "trials": trials,
     }
+    if wall_s is not None:
+        record["wall_s"] = round(wall_s, 6)
     if scenario is not None:
         record["scenario"] = None if scenario.path is None else str(scenario.path)
         record["scenario_sha256"] = scenario.sha256

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,19 +57,15 @@ class PosteriorState:
     @cached_property
     def _tally(self) -> tuple[np.ndarray, np.ndarray]:
         """Per object: zero-factor hits, and the log prior plus every finite log factor."""
-        hits = np.zeros(self.log_prior.shape, dtype=np.int64)
-        finite = self.log_prior.copy()
-        for key in sorted(self.counts):
-            zero = np.isneginf(self.factors[key])
-            hits += self.counts[key] * zero
-            finite += self.counts[key] * np.where(zero, 0.0, self.factors[key])
-        return hits, finite
+        keys = sorted(self.counts)
+        table = np.array([self.factors[key] for key in keys]).reshape(len(keys), self.log_prior.size)
+        hits, finite = tally(self.log_prior, np.array([[self.counts[key] for key in keys]], dtype=np.int64), table)
+        return hits[0], finite[0]
 
     @cached_property
     def log_weights(self) -> np.ndarray:
         """The finite sums of the objects with the fewest zero-factor hits; ``-inf`` for every other object."""
-        hits, finite = self._tally
-        log_weights = np.where(hits == hits.min(), finite, -np.inf)
+        log_weights = map_log_weights(*self._tally)
         log_weights.setflags(write=False)
         return log_weights
 
@@ -135,6 +131,63 @@ def _log_factor_row(key: FactorKey, stats: CatalogStats) -> np.ndarray:
     return row
 
 
+def factor_table(keys: Sequence[FactorKey], stats: CatalogStats) -> np.ndarray:
+    """The per-object log rows of ``keys``, one row per key."""
+    table = np.empty((len(keys), stats.positive_mask.shape[1]))
+    for row, key in enumerate(keys):
+        if not stats.usable[key[0]]:
+            raise NonDiscriminativeAttributeError(
+                f"attribute index {key[0]} is constant across the catalog and cannot be fused"
+            )
+        table[row] = _log_factor_row(key, stats)
+    return table
+
+
+def tally(log_prior: np.ndarray, counts: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``counts`` (rows x keys, keys in sorted order): zero-factor hits and finite log sums.
+
+    ``table`` holds the keys' log rows. A zero count adds +-0.0, so a row's
+    sums equal those over its nonzero keys alone, bit for bit.
+    """
+    zero = np.isneginf(table)
+    finite_table = np.where(zero, 0.0, table)
+    hits = np.zeros((counts.shape[0], log_prior.size), dtype=np.int64)
+    finite = np.tile(log_prior, (counts.shape[0], 1))
+    for key in range(counts.shape[1]):
+        count = counts[:, key, None]
+        hits += count * zero[key]
+        finite += count * finite_table[key]
+    return hits, finite
+
+
+def map_log_weights(hits: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """Per row: the finite sums of the objects with the fewest zero-factor hits, ``-inf`` elsewhere."""
+    return np.where(hits == hits.min(axis=-1, keepdims=True), finite, -np.inf)
+
+
+def tie_sets(
+    log_weights: np.ndarray, priors: np.ndarray, rel_tol: float = TIE_RELATIVE_TOLERANCE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the objects tied at the maximum log weight, and those of them tied at the best prior."""
+    tied = log_weights >= log_weights.max(axis=-1, keepdims=True) + math.log1p(-rel_tol)
+    best_prior = np.where(tied, priors, -np.inf).max(axis=-1, keepdims=True)
+    return tied, tied & (priors >= best_prior * (1.0 - rel_tol))
+
+
+def pick_tied(prior_best: np.ndarray, rng: np.random.Generator) -> int:
+    """Seeded uniform pick among one row's prior-tied candidates."""
+    options = np.flatnonzero(prior_best)
+    return int(options[rng.integers(options.size)])
+
+
+def counted_posterior(catalog: ObjectCatalog, stats: CatalogStats, counts: Mapping[FactorKey, int]) -> PosteriorState:
+    """The posterior after each factor key's count of adopted observations."""
+    counts = {key: int(n) for key, n in counts.items() if n}
+    keys = sorted(counts)
+    factors = dict(zip(keys, factor_table(keys, stats)))
+    return PosteriorState(init_posterior(catalog).log_prior, counts, factors)
+
+
 def update(
     state: PosteriorState,
     observation: Observation,
@@ -178,22 +231,15 @@ def decide(
     recorded as the winner (experiments that must output a single object use
     this seeded pick).
     """
-    log_weights = state.log_weights
-    cutoff = log_weights.max() + math.log1p(-rel_tol)
-    tied = np.flatnonzero(log_weights >= cutoff)
-    if tied.size == 1:
-        winner = int(tied[0])
-        return Decision(winner=winner, candidates=(winner,), tie_broken_by="none")
-    candidates = tuple(int(j) for j in tied)
-    tied_priors = catalog.priors[tied]
-    prior_cutoff = tied_priors.max() * (1.0 - rel_tol)
-    prior_best = tied[tied_priors >= prior_cutoff]
-    if prior_best.size == 1:
-        return Decision(winner=int(prior_best[0]), candidates=candidates, tie_broken_by="prior")
+    tied, prior_best = tie_sets(state.log_weights, catalog.priors, rel_tol)
+    candidates = tuple(np.flatnonzero(tied).tolist())
+    if len(candidates) == 1:
+        return Decision(winner=candidates[0], candidates=candidates, tie_broken_by="none")
+    if prior_best.sum() == 1:
+        return Decision(winner=int(prior_best.argmax()), candidates=candidates, tie_broken_by="prior")
     if rng is None:
         return Decision(winner=None, candidates=candidates, tie_broken_by="none")
-    winner = int(prior_best[rng.integers(prior_best.size)])
-    return Decision(winner=winner, candidates=candidates, tie_broken_by="random")
+    return Decision(winner=pick_tied(prior_best, rng), candidates=candidates, tie_broken_by="random")
 
 
 def posterior_ratio(state: PosteriorState, object_a: int, object_b: int) -> float:

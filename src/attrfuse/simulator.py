@@ -6,6 +6,11 @@ relative to the test distributions to model unrepresentative training data.
 Randomness comes from the counter-based Philox generator; trial ``t`` of a
 run seeded with ``s`` always uses the stream derived from ``(s, ..., t)``, so
 records are reproducible bit for bit and trials are independent.
+
+Episodes run batched: every trial's draws come from its own stream as one
+array, are classified with vectorised threshold compares, counted per factor
+key and decided together (``decide_episodes``); ``run_episode`` is one row
+of that engine.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +30,18 @@ from attrfuse.classifier import (
     ClassifierModel,
     calibrate_bin,
 )
-from attrfuse.fusion import Decision, decide, init_posterior, make_observation, update
+from attrfuse.fusion import (
+    Decision,
+    FactorKey,
+    counted_posterior,
+    decide,
+    factor_table,
+    init_posterior,
+    map_log_weights,
+    pick_tied,
+    tally,
+    tie_sets,
+)
 
 # Stream keys for deriving independent generators from one base seed.
 CALIBRATION_STREAM = 0
@@ -237,6 +253,119 @@ def calibrate_scenario(
     return calibrate_from_sets(scenario, draw_training_sets(scenario, rng))
 
 
+def stream_draws(seed: int, key: Sequence[int], trials: int, n: int, kind: str = "standard_normal") -> np.ndarray:
+    """``n`` draws from each trial's stream ``(seed, *key, t)``, one row per trial.
+
+    Philox is counter-based, so one array call yields the same values, and
+    leaves the stream in the same state, as ``n`` scalar calls.
+    """
+    out = np.empty((trials, n))
+    for t in range(trials):
+        getattr(derived_rng(seed, *key, t), kind)(n, out=out[t])
+    return out
+
+
+def draw_scores(
+    scenario: Scenario,
+    ground_truths: np.ndarray,
+    attributes: Sequence[int],
+    bins: Sequence[int],
+    z: np.ndarray,
+) -> np.ndarray:
+    """Test scores from standard normal draws ``z`` (rows x columns).
+
+    Column ``c`` observes attribute ``attributes[c]`` in bin ``bins[c]`` of
+    each row's ground-truth object; ``mean + std * z`` equals the scalar
+    ``Generator.normal(mean, std)`` draw bit for bit.
+    """
+    truth = scenario.catalog.matrix[np.asarray(ground_truths)[:, None], np.asarray(attributes, dtype=np.intp)] != 0
+    pos = [scenario.score_models[(i, "pos", k)] for i, k in zip(attributes, bins)]
+    neg = [scenario.score_models[(i, "neg", k)] for i, k in zip(attributes, bins)]
+    mean = np.where(truth, [m.mean for m in pos], [m.mean for m in neg])
+    std = np.where(truth, [m.stddev for m in pos], [m.stddev for m in neg])
+    return mean + std * z
+
+
+def classify_scores(
+    models: Mapping[int, ClassifierModel],
+    attributes: Sequence[int],
+    bins: Sequence[int],
+    scores: np.ndarray,
+) -> tuple[np.ndarray, tuple[FactorKey, ...]]:
+    """Ternary outcomes of ``scores`` (rows x columns) as codes into sorted factor keys.
+
+    Column ``c`` is classified by ``models[attributes[c]]`` in bin
+    ``bins[c]``. The code of an adopted outcome indexes its key; uncertain
+    outcomes and unreliable bins get ``len(keys)``. Ties at a threshold go
+    to the positive side, as in :func:`classify`.
+    """
+    sign = np.empty(len(attributes))
+    theta_pos = np.full(len(attributes), np.nan)  # nan never compares true: uncertain
+    theta_neg = np.full(len(attributes), np.nan)
+    adopted: list[tuple[FactorKey, FactorKey] | None] = []
+    for c, (i, k) in enumerate(zip(attributes, bins)):
+        model = models[i]
+        try:
+            cal = model.calibrations[k]
+        except KeyError:
+            raise ValueError(f"unknown bin index {k}") from None
+        sign[c] = 1.0 if model.orientation == "lower_is_positive" else -1.0
+        adopted.append(((i, "positive", cal.ppv), (i, "negative", cal.npv)) if cal.reliable else None)
+        if cal.reliable:
+            theta_pos[c], theta_neg[c] = sign[c] * cal.theta_pos, sign[c] * cal.theta_neg
+    keys = tuple(sorted({key for pair in adopted if pair for key in pair}))
+    index = {key: n for n, key in enumerate(keys)}
+    unadopted = (len(keys), len(keys))
+    code_pos, code_neg = np.array(
+        [unadopted if pair is None else tuple(map(index.get, pair)) for pair in adopted], dtype=np.intp
+    ).reshape(-1, 2).T
+    signed = sign * scores
+    positive = signed <= theta_pos
+    negative = ~positive & (signed >= theta_neg)
+    codes = np.where(positive, code_pos, np.where(negative, code_neg, len(keys)))
+    return codes, keys
+
+
+def decide_episodes(
+    codes: np.ndarray,
+    keys: Sequence[FactorKey],
+    catalog: ObjectCatalog,
+    stats: CatalogStats,
+    checkpoints: Sequence[int],
+    pick: Callable[[int], np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """MAP winners of every row after each checkpoint's leading draws, and which were random picks.
+
+    ``codes`` (rows x draws) come from :func:`classify_scores` or any other
+    source of codes into the sorted ``keys``. Counts accumulate from one
+    checkpoint to the next. A row's pick stream ``pick(row)`` is made at its
+    first random tie and consumed in checkpoint order; rows without one
+    never make it. Returns two (checkpoints x rows) arrays.
+    """
+    table = factor_table(keys, stats)
+    log_prior = init_posterior(catalog).log_prior
+    rows, n_codes = codes.shape[0], len(keys) + 1
+    offsets = n_codes * np.arange(rows)[:, None]
+    counts = np.zeros((rows, n_codes), dtype=np.int64)
+    winners = np.empty((len(checkpoints), rows), dtype=np.int64)
+    random = np.zeros((len(checkpoints), rows), dtype=bool)
+    streams: dict[int, np.random.Generator] = {}
+    start = 0
+    for c, stop in enumerate(checkpoints):
+        step = codes[:, start:stop] + offsets
+        counts += np.bincount(step.ravel(), minlength=counts.size).reshape(counts.shape)
+        start = stop
+        log_weights = map_log_weights(*tally(log_prior, counts[:, :-1], table))
+        _, prior_best = tie_sets(log_weights, catalog.priors)
+        winners[c] = prior_best.argmax(axis=1)
+        random[c] = prior_best.sum(axis=1) > 1
+        for r in np.flatnonzero(random[c]).tolist():
+            if r not in streams:
+                streams[r] = pick(r)
+            winners[c, r] = pick_tied(prior_best[r], streams[r])
+    return winners, random
+
+
 def run_episode(
     scenario: Scenario,
     ground_truth_object: int,
@@ -250,7 +379,7 @@ def run_episode(
     trial_index: int = 0,
     seed: int | None = None,
 ) -> TrialRecord:
-    """Draw scores per the schedule, classify, fuse, and decide.
+    """Draw scores per the schedule, classify, fuse, and decide: one row of the batched engine.
 
     Each scheduled round observes every attribute in ``attributes`` (default:
     all modeled attributes) once in the given bin. ``pick_rng`` defaults to
@@ -267,29 +396,46 @@ def run_episode(
     for bin_index, _ in schedule:
         scenario._check_bin(bin_index)
 
-    state = init_posterior(catalog)
-    draws: list[ObservationDraw] = []
-    for bin_index, rounds in schedule:
-        for _ in range(int(rounds)):
-            for i in attributes:
-                truth = "pos" if catalog.matrix[ground_truth_object, i] else "neg"
-                score = sample_score(scenario, i, truth, bin_index, rng)
-                obs = make_observation(models[i], bin_index, score)
-                draws.append(ObservationDraw(i, bin_index, score, obs.outcome))
-                state = update(state, obs, models[i], stats)
+    columns = [(i, k) for k, rounds in schedule for _ in range(int(rounds)) for i in attributes]
+    attrs, bins = [i for i, _ in columns], [k for _, k in columns]
+    z = rng.standard_normal(len(columns))[None]
+    scores = draw_scores(scenario, np.array([ground_truth_object]), attrs, bins, z)
+    codes, keys = classify_scores(models, attrs, bins, scores)
+    outcomes = [key[1] for key in keys] + ["uncertain"]
+    state = counted_posterior(catalog, stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
     decision = decide(state, catalog, rng=pick_rng if pick_rng is not None else rng)
-    correct = decision.winner == ground_truth_object
     return TrialRecord(
         trial_index=trial_index,
         ground_truth=ground_truth_object,
-        observations=tuple(draws),
+        observations=tuple(
+            ObservationDraw(i, k, score, outcomes[code])
+            for (i, k), score, code in zip(columns, scores[0].tolist(), codes[0].tolist())
+        ),
         decision=decision,
-        correct=correct,
+        correct=decision.winner == ground_truth_object,
         seed=seed,
     )
 
 
+_REQUIRED = object()
+
+
+def _field(path: Path, raw: Mapping, key: str, convert: Callable, default=_REQUIRED):
+    """``convert(raw[key])`` (or of ``default`` when the key is absent), as a ScenarioError naming the file and key."""
+    try:
+        return convert(raw[key] if default is _REQUIRED or key in raw else default)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: missing or malformed key {key!r} ({exc})") from None
+
+
+def _mapping(value) -> Mapping:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
 def _parse_score_models(
+    path: Path,
     raw: Mapping,
     catalog: ObjectCatalog,
     n_bins: int,
@@ -298,25 +444,25 @@ def _parse_score_models(
     for attribute_id, per_truth in raw.items():
         i = catalog.attribute_index(attribute_id)
         for truth in ("pos", "neg"):
-            try:
-                per_bin = per_truth[truth]
-            except KeyError:
-                raise ScenarioError(f"score model for {attribute_id!r} missing {truth!r} entry") from None
+            per_bin = _field(path, per_truth, truth, list)
             if len(per_bin) != n_bins:
                 raise ScenarioError(
-                    f"score model for {attribute_id!r}/{truth} has {len(per_bin)} entries, expected {n_bins}"
+                    f"{path}: score model for {attribute_id!r}/{truth} has {len(per_bin)} entries, expected {n_bins}"
                 )
             for k, rec in enumerate(per_bin):
                 out[(i, truth, k)] = ScoreModel(
-                    family=rec.get("family", "gaussian"),
-                    mean=float(rec["mean"]),
-                    stddev=float(rec["std"]),
+                    family=_field(path, rec, "family", str, "gaussian"),
+                    mean=_field(path, rec, "mean", float),
+                    stddev=_field(path, rec, "std", float),
                 )
     return out
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load a scenario file and its referenced catalog (path relative to the scenario)."""
+    """Load a scenario file and its referenced catalog (path relative to the scenario).
+
+    Missing or unparsable values raise :class:`ScenarioError` naming the file and the key.
+    """
     path = Path(path)
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
@@ -325,37 +471,32 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
 
-    try:
-        catalog_path = Path(raw["catalog"])
-        if not catalog_path.is_absolute():
-            catalog_path = path.parent / catalog_path
-        catalog = load_catalog(catalog_path)
-        bins = tuple((float(lo), float(hi)) for lo, hi in raw["bins"])
-        score_models = _parse_score_models(raw["score_models"], catalog, len(bins))
-        seed = int(raw["seed"])
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"{path}: missing or malformed key ({exc})") from exc
+    catalog_path = _field(path, raw, "catalog", Path)
+    catalog = load_catalog(catalog_path if catalog_path.is_absolute() else path.parent / catalog_path)
+    bins = _field(path, raw, "bins", lambda v: tuple((float(lo), float(hi)) for lo, hi in v))
+    score_models = _parse_score_models(path, _field(path, raw, "score_models", _mapping), catalog, len(bins))
+    seed = _field(path, raw, "seed", int)
 
-    cal_raw = raw.get("calibration", {})
+    cal_raw = _field(path, raw, "calibration", _mapping, {})
     calibration = CalibrationConfig(
-        target_ppv=float(cal_raw.get("target_ppv", DEFAULT_TARGET_PPV)),
-        target_npv=float(cal_raw.get("target_npv", DEFAULT_TARGET_NPV)),
-        min_detection_rate=float(cal_raw.get("min_detection_rate", DEFAULT_MIN_DETECTION_RATE)),
-        n_pos_per_object=int(cal_raw.get("n_pos_per_object", 20)),
-        n_neg_per_object=int(cal_raw.get("n_neg_per_object", 20)),
+        target_ppv=_field(path, cal_raw, "target_ppv", float, DEFAULT_TARGET_PPV),
+        target_npv=_field(path, cal_raw, "target_npv", float, DEFAULT_TARGET_NPV),
+        min_detection_rate=_field(path, cal_raw, "min_detection_rate", float, DEFAULT_MIN_DETECTION_RATE),
+        n_pos_per_object=_field(path, cal_raw, "n_pos_per_object", int, 20),
+        n_neg_per_object=_field(path, cal_raw, "n_neg_per_object", int, 20),
     )
-    bias_raw = raw.get("training_bias", {})
+    bias_raw = _field(path, raw, "training_bias", _mapping, {})
     bias = TrainingBias(
-        pos_mean_shift=float(bias_raw.get("pos_mean_shift", 0.0)),
-        neg_mean_shift=float(bias_raw.get("neg_mean_shift", 0.0)),
-        pos_std_scale=float(bias_raw.get("pos_std_scale", 1.0)),
-        neg_std_scale=float(bias_raw.get("neg_std_scale", 1.0)),
+        pos_mean_shift=_field(path, bias_raw, "pos_mean_shift", float, 0.0),
+        neg_mean_shift=_field(path, bias_raw, "neg_mean_shift", float, 0.0),
+        pos_std_scale=_field(path, bias_raw, "pos_std_scale", float, 1.0),
+        neg_std_scale=_field(path, bias_raw, "neg_std_scale", float, 1.0),
     )
     families = {
         name: tuple(catalog.attribute_index(a) for a in ids)
         for name, ids in raw.get("families", {}).items()
     }
-    schedule = tuple((int(b), int(r)) for b, r in raw.get("schedule", []))
+    schedule = _field(path, raw, "schedule", lambda v: tuple((int(b), int(r)) for b, r in v), [])
     kde_attribute = catalog.attribute_index(raw["kde_attribute"]) if "kde_attribute" in raw else 0
 
     return Scenario(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from attrfuse.classifier import (
     DEFAULT_TARGET_PPV,
     BinCalibration,
     CalibrationError,
+    ModelFileError,
     ClassifierModel,
     calibrate_bin,
     classify,
@@ -246,6 +248,39 @@ class TestPersistence:
         save_models(models, exp2_scenario.catalog, path)
         loaded = load_models(path, exp2_scenario.catalog)
         assert loaded == models
+
+    @staticmethod
+    def _saved_record(exp2_scenario, tmp_path, edit):
+        """Save the exp2 models, apply ``edit`` to the first reliable bin record, and return the file."""
+        import json
+
+        models = calibrate_scenario(exp2_scenario, derived_rng(exp2_scenario.seed, 0))
+        path = tmp_path / "models.json"
+        save_models(models, exp2_scenario.catalog, path)
+        raw = json.loads(path.read_text())
+        entry = raw["models"][0]
+        rec = next(r for r in entry["bins"] if r["reliable"])
+        edit(rec)
+        path.write_text(json.dumps(raw))
+        return path, entry["attribute"], rec["bin"]
+
+    def test_missing_threshold_names_file_attribute_and_key(self, exp2_scenario, tmp_path):
+        path, attribute, k = self._saved_record(exp2_scenario, tmp_path, lambda rec: rec.pop("theta_pos"))
+        message = f"{path}: attribute {attribute!r}: bin {k}: missing key 'theta_pos'"
+        with pytest.raises(ModelFileError, match=re.escape(message)):
+            load_models(path, exp2_scenario.catalog)
+
+    def test_string_predictive_value_rejected(self, exp2_scenario, tmp_path):
+        path, attribute, k = self._saved_record(exp2_scenario, tmp_path, lambda rec: rec.update(ppv="NaN"))
+        message = f"{path}: attribute {attribute!r}: bin {k}: key 'ppv' must be a finite number in [0, 1], got 'NaN'"
+        with pytest.raises(ModelFileError, match=re.escape(message)):
+            load_models(path, exp2_scenario.catalog)
+
+    @pytest.mark.parametrize("key, value", [("npv", 1.5), ("ppv", -0.1), ("theta_neg", None), ("theta_pos", float("inf"))])
+    def test_reliable_bin_needs_finite_values_in_range(self, exp2_scenario, tmp_path, key, value):
+        path, attribute, k = self._saved_record(exp2_scenario, tmp_path, lambda rec: rec.update({key: value}))
+        with pytest.raises(ModelFileError, match=re.escape(f"{path}: attribute {attribute!r}: bin {k}: key {key!r}")):
+            load_models(path, exp2_scenario.catalog)
 
     def test_synthetic_model_rate_consistency(self):
         m = make_synthetic_model(3, ppv=0.96, npv=0.9, detection_rate=0.5, true_negative_rate=0.4)

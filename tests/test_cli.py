@@ -1,6 +1,8 @@
 import json
+import platform
 import re
 
+import numpy as np
 import pytest
 
 from attrfuse.cli import main
@@ -106,6 +108,17 @@ def test_fuse_located_input_errors(repo_root, exp2_models, tmp_path, line, messa
         _fuse(repo_root, exp2_models, obs)
 
 
+def test_fuse_reports_malformed_model_file(repo_root, exp2_models, tmp_path):
+    raw = json.loads(exp2_models.read_text())
+    del raw["models"][0]["bins"][0]["theta_pos"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(raw))
+    obs = tmp_path / "obs.csv"
+    obs.write_text("box shape,0,1.0\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(broken))}: attribute .*'theta_pos'"):
+        _fuse(repo_root, broken, obs)
+
+
 def test_exp1_cli(repo_root, tmp_path, capsys):
     out = tmp_path / "exp1"
     rc = main([
@@ -132,6 +145,10 @@ def test_exp2_cli(repo_root, tmp_path, capsys):
     assert methods == {"two_threshold", "single_threshold", "two_threshold_random_tie"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["trials"] == 40
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["wall_s"] > 0
+    assert "wall_s" not in (out / "exp2_error_curve.csv").read_text()
 
 
 def test_exp3_cli(repo_root, tmp_path):
@@ -153,3 +170,6 @@ def test_theorems_cli(tmp_path, capsys):
     assert "[PASS] exact recognition" in out
     assert "[PASS] convergence" in out
     assert (tmp_path / "th" / "theorem_convergence.csv").exists()
+    manifest = json.loads((tmp_path / "th" / "manifest.json").read_text())
+    assert manifest["experiment"] == "theorems" and manifest["wall_s"] > 0
+    assert manifest["numpy"] == np.__version__

@@ -102,6 +102,29 @@ class TestScenarioValidation:
             load_scenario(path)
 
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "seed", "abc"),
+            ("calibration", "n_pos_per_object", "many"),
+            ("calibration", "target_ppv", [0.9]),
+            ("training_bias", "pos_mean_shift", "up"),
+            (None, "schedule", [[0, "three"]]),
+            (None, "calibration", "strict"),
+        ],
+    )
+    def test_unparsable_value_names_file_and_key(self, tmp_path, repo_root, section, key, value):
+        import json
+
+        raw = json.loads((repo_root / "scenarios" / "exp2.json").read_text())
+        raw["catalog"] = str(repo_root / "catalogs" / "exp2.json")
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError, match=f"{path}.*'{key}'"):
+            load_scenario(path)
+
+
 class TestSampling:
     def test_deterministic_given_stream(self):
         scn = tiny_scenario()
