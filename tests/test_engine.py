@@ -1,19 +1,46 @@
 """The batched episode engine against the one-observation, one-row path it replaces."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import BinCalibration, ClassifierModel, classify
-from attrfuse.fusion import counted_posterior, decide, factor_table, init_posterior, map_log_weights, tally
+from attrfuse.classifier import BinCalibration, ClassifierModel, classify, make_synthetic_model
+from attrfuse.experiments import (
+    convergence_suite,
+    experiment2_threshold_comparison,
+    experiment3_attribute_families,
+    single_threshold_models,
+)
+from attrfuse.fusion import (
+    Observation,
+    counted_posterior,
+    decide,
+    factor_table,
+    init_posterior,
+    make_observation,
+    map_log_weights,
+    tally,
+    update,
+)
 from attrfuse.simulator import (
+    CALIBRATION_STREAM,
+    PICK_STREAM,
+    SCORE_STREAM,
+    ObservationDraw,
     ScoreModel,
     Scenario,
+    TrialRecord,
+    calibrate_from_sets,
+    calibrate_scenario,
     classify_scores,
     decide_episodes,
     derived_rng,
     draw_scores,
+    draw_training_sets,
+    run_episode,
     sample_score,
     stream_draws,
 )
@@ -134,3 +161,131 @@ def test_classify_scores_equal_classify(orientation):
             if codes[r, c] < len(keys):
                 cal = models[i].calibrations[k]
                 assert keys[codes[r, c]][::2] == (i, cal.ppv if outcomes[codes[r, c]] == "positive" else cal.npv)
+
+
+# ---------------------------------------------------------------------------
+# The per-observation loops the engine replaced, kept as references: same
+# streams, same classify/update/decide calls per draw.
+
+
+def _reference_exp2(scenario, k_values, trials, seed):
+    catalog = scenario.catalog
+    stats = compute_stats(catalog)
+    training = draw_training_sets(scenario, derived_rng(seed, CALIBRATION_STREAM))
+    systems = (calibrate_from_sets(scenario, training), single_threshold_models(scenario, training))
+    attrs = sorted(systems[0])
+    bin_index = scenario.schedule[0][0] if scenario.schedule else 0
+    wrong = np.zeros((3, len(k_values), trials), dtype=bool)  # two, single, two by random pick
+    for t in range(trials):
+        gt = t % catalog.n_objects
+        rng = derived_rng(seed, SCORE_STREAM, t)
+        picks = [derived_rng(seed, PICK_STREAM, t, s) for s in (0, 1)]
+        states = [init_posterior(catalog)] * 2
+        for k in range(1, k_values[-1] + 1):
+            for i in attrs:
+                score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", bin_index, rng)
+                for s, models in enumerate(systems):
+                    states[s] = update(states[s], make_observation(models[i], bin_index, score), models[i], stats)
+            if k in k_values:
+                slot = k_values.index(k)
+                decisions = [decide(states[s], catalog, rng=picks[s]) for s in (0, 1)]
+                for s in (0, 1):
+                    wrong[s, slot, t] = decisions[s].winner != gt
+                wrong[2, slot, t] = wrong[0, slot, t] and decisions[0].tie_broken_by == "random"
+    return wrong.mean(axis=2)
+
+
+def _reference_exp3(scenario, trials, rounds, seed):
+    families = scenario.families
+    systems = (families["fine"], families["coarse"], tuple(sorted(set().union(*families.values()))))
+    catalog = scenario.catalog
+    stats = compute_stats(catalog)
+    models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
+    correct = np.zeros((scenario.n_bins, 3, trials), dtype=bool)
+    for k in range(scenario.n_bins):
+        for t in range(trials):
+            gt = t % catalog.n_objects
+            for s, attrs in enumerate(systems):
+                rng = derived_rng(seed, SCORE_STREAM, k, t)
+                state = init_posterior(catalog)
+                for _ in range(rounds):
+                    for i in attrs:
+                        score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
+                        state = update(state, make_observation(models[i], k, score), models[i], stats)
+                correct[k, s, t] = decide(state, catalog, rng=derived_rng(seed, PICK_STREAM, k, t)).winner == gt
+    return correct.mean(axis=2)
+
+
+def _reference_convergence(trials, seed, k_values, ppv, npv, d, s):
+    catalog = ObjectCatalog(("first", "second"), ("mark-a", "mark-b"), np.array([[1, 0], [0, 1]]), np.array([0.5, 0.5]))
+    stats = compute_stats(catalog)
+    models = {i: make_synthetic_model(i, ppv, npv, detection_rate=d, true_negative_rate=s) for i in (0, 1)}
+    q = 0.0 if ppv >= 1.0 else d * (1.0 - ppv) / ppv
+    v = 0.0 if npv >= 1.0 else s * (1.0 - npv) / npv
+    wrong = np.zeros((len(k_values), trials), dtype=bool)
+    for t in range(trials):
+        rng, pick = derived_rng(seed, SCORE_STREAM, t), derived_rng(seed, PICK_STREAM, t)
+        state = init_posterior(catalog)
+        for k in range(1, k_values[-1] + 1):
+            for i in (0, 1):
+                u = rng.random()
+                if i == 0:  # the ground truth (object 0) has attribute 0
+                    outcome = "positive" if u < d else "negative" if u < d + v else "uncertain"
+                else:
+                    outcome = "negative" if u < s else "positive" if u < s + q else "uncertain"
+                state = update(state, Observation(i, 0, outcome), models[i], stats)
+            if k in k_values:
+                wrong[k_values.index(k), t] = decide(state, catalog, rng=pick).winner != 0
+    return wrong.mean(axis=1)
+
+
+def _mirrored(scenario):
+    """The same scenario with negated scores and higher scores meaning positive."""
+    models = {key: ScoreModel(m.family, -m.mean, m.stddev) for key, m in scenario.score_models.items()}
+    return dataclasses.replace(scenario, score_models=models, orientation="higher_is_positive")
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_exp2_equals_reference_loop(exp2_scenario, mirror):
+    scenario = _mirrored(exp2_scenario) if mirror else exp2_scenario
+    k_values = (1, 2, 4, 6)
+    curve = experiment2_threshold_comparison(scenario, k_list=k_values, trials=150, seed=5)
+    two, single, tie = _reference_exp2(scenario, k_values, 150, 5)
+    assert curve.two_threshold_error.tobytes() == two.tobytes()
+    assert curve.single_threshold_error.tobytes() == single.tobytes()
+    assert curve.random_tie_error.tobytes() == tie.tobytes()
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_exp3_equals_reference_loop(exp3_scenario, mirror):
+    scenario = _mirrored(exp3_scenario) if mirror else exp3_scenario
+    result = experiment3_attribute_families(scenario, trials=36, rounds_per_bin=2, seed=11)
+    assert result.accuracy.tobytes() == _reference_exp3(scenario, 36, 2, 11).tobytes()
+
+
+@pytest.mark.parametrize("ppv, npv, d, s", [(0.98, 0.98, 0.5, 0.5), (1.0, 0.9, 0.3, 0.6), (0.7, 0.7, 0.2, 0.2)])
+def test_convergence_equals_reference_loop(ppv, npv, d, s):
+    k_values, error = convergence_suite(300, 8, k_checkpoints=(1, 4, 30), ppv=ppv, npv=npv, detection_rate=d, true_negative_rate=s)
+    assert error.tobytes() == _reference_convergence(300, 8, k_values, ppv, npv, d, s).tobytes()
+
+
+def test_run_episode_equals_reference_loop(exp3_scenario):
+    """A two-bin schedule, with the tie pick taken from the score stream after its draws."""
+    scenario = exp3_scenario
+    catalog = scenario.catalog
+    stats = compute_stats(catalog)
+    models = calibrate_scenario(scenario)
+    attrs = sorted(models)
+    for t in range(20):
+        record = run_episode(scenario, t % 9, models, catalog, [(0, 1), (4, 2)], derived_rng(3, t), trial_index=t)
+        rng = derived_rng(3, t)
+        state, draws = init_posterior(catalog), []
+        for k, rounds in ((0, 1), (4, 2)):
+            for _ in range(rounds):
+                for i in attrs:
+                    score = sample_score(scenario, i, "pos" if catalog.matrix[t % 9, i] else "neg", k, rng)
+                    obs = make_observation(models[i], k, score)
+                    draws.append(ObservationDraw(i, k, score, obs.outcome))
+                    state = update(state, obs, models[i], stats)
+        decision = decide(state, catalog, rng=rng)
+        assert record == TrialRecord(t, t % 9, tuple(draws), decision, decision.winner == t % 9)
