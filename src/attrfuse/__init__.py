@@ -14,10 +14,8 @@ from attrfuse.catalog import (
     CatalogStats,
     NonDiscriminativeAttributeError,
     ObjectCatalog,
-    attribute_prior,
     compute_stats,
     load_catalog,
-    prior_ratios,
     unique_candidates,
 )
 from attrfuse.classifier import (
@@ -90,7 +88,6 @@ __all__ = [
     "ScoreModel",
     "TrainingBias",
     "TrialRecord",
-    "attribute_prior",
     "calibrate_bin",
     "calibrate_scenario",
     "certify_guaranteed_recognition",
@@ -109,7 +106,6 @@ __all__ = [
     "make_synthetic_model",
     "posterior",
     "posterior_ratio",
-    "prior_ratios",
     "required_predictive_values",
     "requirement_report",
     "run_episode",

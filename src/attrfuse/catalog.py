@@ -106,12 +106,10 @@ class CatalogStats:
     prior_ratio_neg: np.ndarray
     usable: np.ndarray
     positive_mask: np.ndarray  # (n_attributes, n_objects) bool, transposed matrix
-    pos_index_sets: tuple[frozenset[int], ...]
-    neg_index_sets: tuple[frozenset[int], ...]
 
 
 def compute_stats(catalog: ObjectCatalog) -> CatalogStats:
-    """Precompute per-attribute priors, ratio terms, and per-object index sets."""
+    """Precompute per-attribute priors, ratio terms, and the positive mask."""
     member = catalog.matrix.astype(bool)
     priors = catalog.priors
     attr_priors = priors @ catalog.matrix.astype(float)
@@ -124,8 +122,6 @@ def compute_stats(catalog: ObjectCatalog) -> CatalogStats:
         neg_priors = priors[~member[:, i]]
         ratio_pos[i] = max(1.0, float(neg_priors.max() / pos_priors.min()))
         ratio_neg[i] = max(1.0, float(pos_priors.max() / neg_priors.min()))
-    pos_sets = tuple(frozenset(np.flatnonzero(member[j]).tolist()) for j in range(catalog.n_objects))
-    neg_sets = tuple(frozenset(np.flatnonzero(~member[j]).tolist()) for j in range(catalog.n_objects))
     positive_mask = np.ascontiguousarray(member.T)
     for arr in (attr_priors, ratio_pos, ratio_neg, usable, positive_mask):
         arr.setflags(write=False)
@@ -135,42 +131,7 @@ def compute_stats(catalog: ObjectCatalog) -> CatalogStats:
         prior_ratio_neg=ratio_neg,
         usable=usable,
         positive_mask=positive_mask,
-        pos_index_sets=pos_sets,
-        neg_index_sets=neg_sets,
     )
-
-
-def _check_attribute_index(catalog: ObjectCatalog, attribute_index: int) -> None:
-    if not 0 <= attribute_index < catalog.n_attributes:
-        raise IndexError(f"attribute index {attribute_index} out of range")
-
-
-def attribute_prior(catalog: ObjectCatalog, attribute_index: int) -> float:
-    """Prior probability that the attribute is positive: sum of priors over positive objects."""
-    _check_attribute_index(catalog, attribute_index)
-    column = catalog.matrix[:, attribute_index].astype(float)
-    return float(catalog.priors @ column)
-
-
-def prior_ratios(catalog: ObjectCatalog, attribute_index: int) -> tuple[float, float]:
-    """Worst-case prior ratios for one attribute, each clamped below at 1.
-
-    The first element compares the largest negative-object prior against the
-    smallest positive-object prior; the second swaps the roles. Raises
-    NonDiscriminativeAttributeError for attributes that are constant across
-    the catalog, which must be excluded from fusion.
-    """
-    _check_attribute_index(catalog, attribute_index)
-    member = catalog.matrix[:, attribute_index].astype(bool)
-    if member.all() or not member.any():
-        raise NonDiscriminativeAttributeError(
-            f"attribute {catalog.attributes[attribute_index]!r} is constant across the catalog"
-        )
-    pos_priors = catalog.priors[member]
-    neg_priors = catalog.priors[~member]
-    ratio_pos = max(1.0, float(neg_priors.max() / pos_priors.min()))
-    ratio_neg = max(1.0, float(pos_priors.max() / neg_priors.min()))
-    return ratio_pos, ratio_neg
 
 
 def unique_candidates(
@@ -188,7 +149,8 @@ def unique_candidates(
     pos = frozenset(int(i) for i in cumulative_pos_set)
     neg = frozenset(int(i) for i in cumulative_neg_set)
     for i in pos | neg:
-        _check_attribute_index(catalog, i)
+        if not 0 <= i < catalog.n_attributes:
+            raise IndexError(f"attribute index {i} out of range")
     if pos & neg:
         raise ValueError(f"evidence sets overlap on attributes {sorted(pos & neg)}")
     member = catalog.matrix.astype(bool)

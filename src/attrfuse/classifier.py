@@ -85,26 +85,88 @@ class ClassifierModel:
                 if lo > hi:
                     raise ValueError("reliable calibration has crossed thresholds")
 
-    @property
-    def reliable_region(self) -> frozenset[int]:
-        return frozenset(k for k, cal in self.calibrations.items() if cal.reliable)
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Counts of one bin's labeled samples at every threshold candidate.
+
+    Scores are negated under ``higher_is_positive``, so a sample is
+    classified positive at or below a candidate and negative at or above it.
+    Candidates are midpoints between consecutive distinct scores plus one
+    sentinel beyond each extreme, in ascending order.
+    """
+
+    flip: bool
+    n_pos: int
+    n_neg: int
+    candidates: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
+    tn: np.ndarray
+    fn: np.ndarray
 
 
-def _threshold_candidates(values: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct sorted values, plus sentinels beyond both extremes."""
-    distinct = np.unique(values)
-    mids = 0.5 * (distinct[:-1] + distinct[1:])
-    return np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
-
-
-def _validate_samples(pos_scores, neg_scores) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(pos_scores, neg_scores, orientation: Orientation) -> _Sweep:
     pos = np.asarray(pos_scores, dtype=float).ravel()
     neg = np.asarray(neg_scores, dtype=float).ravel()
     if pos.size == 0 or neg.size == 0:
         raise CalibrationError("calibration needs at least one positive and one negative score")
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise CalibrationError("calibration scores must be finite")
-    return pos, neg
+    if orientation not in _ORIENTATIONS:
+        raise CalibrationError(f"unknown orientation {orientation!r}")
+    flip = orientation == "higher_is_positive"
+    p = np.sort(-pos if flip else pos)
+    n = np.sort(-neg if flip else neg)
+    distinct = np.unique(np.concatenate([p, n]))
+    mids = 0.5 * (distinct[:-1] + distinct[1:])
+    cands = np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+    return _Sweep(
+        flip=flip,
+        n_pos=p.size,
+        n_neg=n.size,
+        candidates=cands,
+        tp=np.searchsorted(p, cands, side="right").astype(float),
+        fp=np.searchsorted(n, cands, side="right").astype(float),
+        tn=(n.size - np.searchsorted(n, cands, side="left")).astype(float),
+        fn=(p.size - np.searchsorted(p, cands, side="left")).astype(float),
+    )
+
+
+def _record(sweep: _Sweep, i_pos: int | None, i_neg: int | None, bin_index: int) -> BinCalibration:
+    """The bin's record with thresholds at candidates ``i_pos``/``i_neg`` (None: no threshold).
+
+    Rates are the sweep's counts there. A predictive value is None when its
+    threshold is missing or classifies no sample, and the record is reliable
+    when both predictive values are defined.
+    """
+    theta_pos = theta_neg = ppv = npv = None
+    detection = false_positive = true_negative = false_negative = 0.0
+    if i_pos is not None:
+        theta_pos = float(sweep.candidates[i_pos])
+        tp, fp = float(sweep.tp[i_pos]), float(sweep.fp[i_pos])
+        detection, false_positive = tp / sweep.n_pos, fp / sweep.n_neg
+        ppv = tp / (tp + fp) if tp + fp else None
+    if i_neg is not None:
+        theta_neg = float(sweep.candidates[i_neg])
+        tn, fn = float(sweep.tn[i_neg]), float(sweep.fn[i_neg])
+        true_negative, false_negative = tn / sweep.n_neg, fn / sweep.n_pos
+        npv = tn / (tn + fn) if tn + fn else None
+    if sweep.flip:
+        theta_pos = None if theta_pos is None else -theta_pos
+        theta_neg = None if theta_neg is None else -theta_neg
+    return BinCalibration(
+        bin_index=bin_index,
+        theta_pos=theta_pos,
+        theta_neg=theta_neg,
+        ppv=ppv,
+        npv=npv,
+        detection_rate=detection,
+        true_negative_rate=true_negative,
+        false_positive_rate=false_positive,
+        false_negative_rate=false_negative,
+        reliable=ppv is not None and npv is not None,
+    )
 
 
 def calibrate_bin(
@@ -132,72 +194,24 @@ def calibrate_bin(
     qualifying threshold is not an error: the bin is simply marked
     unreliable.
     """
-    pos, neg = _validate_samples(pos_scores, neg_scores)
-    if orientation not in _ORIENTATIONS:
-        raise CalibrationError(f"unknown orientation {orientation!r}")
+    s = _sweep(pos_scores, neg_scores, orientation)
     if not 0.0 < target_ppv <= 1.0 or not 0.0 < target_npv <= 1.0:
         raise CalibrationError("predictive value targets must be in (0, 1]")
     if not 0.0 <= min_detection_rate <= 1.0:
         raise CalibrationError("min_detection_rate must be in [0, 1]")
 
-    flip = orientation == "higher_is_positive"
-    p = np.sort(-pos if flip else pos)
-    n = np.sort(-neg if flip else neg)
-    n_pos, n_neg = p.size, n.size
-    cands = _threshold_candidates(np.concatenate([p, n]))
+    predicted_neg = s.tn + s.fn
+    npv_at = np.divide(s.tn, predicted_neg, out=np.zeros_like(s.tn), where=predicted_neg > 0)
+    qualifies_neg = (predicted_neg >= 1) & (npv_at >= target_npv) & (s.tn / s.n_neg >= min_detection_rate)
+    i_neg = int(np.flatnonzero(qualifies_neg)[0]) if qualifies_neg.any() else None
 
-    # Negative side: classify negative iff score >= theta.
-    tn = (n_neg - np.searchsorted(n, cands, side="left")).astype(float)
-    fn = (n_pos - np.searchsorted(p, cands, side="left")).astype(float)
-    predicted_neg = tn + fn
-    npv_at = np.divide(tn, predicted_neg, out=np.zeros_like(tn), where=predicted_neg > 0)
-    qualifies_neg = (predicted_neg >= 1) & (npv_at >= target_npv) & (tn / n_neg >= min_detection_rate)
-    theta_neg = float(cands[qualifies_neg].min()) if qualifies_neg.any() else None
-
-    # Positive side: classify positive iff score <= theta, capped at theta_neg.
-    tp = np.searchsorted(p, cands, side="right").astype(float)
-    fp = np.searchsorted(n, cands, side="right").astype(float)
-    predicted_pos = tp + fp
-    ppv_at = np.divide(tp, predicted_pos, out=np.zeros_like(tp), where=predicted_pos > 0)
-    qualifies_pos = (predicted_pos >= 1) & (ppv_at >= target_ppv) & (tp / n_pos >= min_detection_rate)
-    if theta_neg is not None:
-        qualifies_pos &= cands <= theta_neg
-    theta_pos = float(cands[qualifies_pos].max()) if qualifies_pos.any() else None
-
-    reliable = theta_pos is not None and theta_neg is not None
-
-    detection = false_positive = 0.0
-    true_negative = false_negative = 0.0
-    ppv = npv = None
-    if theta_pos is not None:
-        tp1 = float(np.searchsorted(p, theta_pos, side="right"))
-        fp1 = float(np.searchsorted(n, theta_pos, side="right"))
-        detection = tp1 / n_pos
-        false_positive = fp1 / n_neg
-        ppv = tp1 / (tp1 + fp1)
-    if theta_neg is not None:
-        tn1 = float(n_neg - np.searchsorted(n, theta_neg, side="left"))
-        fn1 = float(n_pos - np.searchsorted(p, theta_neg, side="left"))
-        true_negative = tn1 / n_neg
-        false_negative = fn1 / n_pos
-        npv = tn1 / (tn1 + fn1)
-
-    if flip:
-        theta_pos = None if theta_pos is None else -theta_pos
-        theta_neg = None if theta_neg is None else -theta_neg
-
-    return BinCalibration(
-        bin_index=bin_index,
-        theta_pos=theta_pos,
-        theta_neg=theta_neg,
-        ppv=ppv,
-        npv=npv,
-        detection_rate=detection,
-        true_negative_rate=true_negative,
-        false_positive_rate=false_positive,
-        false_negative_rate=false_negative,
-        reliable=reliable,
-    )
+    predicted_pos = s.tp + s.fp
+    ppv_at = np.divide(s.tp, predicted_pos, out=np.zeros_like(s.tp), where=predicted_pos > 0)
+    qualifies_pos = (predicted_pos >= 1) & (ppv_at >= target_ppv) & (s.tp / s.n_pos >= min_detection_rate)
+    if i_neg is not None:
+        qualifies_pos &= s.candidates <= s.candidates[i_neg]
+    i_pos = int(np.flatnonzero(qualifies_pos)[-1]) if qualifies_pos.any() else None
+    return _record(s, i_pos, i_neg, bin_index)
 
 
 def classify(model: ClassifierModel, bin_index: int, score: float) -> Outcome:
@@ -223,27 +237,29 @@ def classify(model: ClassifierModel, bin_index: int, score: float) -> Outcome:
     return "uncertain"
 
 
-def single_threshold_baseline(pos_scores, neg_scores, orientation: Orientation = "lower_is_positive") -> float:
-    """Single threshold minimizing total misclassifications on the training sample.
+def single_threshold_calibration(
+    pos_scores, neg_scores, orientation: Orientation = "lower_is_positive", bin_index: int = 0
+) -> BinCalibration:
+    """The min-error threshold as a record whose two thresholds coincide, so no score is uncertain.
 
-    Ties are broken toward the midpoint of the tied candidate range, taking
-    the lower candidate when two are equidistant, so the result is
-    deterministic.
+    The threshold minimizes total misclassifications on the training
+    sample; ties are broken toward the midpoint of the tied candidate range,
+    taking the lower candidate when two are equidistant, so the result is
+    deterministic. Rates are counted as :func:`calibrate_bin` counts them.
+    The record is unreliable when a predictive value is undefined because
+    one side classifies no sample.
     """
-    pos, neg = _validate_samples(pos_scores, neg_scores)
-    if orientation not in _ORIENTATIONS:
-        raise CalibrationError(f"unknown orientation {orientation!r}")
-    flip = orientation == "higher_is_positive"
-    p = np.sort(-pos if flip else pos)
-    n = np.sort(-neg if flip else neg)
-    cands = _threshold_candidates(np.concatenate([p, n]))
-    missed_pos = p.size - np.searchsorted(p, cands, side="right")
-    false_pos = np.searchsorted(n, cands, side="right")
-    errors = missed_pos + false_pos
-    tied = cands[errors == errors.min()]
-    target = 0.5 * (tied[0] + tied[-1])
-    theta = float(tied[np.argmin(np.abs(tied - target))])
-    return -theta if flip else theta
+    s = _sweep(pos_scores, neg_scores, orientation)
+    errors = (s.n_pos - s.tp) + s.fp
+    tied = np.flatnonzero(errors == errors.min())
+    target = 0.5 * (s.candidates[tied[0]] + s.candidates[tied[-1]])
+    i = int(tied[np.argmin(np.abs(s.candidates[tied] - target))])
+    return _record(s, i, i, bin_index)
+
+
+def single_threshold_baseline(pos_scores, neg_scores, orientation: Orientation = "lower_is_positive") -> float:
+    """Single threshold minimizing total misclassifications on the training sample (see :func:`single_threshold_calibration`)."""
+    return single_threshold_calibration(pos_scores, neg_scores, orientation).theta_pos
 
 
 def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:

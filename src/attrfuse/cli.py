@@ -61,7 +61,7 @@ def _cmd_calibrate(args) -> int:
     models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
     save_models(models, scenario.catalog, args.out)
     for i in sorted(models):
-        region = sorted(models[i].reliable_region)
+        region = [k for k, cal in sorted(models[i].calibrations.items()) if cal.reliable]
         print(f"{scenario.catalog.attributes[i]}: reliable bins {region if region else 'none'}")
     print(f"wrote {len(models)} models to {args.out}")
     return 0
@@ -107,47 +107,51 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _cmd_exp1(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = scenario.seed if args.seed is None else args.seed
-    n = args.trials
-    result, wall_s = _timed(experiment1_distribution_shift, scenario, n_pos=n, n_neg=n, seed=seed)
-    paths = write_exp1_csvs(result, args.out)
-    write_manifest(args.out, "exp1", seed, n or result.n_pos, scenario=scenario, wall_s=wall_s)
-    for k, overlap in enumerate(result.overlap):
-        print(f"bin {k} {scenario.bins[k]}: overlap {overlap:.4f}")
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    return 0
+def _exp1_table(scenario, result) -> list[str]:
+    return [f"bin {k} {scenario.bins[k]}: overlap {overlap:.4f}" for k, overlap in enumerate(result.overlap)]
 
 
-def _cmd_exp2(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = scenario.seed if args.seed is None else args.seed
-    curve, wall_s = _timed(experiment2_threshold_comparison, scenario, trials=args.trials, seed=seed)
-    path = write_exp2_csv(curve, args.out)
-    write_manifest(args.out, "exp2", seed, args.trials, scenario=scenario, wall_s=wall_s)
-    print("K  two_threshold  single_threshold  random_tie")
+def _exp2_table(scenario, curve) -> list[str]:
+    lines = ["K  two_threshold  single_threshold  random_tie"]
     for idx, k in enumerate(curve.k_values):
-        print(
+        lines.append(
             f"{k:<3}{curve.two_threshold_error[idx]:<15.4f}"
             f"{curve.single_threshold_error[idx]:<18.4f}{curve.random_tie_error[idx]:.4f}"
         )
-    print(f"wrote {path}")
-    return 0
+    return lines
 
 
-def _cmd_exp3(args) -> int:
-    scenario = load_scenario(args.scenario)
-    seed = scenario.seed if args.seed is None else args.seed
-    result, wall_s = _timed(experiment3_attribute_families, scenario, trials=args.trials, seed=seed)
-    path = write_exp3_csv(result, args.out)
-    write_manifest(args.out, "exp3", seed, args.trials, scenario=scenario, wall_s=wall_s)
-    header = "bin        " + "".join(f"{name:<10}" for name in result.systems)
-    print(header)
+def _exp3_table(scenario, result) -> list[str]:
+    lines = ["bin        " + "".join(f"{name:<10}" for name in result.systems)]
     for k, interval in enumerate(result.bins):
         cells = "".join(f"{result.accuracy[k, s]:<10.4f}" for s in range(len(result.systems)))
-        print(f"{str(interval):<11}{cells}")
-    print(f"wrote {path}")
+        lines.append(f"{str(interval):<11}{cells}")
+    return lines
+
+
+# per experiment: the harness, its CSV writer returning the written paths, and its printed table
+_EXPERIMENTS = {
+    "exp1": (
+        lambda scenario, trials, seed: experiment1_distribution_shift(scenario, n_pos=trials, n_neg=trials, seed=seed),
+        write_exp1_csvs,
+        _exp1_table,
+    ),
+    "exp2": (experiment2_threshold_comparison, lambda curve, out: [write_exp2_csv(curve, out)], _exp2_table),
+    "exp3": (experiment3_attribute_families, lambda result, out: [write_exp3_csv(result, out)], _exp3_table),
+}
+
+
+def _cmd_experiment(args) -> int:
+    """Run exp1, exp2 or exp3 timed on the scenario; write its CSVs and manifest and print its table."""
+    harness, write, table = _EXPERIMENTS[args.command]
+    scenario = load_scenario(args.scenario)
+    seed = scenario.seed if args.seed is None else args.seed
+    result, wall_s = _timed(harness, scenario, trials=args.trials, seed=seed)
+    paths = write(result, args.out)
+    trials = result.n_pos if args.trials is None else args.trials  # exp1 defaults to the calibration counts
+    write_manifest(args.out, args.command, seed, trials, scenario=scenario, wall_s=wall_s)
+    print("\n".join(table(scenario, result)))
+    print(f"wrote {', '.join(str(p) for p in paths)}")
     return 0
 
 
@@ -193,26 +197,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", default=None, help="write the decision record here instead of stdout")
     p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("exp1", help="score-distribution shift across bins (KDE curves + overlap)")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--trials", type=int, default=None, help="draws per bin per class (default: calibration counts)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_exp1)
-
-    p = sub.add_parser("exp2", help="two-threshold fusion vs single-threshold baseline error curves")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_exp2)
-
-    p = sub.add_parser("exp3", help="per-bin accuracy of fine/coarse/all attribute systems")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_exp3)
+    for name, default, help_text, trials_help in (
+        ("exp1", None, "score-distribution shift across bins (KDE curves + overlap)",
+         "draws per bin per class (default: calibration counts)"),
+        ("exp2", 1000, "two-threshold fusion vs single-threshold baseline error curves", None),
+        ("exp3", 1000, "per-bin accuracy of fine/coarse/all attribute systems", None),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--scenario", required=True)
+        p.add_argument("--trials", type=int, default=default, help=trials_help)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("theorems", help="run the exact-recognition and convergence Monte Carlo suites")
     p.add_argument("--trials", type=int, default=2000)

@@ -31,7 +31,7 @@ import numpy as np
 
 from attrfuse._version import __version__
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import BinCalibration, ClassifierModel, kde_density, make_synthetic_model, single_threshold_baseline
+from attrfuse.classifier import ClassifierModel, kde_density, make_synthetic_model, single_threshold_calibration
 from attrfuse.fusion import counted_posterior, decide
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
@@ -164,48 +164,23 @@ class ErrorCurve:
     random_tie_halfwidth: np.ndarray
 
 
-def _binary_rates(pos: np.ndarray, neg: np.ndarray, theta: float, orientation: str):
-    """Counted rates of the binary classifier `positive iff score on theta's positive side`."""
-    if orientation == "higher_is_positive":
-        pos, neg, theta = -pos, -neg, -theta
-    tp = float(np.count_nonzero(pos <= theta))
-    fp = float(np.count_nonzero(neg <= theta))
-    tn = float(neg.size - fp)
-    fn = float(pos.size - tp)
-    if tp + fp == 0 or tn + fn == 0:
-        raise ScenarioError("degenerate single-threshold split: a predictive value is undefined")
-    return tp / (tp + fp), tn / (tn + fn), tp / pos.size, tn / neg.size, fp / neg.size, fn / pos.size
-
-
 def single_threshold_models(
     scenario: Scenario,
     training_sets: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]],
 ) -> dict[int, ClassifierModel]:
     """Binary baseline: one min-error threshold per bin, no uncertain zone.
 
-    Modeled as a degenerate two-threshold classifier whose thresholds
-    coincide, with predictive values counted on the training sample, so the
-    same fusion machinery consumes its observations.
+    Each bin is a :func:`single_threshold_calibration` record, counted on the
+    training sample as :func:`calibrate_bin` counts it, so the same fusion
+    machinery consumes its observations.
     """
     models: dict[int, ClassifierModel] = {}
     for i in sorted({a for a, _ in training_sets}):
         cals = {}
         for k in range(scenario.n_bins):
-            pos, neg = training_sets[(i, k)]
-            theta = single_threshold_baseline(pos, neg, orientation=scenario.orientation)
-            ppv, npv, d, s, q, v = _binary_rates(pos, neg, theta, scenario.orientation)
-            cals[k] = BinCalibration(
-                bin_index=k,
-                theta_pos=theta,
-                theta_neg=theta,
-                ppv=ppv,
-                npv=npv,
-                detection_rate=d,
-                true_negative_rate=s,
-                false_positive_rate=q,
-                false_negative_rate=v,
-                reliable=True,
-            )
+            cals[k] = single_threshold_calibration(*training_sets[(i, k)], orientation=scenario.orientation, bin_index=k)
+            if not cals[k].reliable:
+                raise ScenarioError("degenerate single-threshold split: a predictive value is undefined")
         models[i] = ClassifierModel(attribute_index=i, orientation=scenario.orientation, calibrations=cals)
     return models
 
@@ -398,8 +373,9 @@ def random_exact_recognition_case(rng: np.random.Generator):
         npv = min(1.0, npv_bound + float(rng.uniform(0.02, 1.0)) * (1.0 - npv_bound))
         models[i] = make_synthetic_model(i, ppv, npv)
     ground_truth = int(rng.integers(n_objects))
-    observations = [(i, "positive") for i in sorted(stats.pos_index_sets[ground_truth])]
-    observations += [(i, "negative") for i in sorted(stats.neg_index_sets[ground_truth])]
+    row = catalog.matrix[ground_truth]
+    observations = [(i, "positive") for i in np.flatnonzero(row).tolist()]
+    observations += [(i, "negative") for i in np.flatnonzero(row == 0).tolist()]
     for _ in range(int(rng.integers(0, 4))):
         observations.append(observations[int(rng.integers(len(observations)))])
     order = rng.permutation(len(observations))

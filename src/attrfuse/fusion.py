@@ -165,13 +165,11 @@ def map_log_weights(hits: np.ndarray, finite: np.ndarray) -> np.ndarray:
     return np.where(hits == hits.min(axis=-1, keepdims=True), finite, -np.inf)
 
 
-def tie_sets(
-    log_weights: np.ndarray, priors: np.ndarray, rel_tol: float = TIE_RELATIVE_TOLERANCE
-) -> tuple[np.ndarray, np.ndarray]:
+def tie_sets(log_weights: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: the objects tied at the maximum log weight, and those of them tied at the best prior."""
-    tied = log_weights >= log_weights.max(axis=-1, keepdims=True) + math.log1p(-rel_tol)
+    tied = log_weights >= log_weights.max(axis=-1, keepdims=True) + math.log1p(-TIE_RELATIVE_TOLERANCE)
     best_prior = np.where(tied, priors, -np.inf).max(axis=-1, keepdims=True)
-    return tied, tied & (priors >= best_prior * (1.0 - rel_tol))
+    return tied, tied & (priors >= best_prior * (1.0 - TIE_RELATIVE_TOLERANCE))
 
 
 def pick_tied(prior_best: np.ndarray, rng: np.random.Generator) -> int:
@@ -218,12 +216,7 @@ def update(
     return PosteriorState(state.log_prior, counts, factors)
 
 
-def decide(
-    state: PosteriorState,
-    catalog: ObjectCatalog,
-    rng: np.random.Generator | None = None,
-    rel_tol: float = TIE_RELATIVE_TOLERANCE,
-) -> Decision:
+def decide(state: PosteriorState, catalog: ObjectCatalog, rng: np.random.Generator | None = None) -> Decision:
     """Argmax over the posterior; posterior ties fall back to the prior argmax.
 
     When priors tie as well, the full tied set is returned and, if a
@@ -231,7 +224,7 @@ def decide(
     recorded as the winner (experiments that must output a single object use
     this seeded pick).
     """
-    tied, prior_best = tie_sets(state.log_weights, catalog.priors, rel_tol)
+    tied, prior_best = tie_sets(state.log_weights, catalog.priors)
     candidates = tuple(np.flatnonzero(tied).tolist())
     if len(candidates) == 1:
         return Decision(winner=candidates[0], candidates=candidates, tie_broken_by="none")

@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from attrfuse.classifier import (
     DEFAULT_TARGET_NPV,
     DEFAULT_TARGET_PPV,
     ClassifierModel,
+    Orientation,
     calibrate_bin,
 )
 from attrfuse.fusion import (
@@ -424,13 +425,31 @@ def _field(path: Path, raw: Mapping, key: str, convert: Callable, default=_REQUI
     """``convert(raw[key])`` (or of ``default`` when the key is absent), as a ScenarioError naming the file and key."""
     try:
         return convert(raw[key] if default is _REQUIRED or key in raw else default)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: missing or malformed key {key!r} ({exc})") from None
 
 
 def _mapping(value) -> Mapping:
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    if type(value) is not int:  # a JSON true is not an integer
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float) or not -np.inf < value < np.inf:
+        raise TypeError(f"expected a finite JSON number, got {value!r}")
+    return float(value)
+
+
+def _orientation(value) -> str:
+    if value not in get_args(Orientation):
+        raise ValueError(f"expected one of {get_args(Orientation)}, got {value!r}")
     return value
 
 
@@ -452,8 +471,8 @@ def _parse_score_models(
             for k, rec in enumerate(per_bin):
                 out[(i, truth, k)] = ScoreModel(
                     family=_field(path, rec, "family", str, "gaussian"),
-                    mean=_field(path, rec, "mean", float),
-                    stddev=_field(path, rec, "std", float),
+                    mean=_field(path, rec, "mean", _number),
+                    stddev=_field(path, rec, "std", _number),
                 )
     return out
 
@@ -473,30 +492,30 @@ def load_scenario(path: str | Path) -> Scenario:
 
     catalog_path = _field(path, raw, "catalog", Path)
     catalog = load_catalog(catalog_path if catalog_path.is_absolute() else path.parent / catalog_path)
-    bins = _field(path, raw, "bins", lambda v: tuple((float(lo), float(hi)) for lo, hi in v))
+    bins = _field(path, raw, "bins", lambda v: tuple((_number(lo), _number(hi)) for lo, hi in v))
     score_models = _parse_score_models(path, _field(path, raw, "score_models", _mapping), catalog, len(bins))
-    seed = _field(path, raw, "seed", int)
+    seed = _field(path, raw, "seed", _integer)
 
     cal_raw = _field(path, raw, "calibration", _mapping, {})
     calibration = CalibrationConfig(
-        target_ppv=_field(path, cal_raw, "target_ppv", float, DEFAULT_TARGET_PPV),
-        target_npv=_field(path, cal_raw, "target_npv", float, DEFAULT_TARGET_NPV),
-        min_detection_rate=_field(path, cal_raw, "min_detection_rate", float, DEFAULT_MIN_DETECTION_RATE),
-        n_pos_per_object=_field(path, cal_raw, "n_pos_per_object", int, 20),
-        n_neg_per_object=_field(path, cal_raw, "n_neg_per_object", int, 20),
+        target_ppv=_field(path, cal_raw, "target_ppv", _number, DEFAULT_TARGET_PPV),
+        target_npv=_field(path, cal_raw, "target_npv", _number, DEFAULT_TARGET_NPV),
+        min_detection_rate=_field(path, cal_raw, "min_detection_rate", _number, DEFAULT_MIN_DETECTION_RATE),
+        n_pos_per_object=_field(path, cal_raw, "n_pos_per_object", _integer, 20),
+        n_neg_per_object=_field(path, cal_raw, "n_neg_per_object", _integer, 20),
     )
     bias_raw = _field(path, raw, "training_bias", _mapping, {})
     bias = TrainingBias(
-        pos_mean_shift=_field(path, bias_raw, "pos_mean_shift", float, 0.0),
-        neg_mean_shift=_field(path, bias_raw, "neg_mean_shift", float, 0.0),
-        pos_std_scale=_field(path, bias_raw, "pos_std_scale", float, 1.0),
-        neg_std_scale=_field(path, bias_raw, "neg_std_scale", float, 1.0),
+        pos_mean_shift=_field(path, bias_raw, "pos_mean_shift", _number, 0.0),
+        neg_mean_shift=_field(path, bias_raw, "neg_mean_shift", _number, 0.0),
+        pos_std_scale=_field(path, bias_raw, "pos_std_scale", _number, 1.0),
+        neg_std_scale=_field(path, bias_raw, "neg_std_scale", _number, 1.0),
     )
     families = {
         name: tuple(catalog.attribute_index(a) for a in ids)
         for name, ids in raw.get("families", {}).items()
     }
-    schedule = _field(path, raw, "schedule", lambda v: tuple((int(b), int(r)) for b, r in v), [])
+    schedule = _field(path, raw, "schedule", lambda v: tuple((_integer(b), _integer(r)) for b, r in v), [])
     kde_attribute = catalog.attribute_index(raw["kde_attribute"]) if "kde_attribute" in raw else 0
 
     return Scenario(
@@ -504,7 +523,7 @@ def load_scenario(path: str | Path) -> Scenario:
         bins=bins,
         score_models=score_models,
         seed=seed,
-        orientation=raw.get("orientation", "lower_is_positive"),
+        orientation=_field(path, raw, "orientation", _orientation, "lower_is_positive"),
         schedule=schedule,
         calibration=calibration,
         training_bias=bias,

@@ -9,12 +9,12 @@ from attrfuse.catalog import (
     CatalogError,
     NonDiscriminativeAttributeError,
     ObjectCatalog,
-    attribute_prior,
     compute_stats,
     load_catalog,
-    prior_ratios,
     unique_candidates,
 )
+from attrfuse.experiments import random_exact_recognition_case
+from attrfuse.fusion import factor_table
 
 
 def make_catalog(matrix, priors):
@@ -72,19 +72,19 @@ class TestLoader:
 class TestAttributePrior:
     def test_bottle_shape_equal_priors(self, table1):
         i = table1.attribute_index("bottle shape")
-        assert attribute_prior(table1, i) == pytest.approx(1 / 3, abs=1e-12)
+        assert compute_stats(table1).attribute_priors[i] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_cylinder_equal_priors(self, table1):
         i = table1.attribute_index("cylinder")
-        assert attribute_prior(table1, i) == pytest.approx(5 / 9, abs=1e-12)
+        assert compute_stats(table1).attribute_priors[i] == pytest.approx(5 / 9, abs=1e-12)
 
     def test_full_column_gives_one(self):
         cat = make_catalog([[1, 1], [1, 0]], [0.3, 0.7])
-        assert attribute_prior(cat, 0) == pytest.approx(1.0, abs=1e-12)
+        assert compute_stats(cat).attribute_priors[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_index_out_of_range(self, table1):
         with pytest.raises(IndexError):
-            attribute_prior(table1, 10)
+            compute_stats(table1).attribute_priors[10]
 
     @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -94,13 +94,18 @@ class TestAttributePrior:
         matrix = rng.integers(0, 2, size=(5, 10))
         priors = np.full(5, 0.2)
         cat = make_catalog(matrix, priors)
-        before = attribute_prior(cat, i)
+        before = compute_stats(cat).attribute_priors[i]
         others = [c for c in range(10) if c != i]
         perm = rng.permutation(others)
         shuffled = matrix.copy()
         shuffled[:, others] = matrix[:, perm]
-        after = attribute_prior(make_catalog(shuffled, priors), i)
+        after = compute_stats(make_catalog(shuffled, priors)).attribute_priors[i]
         assert before == pytest.approx(after, abs=1e-15)
+
+
+def prior_ratios(catalog, i):
+    stats = compute_stats(catalog)
+    return float(stats.prior_ratio_pos[i]), float(stats.prior_ratio_neg[i])
 
 
 class TestPriorRatios:
@@ -118,8 +123,10 @@ class TestPriorRatios:
 
     def test_constant_attribute_rejected(self):
         cat = make_catalog([[1, 0], [1, 1]], [0.5, 0.5])
+        stats = compute_stats(cat)
+        assert not stats.usable[0]
         with pytest.raises(NonDiscriminativeAttributeError):
-            prior_ratios(cat, 0)
+            factor_table([(0, "positive", 0.9)], stats)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -169,12 +176,16 @@ class TestUniqueCandidates:
 
 
 class TestStats:
-    def test_index_sets_partition(self, table1):
-        stats = compute_stats(table1)
-        universe = frozenset(range(table1.n_attributes))
-        for j in range(table1.n_objects):
-            assert stats.pos_index_sets[j] | stats.neg_index_sets[j] == universe
-            assert not stats.pos_index_sets[j] & stats.neg_index_sets[j]
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_index_sets_partition(self, seed):
+        # the exact-recognition case observes each attribute of the ground truth once, with its true outcome
+        catalog, _, _, truth, observations = random_exact_recognition_case(np.random.default_rng(seed))
+        pos = {i for i, outcome in observations if outcome == "positive"}
+        neg = {i for i, outcome in observations if outcome == "negative"}
+        assert pos | neg == set(range(catalog.n_attributes))
+        assert not pos & neg
+        assert unique_candidates(catalog, pos, neg) == (truth,)
 
     def test_ranges(self, table1):
         stats = compute_stats(table1)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attrfuse.catalog import ObjectCatalog
 from attrfuse.classifier import (
     DEFAULT_MIN_DETECTION_RATE,
     DEFAULT_TARGET_NPV,
@@ -21,6 +25,7 @@ from attrfuse.classifier import (
     make_synthetic_model,
     save_models,
     single_threshold_baseline,
+    single_threshold_calibration,
 )
 from attrfuse.simulator import calibrate_scenario, derived_rng
 
@@ -288,4 +293,49 @@ class TestPersistence:
         # claimed rates reproduce the stated predictive values under equal priors
         assert cal.detection_rate / (cal.detection_rate + cal.false_positive_rate) == pytest.approx(0.96)
         assert cal.true_negative_rate / (cal.true_negative_rate + cal.false_negative_rate) == pytest.approx(0.9)
-        assert m.reliable_region == {0}
+        assert m.calibrations.keys() == {0} and cal.reliable
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["lower_is_positive", "higher_is_positive"]),
+                st.lists(st.tuples(score_lists, score_lists, st.booleans()), min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # a reliable pair, an unreliable bin with null thresholds, a coincident pair, and a degenerate coincident pair
+    @example([("lower_is_positive", [([0, 1], [5, 6], False), ([0, 5], [0, 5], False), ([1], [2], True), ([10, 11], [1, 2, 3], True)])])
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_round_trip(self, attributes):
+        n = len(attributes)
+        catalog = ObjectCatalog(
+            objects=("a", "b"),
+            attributes=tuple(f"attr-{i}" for i in range(n)),
+            matrix=np.array([[1] * n, [0] * n]),
+            priors=np.array([0.5, 0.5]),
+        )
+        models = {}
+        for i, (orientation, bins) in enumerate(attributes):
+            cals = {}
+            for k, (pos, neg, single) in enumerate(bins):
+                calibrate = single_threshold_calibration if single else calibrate_bin
+                cals[k] = calibrate(pos, neg, orientation, bin_index=k)
+            models[i] = ClassifierModel(i, orientation, cals)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "models.json"
+            save_models(models, catalog, path)
+            assert load_models(path, catalog) == models
+
+
+@pytest.mark.parametrize("calibrate", [calibrate_bin, single_threshold_calibration])
+@given(score_lists, score_lists)
+@settings(max_examples=80, deadline=None)
+def test_record_orientation_mirror(calibrate, pos, neg):
+    """Negated samples under the other orientation give negated thresholds and an otherwise equal record."""
+    low = calibrate(pos, neg, "lower_is_positive")
+    high = calibrate([-x for x in pos], [-x for x in neg], "higher_is_positive")
+    negated = [None if theta is None else -theta for theta in (low.theta_pos, low.theta_neg)]
+    assert [high.theta_pos, high.theta_neg] == negated
+    assert dataclasses.replace(high, theta_pos=low.theta_pos, theta_neg=low.theta_neg) == low

@@ -10,6 +10,7 @@ from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
+    single_threshold_models,
     theorem_suites,
     write_exp1_csvs,
     write_exp2_csv,
@@ -90,6 +91,13 @@ class TestExperiment2:
         curve = experiment2_threshold_comparison(exp2_scenario, trials=400)
         late = [i for i, k in enumerate(curve.k_values) if k >= 3]
         assert np.all(curve.two_threshold_error[late] <= curve.single_threshold_error[late])
+
+
+    def test_degenerate_single_threshold_split_rejected(self, exp2_scenario):
+        # the min-error threshold lies below every sample, so no score is positive and the PPV is undefined
+        pos, neg = np.array([10.0, 11.0]), np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ScenarioError, match="degenerate single-threshold split"):
+            single_threshold_models(exp2_scenario, {(0, 0): (pos, neg)})
 
 
 class TestExperiment3:

@@ -111,6 +111,18 @@ class TestScenarioValidation:
             ("training_bias", "pos_mean_shift", "up"),
             (None, "schedule", [[0, "three"]]),
             (None, "calibration", "strict"),
+            # values that would otherwise be coerced: integer keys take JSON integers only,
+            # number keys finite JSON numbers only, and the orientation one of its two names
+            (None, "seed", 3.7),
+            ("calibration", "n_pos_per_object", "25"),
+            ("calibration", "n_neg_per_object", True),
+            (None, "schedule", [[0, 8.0]]),
+            ("calibration", "target_ppv", "0.96"),
+            ("training_bias", "pos_std_scale", True),
+            ("training_bias", "neg_mean_shift", float("nan")),
+            pytest.param("training_bias", "pos_std_scale", 10**400, id="training_bias-pos_std_scale-huge"),
+            (None, "bins", [[100, "120"]]),
+            (None, "orientation", "sideways"),
         ],
     )
     def test_unparsable_value_names_file_and_key(self, tmp_path, repo_root, section, key, value):
