@@ -31,8 +31,17 @@ def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
     Blank lines, #-comments and an `attribute,bin,score` header before the
     first observation are skipped.
     """
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read observations ({exc.strerror})") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise SystemExit(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     rows: list[tuple[int, str, int, float]] = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -46,6 +55,13 @@ def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
         except ValueError:
             raise SystemExit(f"{path}:{line_no}: could not parse bin/score in {line!r}") from None
     return rows
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's SeedSequence requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _timed(harness, *args, **kwargs):
@@ -186,14 +202,14 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("calibrate", help="calibrate two-threshold models from a scenario's training draws")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("fuse", help="classify raw observation lines and report the MAP decision")
     p.add_argument("--catalog", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--obs", required=True, help="CSV lines: attribute,bin,score")
-    p.add_argument("--seed", type=int, default=0, help="seed for the tie-breaking pick")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the tie-breaking pick")
     p.add_argument("--out", default=None, help="write the decision record here instead of stdout")
     p.set_defaults(func=_cmd_fuse)
 
@@ -206,13 +222,13 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True)
         p.add_argument("--trials", type=int, default=default, help=trials_help)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("theorems", help="run the exact-recognition and convergence Monte Carlo suites")
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theorems)
 

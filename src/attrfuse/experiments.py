@@ -47,7 +47,9 @@ from attrfuse.simulator import (
     derived_rng,
     draw_scores,
     draw_training_sets,
+    load_key,
     stream_draws,
+    stream_keys,
 )
 from attrfuse.theory import required_predictive_values
 
@@ -288,26 +290,24 @@ def experiment3_attribute_families(
     ground_truths = np.arange(trials) % catalog.n_objects
     n_draws = rounds_per_bin * max(len(attrs) for attrs in systems.values())
     accuracy = np.zeros((scenario.n_bins, len(EXP3_SYSTEMS)))
+    pick_rng = np.random.Generator(np.random.Philox(0))
     for k in range(scenario.n_bins):
-        # each system reads a prefix of the trial's score draws, and its own
-        # copy of the trial's pick stream: one generator, rewound per system
+        # each system reads a prefix of the trial's score draws, and the
+        # trial's pick stream from its start
         z = stream_draws(seed, (SCORE_STREAM, k), trials, n_draws)
-        picks: dict[int, tuple[np.random.Generator, dict]] = {}
-
-        def pick(t: int, k: int = k) -> np.random.Generator:
-            if t not in picks:
-                rng = derived_rng(seed, PICK_STREAM, k, t)
-                picks[t] = (rng, rng.bit_generator.state)
-            rng, start = picks[t]
-            rng.bit_generator.state = start
-            return rng
-
+        pick_keys = stream_keys(seed, (PICK_STREAM, k), trials)
         for s_idx, name in enumerate(EXP3_SYSTEMS):
             columns = list(systems[name]) * rounds_per_bin
             bins = [k] * len(columns)
             scores = draw_scores(scenario, ground_truths, columns, bins, z[:, : len(columns)])
             codes, keys = classify_scores(models, columns, bins, scores)
-            winners, _ = decide_episodes(codes, keys, catalog, stats, [len(columns)], pick)
+            # one checkpoint consumes each pick stream at once, so a single
+            # shared generator can serve every trial; a second checkpoint
+            # would need a generator per trial
+            checkpoints = [len(columns)]
+            winners, _ = decide_episodes(
+                codes, keys, catalog, stats, checkpoints, lambda t: load_key(pick_rng, pick_keys[t])
+            )
             accuracy[k, s_idx] = (winners[0] == ground_truths).mean()
 
     halfwidths = np.array([[halfwidth(a, trials) for a in row] for row in accuracy])
@@ -386,9 +386,9 @@ def random_exact_recognition_case(rng: np.random.Generator):
 def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
     """Count randomized cases where correct, bound-satisfying evidence wins MAP outright."""
     correct = 0
-    for case in range(cases):
-        rng = derived_rng(seed, CASE_STREAM, case)
-        catalog, stats, models, ground_truth, observations = random_exact_recognition_case(rng)
+    rng = np.random.Generator(np.random.Philox(0))
+    for case_key in stream_keys(seed, (CASE_STREAM,), cases):
+        catalog, stats, models, ground_truth, observations = random_exact_recognition_case(load_key(rng, case_key))
         counts: dict = {}
         for i, outcome in observations:
             cal = models[i].calibrations[0]

@@ -5,7 +5,11 @@ score distribution. Training draws may be biased (mean shift, spread scale)
 relative to the test distributions to model unrepresentative training data.
 Randomness comes from the counter-based Philox generator; trial ``t`` of a
 run seeded with ``s`` always uses the stream derived from ``(s, ..., t)``, so
-records are reproducible bit for bit and trials are independent.
+records are reproducible bit for bit and trials are independent. A Philox
+stream is fixed by its key at counter 0, so :func:`stream_keys` computes
+every trial's key, ``SeedSequence([s, ..., t]).generate_state(2, uint64)``,
+in one vectorised pass, and :func:`load_key` sets one reused generator to
+each in turn; :func:`derived_rng` builds a single stream's generator.
 
 Episodes run batched: every trial's draws come from its own stream as one
 array, are classified with vectorised threshold compares, counted per factor
@@ -58,6 +62,86 @@ class ScenarioError(ValueError):
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for the stream identified by (seed, *key)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, key)])))
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe): a pool of four 32-bit words
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(value: int) -> list[int]:
+    """``value`` as SeedSequence coerces an entropy int: its little-endian 32-bit words, at least one."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's word hash: each call xors and multiplies by the next constant of its sequence."""
+    const = init
+
+    def hash_word(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    return hash_word
+
+
+def stream_keys(seed: int, key: Sequence[int], trials: int) -> np.ndarray:
+    """Philox keys of the streams ``(seed, *key, t)`` for ``t < trials``, as a (trials, 2) uint64 array.
+
+    Row ``t`` equals ``SeedSequence([seed, *key, t]).generate_state(2, np.uint64)``,
+    the key :func:`derived_rng` gives its Philox: the pool mixing runs as
+    uint32 array arithmetic over every trial at once. Loaded with counter 0
+    and an empty buffer (:func:`load_key`), a key gives the same stream as
+    ``derived_rng(seed, *key, t)``.
+    """
+    prefix = [w for value in (seed, *key) for w in _entropy_words(value)]
+    entropy = [np.full(trials, w, dtype=np.uint32) for w in prefix] + [np.arange(trials, dtype=np.uint32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(_XSHIFT))
+
+    zeros = np.zeros(trials, dtype=np.uint32)  # a missing pool word hashes as 0
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(2, uint64): the four pool words hashed once more, read as two little-endian uint64
+    output_hash = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output_hash(word) for word in pool], axis=1).astype("<u4")
+    return state.view("<u8").astype(np.uint64)
+
+
+def load_key(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """``rng`` (a Philox generator) set to the start of the stream with ``key``: counter 0, empty buffer."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -258,11 +342,13 @@ def stream_draws(seed: int, key: Sequence[int], trials: int, n: int, kind: str =
     """``n`` draws from each trial's stream ``(seed, *key, t)``, one row per trial.
 
     Philox is counter-based, so one array call yields the same values, and
-    leaves the stream in the same state, as ``n`` scalar calls.
+    leaves the stream in the same state, as ``n`` scalar calls. Every row
+    comes from one generator, loaded in turn with each trial's key.
     """
     out = np.empty((trials, n))
-    for t in range(trials):
-        getattr(derived_rng(seed, *key, t), kind)(n, out=out[t])
+    rng = np.random.Generator(np.random.Philox(0))
+    for t, stream_key in enumerate(stream_keys(seed, key, trials)):
+        getattr(load_key(rng, stream_key), kind)(n, out=out[t])
     return out
 
 
@@ -341,7 +427,9 @@ def decide_episodes(
     source of codes into the sorted ``keys``. Counts accumulate from one
     checkpoint to the next. A row's pick stream ``pick(row)`` is made at its
     first random tie and consumed in checkpoint order; rows without one
-    never make it. Returns two (checkpoints x rows) arrays.
+    never make it. A ``pick`` that returns one shared generator for every
+    row is valid only with a single checkpoint. Returns two
+    (checkpoints x rows) arrays.
     """
     table = factor_table(keys, stats)
     log_prior = init_posterior(catalog).log_prior
@@ -511,12 +599,15 @@ def load_scenario(path: str | Path) -> Scenario:
         pos_std_scale=_field(path, bias_raw, "pos_std_scale", _number, 1.0),
         neg_std_scale=_field(path, bias_raw, "neg_std_scale", _number, 1.0),
     )
-    families = {
-        name: tuple(catalog.attribute_index(a) for a in ids)
-        for name, ids in raw.get("families", {}).items()
-    }
+    families = _field(
+        path,
+        raw,
+        "families",
+        lambda v: {name: tuple(map(catalog.attribute_index, ids)) for name, ids in _mapping(v).items()},
+        {},
+    )
     schedule = _field(path, raw, "schedule", lambda v: tuple((_integer(b), _integer(r)) for b, r in v), [])
-    kde_attribute = catalog.attribute_index(raw["kde_attribute"]) if "kde_attribute" in raw else 0
+    kde_attribute = _field(path, raw, "kde_attribute", catalog.attribute_index, catalog.attributes[0])
 
     return Scenario(
         catalog=catalog,

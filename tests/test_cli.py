@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrfuse.cli import main
 
@@ -106,6 +108,55 @@ def test_fuse_located_input_errors(repo_root, exp2_models, tmp_path, line, messa
     obs.write_text(f"attribute,bin,score\n# comment\nbox shape,0,1.0\n{line}\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:4: {re.escape(message)}"):
         _fuse(repo_root, exp2_models, obs)
+
+
+def test_fuse_reports_missing_obs_file(repo_root, exp2_models, tmp_path):
+    obs = tmp_path / "absent.csv"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}: cannot read observations"):
+        _fuse(repo_root, exp2_models, obs)
+
+
+def test_fuse_locates_non_utf8_line(repo_root, exp2_models, tmp_path):
+    obs = tmp_path / "obs.csv"
+    obs.write_bytes(b"attribute,bin,score\nbox shape,0,1.0\nbox shape,0,\xff\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:3: not UTF-8 text"):
+        _fuse(repo_root, exp2_models, obs)
+
+
+# near-miss observation lines beside arbitrary bytes, so the fuzz reaches every per-line check
+_FUSE_LINE = st.binary(max_size=30) | st.builds(
+    lambda attribute, bin_index, score: f"{attribute},{bin_index},{score}".encode(),
+    st.sampled_from(["box shape", " cup shape ", "no such shape", "attribute", ""]) | st.text(max_size=6),
+    st.integers(-2, 2) | st.text(max_size=3),
+    st.floats() | st.text(max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_FUSE_LINE, max_size=5), newline=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+def test_fuse_input_fuzz(repo_root, exp2_models, lines, newline):
+    """Any bytes either fuse or end in a message located at the observation file, never a traceback."""
+    obs = exp2_models.parent / "fuzz.csv"
+    obs.write_bytes(newline.join(lines))
+    try:
+        _fuse(repo_root, exp2_models, obs)
+    except SystemExit as exc:
+        assert isinstance(exc.code, str) and exc.code.startswith(f"{obs}:"), exc.code
+
+
+@pytest.mark.parametrize("command", ["calibrate", "fuse", "exp1", "exp2", "exp3", "theorems"])
+def test_negative_seed_is_a_usage_error(repo_root, exp2_models, tmp_path, capsys, command):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("box shape,0,1.0\n")
+    args = {
+        "calibrate": ["--scenario", str(repo_root / "scenarios" / "exp2.json"), "--out", str(tmp_path / "m.json")],
+        "fuse": ["--catalog", str(repo_root / "catalogs" / "exp2.json"), "--model", str(exp2_models), "--obs", str(obs)],
+        "theorems": ["--trials", "10"],
+    }.get(command, ["--scenario", str(repo_root / "scenarios" / f"{command}.json"), "--trials", "10", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 def test_fuse_reports_malformed_model_file(repo_root, exp2_models, tmp_path):

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog
 from attrfuse.classifier import single_threshold_baseline
@@ -18,6 +22,8 @@ from attrfuse.simulator import (
     load_scenario,
     run_episode,
     sample_score,
+    stream_draws,
+    stream_keys,
 )
 
 
@@ -73,18 +79,6 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             ScoreModel("gaussian", 0.0, 0.0)
 
-    def test_unknown_family_attribute_rejected(self, tmp_path, repo_root):
-        import json
-
-        raw = json.loads((repo_root / "scenarios" / "exp3.json").read_text())
-        raw["families"]["fine"] = ["no such attribute"]
-        raw["catalog"] = str(repo_root / "catalogs" / "table1.json")
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(raw))
-        with pytest.raises(Exception):
-            load_scenario(path)
-
-
     @pytest.mark.parametrize("drop", ["seed", "catalog", "bins", "score_models", "mean", "std"])
     def test_missing_key_names_file_and_key(self, tmp_path, repo_root, drop):
         import json
@@ -135,6 +129,53 @@ class TestScenarioValidation:
         path.write_text(json.dumps(raw))
         with pytest.raises(ScenarioError, match=f"{path}.*'{key}'"):
             load_scenario(path)
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("families", ["fine"]),
+            ("families", {"fine": ["no such attribute"]}),
+            ("kde_attribute", "no such attribute"),
+        ],
+    )
+    def test_family_and_kde_attribute_name_file_and_key(self, tmp_path, repo_root, key, value):
+        raw = json.loads((repo_root / "scenarios" / "exp3.json").read_text())
+        raw["catalog"] = str(repo_root / "catalogs" / "table1.json")
+        raw[key] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError, match=f"{path}.*'{key}'"):
+            load_scenario(path)
+
+
+# entropy ints of one 32-bit word and of several, as SeedSequence splits them
+_ENTROPY = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**100)
+
+
+class TestStreamKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=_ENTROPY, key=st.lists(_ENTROPY, max_size=5), trials=st.integers(0, 40))
+    @example(seed=7, key=[PICK_STREAM, 3], trials=12)  # exp3's pick keys: four words
+    @example(seed=7, key=[SCORE_STREAM, 2], trials=12)  # exp3's score keys: four words
+    @example(seed=2**32 + 7, key=[SCORE_STREAM, 2], trials=12)  # a two-word seed: five words
+    @example(seed=0, key=[], trials=3)  # fewer words than the pool
+    def test_matches_seed_sequence(self, seed, key, trials):
+        expected = [np.random.SeedSequence([seed, *key, t]).generate_state(2, np.uint64) for t in range(trials)]
+        keys = stream_keys(seed, key, trials)
+        assert keys.dtype == np.uint64 and keys.shape == (trials, 2)
+        assert np.array_equal(keys, np.reshape(expected, (trials, 2)))
+
+    @pytest.mark.parametrize("seed, key", [(-1, (SCORE_STREAM,)), (3, (PICK_STREAM, -2))])
+    def test_negative_entropy_rejected(self, seed, key):
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_keys(seed, key, 4)
+
+    @pytest.mark.parametrize("kind", ["standard_normal", "random"])
+    @pytest.mark.parametrize("seed", [2**40 + 3, 2**70])  # one-word seeds: tests/test_engine.py
+    def test_stream_draws_match_per_trial_generators(self, kind, seed):
+        expected = [getattr(derived_rng(seed, SCORE_STREAM, 2, t), kind)(7) for t in range(25)]
+        assert np.array_equal(stream_draws(seed, (SCORE_STREAM, 2), 25, 7, kind=kind), expected)
 
 
 class TestSampling:
