@@ -23,7 +23,6 @@ from attrfuse.classifier import (
     CalibrationError,
     ClassifierModel,
     calibrate_bin,
-    classify,
     ModelFileError,
     kde_density,
     load_models,
@@ -33,14 +32,11 @@ from attrfuse.classifier import (
 )
 from attrfuse.fusion import (
     Decision,
-    Observation,
     PosteriorState,
     decide,
     init_posterior,
-    make_observation,
     posterior,
     posterior_ratio,
-    update,
 )
 from attrfuse.simulator import (
     CalibrationConfig,
@@ -48,13 +44,10 @@ from attrfuse.simulator import (
     ScenarioError,
     ScoreModel,
     TrainingBias,
-    TrialRecord,
     calibrate_scenario,
     derived_rng,
     generate_training_set,
     load_scenario,
-    run_episode,
-    sample_score,
 )
 from attrfuse.theory import (
     CertificationVerdict,
@@ -79,7 +72,6 @@ __all__ = [
     "ModelFileError",
     "NonDiscriminativeAttributeError",
     "ObjectCatalog",
-    "Observation",
     "PosteriorState",
     "RateBounds",
     "RequirementReport",
@@ -87,11 +79,9 @@ __all__ = [
     "ScenarioError",
     "ScoreModel",
     "TrainingBias",
-    "TrialRecord",
     "calibrate_bin",
     "calibrate_scenario",
     "certify_guaranteed_recognition",
-    "classify",
     "compute_stats",
     "decide",
     "derived_rng",
@@ -102,16 +92,12 @@ __all__ = [
     "load_catalog",
     "load_models",
     "load_scenario",
-    "make_observation",
     "make_synthetic_model",
     "posterior",
     "posterior_ratio",
     "required_predictive_values",
     "requirement_report",
-    "run_episode",
-    "sample_score",
     "save_models",
     "single_threshold_baseline",
     "unique_candidates",
-    "update",
 ]

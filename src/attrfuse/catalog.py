@@ -91,7 +91,7 @@ class ObjectCatalog:
 
 @dataclass(frozen=True)
 class CatalogStats:
-    """Prior-derived quantities consumed by the fusion update and the bounds.
+    """Prior-derived quantities consumed by the posterior factors and the bounds.
 
     ``attribute_priors[i]`` is the prior probability that attribute ``i`` is
     positive. ``prior_ratio_pos``/``prior_ratio_neg`` are the worst-case prior
@@ -163,11 +163,16 @@ def unique_candidates(
 
 
 def load_catalog(path: str | Path) -> ObjectCatalog:
-    """Load a catalog file: keys ``objects`` ({id, prior} records), ``attributes``, ``matrix``."""
+    """Load a catalog file: keys ``objects`` ({id, prior} records), ``attributes``, ``matrix``.
+
+    An unreadable or malformed file raises :class:`CatalogError` naming the file.
+    """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_bytes())
+    except OSError as exc:
+        raise CatalogError(f"{path}: cannot read catalog ({exc.strerror})") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
     try:
         objects = [entry["id"] for entry in raw["objects"]]
@@ -176,4 +181,7 @@ def load_catalog(path: str | Path) -> ObjectCatalog:
         matrix = raw["matrix"]
     except (KeyError, TypeError) as exc:
         raise CatalogError(f"{path}: missing or malformed key ({exc})") from exc
-    return ObjectCatalog(objects=objects, attributes=attributes, matrix=np.asarray(matrix), priors=np.asarray(priors, dtype=float))
+    try:
+        return ObjectCatalog(objects=objects, attributes=attributes, matrix=np.asarray(matrix), priors=np.asarray(priors, dtype=float))
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from None

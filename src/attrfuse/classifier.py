@@ -214,29 +214,6 @@ def calibrate_bin(
     return _record(s, i_pos, i_neg, bin_index)
 
 
-def classify(model: ClassifierModel, bin_index: int, score: float) -> Outcome:
-    """Ternary decision for one finite score; unreliable bins always return uncertain."""
-    if not math.isfinite(score):
-        raise ValueError(f"score must be finite, got {score!r}")
-    try:
-        cal = model.calibrations[bin_index]
-    except KeyError:
-        raise ValueError(f"unknown bin index {bin_index}") from None
-    if not cal.reliable:
-        return "uncertain"
-    if model.orientation == "lower_is_positive":
-        if score <= cal.theta_pos:
-            return "positive"
-        if score >= cal.theta_neg:
-            return "negative"
-    else:
-        if score >= cal.theta_pos:
-            return "positive"
-        if score <= cal.theta_neg:
-            return "negative"
-    return "uncertain"
-
-
 def single_threshold_calibration(
     pos_scores, neg_scores, orientation: Orientation = "lower_is_positive", bin_index: int = 0
 ) -> BinCalibration:
@@ -285,9 +262,9 @@ def make_synthetic_model(
 ) -> ClassifierModel:
     """Model with assumed predictive values, for harnesses that draw outcomes directly.
 
-    Thresholds are nominal (0 and 1) and must not be used through
-    :func:`classify`; the model exists so that fusion updates can consume the
-    stated predictive values.
+    Thresholds are nominal (0 and 1), fitted to no scores; the model exists
+    so that posterior counts (``counted_posterior``, ``decide_episodes``)
+    can consume the stated predictive values.
     """
     fp_rate = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
     fn_rate = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
@@ -368,13 +345,16 @@ def _bin_record(rec: Mapping) -> BinCalibration:
 def load_models(path: str | Path, catalog: ObjectCatalog) -> dict[int, ClassifierModel]:
     """Load models persisted by :func:`save_models`, resolving attribute ids via the catalog.
 
-    A malformed file raises :class:`ModelFileError` naming the file, the
-    attribute and the key. Reliable bins need finite thresholds and
-    predictive values in [0, 1]; unreliable ones may leave them null.
+    An unreadable file raises :class:`ModelFileError` naming the file, and a
+    malformed one names the file, the attribute and the key. Reliable bins
+    need finite thresholds and predictive values in [0, 1]; unreliable ones
+    may leave them null.
     """
     try:
-        entries = json.loads(Path(path).read_text())["models"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        entries = json.loads(Path(path).read_bytes())["models"]
+    except OSError as exc:
+        raise ModelFileError(f"{path}: cannot read models ({exc.strerror})") from None
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ModelFileError(f"{path}: not a models file ({exc!r})") from None
     models: dict[int, ClassifierModel] = {}
     for entry in entries:

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from attrfuse._version import __version__
-from attrfuse.catalog import compute_stats, load_catalog
+from attrfuse.catalog import CatalogError, compute_stats, load_catalog
 from attrfuse.classifier import ModelFileError, load_models, save_models
 from attrfuse.experiments import (
     experiment1_distribution_shift,
@@ -21,8 +24,16 @@ from attrfuse.experiments import (
     write_manifest,
     write_theorem_csv,
 )
-from attrfuse.fusion import decide, init_posterior, make_observation, posterior, update
-from attrfuse.simulator import CALIBRATION_STREAM, PICK_STREAM, calibrate_scenario, derived_rng, load_scenario
+from attrfuse.fusion import counted_posterior, decide, posterior
+from attrfuse.simulator import (
+    CALIBRATION_STREAM,
+    PICK_STREAM,
+    ScenarioError,
+    calibrate_scenario,
+    classify_scores,
+    derived_rng,
+    load_scenario,
+)
 
 
 def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
@@ -84,23 +95,34 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    """Classify every observation line in one engine pass, count the adopted outcomes, and decide."""
     catalog = load_catalog(args.catalog)
-    try:
-        models = load_models(args.model, catalog)
-    except ModelFileError as exc:
-        raise SystemExit(str(exc)) from None
+    models = load_models(args.model, catalog)
     stats = compute_stats(catalog)
-    state = init_posterior(catalog)
     obs_path = Path(args.obs)
     rows = _read_observation_lines(obs_path)
+    lines: list[tuple[int, int, float]] = []  # (attribute index, bin, score) per row
     for line_no, attribute_id, bin_index, score in rows:
-        try:  # unknown attribute, unmodeled attribute, unknown bin, non-finite score
+        try:  # unknown attribute, unmodeled attribute, non-finite score, unknown bin
             i = catalog.attribute_index(attribute_id)
             if i not in models:
                 raise ValueError(f"no calibrated model for attribute {attribute_id!r}")
-            state = update(state, make_observation(models[i], bin_index, score), models[i], stats)
+            if not math.isfinite(score):
+                raise ValueError(f"score must be finite, got {score!r}")
+            if bin_index not in models[i].calibrations:
+                raise ValueError(f"unknown bin index {bin_index}")
         except ValueError as exc:
             raise SystemExit(f"{obs_path}:{line_no}: {exc}") from None
+        lines.append((i, bin_index, score))
+    attrs, bins, scores = zip(*lines) if lines else ((), (), ())
+    codes, keys = classify_scores(models, attrs, bins, np.array([scores], dtype=float))
+    constant = np.flatnonzero((codes[0] < len(keys)) & ~stats.usable[np.array(attrs, dtype=np.intp)])
+    if constant.size:  # the first adopted line of an attribute that no object lacks or every object lacks
+        n = constant[0]
+        raise SystemExit(
+            f"{obs_path}:{rows[n][0]}: attribute index {attrs[n]} is constant across the catalog and cannot be fused"
+        )
+    state = counted_posterior(catalog, stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
     adopted = sum(state.counts.values())
     decision = decide(state, catalog, rng=derived_rng(args.seed, PICK_STREAM))
     probs = posterior(state)
@@ -233,7 +255,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_theorems)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CatalogError, ModelFileError, ScenarioError) as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -20,25 +20,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from attrfuse.catalog import CatalogStats, NonDiscriminativeAttributeError, ObjectCatalog
-from attrfuse.classifier import ClassifierModel, Outcome, classify
+from attrfuse.classifier import Outcome
 
 TIE_RELATIVE_TOLERANCE = 1e-9
 
 # (attribute index, outcome, predictive value) of one adopted factor.
 FactorKey = tuple[int, str, float]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One classifier outcome tagged with its environment bin."""
-
-    attribute_index: int
-    bin_index: int
-    outcome: Outcome
-
-    def __post_init__(self):
-        if self.outcome not in ("positive", "negative", "uncertain"):
-            raise ValueError(f"unknown outcome {self.outcome!r}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +83,6 @@ class Decision:
     winner: int | None
     candidates: tuple[int, ...]
     tie_broken_by: str
-
-
-def make_observation(model: ClassifierModel, bin_index: int, score: float) -> Observation:
-    """Classify a raw score and tag it with its attribute and bin."""
-    return Observation(model.attribute_index, bin_index, classify(model, bin_index, score))
 
 
 def init_posterior(catalog: ObjectCatalog) -> PosteriorState:
@@ -184,36 +166,6 @@ def counted_posterior(catalog: ObjectCatalog, stats: CatalogStats, counts: Mappi
     keys = sorted(counts)
     factors = dict(zip(keys, factor_table(keys, stats)))
     return PosteriorState(init_posterior(catalog).log_prior, counts, factors)
-
-
-def update(
-    state: PosteriorState,
-    observation: Observation,
-    model: ClassifierModel,
-    stats: CatalogStats,
-) -> PosteriorState:
-    """Count one observation into the posterior; uncertain ones and unreliable bins return ``state`` itself."""
-    if observation.outcome == "uncertain":
-        return state
-    i = observation.attribute_index
-    if not stats.usable[i]:
-        raise NonDiscriminativeAttributeError(
-            f"attribute index {i} is constant across the catalog and cannot be fused"
-        )
-    try:
-        cal = model.calibrations[observation.bin_index]
-    except KeyError:
-        raise ValueError(f"bin {observation.bin_index} is not calibrated") from None
-    if not cal.reliable:
-        return state
-    # a reliable calibration always carries both predictive values
-    key = (i, observation.outcome, cal.ppv if observation.outcome == "positive" else cal.npv)
-    factors = state.factors
-    if key not in factors:
-        factors = {**factors, key: _log_factor_row(key, stats)}
-    counts = dict(state.counts)
-    counts[key] = counts.get(key, 0) + 1
-    return PosteriorState(state.log_prior, counts, factors)
 
 
 def decide(state: PosteriorState, catalog: ObjectCatalog, rng: np.random.Generator | None = None) -> Decision:

@@ -12,9 +12,10 @@ in one vectorised pass, and :func:`load_key` sets one reused generator to
 each in turn; :func:`derived_rng` builds a single stream's generator.
 
 Episodes run batched: every trial's draws come from its own stream as one
-array, are classified with vectorised threshold compares, counted per factor
-key and decided together (``decide_episodes``); ``run_episode`` is one row
-of that engine.
+array, are classified with vectorised threshold compares
+(:func:`classify_scores`), counted per factor key and decided together
+(:func:`decide_episodes`). ``attrfuse fuse`` classifies its observation
+lines as one row of the same :func:`classify_scores` call.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Callable, Mapping, Sequence, get_args
 
 import numpy as np
 
-from attrfuse.catalog import CatalogStats, ObjectCatalog, compute_stats, load_catalog
+from attrfuse.catalog import CatalogStats, ObjectCatalog, load_catalog
 from attrfuse.classifier import (
     DEFAULT_MIN_DETECTION_RATE,
     DEFAULT_TARGET_NPV,
@@ -36,10 +37,7 @@ from attrfuse.classifier import (
     calibrate_bin,
 )
 from attrfuse.fusion import (
-    Decision,
     FactorKey,
-    counted_posterior,
-    decide,
     factor_table,
     init_posterior,
     map_log_weights,
@@ -226,43 +224,6 @@ class Scenario:
         return len(self.bins)
 
 
-@dataclass(frozen=True)
-class ObservationDraw:
-    attribute_index: int
-    bin_index: int
-    score: float
-    outcome: str
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One estimation episode: draws, decision, and the seed that produced them."""
-
-    trial_index: int
-    ground_truth: int
-    observations: tuple[ObservationDraw, ...]
-    decision: Decision
-    correct: bool
-    seed: int | None = None
-
-
-def sample_score(
-    scenario: Scenario,
-    attribute_index: int,
-    truth: str,
-    bin_index: int,
-    rng: np.random.Generator,
-) -> float:
-    """One test-distribution draw for (attribute, truth, bin)."""
-    try:
-        model = scenario.score_models[(attribute_index, truth, bin_index)]
-    except KeyError:
-        raise ScenarioError(
-            f"no score model for attribute {attribute_index}, truth {truth!r}, bin {bin_index}"
-        ) from None
-    return float(rng.normal(model.mean, model.stddev))
-
-
 def generate_training_set(
     scenario: Scenario,
     attribute_index: int,
@@ -382,34 +343,38 @@ def classify_scores(
     """Ternary outcomes of ``scores`` (rows x columns) as codes into sorted factor keys.
 
     Column ``c`` is classified by ``models[attributes[c]]`` in bin
-    ``bins[c]``. The code of an adopted outcome indexes its key; uncertain
-    outcomes and unreliable bins get ``len(keys)``. Ties at a threshold go
-    to the positive side, as in :func:`classify`.
+    ``bins[c]``; each distinct (attribute, bin) pair is looked up once. The
+    code of an adopted outcome indexes its key; uncertain outcomes and
+    unreliable bins get ``len(keys)``. Ties at a threshold go to the
+    positive side. A NaN score compares false and reads as uncertain, so
+    callers with external scores reject non-finite ones first.
     """
-    sign = np.empty(len(attributes))
-    theta_pos = np.full(len(attributes), np.nan)  # nan never compares true: uncertain
-    theta_neg = np.full(len(attributes), np.nan)
+    pairs: dict[tuple[int, int], int] = {}  # each distinct (attribute, bin) and its index
+    column = np.array([pairs.setdefault(pair, len(pairs)) for pair in zip(attributes, bins)], dtype=np.intp)
+    sign = np.empty(len(pairs))
+    theta_pos = np.full(len(pairs), np.nan)  # nan never compares true: uncertain
+    theta_neg = np.full(len(pairs), np.nan)
     adopted: list[tuple[FactorKey, FactorKey] | None] = []
-    for c, (i, k) in enumerate(zip(attributes, bins)):
+    for p, (i, k) in enumerate(pairs):
         model = models[i]
         try:
             cal = model.calibrations[k]
         except KeyError:
             raise ValueError(f"unknown bin index {k}") from None
-        sign[c] = 1.0 if model.orientation == "lower_is_positive" else -1.0
+        sign[p] = 1.0 if model.orientation == "lower_is_positive" else -1.0
         adopted.append(((i, "positive", cal.ppv), (i, "negative", cal.npv)) if cal.reliable else None)
         if cal.reliable:
-            theta_pos[c], theta_neg[c] = sign[c] * cal.theta_pos, sign[c] * cal.theta_neg
+            theta_pos[p], theta_neg[p] = sign[p] * cal.theta_pos, sign[p] * cal.theta_neg
     keys = tuple(sorted({key for pair in adopted if pair for key in pair}))
     index = {key: n for n, key in enumerate(keys)}
     unadopted = (len(keys), len(keys))
     code_pos, code_neg = np.array(
         [unadopted if pair is None else tuple(map(index.get, pair)) for pair in adopted], dtype=np.intp
     ).reshape(-1, 2).T
-    signed = sign * scores
-    positive = signed <= theta_pos
-    negative = ~positive & (signed >= theta_neg)
-    codes = np.where(positive, code_pos, np.where(negative, code_neg, len(keys)))
+    signed = sign[column] * scores
+    positive = signed <= theta_pos[column]
+    negative = ~positive & (signed >= theta_neg[column])
+    codes = np.where(positive, code_pos[column], np.where(negative, code_neg[column], len(keys)))
     return codes, keys
 
 
@@ -453,57 +418,6 @@ def decide_episodes(
                 streams[r] = pick(r)
             winners[c, r] = pick_tied(prior_best[r], streams[r])
     return winners, random
-
-
-def run_episode(
-    scenario: Scenario,
-    ground_truth_object: int,
-    models: Mapping[int, ClassifierModel],
-    catalog: ObjectCatalog,
-    schedule: Sequence[tuple[int, int]] | None,
-    rng: np.random.Generator,
-    attributes: Sequence[int] | None = None,
-    stats: CatalogStats | None = None,
-    pick_rng: np.random.Generator | None = None,
-    trial_index: int = 0,
-    seed: int | None = None,
-) -> TrialRecord:
-    """Draw scores per the schedule, classify, fuse, and decide: one row of the batched engine.
-
-    Each scheduled round observes every attribute in ``attributes`` (default:
-    all modeled attributes) once in the given bin. ``pick_rng`` defaults to
-    ``rng`` and is only consumed when the decision needs a random tie pick.
-    """
-    if not 0 <= ground_truth_object < catalog.n_objects:
-        raise ValueError(f"ground truth index {ground_truth_object} out of range")
-    if stats is None:
-        stats = compute_stats(catalog)
-    if attributes is None:
-        attributes = sorted(models)
-    if schedule is None:
-        schedule = scenario.schedule
-    for bin_index, _ in schedule:
-        scenario._check_bin(bin_index)
-
-    columns = [(i, k) for k, rounds in schedule for _ in range(int(rounds)) for i in attributes]
-    attrs, bins = [i for i, _ in columns], [k for _, k in columns]
-    z = rng.standard_normal(len(columns))[None]
-    scores = draw_scores(scenario, np.array([ground_truth_object]), attrs, bins, z)
-    codes, keys = classify_scores(models, attrs, bins, scores)
-    outcomes = [key[1] for key in keys] + ["uncertain"]
-    state = counted_posterior(catalog, stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-    decision = decide(state, catalog, rng=pick_rng if pick_rng is not None else rng)
-    return TrialRecord(
-        trial_index=trial_index,
-        ground_truth=ground_truth_object,
-        observations=tuple(
-            ObservationDraw(i, k, score, outcomes[code])
-            for (i, k), score, code in zip(columns, scores[0].tolist(), codes[0].tolist())
-        ),
-        decision=decision,
-        correct=decision.winner == ground_truth_object,
-        seed=seed,
-    )
 
 
 _REQUIRED = object()
@@ -568,14 +482,18 @@ def _parse_score_models(
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file and its referenced catalog (path relative to the scenario).
 
-    Missing or unparsable values raise :class:`ScenarioError` naming the file and the key.
+    An unreadable file raises :class:`ScenarioError` naming the file, and
+    missing or unparsable values name the file and the key.
     """
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read scenario ({exc.strerror})") from None
     digest = hashlib.sha256(data).hexdigest()
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
 
     catalog_path = _field(path, raw, "catalog", Path)

@@ -1,9 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written with plain loops and exact
-Fraction arithmetic, sharing no code with the package under test.
+Everything here is deliberately written with plain loops. The posterior and
+calibration oracles use exact Fraction arithmetic and share no code with the
+package under test. The one-observation loop that the batched engine and
+``attrfuse fuse`` replaced (``sample_score`` -> ``make_observation`` ->
+``update``) is kept as the reference the engine is compared against bit for
+bit. These references may import package types (``PosteriorState``, the
+models and scenarios they read) and the per-factor log rows of
+``factor_table``, but none of the code paths they check.
 """
+from dataclasses import dataclass
 from fractions import Fraction
+
+from attrfuse.fusion import PosteriorState, factor_table
 
 
 def posterior_oracle(priors, matrix, observations, ppv, npv):
@@ -95,3 +104,71 @@ def count_rates(pos, neg, theta_pos, theta_neg):
     ppv = tp / (tp + fp) if tp + fp else None
     npv = tn / (tn + fn) if tn + fn else None
     return ppv, tp / len(pos), npv, tn / len(neg)
+
+
+def factor_counts(observations):
+    """Adoptions per factor key of (model, outcome) observations in bin 0, in first-seen key order.
+
+    Uncertain outcomes count nothing.
+    """
+    counts = {}
+    for model, outcome in observations:
+        if outcome != "uncertain":
+            cal = model.calibrations[0]
+            key = (model.attribute_index, outcome, cal.ppv if outcome == "positive" else cal.npv)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# The per-observation path: one scalar draw, classification and count at a time.
+
+
+@dataclass(frozen=True)
+class Observation:
+    """One classifier outcome tagged with its environment bin."""
+
+    attribute_index: int
+    bin_index: int
+    outcome: str
+
+
+def sample_score(scenario, attribute_index, truth, bin_index, rng):
+    """One test-distribution draw for (attribute, truth, bin)."""
+    model = scenario.score_models[(attribute_index, truth, bin_index)]
+    return float(rng.normal(model.mean, model.stddev))
+
+
+def classify(model, bin_index, score):
+    """Ternary decision for one finite score; unreliable bins always return uncertain."""
+    cal = model.calibrations[bin_index]
+    if not cal.reliable:
+        return "uncertain"
+    if model.orientation == "lower_is_positive":
+        if score <= cal.theta_pos:
+            return "positive"
+        if score >= cal.theta_neg:
+            return "negative"
+    else:
+        if score >= cal.theta_pos:
+            return "positive"
+        if score <= cal.theta_neg:
+            return "negative"
+    return "uncertain"
+
+
+def make_observation(model, bin_index, score):
+    """Classify a raw score and tag it with its attribute and bin."""
+    return Observation(model.attribute_index, bin_index, classify(model, bin_index, score))
+
+
+def update(state, observation, model, stats):
+    """Count one observation into the posterior; uncertain ones and unreliable bins return ``state`` itself."""
+    cal = model.calibrations[observation.bin_index]
+    if observation.outcome == "uncertain" or not cal.reliable:
+        return state
+    key = (observation.attribute_index, observation.outcome, cal.ppv if observation.outcome == "positive" else cal.npv)
+    factors = state.factors if key in state.factors else {**state.factors, key: factor_table([key], stats)[0]}
+    counts = dict(state.counts)
+    counts[key] = counts.get(key, 0) + 1
+    return PosteriorState(state.log_prior, counts, factors)

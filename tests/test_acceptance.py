@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. Every tolerance is pinned here; nothing is deferred to calibration.
 """
+import dataclasses
 import itertools
 import time
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import make_synthetic_model
-from attrfuse.fusion import Observation, init_posterior, posterior, update
+from attrfuse.fusion import counted_posterior, init_posterior, posterior
 from attrfuse.experiments import (
     convergence_suite,
     exact_recognition_suite,
@@ -22,11 +23,12 @@ from attrfuse.experiments import (
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     calibrate_scenario,
+    classify_scores,
     derived_rng,
     draw_training_sets,
 )
 
-from oracles import count_rates, posterior_oracle
+from oracles import count_rates, factor_counts, posterior_oracle
 
 
 def _report(number: int, description: str, passed: bool):
@@ -67,9 +69,7 @@ def test_criterion_1_exhaustive_small_case_oracle():
         slots = list(itertools.product(range(m), outcomes))
         for length in range(4):
             for sequence in itertools.product(slots, repeat=length):
-                state = init_posterior(catalog)
-                for i, outcome in sequence:
-                    state = update(state, Observation(i, 0, outcome), models[i], stats)
+                state = counted_posterior(catalog, stats, factor_counts([(models[i], o) for i, o in sequence]))
                 expected = posterior_oracle(
                     catalog.priors.tolist(), catalog.matrix.tolist(), list(sequence), ppv, npv
                 )
@@ -190,12 +190,12 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
     rng = np.random.default_rng(5)
 
     # normalization within 1e-12 after a pile of updates
-    state = init_posterior(table1)
+    observations = []
     for _ in range(40):
         i = int(rng.integers(table1.n_attributes))
         model = make_synthetic_model(i, float(rng.uniform(0.7, 1.0)), float(rng.uniform(0.7, 1.0)))
-        outcome = ("positive", "negative")[int(rng.integers(2))]
-        state = update(state, Observation(i, 0, outcome), model, stats)
+        observations.append((model, ("positive", "negative")[int(rng.integers(2))]))
+    state = counted_posterior(table1, stats, factor_counts(observations))
     normalization_ok = abs(posterior(state).sum() - 1.0) <= 1e-12
 
     # order independence within 1e-10 in log domain
@@ -205,10 +205,7 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
     ]
 
     def log_posterior(sequence):
-        st = init_posterior(table1)
-        for i, outcome in sequence:
-            st = update(st, Observation(i, 0, outcome), models[i], stats)
-        return np.log(posterior(st))
+        return np.log(posterior(counted_posterior(table1, stats, factor_counts([(models[i], o) for i, o in sequence]))))
 
     reference = log_posterior(observations)
     order_ok = all(
@@ -220,12 +217,13 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
         for _ in range(20)
     )
 
-    # uncertain and unreliable observations are exact no-ops
-    base = init_posterior(table1)
-    noop_ok = (
-        update(base, Observation(0, 0, "uncertain"), models[0], stats) is base
-        and update(base, Observation(0, 3, "uncertain"), models[0], stats) is base
-    )
+    # uncertain outcomes and unreliable bins are exact no-ops: no key is counted
+    # (synthetic thresholds sit at 0 and 1; bin 3 is not reliable)
+    unreliable = dataclasses.replace(models[0].calibrations[0], bin_index=3, reliable=False)
+    gated = {0: dataclasses.replace(models[0], calibrations={**models[0].calibrations, 3: unreliable})}
+    codes, keys = classify_scores(gated, [0, 0, 0], [0, 3, 3], np.array([[0.5, -1.0, 2.0]]))
+    base = counted_posterior(table1, stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
+    noop_ok = base.counts == {} and base.log_weights.tobytes() == init_posterior(table1).log_weights.tobytes()
 
     # threshold sweep determinism under input permutation and repetition
     from attrfuse.classifier import calibrate_bin

@@ -19,7 +19,6 @@ from attrfuse.classifier import (
     ModelFileError,
     ClassifierModel,
     calibrate_bin,
-    classify,
     kde_density,
     load_models,
     make_synthetic_model,
@@ -27,7 +26,7 @@ from attrfuse.classifier import (
     single_threshold_baseline,
     single_threshold_calibration,
 )
-from attrfuse.simulator import calibrate_scenario, derived_rng
+from attrfuse.simulator import calibrate_scenario, classify_scores, derived_rng
 
 from oracles import bayes_threshold_oracle, calibrate_oracle, count_rates
 
@@ -141,7 +140,15 @@ class TestCalibrateBin:
         assert a == b
 
 
-class TestClassify:
+def outcomes(model, bin_index, scores):
+    """The outcome names ``classify_scores`` gives ``scores``, each in its own column of ``model`` and bin."""
+    n = len(scores)
+    codes, keys = classify_scores({0: model}, [0] * n, [bin_index] * n, np.array([scores], dtype=float))
+    names = [key[1] for key in keys] + ["uncertain"]
+    return [names[code] for code in codes[0]]
+
+
+class TestClassifyScores:
     @pytest.fixture()
     def model(self):
         cal = BinCalibration(
@@ -157,30 +164,19 @@ class TestClassify:
         return ClassifierModel(attribute_index=0, orientation="lower_is_positive", calibrations={0: cal, 1: bad})
 
     def test_ternary_branches(self, model):
-        assert classify(model, 0, 2.0) == "positive"
-        assert classify(model, 0, 7.0) == "uncertain"
-        assert classify(model, 0, 9.0) == "negative"
-        assert classify(model, 0, 6.5) == "positive"
-        assert classify(model, 0, 8.0) == "negative"
+        # scores exactly at a threshold go to its side
+        assert outcomes(model, 0, [2.0, 7.0, 9.0, 6.5, 8.0]) == ["positive", "uncertain", "negative", "positive", "negative"]
 
     def test_unreliable_bin_always_uncertain(self, model):
-        for score in (-100.0, 0.0, 100.0):
-            assert classify(model, 1, score) == "uncertain"
-
-    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
-    def test_nonfinite_score_rejected(self, model, score):
-        for bin_index in (0, 1):
-            with pytest.raises(ValueError):
-                classify(model, bin_index, score)
+        assert outcomes(model, 1, [-100.0, 0.0, 100.0]) == ["uncertain"] * 3
 
     def test_unknown_bin(self, model):
-        with pytest.raises(ValueError):
-            classify(model, 7, 0.0)
+        with pytest.raises(ValueError, match="unknown bin index 7"):
+            outcomes(model, 7, [0.0])
 
     def test_step_function_has_two_breakpoints(self, model):
-        grid = np.linspace(0, 12, 800)
-        outcomes = [classify(model, 0, s) for s in grid]
-        changes = sum(1 for a, b in zip(outcomes, outcomes[1:]) if a != b)
+        grid = outcomes(model, 0, np.linspace(0, 12, 800).tolist())
+        changes = sum(1 for a, b in zip(grid, grid[1:]) if a != b)
         assert changes == 2
 
     @given(score_lists, score_lists, st.lists(scores, min_size=1, max_size=10))
@@ -193,8 +189,7 @@ class TestClassify:
             return
         m_low = ClassifierModel(0, "lower_is_positive", {0: low})
         m_high = ClassifierModel(0, "higher_is_positive", {0: high})
-        for s in probes:
-            assert classify(m_low, 0, s) == classify(m_high, 0, -s)
+        assert outcomes(m_low, 0, probes) == outcomes(m_high, 0, [-s for s in probes])
 
 
 class TestSingleThresholdBaseline:

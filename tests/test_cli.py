@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrfuse.catalog import ObjectCatalog
+from attrfuse.classifier import make_synthetic_model, save_models
 from attrfuse.cli import main
 
 
@@ -99,6 +101,7 @@ def test_fuse_header_after_comments(repo_root, exp2_models, tmp_path, capsys):
     [
         ("box shape,0,nan", "score must be finite"),
         ("box shape,0,inf", "score must be finite"),
+        ("box shape,0,-inf", "score must be finite"),
         ("no such shape,0,1.0", "unknown attribute id 'no such shape'"),
         ("box shape,9,1.0", "unknown bin index 9"),
     ],
@@ -108,6 +111,31 @@ def test_fuse_located_input_errors(repo_root, exp2_models, tmp_path, line, messa
     obs.write_text(f"attribute,bin,score\n# comment\nbox shape,0,1.0\n{line}\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:4: {re.escape(message)}"):
         _fuse(repo_root, exp2_models, obs)
+
+
+def test_fuse_reports_first_offending_line(repo_root, exp2_models, tmp_path):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("box shape,0,1.0\ncup shape,0,25.0\nbox shape,9,1.0\nbox shape,0,2.0\ncup shape,0,nan\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:3: unknown bin index 9$"):
+        _fuse(repo_root, exp2_models, obs)
+
+
+def test_fuse_locates_adopted_constant_attribute(tmp_path):
+    """Only adopted lines of a catalog-constant attribute stop the run, and the first one is named."""
+    catalog = ObjectCatalog(("p", "q"), ("varies", "always"), np.array([[1, 1], [0, 1]]), np.array([0.5, 0.5]))
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(json.dumps({
+        "objects": [{"id": "p", "prior": 0.5}, {"id": "q", "prior": 0.5}],
+        "attributes": list(catalog.attributes),
+        "matrix": catalog.matrix.tolist(),
+    }))
+    model_path = tmp_path / "models.json"
+    save_models({i: make_synthetic_model(i, 0.9, 0.9) for i in (0, 1)}, catalog, model_path)
+    obs = tmp_path / "obs.csv"
+    # synthetic thresholds sit at 0 and 1: -1 is positive, 0.5 uncertain
+    obs.write_text("varies,0,-1.0\nalways,0,0.5\nalways,0,-1.0\nalways,0,2.0\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:3: attribute index 1 is constant across the catalog"):
+        main(["fuse", "--catalog", str(catalog_path), "--model", str(model_path), "--obs", str(obs)])
 
 
 def test_fuse_reports_missing_obs_file(repo_root, exp2_models, tmp_path):
@@ -168,6 +196,38 @@ def test_fuse_reports_malformed_model_file(repo_root, exp2_models, tmp_path):
     obs.write_text("box shape,0,1.0\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(broken))}: attribute .*'theta_pos'"):
         _fuse(repo_root, broken, obs)
+
+
+@pytest.mark.parametrize(
+    "command, flag, content",
+    [
+        pytest.param("fuse", "--catalog", None, id="fuse-catalog-missing"),
+        pytest.param("fuse", "--catalog", b"{not json", id="fuse-catalog-not-json"),
+        pytest.param("fuse", "--catalog", b"\xff", id="fuse-catalog-not-utf8"),
+        pytest.param(
+            "fuse", "--catalog", b'{"objects": [{"id": "a", "prior": 0.5}], "attributes": ["x"], "matrix": [[1]]}',
+            id="fuse-catalog-bad-priors",
+        ),
+        pytest.param("fuse", "--model", None, id="fuse-model-missing"),
+        *(pytest.param(command, "--scenario", None, id=f"{command}-scenario-missing")
+          for command in ("calibrate", "exp1", "exp2", "exp3")),
+    ],
+)
+def test_missing_or_malformed_input_file_is_a_message(repo_root, exp2_models, tmp_path, command, flag, content):
+    """A missing (``content`` None) or malformed input file ends in a message naming it, not a traceback."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    obs = tmp_path / "obs.csv"
+    obs.write_text("box shape,0,1.0\n")
+    args = {
+        "fuse": {"--catalog": str(repo_root / "catalogs" / "exp2.json"), "--model": str(exp2_models), "--obs": str(obs)},
+        "calibrate": {"--out": str(tmp_path / "m.json")},
+    }.get(command, {"--trials": "10", "--out": str(tmp_path / "out")})
+    args[flag] = str(path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(word for pair in args.items() for word in pair)])
+    assert isinstance(exc.value.code, str) and exc.value.code.startswith(f"{path}: "), exc.value.code
 
 
 def test_exp1_cli(repo_root, tmp_path, capsys):

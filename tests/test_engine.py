@@ -1,4 +1,4 @@
-"""The batched episode engine against the one-observation, one-row path it replaces."""
+"""The batched episode engine against the one-observation, one-row path it replaces (``tests/oracles.py``)."""
 import dataclasses
 
 import numpy as np
@@ -7,32 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import BinCalibration, ClassifierModel, classify, make_synthetic_model
+from attrfuse.classifier import BinCalibration, ClassifierModel, make_synthetic_model
 from attrfuse.experiments import (
     convergence_suite,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
     single_threshold_models,
 )
-from attrfuse.fusion import (
-    Observation,
-    counted_posterior,
-    decide,
-    factor_table,
-    init_posterior,
-    make_observation,
-    map_log_weights,
-    tally,
-    update,
-)
+from attrfuse.fusion import counted_posterior, decide, factor_table, init_posterior, map_log_weights, tally
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     PICK_STREAM,
     SCORE_STREAM,
-    ObservationDraw,
     ScoreModel,
     Scenario,
-    TrialRecord,
     calibrate_from_sets,
     calibrate_scenario,
     classify_scores,
@@ -40,10 +28,10 @@ from attrfuse.simulator import (
     derived_rng,
     draw_scores,
     draw_training_sets,
-    run_episode,
-    sample_score,
     stream_draws,
 )
+
+from oracles import Observation, classify, make_observation, sample_score, update
 
 PREDICTIVE_VALUES = (1.0, 0.9, 0.75)
 
@@ -269,23 +257,28 @@ def test_convergence_equals_reference_loop(ppv, npv, d, s):
     assert error.tobytes() == _reference_convergence(300, 8, k_values, ppv, npv, d, s).tobytes()
 
 
-def test_run_episode_equals_reference_loop(exp3_scenario):
-    """A two-bin schedule, with the tie pick taken from the score stream after its draws."""
+def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
+    """Columns across two bins: the engine's outcomes and decisions equal the per-observation loop's."""
     scenario = exp3_scenario
     catalog = scenario.catalog
     stats = compute_stats(catalog)
     models = calibrate_scenario(scenario)
-    attrs = sorted(models)
-    for t in range(20):
-        record = run_episode(scenario, t % 9, models, catalog, [(0, 1), (4, 2)], derived_rng(3, t), trial_index=t)
-        rng = derived_rng(3, t)
-        state, draws = init_posterior(catalog), []
-        for k, rounds in ((0, 1), (4, 2)):
-            for _ in range(rounds):
-                for i in attrs:
-                    score = sample_score(scenario, i, "pos" if catalog.matrix[t % 9, i] else "neg", k, rng)
-                    obs = make_observation(models[i], k, score)
-                    draws.append(ObservationDraw(i, k, score, obs.outcome))
-                    state = update(state, obs, models[i], stats)
-        decision = decide(state, catalog, rng=rng)
-        assert record == TrialRecord(t, t % 9, tuple(draws), decision, decision.winner == t % 9)
+    schedule = ((0, 1), (4, 2))
+    columns = [(i, k) for k, rounds in schedule for _ in range(rounds) for i in sorted(models)]
+    attrs, bins = [i for i, _ in columns], [k for _, k in columns]
+    trials = 20
+    truths = np.arange(trials) % catalog.n_objects
+    scores = draw_scores(scenario, truths, attrs, bins, stream_draws(3, (SCORE_STREAM,), trials, len(columns)))
+    codes, keys = classify_scores(models, attrs, bins, scores)
+    winners, random = decide_episodes(codes, keys, catalog, stats, [len(columns)], lambda r: derived_rng(3, PICK_STREAM, r))
+    outcomes = [key[1] for key in keys] + ["uncertain"]
+    for t, gt in enumerate(truths.tolist()):
+        rng = derived_rng(3, SCORE_STREAM, t)
+        state = init_posterior(catalog)
+        for c, (i, k) in enumerate(columns):
+            score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
+            obs = make_observation(models[i], k, score)
+            assert (scores[t, c], outcomes[codes[t, c]]) == (score, obs.outcome)
+            state = update(state, obs, models[i], stats)
+        decision = decide(state, catalog, rng=derived_rng(3, PICK_STREAM, t))
+        assert (winners[0, t], random[0, t]) == (decision.winner, decision.tie_broken_by == "random")

@@ -6,20 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
-from attrfuse.classifier import make_synthetic_model
+from attrfuse.classifier import BinCalibration, ClassifierModel, make_synthetic_model
 from attrfuse.fusion import (
     Decision,
-    Observation,
     PosteriorState,
+    counted_posterior,
     decide,
     init_posterior,
-    make_observation,
     posterior,
     posterior_ratio,
-    update,
 )
+from attrfuse.simulator import classify_scores
 
-from oracles import posterior_oracle
+from oracles import factor_counts, posterior_oracle
 
 
 def small_catalog(matrix, priors):
@@ -30,6 +29,11 @@ def small_catalog(matrix, priors):
         matrix=matrix,
         priors=np.asarray(priors, dtype=float),
     )
+
+
+def fused(catalog, stats, observations):
+    """The posterior after (model, outcome) observations in bin 0."""
+    return counted_posterior(catalog, stats, factor_counts(observations))
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +53,11 @@ class TestInit:
         assert posterior(init_posterior(cat)) == pytest.approx([0.5, 0.3, 0.2], abs=1e-12)
 
 
-class TestUpdate:
+class TestCountedPosterior:
     def test_bottle_shape_positive(self, table1, table1_stats):
         i = table1.attribute_index("bottle shape")
         model = make_synthetic_model(i, ppv=0.96, npv=0.96)
-        state = update(
-            init_posterior(table1),
-            Observation(i, 0, "positive"),
-            model,
-            table1_stats,
-        )
+        state = fused(table1, table1_stats, [(model, "positive")])
         probs = posterior(state)
         expected = np.full(9, 0.04 / (2 / 3) / 9)   # factor 0.06 on the six non-bottles
         expected[6:] = 0.96 / (1 / 3) / 9           # factor 2.88 on objects 7, 8, 9
@@ -68,70 +67,68 @@ class TestUpdate:
         assert state.outcome_counts("positive") == {i: 1} and state.outcome_counts("negative") == {}
 
     def test_uncertain_is_noop(self, table1, table1_stats):
-        i = 0
-        model = make_synthetic_model(i, 0.96, 0.96)
-        state = init_posterior(table1)
-        after = update(state, Observation(i, 0, "uncertain"), model, table1_stats)
-        assert after is state
+        """A score between the thresholds gets the no-key code, so it adds no count and no factor."""
+        cal = BinCalibration(0, 3.0, 5.0, 0.97, 0.97, 0.5, 0.5, 0.01, 0.01, True)
+        models = {0: ClassifierModel(0, "lower_is_positive", {0: cal})}
+        codes, keys = classify_scores(models, [0, 0, 0], [0, 0, 0], np.array([[4.0, 3.5, 4.999]]))
+        assert codes.tolist() == [[len(keys)] * 3]
+        state = counted_posterior(table1, table1_stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
+        assert state.counts == {} and state.factors == {}
+        assert state.log_weights.tobytes() == init_posterior(table1).log_weights.tobytes()
 
     def test_unreliable_region_is_noop(self, table1, table1_stats):
-        i = 0
-        model = make_synthetic_model(i, 0.96, 0.96)
-        state = init_posterior(table1)
-        after = update(state, Observation(i, 5, "uncertain"), model, table1_stats)
-        assert after is state
+        """An unreliable bin adopts no score, whatever its side of the one threshold it has."""
+        unreliable = BinCalibration(1, None, 5.0, None, 0.97, 0.0, 0.5, 0.0, 0.01, False)
+        models = {0: ClassifierModel(0, "lower_is_positive", {1: unreliable})}
+        codes, keys = classify_scores(models, [0, 0], [1, 1], np.array([[-100.0, 100.0]]))
+        assert keys == () and codes.tolist() == [[0, 0]]
+        state = counted_posterior(table1, table1_stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
+        assert state.counts == {}
+        assert state.log_weights.tobytes() == init_posterior(table1).log_weights.tobytes()
+
+    def test_zero_counts_are_dropped(self, table1, table1_stats):
+        key = (table1.attribute_index("cylinder"), "positive", 0.96)
+        state = counted_posterior(table1, table1_stats, {key: 0})
+        assert state.counts == {} and state.factors == {} and not state.saturated
 
     def test_constant_attribute_rejected(self):
         cat = small_catalog([[1, 1], [1, 0]], [0.5, 0.5])
         stats = compute_stats(cat)
         model = make_synthetic_model(0, 0.96, 0.96)
         with pytest.raises(NonDiscriminativeAttributeError):
-            update(init_posterior(cat), Observation(0, 0, "positive"), model, stats)
+            fused(cat, stats, [(model, "positive")])
 
     def test_saturation_clamps_and_recovers(self):
         cat = small_catalog([[1, 0], [0, 1]], [0.5, 0.5])
         stats = compute_stats(cat)
         model = make_synthetic_model(0, ppv=1.0, npv=1.0)
-        state = update(init_posterior(cat), Observation(0, 0, "positive"), model, stats)
+        observations = [(model, "positive")]
+        state = fused(cat, stats, observations)
         assert state.saturated
         assert state.log_weights[1] == -np.inf
         assert posterior(state)[1] == 0.0
         # finite contradicting evidence cannot revive an object a factor of 0 ruled out
         soft = make_synthetic_model(1, ppv=0.9, npv=0.9)
-        for _ in range(3):
-            state = update(state, Observation(1, 0, "positive"), soft, stats)
-        assert posterior(state)[1] == 0.0
+        observations += [(soft, "positive")] * 3
+        assert posterior(fused(cat, stats, observations))[1] == 0.0
         # once every object is contradicted, the finite evidence decides again
         hard = make_synthetic_model(1, ppv=1.0, npv=1.0)
-        state = update(state, Observation(1, 0, "positive"), hard, stats)
+        state = fused(cat, stats, observations + [(hard, "positive")])
         assert np.isfinite(state.log_weights).all()
         assert state.log_weights[1] > state.log_weights[0]
         assert posterior(state).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_observation_invariant(self, table1, table1_stats):
-        from attrfuse.classifier import BinCalibration, ClassifierModel
-
-        with pytest.raises(ValueError):
-            Observation(0, 0, "maybe")
-        # an unreliable bin classifies as uncertain, and update ignores it either way
-        unreliable = BinCalibration(1, None, 5.0, None, 0.97, 0.0, 0.5, 0.0, 0.01, False)
-        model = ClassifierModel(0, "lower_is_positive", {1: unreliable})
-        obs = make_observation(model, 1, -100.0)
-        assert obs == Observation(0, 1, "uncertain")
-        state = init_posterior(table1)
-        assert update(state, obs, model, table1_stats) is state
-        assert update(state, Observation(0, 1, "negative"), model, table1_stats) is state
 
     def test_truth_weight_nondecreasing_under_correct_evidence(self, table1, table1_stats):
         # with equal priors the floors are w and 1-w; any ppv/npv above them
         # multiplies the true object's weight by a factor >= 1
         truth = table1.object_index("7")
+        observations = []
         state = init_posterior(table1)
         for i in range(table1.n_attributes):
             w = table1_stats.attribute_priors[i]
             model = make_synthetic_model(i, ppv=max(w, 0.9), npv=max(1 - w, 0.9))
-            outcome = "positive" if table1.matrix[truth, i] else "negative"
-            new = update(state, Observation(i, 0, outcome), model, table1_stats)
+            observations.append((model, "positive" if table1.matrix[truth, i] else "negative"))
+            new = fused(table1, table1_stats, observations)
             assert new.log_weights[truth] >= state.log_weights[truth] - 1e-12
             state = new
 
@@ -159,9 +156,7 @@ class TestOracleEquivalence:
             (int(rng.integers(n_attr)), outcomes[int(rng.integers(3))])
             for _ in range(int(rng.integers(0, 4)))
         ]
-        state = init_posterior(cat)
-        for i, outcome in obs:
-            state = update(state, Observation(i, 0, outcome), models[i], stats)
+        state = fused(cat, stats, [(models[i], outcome) for i, outcome in obs])
         expected = posterior_oracle(cat.priors.tolist(), matrix.tolist(), obs, ppv.tolist(), npv.tolist())
         assert posterior(state) == pytest.approx(expected, abs=1e-10)
 
@@ -183,10 +178,7 @@ class TestOrderIndependence:
         ]
 
         def run(sequence):
-            state = init_posterior(cat)
-            for i, outcome in sequence:
-                state = update(state, Observation(i, 0, outcome), models[i], stats)
-            return np.log(posterior(state))
+            return np.log(posterior(fused(cat, stats, [(models[i], outcome) for i, outcome in sequence])))
 
         base = run(obs)
         for _ in range(3):
@@ -212,10 +204,7 @@ class TestOrderIndependence:
         obs = [(models[int(rng.integers(8))], outcomes[int(rng.integers(3))]) for _ in range(10)]
 
         def run(sequence):
-            state = init_posterior(cat)
-            for model, outcome in sequence:
-                state = update(state, Observation(model.attribute_index, 0, outcome), model, stats)
-            return state.log_weights
+            return fused(cat, stats, sequence).log_weights
 
         base = run(obs)
         for _ in range(3):
@@ -227,15 +216,8 @@ class TestOrderIndependence:
         stats = compute_stats(cat)
         hard = make_synthetic_model(0, ppv=1.0, npv=0.96)
         soft = make_synthetic_model(1, ppv=0.9, npv=0.9)
-        sequence = [(hard, 0), (soft, 1), (soft, 1)]
-
-        def run(seq):
-            state = init_posterior(cat)
-            for model, i in seq:
-                state = update(state, Observation(i, 0, "positive"), model, stats)
-            return state
-
-        forward, reverse = run(sequence), run(sequence[::-1])
+        sequence = [(hard, "positive"), (soft, "positive"), (soft, "positive")]
+        forward, reverse = fused(cat, stats, sequence), fused(cat, stats, sequence[::-1])
         assert np.array_equal(forward.log_weights, reverse.log_weights)
         assert posterior(forward)[1] == 0.0 and posterior(reverse)[1] == 0.0
         assert posterior_ratio(forward, 0, 1) == math.inf
@@ -253,7 +235,7 @@ class TestDecide:
     def test_three_way_tie_forced_pick(self, table1, table1_stats):
         i = table1.attribute_index("bottle shape")
         model = make_synthetic_model(i, 0.96, 0.96)
-        state = update(init_posterior(table1), Observation(i, 0, "positive"), model, table1_stats)
+        state = fused(table1, table1_stats, [(model, "positive")])
         d1 = decide(state, table1, rng=np.random.Generator(np.random.Philox(123)))
         d2 = decide(state, table1, rng=np.random.Generator(np.random.Philox(123)))
         assert d1.candidates == (6, 7, 8)
@@ -264,7 +246,7 @@ class TestDecide:
     def test_tie_without_rng_unresolved(self, table1, table1_stats):
         i = table1.attribute_index("bottle shape")
         model = make_synthetic_model(i, 0.96, 0.96)
-        state = update(init_posterior(table1), Observation(i, 0, "positive"), model, table1_stats)
+        state = fused(table1, table1_stats, [(model, "positive")])
         decision = decide(state, table1)
         assert decision.winner is None
         assert decision.candidates == (6, 7, 8)
@@ -286,7 +268,7 @@ class TestPosteriorNumerics:
     def test_ratio_antisymmetric(self, table1, table1_stats):
         i = table1.attribute_index("cylinder")
         model = make_synthetic_model(i, 0.93, 0.95)
-        state = update(init_posterior(table1), Observation(i, 0, "positive"), model, table1_stats)
+        state = fused(table1, table1_stats, [(model, "positive")])
         assert posterior_ratio(state, 1, 7) == pytest.approx(-posterior_ratio(state, 7, 1), abs=1e-15)
 
     def test_ratio_index_checked(self, table1):
@@ -302,30 +284,18 @@ class TestPosteriorNumerics:
             matrix = rng.integers(0, 2, size=(6, 5))
         cat = small_catalog(matrix, np.full(6, 1 / 6))
         stats = compute_stats(cat)
-        state = init_posterior(cat)
+        observations = []
         for _ in range(30):
             i = int(rng.integers(5))
             model = make_synthetic_model(i, float(rng.uniform(0.7, 1.0)), float(rng.uniform(0.7, 1.0)))
-            outcome = ["positive", "negative"][int(rng.integers(2))]
-            state = update(state, Observation(i, 0, outcome), model, stats)
+            observations.append((model, ["positive", "negative"][int(rng.integers(2))]))
+        state = fused(cat, stats, observations)
         assert posterior(state).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_long_runs_stay_finite(self, table1, table1_stats):
         i = table1.attribute_index("cylinder")
         model = make_synthetic_model(i, 0.96, 0.96)
-        state = init_posterior(table1)
-        for _ in range(3000):
-            state = update(state, Observation(i, 0, "positive"), model, table1_stats)
+        state = fused(table1, table1_stats, [(model, "positive")] * 3000)
+        assert state.counts == {(i, "positive", 0.96): 3000}
         assert np.isfinite(state.log_weights).all()
         assert posterior(state).sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_make_observation_classifies_and_tags(table1):
-    from attrfuse.classifier import BinCalibration, ClassifierModel
-
-    cal = BinCalibration(0, 3.0, 5.0, 0.97, 0.97, 0.5, 0.5, 0.01, 0.01, True)
-    model = ClassifierModel(2, "lower_is_positive", {0: cal})
-    obs = make_observation(model, 0, 2.0)
-    assert obs == Observation(2, 0, "positive")
-    obs = make_observation(model, 0, 4.0)
-    assert obs.outcome == "uncertain"

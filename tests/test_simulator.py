@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attrfuse.catalog import ObjectCatalog
+from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import single_threshold_baseline
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
@@ -17,11 +18,12 @@ from attrfuse.simulator import (
     ScoreModel,
     TrainingBias,
     calibrate_scenario,
+    classify_scores,
+    decide_episodes,
     derived_rng,
+    draw_scores,
     generate_training_set,
     load_scenario,
-    run_episode,
-    sample_score,
     stream_draws,
     stream_keys,
 )
@@ -51,6 +53,24 @@ def tiny_scenario(pos_mean=0.0, neg_mean=100.0, std=0.5, seed=5, n_per_object=25
         calibration=CalibrationConfig(n_pos_per_object=n_per_object, n_neg_per_object=n_per_object),
         **kwargs,
     )
+
+
+def episodes(scenario, models, truths, schedule, seed, key=()):
+    """One engine episode per ground truth in ``truths``: codes, winners and random-pick flags.
+
+    Each scheduled round observes every modeled attribute once. Trial ``t``
+    draws from stream ``(seed, SCORE_STREAM, *key, t)`` and picks ties from
+    ``(seed, PICK_STREAM, *key, t)``.
+    """
+    columns = [(i, k) for k, rounds in schedule for _ in range(rounds) for i in sorted(models)]
+    attrs, bins = [i for i, _ in columns], [k for _, k in columns]
+    z = stream_draws(seed, (SCORE_STREAM, *key), len(truths), len(columns))
+    codes, keys = classify_scores(models, attrs, bins, draw_scores(scenario, np.asarray(truths), attrs, bins, z))
+    winners, random = decide_episodes(
+        codes, keys, scenario.catalog, compute_stats(scenario.catalog), [len(columns)],
+        lambda r: derived_rng(seed, PICK_STREAM, *key, r),
+    )
+    return codes, winners[0], random[0]
 
 
 class TestScenarioValidation:
@@ -179,28 +199,29 @@ class TestStreamKeys:
 
 
 class TestSampling:
-    def test_deterministic_given_stream(self):
+    def test_trial_scores_depend_only_on_their_stream(self):
         scn = tiny_scenario()
-        a = sample_score(scn, 0, "pos", 0, derived_rng(scn.seed, SCORE_STREAM, 3))
-        b = sample_score(scn, 0, "pos", 0, derived_rng(scn.seed, SCORE_STREAM, 3))
-        assert a == b
+        few, many = (stream_draws(scn.seed, (SCORE_STREAM,), trials, 3) for trials in (4, 10))
+        assert np.array_equal(few, many[:4])
+        scores = [draw_scores(scn, np.array([0]), [0, 1, 0], [0, 0, 0], z[3:4]) for z in (few, many)]
+        assert np.array_equal(*scores)
 
     def test_degenerate_stddev(self):
         scn = tiny_scenario(std=1e-9)
-        score = sample_score(scn, 0, "pos", 0, derived_rng(1, 0))
-        assert abs(score - 0.0) < 1e-6
+        score = draw_scores(scn, np.array([0]), [0], [0], derived_rng(1, 0).standard_normal((1, 1)))
+        assert abs(score[0, 0] - 0.0) < 1e-6
 
     def test_law_of_large_numbers(self):
         scn = tiny_scenario(pos_mean=3.0, std=2.0)
-        rng = derived_rng(scn.seed, SCORE_STREAM, 0)
         n = 100_000
-        draws = np.array([sample_score(scn, 0, "pos", 0, rng) for _ in range(n)])
+        z = derived_rng(scn.seed, SCORE_STREAM, 0).standard_normal((n, 1))
+        draws = draw_scores(scn, np.zeros(n, dtype=int), [0], [0], z)  # object 0 has attribute 0
         assert abs(draws.mean() - 3.0) < 3 * 2.0 / np.sqrt(n)
 
     def test_missing_triple(self):
         scn = tiny_scenario()
         with pytest.raises(ScenarioError):
-            sample_score(scn, 0, "pos", 3, derived_rng(1, 0))
+            generate_training_set(scn, 0, 3, 5, 5, derived_rng(1, 0))
 
 
 class TestTrainingSets:
@@ -231,44 +252,29 @@ class TestTrainingSets:
 class TestEpisodes:
     def test_zero_schedule_gives_prior_tie(self):
         scn = tiny_scenario()
-        models = calibrate_scenario(scn)
-        record = run_episode(scn, 0, models, scn.catalog, schedule=[], rng=derived_rng(1, 2))
-        assert record.observations == ()
-        assert record.decision.candidates == (0, 1)
+        codes, _, random = episodes(scn, calibrate_scenario(scn), [0], [], 1)
+        assert codes.shape == (1, 0)
+        assert random.tolist() == [True]  # both objects tie at their equal priors
 
     def test_separable_scenario_always_correct(self):
         scn = tiny_scenario()
-        models = calibrate_scenario(scn)
-        for trial in range(50):
-            gt = trial % 2
-            record = run_episode(
-                scn, gt, models, scn.catalog,
-                schedule=scn.schedule,
-                rng=derived_rng(scn.seed, SCORE_STREAM, trial),
-                trial_index=trial,
-            )
-            assert record.correct, f"trial {trial} misclassified"
+        truths = np.arange(50) % 2
+        _, winners, _ = episodes(scn, calibrate_scenario(scn), truths, scn.schedule, scn.seed)
+        assert np.flatnonzero(winners != truths).tolist() == []
 
     def test_unknown_bin_rejected(self):
         scn = tiny_scenario()
-        models = calibrate_scenario(scn)
         with pytest.raises(ScenarioError):
-            run_episode(scn, 0, models, scn.catalog, schedule=[(4, 1)], rng=derived_rng(1, 0))
+            dataclasses.replace(scn, schedule=((4, 1),))
+        with pytest.raises(ValueError, match="unknown bin index 4"):
+            classify_scores(calibrate_scenario(scn), [0], [4], np.zeros((1, 1)))
 
     def test_bit_identical_records(self):
         scn = tiny_scenario()
         models = calibrate_scenario(scn)
-
-        def run(trial):
-            return run_episode(
-                scn, trial % 2, models, scn.catalog, schedule=scn.schedule,
-                rng=derived_rng(scn.seed, SCORE_STREAM, trial),
-                pick_rng=derived_rng(scn.seed, PICK_STREAM, trial),
-                trial_index=trial, seed=scn.seed,
-            )
-
-        for trial in range(5):
-            assert run(trial) == run(trial)
+        first, second = (episodes(scn, models, np.arange(5) % 2, scn.schedule, scn.seed) for _ in range(2))
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
     def test_trial_streams_differ(self):
         a = derived_rng(7, SCORE_STREAM, 0).normal(size=4)
@@ -290,19 +296,14 @@ def test_accuracy_improves_with_more_observations():
     models = calibrate_scenario(scn)
     assert all(models[i].calibrations[0].reliable for i in range(2))
     assert all(models[i].calibrations[0].ppv < 1.0 for i in range(2))
-    episodes = 500
-    correct = {5: 0, 50: 0}
-    for rounds in correct:
-        for t in range(episodes):
-            record = run_episode(
-                scn, t % 2, models, scn.catalog, schedule=[(0, rounds)],
-                rng=derived_rng(scn.seed, SCORE_STREAM, rounds, t),
-                pick_rng=derived_rng(scn.seed, PICK_STREAM, rounds, t),
-                trial_index=t,
-            )
-            correct[rounds] += record.correct
+    n_episodes = 500
+    truths = np.arange(n_episodes) % 2
+    correct = {}
+    for rounds in (5, 50):
+        _, winners, _ = episodes(scn, models, truths, [(0, rounds)], scn.seed, (rounds,))
+        correct[rounds] = int((winners == truths).sum())
     assert correct[50] >= correct[5]
-    assert correct[50] >= int(0.95 * episodes)
+    assert correct[50] >= int(0.95 * n_episodes)
 
 
 def test_widening_overlap_accuracy_monotone(exp1_scenario):
