@@ -2,17 +2,22 @@
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
+import itertools
 import json
 import math
+import operator
 import sys
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 
 from attrfuse._version import __version__
-from attrfuse.catalog import CatalogError, compute_stats, load_catalog
-from attrfuse.classifier import ModelFileError, load_models, save_models
+from attrfuse.catalog import CatalogError, ObjectCatalog, compute_stats, load_catalog
+from attrfuse.classifier import ClassifierModel, ModelFileError, load_models, save_models
 from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
@@ -36,14 +41,30 @@ from attrfuse.simulator import (
 )
 
 
-def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
-    """Parse observation lines `attribute,bin,score` into (line number, attribute, bin, score).
+_HEADER = ("attribute", "bin", "score")
+_SKIPPED = frozenset(("", "#")).__contains__  # first character of a blank or comment line
+_FIRST = operator.itemgetter(slice(1))
 
-    Blank lines, #-comments and an `attribute,bin,score` header before the
-    first observation are skipped.
+
+def _factorized(items: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct items in first-seen order, and the index of each item among them."""
+    codes = {item: n for n, item in enumerate(dict.fromkeys(items))}
+    return list(codes), np.fromiter(map(codes.__getitem__, items), np.intp, len(items))
+
+
+def _read_observation_columns(path: Path) -> tuple[np.ndarray, list[str], list[int], np.ndarray, np.ndarray]:
+    """Parse observation lines `attribute,bin,score` into columns.
+
+    The columns are the line numbers, the attributes, the distinct bin values
+    with each line's index into them, and the scores. One leading UTF-8
+    byte-order mark, blank lines, #-comments and `attribute,bin,score`
+    headers before the first observation are skipped. The lines are split,
+    stripped and converted in bulk, and each distinct bin string is parsed
+    once; only a malformed file is walked line by line, to name the first
+    line with the wrong field count or an unparsable bin or score.
     """
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise SystemExit(f"{path}: cannot read observations ({exc.strerror})") from None
     try:
@@ -51,21 +72,86 @@ def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
     except UnicodeDecodeError as exc:
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise SystemExit(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
-    rows: list[tuple[int, str, int, float]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = [p.strip() for p in stripped.split(",")]
-        if len(parts) != 3:
-            raise SystemExit(f"{path}:{line_no}: expected `attribute,bin,score`, got {line!r}")
-        if not rows and parts == ["attribute", "bin", "score"]:
-            continue
-        try:
-            rows.append((line_no, parts[0], int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise SystemExit(f"{path}:{line_no}: could not parse bin/score in {line!r}") from None
-    return rows
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    kept_mask = ~np.fromiter(map(_SKIPPED, map(_FIRST, stripped)), bool, len(stripped))
+    kept = list(itertools.compress(stripped, kept_mask.tolist()))
+    numbers = np.flatnonzero(kept_mask) + 1
+    # No kept line holds a line break, so a "\n" can mark the last field of
+    # every line but the last. Each field holds at most one mark, so every
+    # line has 3 fields iff there are 3 per line and the marks all sit in
+    # every third field.
+    fields = "\n,".join(kept).split(",") if kept else []
+    misfit = None  # the first line without 3 fields
+    if len(fields) != 3 * len(kept) or "".join(fields[2::3]).count("\n") != max(len(kept) - 1, 0):
+        misfit = next(n for n, line in enumerate(kept) if line.count(",") != 2)
+        fields = ",".join(kept[:misfit]).split(",") if misfit else []
+    fields = list(map(str.strip, fields))
+    start = len(list(itertools.takewhile(_HEADER.__eq__, zip(*[iter(fields)] * 3))))
+    del fields[: 3 * start]  # the leading header lines
+    attributes, bin_fields, score_fields = fields[0::3], fields[1::3], fields[2::3]
+    distinct_bins, bin_codes = _factorized(bin_fields)
+    bin_values = {}  # each distinct parsable bin string and its value, in first-seen order
+    for field in distinct_bins:
+        with contextlib.suppress(ValueError):
+            bin_values[field] = int(field)
+    try:
+        scores = np.array(score_fields, dtype=float)
+    except ValueError:
+        scores = None
+    if scores is None or len(bin_values) < len(distinct_bins):
+        for n, (bin_field, score_field) in enumerate(zip(bin_fields, score_fields)):
+            try:
+                int(bin_field), float(score_field)
+            except ValueError:
+                line_no = numbers[start + n]
+                raise SystemExit(f"{path}:{line_no}: could not parse bin/score in {lines[line_no - 1]!r}") from None
+    if misfit is not None:
+        line_no = numbers[misfit]
+        raise SystemExit(f"{path}:{line_no}: expected `attribute,bin,score`, got {lines[line_no - 1]!r}")
+    return numbers[start:], attributes, list(bin_values.values()), bin_codes, scores
+
+
+def _checked_observations(
+    path: Path, catalog: ObjectCatalog, models: Mapping[int, ClassifierModel], columns: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line numbers, attribute indices, bins and scores of the observation columns, once every line passes the checks.
+
+    The checks are, in order: a known attribute, a calibrated model for it,
+    a finite score and a bin its model calibrates. Each distinct attribute
+    is looked up once and each distinct (attribute, bin) pair checked once;
+    the first failing line in file order stops the run with the message of
+    its first failing check.
+    """
+    numbers, attributes, bin_values, bin_codes, scores = columns
+    index = {attribute: i for i, attribute in enumerate(catalog.attributes)}
+    distinct, attribute_codes = _factorized(attributes)
+    modeled = np.array([index[a] if index.get(a) in models else -1 for a in distinct], dtype=np.intp)
+    pair_key = attribute_codes * len(bin_values) + bin_codes
+    _, first, pair_codes = np.unique(pair_key, return_index=True, return_inverse=True)
+    pairs = zip(modeled[attribute_codes[first]].tolist(), bin_codes[first].tolist())  # each distinct pair once
+    known = np.array([i >= 0 and bin_values[k] in models[i].calibrations for i, k in pairs], dtype=bool)
+    failed = ~known[pair_codes] | ~np.isfinite(scores)
+    if failed.any():
+        n = int(np.argmax(failed))
+        message = _first_failed_check(catalog, models, attributes[n], bin_values[bin_codes[n]], float(scores[n]))
+        raise SystemExit(f"{path}:{numbers[n]}: {message}")
+    return numbers, modeled[attribute_codes], np.array(bin_values, dtype=np.intp)[bin_codes], scores
+
+
+def _first_failed_check(
+    catalog: ObjectCatalog, models: Mapping[int, ClassifierModel], attribute_id: str, bin_index: int, score: float
+) -> str:
+    """The message of the first check that one observation line fails."""
+    try:
+        i = catalog.attribute_index(attribute_id)
+    except CatalogError as exc:
+        return str(exc)
+    if i not in models:
+        return f"no calibrated model for attribute {attribute_id!r}"
+    if not math.isfinite(score):
+        return f"score must be finite, got {score!r}"
+    return f"unknown bin index {bin_index}"
 
 
 def _seed(text: str) -> int:
@@ -73,6 +159,17 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _positive_int(text: str) -> int:
+    """A ``--trials`` value: a positive integer, read as ``int`` reads it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _timed(harness, *args, **kwargs):
@@ -100,27 +197,13 @@ def _cmd_fuse(args) -> int:
     models = load_models(args.model, catalog)
     stats = compute_stats(catalog)
     obs_path = Path(args.obs)
-    rows = _read_observation_lines(obs_path)
-    lines: list[tuple[int, int, float]] = []  # (attribute index, bin, score) per row
-    for line_no, attribute_id, bin_index, score in rows:
-        try:  # unknown attribute, unmodeled attribute, non-finite score, unknown bin
-            i = catalog.attribute_index(attribute_id)
-            if i not in models:
-                raise ValueError(f"no calibrated model for attribute {attribute_id!r}")
-            if not math.isfinite(score):
-                raise ValueError(f"score must be finite, got {score!r}")
-            if bin_index not in models[i].calibrations:
-                raise ValueError(f"unknown bin index {bin_index}")
-        except ValueError as exc:
-            raise SystemExit(f"{obs_path}:{line_no}: {exc}") from None
-        lines.append((i, bin_index, score))
-    attrs, bins, scores = zip(*lines) if lines else ((), (), ())
-    codes, keys = classify_scores(models, attrs, bins, np.array([scores], dtype=float))
-    constant = np.flatnonzero((codes[0] < len(keys)) & ~stats.usable[np.array(attrs, dtype=np.intp)])
+    numbers, attrs, bins, scores = _checked_observations(obs_path, catalog, models, _read_observation_columns(obs_path))
+    codes, keys = classify_scores(models, attrs, bins, scores[None, :])
+    constant = np.flatnonzero((codes[0] < len(keys)) & ~stats.usable[attrs])
     if constant.size:  # the first adopted line of an attribute that no object lacks or every object lacks
         n = constant[0]
         raise SystemExit(
-            f"{obs_path}:{rows[n][0]}: attribute index {attrs[n]} is constant across the catalog and cannot be fused"
+            f"{obs_path}:{numbers[n]}: attribute index {attrs[n]} is constant across the catalog and cannot be fused"
         )
     state = counted_posterior(catalog, stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
     adopted = sum(state.counts.values())
@@ -132,7 +215,7 @@ def _cmd_fuse(args) -> int:
         "tie_broken_by": decision.tie_broken_by,
         "posterior": {catalog.objects[j]: float(probs[j]) for j in range(catalog.n_objects)},
         "adopted_observations": adopted,
-        "discarded_observations": len(rows) - adopted,
+        "discarded_observations": len(numbers) - adopted,
         "positive_counts": {catalog.attributes[i]: n for i, n in sorted(state.outcome_counts("positive").items())},
         "negative_counts": {catalog.attributes[i]: n for i, n in sorted(state.outcome_counts("negative").items())},
         "saturated": state.saturated,
@@ -243,13 +326,13 @@ def main(argv: list[str] | None = None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True)
-        p.add_argument("--trials", type=int, default=default, help=trials_help)
+        p.add_argument("--trials", type=_positive_int, default=default, help=trials_help)
         p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("theorems", help="run the exact-recognition and convergence Monte Carlo suites")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=_positive_int, default=2000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theorems)

@@ -349,18 +349,22 @@ def classify_scores(
     positive side. A NaN score compares false and reads as uncertain, so
     callers with external scores reject non-finite ones first.
     """
-    pairs: dict[tuple[int, int], int] = {}  # each distinct (attribute, bin) and its index
-    column = np.array([pairs.setdefault(pair, len(pairs)) for pair in zip(attributes, bins)], dtype=np.intp)
+    attributes = np.asarray(attributes, dtype=np.intp)
+    bins = np.asarray(bins, dtype=np.intp)
+    low = bins.min(initial=0)
+    span = bins.max(initial=0) - low + 1
+    encoded, column = np.unique(attributes * span + (bins - low), return_inverse=True)
+    pairs = list(zip((encoded // span).tolist(), (encoded % span + low).tolist()))  # each distinct pair once
+    unknown = [k not in models[i].calibrations for i, k in pairs]
+    if any(unknown):  # name the first unknown pair in column order
+        raise ValueError(f"unknown bin index {bins[np.argmax(np.array(unknown)[column])]}")
     sign = np.empty(len(pairs))
     theta_pos = np.full(len(pairs), np.nan)  # nan never compares true: uncertain
     theta_neg = np.full(len(pairs), np.nan)
     adopted: list[tuple[FactorKey, FactorKey] | None] = []
     for p, (i, k) in enumerate(pairs):
         model = models[i]
-        try:
-            cal = model.calibrations[k]
-        except KeyError:
-            raise ValueError(f"unknown bin index {k}") from None
+        cal = model.calibrations[k]
         sign[p] = 1.0 if model.orientation == "lower_is_positive" else -1.0
         adopted.append(((i, "positive", cal.ppv), (i, "negative", cal.npv)) if cal.reliable else None)
         if cal.reliable:

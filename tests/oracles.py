@@ -5,12 +5,16 @@ calibration oracles use exact Fraction arithmetic and share no code with the
 package under test. The one-observation loop that the batched engine and
 ``attrfuse fuse`` replaced (``sample_score`` -> ``make_observation`` ->
 ``update``) is kept as the reference the engine is compared against bit for
-bit. These references may import package types (``PosteriorState``, the
+bit, and the line-by-line observation reader and checks that ``attrfuse
+fuse`` ran before it read columns are the reference for the columnar
+reader. These references may import package types (``PosteriorState``, the
 models and scenarios they read) and the per-factor log rows of
 ``factor_table``, but none of the code paths they check.
 """
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from attrfuse.fusion import PosteriorState, factor_table
 
@@ -172,3 +176,57 @@ def update(state, observation, model, stats):
     counts = dict(state.counts)
     counts[key] = counts.get(key, 0) + 1
     return PosteriorState(state.log_prior, counts, factors)
+
+
+# ---------------------------------------------------------------------------
+# The line-by-line observation reader and checks of ``attrfuse fuse``.
+
+
+def _read_observation_lines(path: Path) -> list[tuple[int, str, int, float]]:
+    """Parse observation lines `attribute,bin,score` into (line number, attribute, bin, score).
+
+    Blank lines, #-comments and an `attribute,bin,score` header before the
+    first observation are skipped.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read observations ({exc.strerror})") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise SystemExit(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
+    rows: list[tuple[int, str, int, float]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = [p.strip() for p in stripped.split(",")]
+        if len(parts) != 3:
+            raise SystemExit(f"{path}:{line_no}: expected `attribute,bin,score`, got {line!r}")
+        if not rows and parts == ["attribute", "bin", "score"]:
+            continue
+        try:
+            rows.append((line_no, parts[0], int(parts[1]), float(parts[2])))
+        except ValueError:
+            raise SystemExit(f"{path}:{line_no}: could not parse bin/score in {line!r}") from None
+    return rows
+
+
+def checked_observation_lines(path, catalog, models):
+    """(line number, attribute index, bin, score) of every observation line, checked one line at a time."""
+    lines = []
+    for line_no, attribute_id, bin_index, score in _read_observation_lines(path):
+        try:  # unknown attribute, unmodeled attribute, non-finite score, unknown bin
+            i = catalog.attribute_index(attribute_id)
+            if i not in models:
+                raise ValueError(f"no calibrated model for attribute {attribute_id!r}")
+            if not math.isfinite(score):
+                raise ValueError(f"score must be finite, got {score!r}")
+            if bin_index not in models[i].calibrations:
+                raise ValueError(f"unknown bin index {bin_index}")
+        except ValueError as exc:
+            raise SystemExit(f"{path}:{line_no}: {exc}") from None
+        lines.append((line_no, i, bin_index, score))
+    return lines

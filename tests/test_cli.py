@@ -4,12 +4,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attrfuse.catalog import ObjectCatalog
-from attrfuse.classifier import make_synthetic_model, save_models
-from attrfuse.cli import main
+from attrfuse.catalog import ObjectCatalog, load_catalog
+from attrfuse.classifier import load_models, make_synthetic_model, save_models
+from attrfuse.cli import _checked_observations, _read_observation_columns, main
+from oracles import checked_observation_lines
+
+BOM = b"\xef\xbb\xbf"
 
 
 def test_version(capsys):
@@ -170,6 +173,91 @@ def test_fuse_input_fuzz(repo_root, exp2_models, lines, newline):
         _fuse(repo_root, exp2_models, obs)
     except SystemExit as exc:
         assert isinstance(exc.code, str) and exc.code.startswith(f"{obs}:"), exc.code
+
+
+# headers, comments and blank lines, and lines whose bins and scores only Python's int and float parse
+# (the exp2 models calibrate bin 0 alone)
+_ODD_LINE = st.sampled_from([
+    b"attribute,bin,score", b" attribute , bin,score\t", b"  # comment, with, commas", b"\t#", b"", b" ",
+    b"box shape,0", b"box shape,0,1.5,2",  # two such lines hold 3 fields per line between them
+]) | st.builds(
+    lambda attribute, bin_index, score: f"{attribute},{bin_index},{score}".encode(),
+    st.sampled_from(["box shape", " cup shape", "bottle shape"]),
+    st.sampled_from(["0", "+0", "0_0", "\u0660", "-0", "0.0", "+1", "1_0", "\u0661"]),
+    st.sampled_from(["infinity", "1_0.5", "-2.5", "\u0661.5", "-0.0", "3"]),
+)
+_BREAK = st.sampled_from([b"\n", b"\r\n", b"\r", b"\x0c", "\x85".encode(), "\u2028".encode()])
+
+
+@settings(max_examples=300, deadline=None)
+@example(lines=[(b"box shape,0", b"\n"), (b"box shape,0,1.5,2", b"\n")], fuzz=[], bom=False)
+@given(
+    lines=st.lists(st.tuples(_ODD_LINE, _BREAK), max_size=8),
+    fuzz=st.lists(st.tuples(st.integers(0, 8), st.tuples(_FUSE_LINE, _BREAK)), max_size=2),
+    bom=st.booleans(),
+)
+def test_columnar_reader_matches_line_reader(repo_root, exp2_models, lines, fuzz, bom):
+    """The columnar reader and checks give the line-by-line reference's rows, or its message.
+
+    The one intended difference is the byte-order mark: a leading one is
+    dropped, so the reference reads the bytes without it.
+    """
+    catalog = load_catalog(repo_root / "catalogs" / "exp2.json")
+    models = load_models(exp2_models, catalog)
+    for position, line in fuzz:
+        lines.insert(position, line)
+    data = (BOM if bom else b"") + b"".join(line + newline for line, newline in lines)
+    obs = exp2_models.parent / "differential.csv"
+
+    def outcome(read):
+        try:
+            return [(n, i, k, score.hex()) for n, i, k, score in read()]
+        except SystemExit as exc:
+            return exc.code
+
+    obs.write_bytes(data.removeprefix(BOM))
+    expected = outcome(lambda: checked_observation_lines(obs, catalog, models))
+    obs.write_bytes(data)
+
+    def columnar():
+        columns = _checked_observations(obs, catalog, models, _read_observation_columns(obs))
+        return zip(*(column.tolist() for column in columns))
+
+    assert outcome(columnar) == expected
+
+
+@pytest.mark.parametrize(
+    "text", [b"attribute,bin,score\nbox shape,0,1.0\n", b"box shape,0,1.0\n"], ids=["header", "data"]
+)
+def test_fuse_drops_a_leading_byte_order_mark(repo_root, exp2_models, tmp_path, text):
+    obs = tmp_path / "obs.csv"
+    obs.write_bytes(BOM + text)
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text)
+    record = _fuse(repo_root, exp2_models, obs)
+    assert record["adopted_observations"] + record["discarded_observations"] == 1
+    assert record == _fuse(repo_root, exp2_models, plain)
+
+
+def test_fuse_locates_non_utf8_line_after_byte_order_mark(repo_root, exp2_models, tmp_path):
+    obs = tmp_path / "obs.csv"
+    obs.write_bytes(BOM + b"attribute,bin,score\nbox shape,0,1.0\nbox shape,0,\xff\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:3: not UTF-8 text"):
+        _fuse(repo_root, exp2_models, obs)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("command", ["exp1", "exp2", "exp3", "theorems"])
+def test_non_positive_trials_is_a_usage_error(repo_root, tmp_path, capsys, command, trials):
+    scenario = repo_root / "scenarios" / f"{command}.json"
+    args = [] if command == "theorems" else ["--scenario", str(scenario), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--trials", trials])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --trials: expected a positive integer, got '{trials}'" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["calibrate", "fuse", "exp1", "exp2", "exp3", "theorems"])

@@ -268,6 +268,9 @@ class TestEpisodes:
             dataclasses.replace(scn, schedule=((4, 1),))
         with pytest.raises(ValueError, match="unknown bin index 4"):
             classify_scores(calibrate_scenario(scn), [0], [4], np.zeros((1, 1)))
+        # the first unknown pair in column order is named, not the smallest
+        with pytest.raises(ValueError, match="unknown bin index 9$"):
+            classify_scores(calibrate_scenario(scn), [0, 0, 0], [0, 9, -7], np.zeros((1, 3)))
 
     def test_bit_identical_records(self):
         scn = tiny_scenario()
