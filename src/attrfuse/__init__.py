@@ -26,9 +26,7 @@ from attrfuse.classifier import (
     ModelFileError,
     kde_density,
     load_models,
-    make_synthetic_model,
     save_models,
-    single_threshold_baseline,
 )
 from attrfuse.fusion import (
     Decision,
@@ -92,12 +90,10 @@ __all__ = [
     "load_catalog",
     "load_models",
     "load_scenario",
-    "make_synthetic_model",
     "posterior",
     "posterior_ratio",
     "required_predictive_values",
     "requirement_report",
     "save_models",
-    "single_threshold_baseline",
     "unique_candidates",
 ]

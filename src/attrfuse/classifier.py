@@ -234,11 +234,6 @@ def single_threshold_calibration(
     return _record(s, i, i, bin_index)
 
 
-def single_threshold_baseline(pos_scores, neg_scores, orientation: Orientation = "lower_is_positive") -> float:
-    """Single threshold minimizing total misclassifications on the training sample (see :func:`single_threshold_calibration`)."""
-    return single_threshold_calibration(pos_scores, neg_scores, orientation).theta_pos
-
-
 def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
     """Gaussian kernel density estimate with a fixed kernel standard deviation."""
     s = np.asarray(scores, dtype=float).ravel()
@@ -249,41 +244,6 @@ def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
     x = np.atleast_1d(np.asarray(eval_points, dtype=float))
     z = (x[:, None] - s[None, :]) / bandwidth
     return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
-
-
-def make_synthetic_model(
-    attribute_index: int,
-    ppv: float,
-    npv: float,
-    bins: tuple[int, ...] = (0,),
-    detection_rate: float = 1.0,
-    true_negative_rate: float = 1.0,
-    orientation: Orientation = "lower_is_positive",
-) -> ClassifierModel:
-    """Model with assumed predictive values, for harnesses that draw outcomes directly.
-
-    Thresholds are nominal (0 and 1), fitted to no scores; the model exists
-    so that posterior counts (``counted_posterior``, ``decide_episodes``)
-    can consume the stated predictive values.
-    """
-    fp_rate = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
-    fn_rate = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
-    cals = {
-        k: BinCalibration(
-            bin_index=k,
-            theta_pos=0.0,
-            theta_neg=1.0,
-            ppv=float(ppv),
-            npv=float(npv),
-            detection_rate=float(detection_rate),
-            true_negative_rate=float(true_negative_rate),
-            false_positive_rate=float(fp_rate),
-            false_negative_rate=float(fn_rate),
-            reliable=True,
-        )
-        for k in bins
-    }
-    return ClassifierModel(attribute_index=attribute_index, orientation=orientation, calibrations=cals)
 
 
 def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, path: str | Path) -> None:

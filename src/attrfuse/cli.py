@@ -270,7 +270,9 @@ def _cmd_experiment(args) -> int:
     result, wall_s = _timed(harness, scenario, trials=args.trials, seed=seed)
     paths = write(result, args.out)
     trials = result.n_pos if args.trials is None else args.trials  # exp1 defaults to the calibration counts
-    write_manifest(args.out, args.command, seed, trials, scenario=scenario, wall_s=wall_s)
+    # exp1 draws n_pos and n_neg scores per bin, which differ when they default to the calibration counts
+    extra = {"n_pos": result.n_pos, "n_neg": result.n_neg} if args.command == "exp1" else None
+    write_manifest(args.out, args.command, seed, trials, scenario=scenario, extra=extra, wall_s=wall_s)
     print("\n".join(table(scenario, result)))
     print(f"wrote {', '.join(str(p) for p in paths)}")
     return 0
@@ -291,7 +293,8 @@ def _cmd_theorems(args) -> int:
     )
     if args.out:
         write_theorem_csv(report, args.out)
-        write_manifest(args.out, "theorems", args.seed, args.trials, wall_s=wall_s)
+        extra = {"exact_cases": report.exact_cases, "exact_correct": report.exact_correct}
+        write_manifest(args.out, "theorems", args.seed, args.trials, extra=extra, wall_s=wall_s)
         print(f"wrote {Path(args.out) / 'theorem_convergence.csv'}")
     return 0 if report.all_pass else 1
 

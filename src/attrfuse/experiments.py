@@ -31,7 +31,7 @@ import numpy as np
 
 from attrfuse._version import __version__
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import ClassifierModel, kde_density, make_synthetic_model, single_threshold_calibration
+from attrfuse.classifier import ClassifierModel, kde_density, single_threshold_calibration
 from attrfuse.fusion import counted_posterior, decide
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
@@ -55,6 +55,8 @@ from attrfuse.theory import required_predictive_values
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy 2.0 renamed trapz to trapezoid
 
+EXP1_BANDWIDTH = 3.0  # KDE kernel standard deviation, in score units
+EXP1_GRID_POINTS = 256
 EXP3_SYSTEMS = ("fine", "coarse", "all")
 
 
@@ -71,7 +73,6 @@ def halfwidth(rate: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class DistributionShiftResult:
-    attribute_index: int
     bins: tuple[tuple[float, float], ...]
     grid: np.ndarray
     pos_density: np.ndarray
@@ -79,19 +80,15 @@ class DistributionShiftResult:
     overlap: np.ndarray
     n_pos: int
     n_neg: int
-    bandwidth: float
 
 
 def experiment1_distribution_shift(
     scenario: Scenario,
     n_pos: int | None = None,
     n_neg: int | None = None,
-    bandwidth: float = 3.0,
-    grid_points: int = 256,
     seed: int | None = None,
-    attribute_index: int | None = None,
 ) -> DistributionShiftResult:
-    """Per-bin KDE curves for one attribute plus an overlap coefficient per bin.
+    """Per-bin KDE curves for the scenario's ``kde_attribute`` plus an overlap coefficient per bin.
 
     The overlap coefficient is the integral of the pointwise minimum of the
     positive- and negative-class density estimates; wider class overlap in a
@@ -102,7 +99,7 @@ def experiment1_distribution_shift(
         raise ScenarioError("distribution-shift experiment needs at least 2 bins")
     if seed is None:
         seed = scenario.seed
-    i = scenario.kde_attribute if attribute_index is None else attribute_index
+    i = scenario.kde_attribute
     catalog = scenario.catalog
     n_pos_objects = int(catalog.matrix[:, i].sum())
     n_neg_objects = catalog.n_objects - n_pos_objects
@@ -121,16 +118,15 @@ def experiment1_distribution_shift(
         neg_scores.append(rng.normal(nm.mean, nm.stddev, size=n_neg))
 
     everything = np.concatenate(pos_scores + neg_scores)
-    lo = everything.min() - 3.0 * bandwidth
-    hi = everything.max() + 3.0 * bandwidth
-    grid = np.linspace(lo, hi, grid_points)
-    pos_density = np.stack([kde_density(s, bandwidth, grid) for s in pos_scores])
-    neg_density = np.stack([kde_density(s, bandwidth, grid) for s in neg_scores])
+    lo = everything.min() - 3.0 * EXP1_BANDWIDTH
+    hi = everything.max() + 3.0 * EXP1_BANDWIDTH
+    grid = np.linspace(lo, hi, EXP1_GRID_POINTS)
+    pos_density = np.stack([kde_density(s, EXP1_BANDWIDTH, grid) for s in pos_scores])
+    neg_density = np.stack([kde_density(s, EXP1_BANDWIDTH, grid) for s in neg_scores])
     overlap = np.array(
         [float(_trapezoid(np.minimum(pos_density[k], neg_density[k]), grid)) for k in range(scenario.n_bins)]
     )
     return DistributionShiftResult(
-        attribute_index=i,
         bins=scenario.bins,
         grid=grid,
         pos_density=pos_density,
@@ -138,7 +134,6 @@ def experiment1_distribution_shift(
         overlap=overlap,
         n_pos=n_pos,
         n_neg=n_neg,
-        bandwidth=bandwidth,
     )
 
 
@@ -342,12 +337,14 @@ class TheoremReport:
 
 
 def random_exact_recognition_case(rng: np.random.Generator):
-    """Random small catalog, bound-satisfying synthetic models, and correct,
+    """Random small catalog, bound-satisfying predictive values, and correct,
     uniquely identifying observations for the ground-truth object.
 
-    Returns (catalog, stats, models, ground_truth, observations) where
-    observations is a shuffled multiset of (attribute_index, outcome) pairs
-    covering the ground truth's full positive and negative index sets.
+    Returns (catalog, stats, ppv, npv, ground_truth, observations), where
+    ``ppv[i]`` and ``npv[i]`` are attribute ``i``'s predictive values, each
+    at or above its floor from :func:`required_predictive_values`, and
+    observations is a multiset of (attribute_index, outcome) pairs covering
+    the ground truth's full positive and negative index sets.
     """
     n_objects = int(rng.integers(2, 7))
     n_attributes = int(rng.integers(3, 9))
@@ -366,21 +363,18 @@ def random_exact_recognition_case(rng: np.random.Generator):
         priors=priors,
     )
     stats = compute_stats(catalog)
-    models = {}
+    ppv, npv = [], []
     for i in range(n_attributes):
         ppv_bound, npv_bound = required_predictive_values(stats, i)
-        ppv = min(1.0, ppv_bound + float(rng.uniform(0.02, 1.0)) * (1.0 - ppv_bound))
-        npv = min(1.0, npv_bound + float(rng.uniform(0.02, 1.0)) * (1.0 - npv_bound))
-        models[i] = make_synthetic_model(i, ppv, npv)
+        ppv.append(min(1.0, ppv_bound + float(rng.uniform(0.02, 1.0)) * (1.0 - ppv_bound)))
+        npv.append(min(1.0, npv_bound + float(rng.uniform(0.02, 1.0)) * (1.0 - npv_bound)))
     ground_truth = int(rng.integers(n_objects))
     row = catalog.matrix[ground_truth]
     observations = [(i, "positive") for i in np.flatnonzero(row).tolist()]
     observations += [(i, "negative") for i in np.flatnonzero(row == 0).tolist()]
     for _ in range(int(rng.integers(0, 4))):
         observations.append(observations[int(rng.integers(len(observations)))])
-    order = rng.permutation(len(observations))
-    observations = [observations[int(idx)] for idx in order]
-    return catalog, stats, models, ground_truth, observations
+    return catalog, stats, ppv, npv, ground_truth, observations
 
 
 def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
@@ -388,11 +382,10 @@ def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
     correct = 0
     rng = np.random.Generator(np.random.Philox(0))
     for case_key in stream_keys(seed, (CASE_STREAM,), cases):
-        catalog, stats, models, ground_truth, observations = random_exact_recognition_case(load_key(rng, case_key))
+        catalog, stats, ppv, npv, ground_truth, observations = random_exact_recognition_case(load_key(rng, case_key))
         counts: dict = {}
         for i, outcome in observations:
-            cal = models[i].calibrations[0]
-            key = (i, outcome, cal.ppv if outcome == "positive" else cal.npv)
+            key = (i, outcome, ppv[i] if outcome == "positive" else npv[i])
             counts[key] = counts.get(key, 0) + 1
         state = counted_posterior(catalog, stats, counts)
         decision = decide(state, catalog)

@@ -13,7 +13,7 @@ set replaces it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -30,36 +30,34 @@ FactorKey = tuple[int, str, float]
 
 @dataclass(frozen=True)
 class PosteriorState:
-    """Unnormalized log posterior: the log prior plus how often each factor was adopted.
+    """Unnormalized log posterior: how often each factor was adopted, and their tally row.
 
-    ``factors`` holds each adopted factor's per-object log row (``-inf``
-    where the factor is 0) from its first adoption. Neither mapping is ever
-    mutated, and any order of the same observations gives the same counts.
+    ``counts`` holds the adopted keys with positive counts, in sorted key
+    order. ``hits`` and ``finite`` are the :func:`tally` row of those
+    counts, made read-only: per object, the zero-factor hits, and the log
+    prior plus every finite log factor. Any order of the same observations
+    gives the same state.
     """
 
-    log_prior: np.ndarray
-    counts: Mapping[FactorKey, int] = field(default_factory=dict)
-    factors: Mapping[FactorKey, np.ndarray] = field(default_factory=dict)
+    counts: Mapping[FactorKey, int]
+    hits: np.ndarray
+    finite: np.ndarray
 
-    @cached_property
-    def _tally(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per object: zero-factor hits, and the log prior plus every finite log factor."""
-        keys = sorted(self.counts)
-        table = np.array([self.factors[key] for key in keys]).reshape(len(keys), self.log_prior.size)
-        hits, finite = tally(self.log_prior, np.array([[self.counts[key] for key in keys]], dtype=np.int64), table)
-        return hits[0], finite[0]
+    def __post_init__(self):
+        self.hits.setflags(write=False)
+        self.finite.setflags(write=False)
 
     @cached_property
     def log_weights(self) -> np.ndarray:
         """The finite sums of the objects with the fewest zero-factor hits; ``-inf`` for every other object."""
-        log_weights = map_log_weights(*self._tally)
+        log_weights = map_log_weights(self.hits, self.finite)
         log_weights.setflags(write=False)
         return log_weights
 
     @property
     def saturated(self) -> bool:
         """Whether some object has been hit by a zero factor."""
-        return bool(self._tally[0].any())
+        return bool(self.hits.any())
 
     def outcome_counts(self, outcome: Outcome) -> dict[int, int]:
         """Adoptions of ``outcome`` per attribute index; attributes without any are absent."""
@@ -87,9 +85,7 @@ class Decision:
 
 def init_posterior(catalog: ObjectCatalog) -> PosteriorState:
     """Posterior initialized to the catalog priors with no adopted observations."""
-    log_prior = np.log(catalog.priors)
-    log_prior.setflags(write=False)
-    return PosteriorState(log_prior)
+    return PosteriorState({}, np.zeros(catalog.n_objects, dtype=np.int64), np.log(catalog.priors))
 
 
 def posterior(state: PosteriorState) -> np.ndarray:
@@ -108,9 +104,7 @@ def _log_factor_row(key: FactorKey, stats: CatalogStats) -> np.ndarray:
     p_match, p_other = predictive_value, 1.0 - predictive_value
     if outcome == "negative":
         p_match, p_other = p_other, p_match
-    row = np.where(stats.positive_mask[i], _log(p_match) - math.log(w), _log(p_other) - math.log(1.0 - w))
-    row.setflags(write=False)
-    return row
+    return np.where(stats.positive_mask[i], _log(p_match) - math.log(w), _log(p_other) - math.log(1.0 - w))
 
 
 def factor_table(keys: Sequence[FactorKey], stats: CatalogStats) -> np.ndarray:
@@ -162,10 +156,10 @@ def pick_tied(prior_best: np.ndarray, rng: np.random.Generator) -> int:
 
 def counted_posterior(catalog: ObjectCatalog, stats: CatalogStats, counts: Mapping[FactorKey, int]) -> PosteriorState:
     """The posterior after each factor key's count of adopted observations."""
-    counts = {key: int(n) for key, n in counts.items() if n}
-    keys = sorted(counts)
-    factors = dict(zip(keys, factor_table(keys, stats)))
-    return PosteriorState(init_posterior(catalog).log_prior, counts, factors)
+    counts = {key: int(counts[key]) for key in sorted(counts) if counts[key]}
+    row = np.array([list(counts.values())], dtype=np.int64)
+    hits, finite = tally(np.log(catalog.priors), row, factor_table(list(counts), stats))
+    return PosteriorState(counts, hits[0], finite[0])
 
 
 def decide(state: PosteriorState, catalog: ObjectCatalog, rng: np.random.Generator | None = None) -> Decision:
@@ -193,7 +187,7 @@ def posterior_ratio(state: PosteriorState, object_a: int, object_b: int) -> floa
     It is ``+inf`` when ``object_a`` has fewer zero-factor hits than
     ``object_b``, and ``-inf`` when it has more.
     """
-    hits, finite = state._tally
+    hits, finite = state.hits, state.finite
     for j in (object_a, object_b):
         if not 0 <= j < finite.shape[0]:
             raise IndexError(f"object index {j} out of range")

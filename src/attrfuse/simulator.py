@@ -39,7 +39,6 @@ from attrfuse.classifier import (
 from attrfuse.fusion import (
     FactorKey,
     factor_table,
-    init_posterior,
     map_log_weights,
     pick_tied,
     tally,
@@ -401,7 +400,7 @@ def decide_episodes(
     (checkpoints x rows) arrays.
     """
     table = factor_table(keys, stats)
-    log_prior = init_posterior(catalog).log_prior
+    log_prior = np.log(catalog.priors)
     rows, n_codes = codes.shape[0], len(keys) + 1
     offsets = n_codes * np.arange(rows)[:, None]
     counts = np.zeros((rows, n_codes), dtype=np.int64)

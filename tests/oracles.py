@@ -7,16 +7,19 @@ package under test. The one-observation loop that the batched engine and
 ``update``) is kept as the reference the engine is compared against bit for
 bit, and the line-by-line observation reader and checks that ``attrfuse
 fuse`` ran before it read columns are the reference for the columnar
-reader. These references may import package types (``PosteriorState``, the
-models and scenarios they read) and the per-factor log rows of
-``factor_table``, but none of the code paths they check.
+reader. These references may import package types (the models and
+scenarios they read), and the one-observation ``update`` builds each state
+through ``counted_posterior``, but none of the batched code paths they
+check. ``make_synthetic_model`` builds the models with stated predictive
+values that the posterior and theory tests feed them.
 """
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from attrfuse.fusion import PosteriorState, factor_table
+from attrfuse.classifier import BinCalibration, ClassifierModel
+from attrfuse.fusion import counted_posterior
 
 
 def posterior_oracle(priors, matrix, observations, ppv, npv):
@@ -110,6 +113,29 @@ def count_rates(pos, neg, theta_pos, theta_neg):
     return ppv, tp / len(pos), npv, tn / len(neg)
 
 
+def make_synthetic_model(attribute_index, ppv, npv, detection_rate=1.0, true_negative_rate=1.0):
+    """Model with assumed predictive values in bin 0, for tests that draw outcomes directly.
+
+    Thresholds are nominal (0 and 1), fitted to no scores. The false rates
+    are those the predictive values imply under equal priors.
+    """
+    fp_rate = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
+    fn_rate = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
+    cal = BinCalibration(
+        bin_index=0,
+        theta_pos=0.0,
+        theta_neg=1.0,
+        ppv=float(ppv),
+        npv=float(npv),
+        detection_rate=float(detection_rate),
+        true_negative_rate=float(true_negative_rate),
+        false_positive_rate=float(fp_rate),
+        false_negative_rate=float(fn_rate),
+        reliable=True,
+    )
+    return ClassifierModel(attribute_index=attribute_index, orientation="lower_is_positive", calibrations={0: cal})
+
+
 def factor_counts(observations):
     """Adoptions per factor key of (model, outcome) observations in bin 0, in first-seen key order.
 
@@ -166,16 +192,15 @@ def make_observation(model, bin_index, score):
     return Observation(model.attribute_index, bin_index, classify(model, bin_index, score))
 
 
-def update(state, observation, model, stats):
+def update(state, observation, model, catalog, stats):
     """Count one observation into the posterior; uncertain ones and unreliable bins return ``state`` itself."""
     cal = model.calibrations[observation.bin_index]
     if observation.outcome == "uncertain" or not cal.reliable:
         return state
     key = (observation.attribute_index, observation.outcome, cal.ppv if observation.outcome == "positive" else cal.npv)
-    factors = state.factors if key in state.factors else {**state.factors, key: factor_table([key], stats)[0]}
     counts = dict(state.counts)
     counts[key] = counts.get(key, 0) + 1
-    return PosteriorState(state.log_prior, counts, factors)
+    return counted_posterior(catalog, stats, counts)
 
 
 # ---------------------------------------------------------------------------

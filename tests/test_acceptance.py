@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import make_synthetic_model
 from attrfuse.fusion import counted_posterior, init_posterior, posterior
 from attrfuse.experiments import (
     convergence_suite,
@@ -28,7 +27,7 @@ from attrfuse.simulator import (
     draw_training_sets,
 )
 
-from oracles import count_rates, factor_counts, posterior_oracle
+from oracles import count_rates, factor_counts, make_synthetic_model, posterior_oracle
 
 
 def _report(number: int, description: str, passed: bool):

@@ -21,9 +21,7 @@ from attrfuse.classifier import (
     calibrate_bin,
     kde_density,
     load_models,
-    make_synthetic_model,
     save_models,
-    single_threshold_baseline,
     single_threshold_calibration,
 )
 from attrfuse.simulator import calibrate_scenario, classify_scores, derived_rng
@@ -64,7 +62,7 @@ class TestCalibrateBin:
         with pytest.raises(CalibrationError):
             calibrate_bin(pos, neg)
         with pytest.raises(CalibrationError):
-            single_threshold_baseline(pos, neg)
+            single_threshold_calibration(pos, neg)
 
     def test_bad_targets_rejected(self):
         with pytest.raises(CalibrationError):
@@ -194,27 +192,27 @@ class TestClassifyScores:
 
 class TestSingleThresholdBaseline:
     def test_separated(self):
-        assert single_threshold_baseline([1, 2, 3], [10, 11, 12]) == 6.5
+        assert single_threshold_calibration([1, 2, 3], [10, 11, 12]).theta_pos == 6.5
 
     def test_interleaved_tie_break(self):
-        theta = single_threshold_baseline([1, 3], [2, 4])
+        theta = single_threshold_calibration([1, 3], [2, 4]).theta_pos
         oracle_theta, oracle_errors = bayes_threshold_oracle([1, 3], [2, 4])
         assert theta == oracle_theta == 1.5
         assert oracle_errors == 1
 
     def test_degenerate_overlap_is_deterministic(self):
-        a = single_threshold_baseline([5, 6], [5, 6])
-        b = single_threshold_baseline([5, 6], [5, 6])
+        a = single_threshold_calibration([5, 6], [5, 6]).theta_pos
+        b = single_threshold_calibration([5, 6], [5, 6]).theta_pos
         assert a == b
 
     def test_empty_rejected(self):
         with pytest.raises(CalibrationError):
-            single_threshold_baseline([], [1])
+            single_threshold_calibration([], [1])
 
     @given(score_lists, score_lists)
     @settings(max_examples=80, deadline=None)
     def test_matches_loop_oracle(self, pos, neg):
-        assert single_threshold_baseline(pos, neg) == bayes_threshold_oracle(pos, neg)[0]
+        assert single_threshold_calibration(pos, neg).theta_pos == bayes_threshold_oracle(pos, neg)[0]
 
 
 class TestKde:
@@ -281,14 +279,6 @@ class TestPersistence:
         path, attribute, k = self._saved_record(exp2_scenario, tmp_path, lambda rec: rec.update({key: value}))
         with pytest.raises(ModelFileError, match=re.escape(f"{path}: attribute {attribute!r}: bin {k}: key {key!r}")):
             load_models(path, exp2_scenario.catalog)
-
-    def test_synthetic_model_rate_consistency(self):
-        m = make_synthetic_model(3, ppv=0.96, npv=0.9, detection_rate=0.5, true_negative_rate=0.4)
-        cal = m.calibrations[0]
-        # claimed rates reproduce the stated predictive values under equal priors
-        assert cal.detection_rate / (cal.detection_rate + cal.false_positive_rate) == pytest.approx(0.96)
-        assert cal.true_negative_rate / (cal.true_negative_rate + cal.false_negative_rate) == pytest.approx(0.9)
-        assert m.calibrations.keys() == {0} and cal.reliable
 
     @given(
         st.lists(

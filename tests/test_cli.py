@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, load_catalog
-from attrfuse.classifier import load_models, make_synthetic_model, save_models
+from attrfuse.classifier import load_models, save_models
 from attrfuse.cli import _checked_observations, _read_observation_columns, main
-from oracles import checked_observation_lines
+from attrfuse.simulator import load_scenario
+from oracles import checked_observation_lines, make_synthetic_model
 
 BOM = b"\xef\xbb\xbf"
 
@@ -331,6 +332,19 @@ def test_exp1_cli(repo_root, tmp_path, capsys):
     assert "overlap" in capsys.readouterr().out
 
 
+def test_exp1_manifest_records_the_default_draw_counts(repo_root, tmp_path):
+    """Without --trials exp1 draws the calibration counts per bin, which differ between the classes."""
+    scenario = load_scenario(repo_root / "scenarios" / "exp1.json")
+    has = scenario.catalog.matrix[:, scenario.kde_attribute]
+    n_pos = scenario.calibration.n_pos_per_object * int(has.sum())
+    n_neg = scenario.calibration.n_neg_per_object * int((has == 0).sum())
+    assert n_pos != n_neg
+    out = tmp_path / "exp1"
+    assert main(["exp1", "--scenario", str(repo_root / "scenarios" / "exp1.json"), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["trials"], manifest["n_pos"], manifest["n_neg"]) == (n_pos, n_pos, n_neg)
+
+
 def test_exp2_cli(repo_root, tmp_path, capsys):
     out = tmp_path / "exp2"
     rc = main([
@@ -372,3 +386,9 @@ def test_theorems_cli(tmp_path, capsys):
     manifest = json.loads((tmp_path / "th" / "manifest.json").read_text())
     assert manifest["experiment"] == "theorems" and manifest["wall_s"] > 0
     assert manifest["numpy"] == np.__version__
+
+
+def test_theorems_manifest_records_the_exact_suite(tmp_path):
+    assert main(["theorems", "--trials", "50", "--seed", "7", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["exact_cases"], manifest["exact_correct"]) == (1000, 1000)

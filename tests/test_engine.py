@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import BinCalibration, ClassifierModel, make_synthetic_model
+from attrfuse.classifier import BinCalibration, ClassifierModel
 from attrfuse.experiments import (
     convergence_suite,
     experiment2_threshold_comparison,
@@ -31,7 +31,7 @@ from attrfuse.simulator import (
     stream_draws,
 )
 
-from oracles import Observation, classify, make_observation, sample_score, update
+from oracles import Observation, classify, make_observation, make_synthetic_model, sample_score, update
 
 PREDICTIVE_VALUES = (1.0, 0.9, 0.75)
 
@@ -76,13 +76,18 @@ def test_batch_rows_equal_one_row_posteriors_and_decisions(case, seed):
     catalog, keys, codes = case
     stats = compute_stats(catalog)
     counts = np.stack([np.bincount(row, minlength=len(keys) + 1)[:-1] for row in codes])
-    batched = map_log_weights(*tally(init_posterior(catalog).log_prior, counts, factor_table(keys, stats)))
+    hits, finite = tally(np.log(catalog.priors), counts, factor_table(keys, stats))
+    batched = map_log_weights(hits, finite)
 
     half = codes.shape[1] // 2
     checkpoints = [half, codes.shape[1]]
     winners, random = decide_episodes(codes, keys, catalog, stats, checkpoints, lambda r: derived_rng(seed, r))
     for r, row in enumerate(codes):
         state = counted_posterior(catalog, stats, _row_counts(keys, row))
+        # the one-row state is the batched tally row itself, read-only, over the positive counts in key order
+        assert state.hits.tobytes() == hits[r].tobytes() and state.finite.tobytes() == finite[r].tobytes()
+        assert not state.hits.flags.writeable and not state.finite.flags.writeable
+        assert list(state.counts) == [key for key, n in zip(keys, counts[r]) if n]
         assert batched[r].tobytes() == state.log_weights.tobytes()
         pick = derived_rng(seed, r)  # the row's own stream, consumed over its checkpoints
         for c, stop in enumerate(checkpoints):
@@ -173,7 +178,7 @@ def _reference_exp2(scenario, k_values, trials, seed):
             for i in attrs:
                 score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", bin_index, rng)
                 for s, models in enumerate(systems):
-                    states[s] = update(states[s], make_observation(models[i], bin_index, score), models[i], stats)
+                    states[s] = update(states[s], make_observation(models[i], bin_index, score), models[i], catalog, stats)
             if k in k_values:
                 slot = k_values.index(k)
                 decisions = [decide(states[s], catalog, rng=picks[s]) for s in (0, 1)]
@@ -199,7 +204,7 @@ def _reference_exp3(scenario, trials, rounds, seed):
                 for _ in range(rounds):
                     for i in attrs:
                         score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
-                        state = update(state, make_observation(models[i], k, score), models[i], stats)
+                        state = update(state, make_observation(models[i], k, score), models[i], catalog, stats)
                 correct[k, s, t] = decide(state, catalog, rng=derived_rng(seed, PICK_STREAM, k, t)).winner == gt
     return correct.mean(axis=2)
 
@@ -221,7 +226,7 @@ def _reference_convergence(trials, seed, k_values, ppv, npv, d, s):
                     outcome = "positive" if u < d else "negative" if u < d + v else "uncertain"
                 else:
                     outcome = "negative" if u < s else "positive" if u < s + q else "uncertain"
-                state = update(state, Observation(i, 0, outcome), models[i], stats)
+                state = update(state, Observation(i, 0, outcome), models[i], catalog, stats)
             if k in k_values:
                 wrong[k_values.index(k), t] = decide(state, catalog, rng=pick).winner != 0
     return wrong.mean(axis=1)
@@ -279,6 +284,6 @@ def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
             score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
             obs = make_observation(models[i], k, score)
             assert (scores[t, c], outcomes[codes[t, c]]) == (score, obs.outcome)
-            state = update(state, obs, models[i], stats)
+            state = update(state, obs, models[i], catalog, stats)
         decision = decide(state, catalog, rng=derived_rng(3, PICK_STREAM, t))
         assert (winners[0, t], random[0, t]) == (decision.winner, decision.tie_broken_by == "random")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
-from attrfuse.classifier import BinCalibration, ClassifierModel, make_synthetic_model
+from attrfuse.classifier import BinCalibration, ClassifierModel
 from attrfuse.fusion import (
     Decision,
     PosteriorState,
@@ -18,7 +18,7 @@ from attrfuse.fusion import (
 )
 from attrfuse.simulator import classify_scores
 
-from oracles import factor_counts, posterior_oracle
+from oracles import factor_counts, make_synthetic_model, posterior_oracle
 
 
 def small_catalog(matrix, priors):
@@ -73,7 +73,7 @@ class TestCountedPosterior:
         codes, keys = classify_scores(models, [0, 0, 0], [0, 0, 0], np.array([[4.0, 3.5, 4.999]]))
         assert codes.tolist() == [[len(keys)] * 3]
         state = counted_posterior(table1, table1_stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-        assert state.counts == {} and state.factors == {}
+        assert state.counts == {} and state.finite.tobytes() == init_posterior(table1).finite.tobytes()
         assert state.log_weights.tobytes() == init_posterior(table1).log_weights.tobytes()
 
     def test_unreliable_region_is_noop(self, table1, table1_stats):
@@ -89,7 +89,7 @@ class TestCountedPosterior:
     def test_zero_counts_are_dropped(self, table1, table1_stats):
         key = (table1.attribute_index("cylinder"), "positive", 0.96)
         state = counted_posterior(table1, table1_stats, {key: 0})
-        assert state.counts == {} and state.factors == {} and not state.saturated
+        assert state.counts == {} and state.finite.tobytes() == np.log(table1.priors).tobytes() and not state.saturated
 
     def test_constant_attribute_rejected(self):
         cat = small_catalog([[1, 1], [1, 0]], [0.5, 0.5])
@@ -228,7 +228,7 @@ class TestDecide:
     def test_unique_maximum(self, table1):
         lw = init_posterior(table1).log_weights.copy()
         lw[3] += 1.0
-        state = PosteriorState(lw)
+        state = PosteriorState({}, np.zeros(lw.size, dtype=np.int64), lw)
         decision = decide(state, table1)
         assert decision == Decision(winner=3, candidates=(3,), tie_broken_by="none")
 
@@ -253,7 +253,7 @@ class TestDecide:
 
     def test_prior_breaks_tie(self):
         cat = small_catalog([[1, 0], [0, 1], [0, 0]], [0.4, 0.2, 0.4])
-        state = PosteriorState(np.log(np.array([0.5, 0.5, 1e-6])))
+        state = PosteriorState({}, np.zeros(3, dtype=np.int64), np.log(np.array([0.5, 0.5, 1e-6])))
         decision = decide(state, cat)
         assert decision.winner == 0
         assert decision.tie_broken_by == "prior"

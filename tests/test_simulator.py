@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import single_threshold_baseline
+from attrfuse.classifier import single_threshold_calibration
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     PICK_STREAM,
@@ -319,7 +319,7 @@ def test_widening_overlap_accuracy_monotone(exp1_scenario):
         rng = derived_rng(scn.seed, SCORE_STREAM, k, 999)
         pos = rng.normal(scn.score_models[(i, "pos", k)].mean, scn.score_models[(i, "pos", k)].stddev, n)
         neg = rng.normal(scn.score_models[(i, "neg", k)].mean, scn.score_models[(i, "neg", k)].stddev, n)
-        theta = single_threshold_baseline(pos, neg)
+        theta = single_threshold_calibration(pos, neg).theta_pos
         acc = 0.5 * np.mean(pos <= theta) + 0.5 * np.mean(neg > theta)
         accuracy.append(float(acc))
     sigma = [np.sqrt(a * (1 - a) / (2 * n)) for a in accuracy]

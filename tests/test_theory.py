@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
-from attrfuse.classifier import make_synthetic_model
 from attrfuse.experiments import exact_recognition_suite
 from attrfuse.theory import (
     certify_guaranteed_recognition,
@@ -10,6 +9,8 @@ from attrfuse.theory import (
     required_predictive_values,
     requirement_report,
 )
+
+from oracles import make_synthetic_model
 
 
 def small_catalog(matrix, priors):
@@ -131,6 +132,14 @@ class TestCertification:
 
 
 class TestRateBounds:
+    def test_synthetic_model_rate_consistency(self):
+        m = make_synthetic_model(3, ppv=0.96, npv=0.9, detection_rate=0.5, true_negative_rate=0.4)
+        cal = m.calibrations[0]
+        # claimed rates reproduce the stated predictive values under equal priors
+        assert cal.detection_rate / (cal.detection_rate + cal.false_positive_rate) == pytest.approx(0.96)
+        assert cal.true_negative_rate / (cal.true_negative_rate + cal.false_negative_rate) == pytest.approx(0.9)
+        assert m.calibrations.keys() == {0} and cal.reliable
+
     def test_false_positive_upper(self, table1):
         stats = compute_stats(table1)
         i = table1.attribute_index("bottle shape")  # w = 1/3
