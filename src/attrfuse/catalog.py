@@ -76,12 +76,6 @@ class ObjectCatalog:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def object_index(self, object_id: str) -> int:
-        try:
-            return self.objects.index(object_id)
-        except ValueError:
-            raise CatalogError(f"unknown object id {object_id!r}") from None
-
     def attribute_index(self, attribute_id: str) -> int:
         try:
             return self.attributes.index(attribute_id)

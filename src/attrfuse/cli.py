@@ -172,6 +172,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@contextlib.contextmanager
+def _writing(out: str):
+    """Write the outputs under ``--out``; an OSError ends the run with a message naming the path and the reason."""
+    try:
+        yield
+    except OSError as exc:
+        reason = "exists and is not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+        raise SystemExit(f"{exc.filename or out}: cannot write output ({reason})") from None
+
+
 def _timed(harness, *args, **kwargs):
     """The harness's result and its wall time in seconds."""
     start = time.perf_counter()
@@ -183,7 +193,8 @@ def _cmd_calibrate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
-    save_models(models, scenario.catalog, args.out)
+    with _writing(args.out):
+        save_models(models, scenario.catalog, args.out)
     for i in sorted(models):
         region = [k for k, cal in sorted(models[i].calibrations.items()) if cal.reliable]
         print(f"{scenario.catalog.attributes[i]}: reliable bins {region if region else 'none'}")
@@ -222,7 +233,8 @@ def _cmd_fuse(args) -> int:
     }
     text = json.dumps(record, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with _writing(args.out):
+            Path(args.out).write_text(text + "\n")
     else:
         print(text)
     return 0
@@ -268,11 +280,12 @@ def _cmd_experiment(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     result, wall_s = _timed(harness, scenario, trials=args.trials, seed=seed)
-    paths = write(result, args.out)
     trials = result.n_pos if args.trials is None else args.trials  # exp1 defaults to the calibration counts
     # exp1 draws n_pos and n_neg scores per bin, which differ when they default to the calibration counts
     extra = {"n_pos": result.n_pos, "n_neg": result.n_neg} if args.command == "exp1" else None
-    write_manifest(args.out, args.command, seed, trials, scenario=scenario, extra=extra, wall_s=wall_s)
+    with _writing(args.out):
+        paths = write(result, args.out)
+        write_manifest(args.out, args.command, seed, trials, scenario=scenario, extra=extra, wall_s=wall_s)
     print("\n".join(table(scenario, result)))
     print(f"wrote {', '.join(str(p) for p in paths)}")
     return 0
@@ -292,9 +305,10 @@ def _cmd_theorems(args) -> int:
         f"(requires decrease over the first two checkpoints and final < {report.convergence_ceiling})"
     )
     if args.out:
-        write_theorem_csv(report, args.out)
         extra = {"exact_cases": report.exact_cases, "exact_correct": report.exact_correct}
-        write_manifest(args.out, "theorems", args.seed, args.trials, extra=extra, wall_s=wall_s)
+        with _writing(args.out):
+            write_theorem_csv(report, args.out)
+            write_manifest(args.out, "theorems", args.seed, args.trials, extra=extra, wall_s=wall_s)
         print(f"wrote {Path(args.out) / 'theorem_convergence.csv'}")
     return 0 if report.all_pass else 1
 

@@ -39,7 +39,6 @@ from attrfuse.simulator import (
     PICK_STREAM,
     SCORE_STREAM,
     Scenario,
-    ScenarioError,
     calibrate_from_sets,
     calibrate_scenario,
     classify_scores,
@@ -96,7 +95,7 @@ def experiment1_distribution_shift(
     calibration counts.
     """
     if scenario.n_bins < 2:
-        raise ScenarioError("distribution-shift experiment needs at least 2 bins")
+        raise scenario.error("key 'bins': distribution-shift experiment needs at least 2 bins")
     if seed is None:
         seed = scenario.seed
     i = scenario.kde_attribute
@@ -146,8 +145,7 @@ class ErrorCurve:
     """Error rates per observation count for both estimators.
 
     ``random_tie_error`` is the component of the two-threshold error caused
-    by forced random picks on ties, ``wrong_decision_error`` the rest; the
-    two components sum to ``two_threshold_error`` exactly at every K.
+    by forced random picks on ties.
     """
 
     k_values: tuple[int, ...]
@@ -155,7 +153,6 @@ class ErrorCurve:
     two_threshold_error: np.ndarray
     single_threshold_error: np.ndarray
     random_tie_error: np.ndarray
-    wrong_decision_error: np.ndarray
     two_threshold_halfwidth: np.ndarray
     single_threshold_halfwidth: np.ndarray
     random_tie_halfwidth: np.ndarray
@@ -177,7 +174,7 @@ def single_threshold_models(
         for k in range(scenario.n_bins):
             cals[k] = single_threshold_calibration(*training_sets[(i, k)], orientation=scenario.orientation, bin_index=k)
             if not cals[k].reliable:
-                raise ScenarioError("degenerate single-threshold split: a predictive value is undefined")
+                raise scenario.error("degenerate single-threshold split: a predictive value is undefined")
         models[i] = ClassifierModel(attribute_index=i, orientation=scenario.orientation, calibrations=cals)
     return models
 
@@ -231,7 +228,6 @@ def experiment2_threshold_comparison(
         two_threshold_error=err_two,
         single_threshold_error=err_single,
         random_tie_error=err_tie,
-        wrong_decision_error=(wrong_two & ~wrong_tie).mean(axis=1),
         two_threshold_halfwidth=np.array([halfwidth(e, trials) for e in err_two]),
         single_threshold_halfwidth=np.array([halfwidth(e, trials) for e in err_single]),
         random_tie_halfwidth=np.array([halfwidth(e, trials) for e in err_tie]),
@@ -267,7 +263,7 @@ def experiment3_attribute_families(
     """
     for name in ("fine", "coarse", "color"):
         if name not in scenario.families:
-            raise ScenarioError(f"scenario does not define attribute family {name!r}")
+            raise scenario.error(f"key 'families': scenario does not define attribute family {name!r}")
     fine = tuple(scenario.families["fine"])
     coarse = tuple(scenario.families["coarse"])
     color = tuple(scenario.families["color"])

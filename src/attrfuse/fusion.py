@@ -83,11 +83,6 @@ class Decision:
     tie_broken_by: str
 
 
-def init_posterior(catalog: ObjectCatalog) -> PosteriorState:
-    """Posterior initialized to the catalog priors with no adopted observations."""
-    return PosteriorState({}, np.zeros(catalog.n_objects, dtype=np.int64), np.log(catalog.priors))
-
-
 def posterior(state: PosteriorState) -> np.ndarray:
     """Normalized posterior probabilities (max-shifted before exponentiation)."""
     shifted = np.exp(state.log_weights - state.log_weights.max())
@@ -180,17 +175,3 @@ def decide(state: PosteriorState, catalog: ObjectCatalog, rng: np.random.Generat
         return Decision(winner=None, candidates=candidates, tie_broken_by="none")
     return Decision(winner=pick_tied(prior_best, rng), candidates=candidates, tie_broken_by="random")
 
-
-def posterior_ratio(state: PosteriorState, object_a: int, object_b: int) -> float:
-    """Log ratio of the unnormalized posterior weights of two objects.
-
-    It is ``+inf`` when ``object_a`` has fewer zero-factor hits than
-    ``object_b``, and ``-inf`` when it has more.
-    """
-    hits, finite = state.hits, state.finite
-    for j in (object_a, object_b):
-        if not 0 <= j < finite.shape[0]:
-            raise IndexError(f"object index {j} out of range")
-    if hits[object_a] != hits[object_b]:
-        return math.inf if hits[object_a] < hits[object_b] else -math.inf
-    return float(finite[object_a] - finite[object_b])

@@ -149,9 +149,9 @@ class ScoreModel:
 
     def __post_init__(self):
         if self.family != "gaussian":
-            raise ScenarioError(f"unsupported score family {self.family!r}")
+            raise ScenarioError(f"key 'family': unsupported score family {self.family!r}")
         if not self.stddev > 0:
-            raise ScenarioError("score model stddev must be positive")
+            raise ScenarioError(f"key 'std': score model stddev must be positive, got {self.stddev!r}")
 
 
 @dataclass(frozen=True)
@@ -191,32 +191,34 @@ class Scenario:
     sha256: str | None = None
 
     def __post_init__(self):
+        """Each message names the scenario key at fault, after the file when the scenario has one."""
         if self.seed < 0:
-            raise ScenarioError("seed must be non-negative")
+            raise self.error("key 'seed': seed must be non-negative")
         if not self.bins:
-            raise ScenarioError("scenario needs at least one bin")
+            raise self.error("key 'bins': scenario needs at least one bin")
         for lo, hi in self.bins:
             if not lo < hi:
-                raise ScenarioError(f"bin ({lo}, {hi}) is not ascending")
+                raise self.error(f"key 'bins': bin ({lo}, {hi}) is not ascending")
         for (lo1, hi1), (lo2, _) in zip(self.bins, self.bins[1:]):
             if abs(hi1 - lo2) > 1e-9:
-                raise ScenarioError("bins must be contiguous and ascending")
+                raise self.error("key 'bins': bins must be contiguous and ascending")
         for i in range(self.catalog.n_attributes):
             for truth in ("pos", "neg"):
                 for k in range(len(self.bins)):
                     if (i, truth, k) not in self.score_models:
-                        raise ScenarioError(
-                            f"missing score model for attribute {self.catalog.attributes[i]!r}, "
-                            f"truth {truth!r}, bin {k}"
+                        raise self.error(
+                            f"key 'score_models': missing score model for attribute "
+                            f"{self.catalog.attributes[i]!r}, truth {truth!r}, bin {k}"
                         )
         for bin_index, _ in self.schedule:
-            self._check_bin(bin_index)
+            if not 0 <= bin_index < len(self.bins):
+                raise self.error(f"key 'schedule': unknown bin index {bin_index}")
         if not 0 <= self.kde_attribute < self.catalog.n_attributes:
-            raise ScenarioError("kde_attribute out of range")
+            raise self.error("key 'kde_attribute': kde_attribute out of range")
 
-    def _check_bin(self, bin_index: int) -> None:
-        if not 0 <= bin_index < len(self.bins):
-            raise ScenarioError(f"unknown bin index {bin_index}")
+    def error(self, message: str) -> ScenarioError:
+        """A ScenarioError with ``message``, prefixed by the scenario's file when it was loaded from one."""
+        return ScenarioError(message if self.path is None else f"{self.path}: {message}")
 
     @property
     def n_bins(self) -> int:
@@ -234,7 +236,8 @@ def generate_training_set(
     """Labeled training scores for one (attribute, bin), with the scenario's training bias applied."""
     if n_pos < 1 or n_neg < 1:
         raise ScenarioError("training set needs at least one sample per label")
-    scenario._check_bin(bin_index)
+    if not 0 <= bin_index < scenario.n_bins:
+        raise ScenarioError(f"unknown bin index {bin_index}")
     bias = scenario.training_bias
     pos_model = scenario.score_models[(attribute_index, "pos", bin_index)]
     neg_model = scenario.score_models[(attribute_index, "neg", bin_index)]
@@ -452,6 +455,25 @@ def _number(value) -> float:
     return float(value)
 
 
+# the ranges calibrate_bin accepts: targets in (0, 1], the detection floor in [0, 1]
+def _target(value) -> float:
+    if not 0.0 < _number(value) <= 1.0:
+        raise ValueError(f"expected a number in (0, 1], got {value!r}")
+    return float(value)
+
+
+def _rate(value) -> float:
+    if not 0.0 <= _number(value) <= 1.0:
+        raise ValueError(f"expected a number in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    if _integer(value) < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return value
+
+
 def _orientation(value) -> str:
     if value not in get_args(Orientation):
         raise ValueError(f"expected one of {get_args(Orientation)}, got {value!r}")
@@ -474,11 +496,12 @@ def _parse_score_models(
                     f"{path}: score model for {attribute_id!r}/{truth} has {len(per_bin)} entries, expected {n_bins}"
                 )
             for k, rec in enumerate(per_bin):
-                out[(i, truth, k)] = ScoreModel(
-                    family=_field(path, rec, "family", str, "gaussian"),
-                    mean=_field(path, rec, "mean", _number),
-                    stddev=_field(path, rec, "std", _number),
-                )
+                family = _field(path, rec, "family", str, "gaussian")
+                mean, stddev = _field(path, rec, "mean", _number), _field(path, rec, "std", _number)
+                try:
+                    out[(i, truth, k)] = ScoreModel(family, mean, stddev)
+                except ScenarioError as exc:
+                    raise ScenarioError(f"{path}: score model for {attribute_id!r}/{truth}, bin {k}: {exc}") from None
     return out
 
 
@@ -486,7 +509,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file and its referenced catalog (path relative to the scenario).
 
     An unreadable file raises :class:`ScenarioError` naming the file, and
-    missing or unparsable values name the file and the key.
+    missing, unparsable or out-of-range values name the file and the key.
     """
     path = Path(path)
     try:
@@ -507,11 +530,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
     cal_raw = _field(path, raw, "calibration", _mapping, {})
     calibration = CalibrationConfig(
-        target_ppv=_field(path, cal_raw, "target_ppv", _number, DEFAULT_TARGET_PPV),
-        target_npv=_field(path, cal_raw, "target_npv", _number, DEFAULT_TARGET_NPV),
-        min_detection_rate=_field(path, cal_raw, "min_detection_rate", _number, DEFAULT_MIN_DETECTION_RATE),
-        n_pos_per_object=_field(path, cal_raw, "n_pos_per_object", _integer, 20),
-        n_neg_per_object=_field(path, cal_raw, "n_neg_per_object", _integer, 20),
+        target_ppv=_field(path, cal_raw, "target_ppv", _target, DEFAULT_TARGET_PPV),
+        target_npv=_field(path, cal_raw, "target_npv", _target, DEFAULT_TARGET_NPV),
+        min_detection_rate=_field(path, cal_raw, "min_detection_rate", _rate, DEFAULT_MIN_DETECTION_RATE),
+        n_pos_per_object=_field(path, cal_raw, "n_pos_per_object", _count, 20),
+        n_neg_per_object=_field(path, cal_raw, "n_neg_per_object", _count, 20),
     )
     bias_raw = _field(path, raw, "training_bias", _mapping, {})
     bias = TrainingBias(

@@ -61,11 +61,6 @@ class RateBoundEntry:
 
 
 @dataclass(frozen=True)
-class RateBounds:
-    entries: tuple[RateBoundEntry, ...]
-
-
-@dataclass(frozen=True)
 class CertificationVerdict:
     guaranteed: bool
     object_index: int | None
@@ -163,7 +158,7 @@ def certify_guaranteed_recognition(
     return CertificationVerdict(True, target, candidates, "unique candidate with qualifying predictive values")
 
 
-def false_rate_bounds(model: ClassifierModel, stats: CatalogStats) -> RateBounds:
+def false_rate_bounds(model: ClassifierModel, stats: CatalogStats) -> tuple[RateBoundEntry, ...]:
     """Upper bounds on the false rates of each reliable bin, compared to measured rates."""
     i = model.attribute_index
     if not stats.usable[i]:
@@ -188,4 +183,4 @@ def false_rate_bounds(model: ClassifierModel, stats: CatalogStats) -> RateBounds
                 false_negative_ok=cal.false_negative_rate <= fn_upper + BOUND_TOLERANCE,
             )
         )
-    return RateBounds(entries=tuple(entries))
+    return tuple(entries)

@@ -143,7 +143,7 @@ class TestPriorRatios:
 class TestUniqueCandidates:
     def test_bottle_and_yellow(self, table1):
         pos = {table1.attribute_index("bottle shape"), table1.attribute_index("yellow color")}
-        assert unique_candidates(table1, pos, set()) == (table1.object_index("7"),)
+        assert unique_candidates(table1, pos, set()) == (table1.objects.index("7"),)
 
     def test_vacuous_evidence(self, table1):
         assert unique_candidates(table1, set(), set()) == tuple(range(9))
@@ -155,7 +155,7 @@ class TestUniqueCandidates:
     def test_negative_evidence(self, table1):
         # everything non-red, non-blue, non-yellow: only object 5 has no color
         neg = {table1.attribute_index(a) for a in ("red color", "blue color", "yellow color")}
-        assert unique_candidates(table1, set(), neg) == (table1.object_index("5"),)
+        assert unique_candidates(table1, set(), neg) == (table1.objects.index("5"),)
 
     def test_overlapping_sets_rejected(self, table1):
         with pytest.raises(ValueError):

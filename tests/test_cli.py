@@ -319,6 +319,52 @@ def test_missing_or_malformed_input_file_is_a_message(repo_root, exp2_models, tm
     assert isinstance(exc.value.code, str) and exc.value.code.startswith(f"{path}: "), exc.value.code
 
 
+@pytest.mark.parametrize(
+    "command, scenario, section, key, value",
+    [
+        ("calibrate", "exp2", "calibration", "target_ppv", 1.5),
+        ("calibrate", "exp2", "calibration", "min_detection_rate", 2),
+        ("exp2", "exp2", "calibration", "target_npv", 1.5),
+        ("exp3", "exp3", "calibration", "n_pos_per_object", 0),
+        ("exp1", "exp2", None, "bins", None),  # exp1 compares bins, and exp2.json has one
+        ("exp3", "exp2", None, "families", None),  # exp2.json defines no attribute families
+    ],
+)
+def test_unusable_scenario_is_a_message(repo_root, tmp_path, command, scenario, section, key, value):
+    """A scenario value that calibration or the experiment cannot use ends in a message naming the file and key."""
+    raw = json.loads((repo_root / "scenarios" / f"{scenario}.json").read_text())
+    raw["catalog"] = str((repo_root / "scenarios" / raw["catalog"]).resolve())
+    if section is not None:
+        raw[section][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    trials = [] if command == "calibrate" else ["--trials", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(path), "--out", str(tmp_path / "out"), *trials])
+    assert isinstance(exc.value.code, str) and exc.value.code.startswith(f"{path}: "), exc.value.code
+    assert f"'{key}'" in exc.value.code
+
+
+@pytest.mark.parametrize("command", ["calibrate", "fuse", "exp1", "exp2", "exp3", "theorems"])
+def test_unwritable_out_is_a_message(repo_root, exp2_models, tmp_path, command):
+    """A file ``--out`` in a missing directory, or a directory ``--out`` that is a file, ends in a message."""
+    if command in ("calibrate", "fuse"):
+        out, reason = tmp_path / "missing" / "out.json", "No such file or directory"
+    else:
+        out, reason = tmp_path / "taken", "exists and is not a directory"
+        out.write_text("")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("box shape,0,1.0\n")
+    args = {
+        "calibrate": ["--scenario", str(repo_root / "scenarios" / "exp2.json")],
+        "fuse": ["--catalog", str(repo_root / "catalogs" / "exp2.json"), "--model", str(exp2_models), "--obs", str(obs)],
+        "theorems": ["--trials", "10"],
+    }.get(command, ["--scenario", str(repo_root / "scenarios" / f"{command}.json"), "--trials", "10"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--out", str(out)])
+    assert exc.value.code == f"{out}: cannot write output ({reason})"
+
+
 def test_exp1_cli(repo_root, tmp_path, capsys):
     out = tmp_path / "exp1"
     rc = main([

@@ -14,7 +14,7 @@ from attrfuse.experiments import (
     experiment3_attribute_families,
     single_threshold_models,
 )
-from attrfuse.fusion import counted_posterior, decide, factor_table, init_posterior, map_log_weights, tally
+from attrfuse.fusion import counted_posterior, decide, factor_table, map_log_weights, tally
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     PICK_STREAM,
@@ -173,7 +173,7 @@ def _reference_exp2(scenario, k_values, trials, seed):
         gt = t % catalog.n_objects
         rng = derived_rng(seed, SCORE_STREAM, t)
         picks = [derived_rng(seed, PICK_STREAM, t, s) for s in (0, 1)]
-        states = [init_posterior(catalog)] * 2
+        states = [counted_posterior(catalog, stats, {})] * 2
         for k in range(1, k_values[-1] + 1):
             for i in attrs:
                 score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", bin_index, rng)
@@ -200,7 +200,7 @@ def _reference_exp3(scenario, trials, rounds, seed):
             gt = t % catalog.n_objects
             for s, attrs in enumerate(systems):
                 rng = derived_rng(seed, SCORE_STREAM, k, t)
-                state = init_posterior(catalog)
+                state = counted_posterior(catalog, stats, {})
                 for _ in range(rounds):
                     for i in attrs:
                         score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
@@ -218,7 +218,7 @@ def _reference_convergence(trials, seed, k_values, ppv, npv, d, s):
     wrong = np.zeros((len(k_values), trials), dtype=bool)
     for t in range(trials):
         rng, pick = derived_rng(seed, SCORE_STREAM, t), derived_rng(seed, PICK_STREAM, t)
-        state = init_posterior(catalog)
+        state = counted_posterior(catalog, stats, {})
         for k in range(1, k_values[-1] + 1):
             for i in (0, 1):
                 u = rng.random()
@@ -279,7 +279,7 @@ def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
     outcomes = [key[1] for key in keys] + ["uncertain"]
     for t, gt in enumerate(truths.tolist()):
         rng = derived_rng(3, SCORE_STREAM, t)
-        state = init_posterior(catalog)
+        state = counted_posterior(catalog, stats, {})
         for c, (i, k) in enumerate(columns):
             score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
             obs = make_observation(models[i], k, score)

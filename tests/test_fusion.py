@@ -12,9 +12,7 @@ from attrfuse.fusion import (
     PosteriorState,
     counted_posterior,
     decide,
-    init_posterior,
     posterior,
-    posterior_ratio,
 )
 from attrfuse.simulator import classify_scores
 
@@ -42,15 +40,15 @@ def table1_stats(table1):
 
 
 class TestInit:
-    def test_equal_priors(self, table1):
-        state = init_posterior(table1)
+    def test_equal_priors(self, table1, table1_stats):
+        state = counted_posterior(table1, table1_stats, {})
         assert posterior(state) == pytest.approx(np.full(9, 1 / 9), abs=1e-12)
         assert state.outcome_counts("positive") == {} and state.outcome_counts("negative") == {}
         assert state.counts == {}
 
     def test_priors_recovered_exactly(self):
         cat = small_catalog([[1], [0], [1]], [0.5, 0.3, 0.2])
-        assert posterior(init_posterior(cat)) == pytest.approx([0.5, 0.3, 0.2], abs=1e-12)
+        assert posterior(counted_posterior(cat, compute_stats(cat), {})) == pytest.approx([0.5, 0.3, 0.2], abs=1e-12)
 
 
 class TestCountedPosterior:
@@ -63,7 +61,7 @@ class TestCountedPosterior:
         expected[6:] = 0.96 / (1 / 3) / 9           # factor 2.88 on objects 7, 8, 9
         assert probs == pytest.approx(expected, abs=1e-12)
         assert probs[6] == pytest.approx(0.32, abs=1e-12)
-        assert posterior_ratio(state, 6, 0) == pytest.approx(math.log(48), abs=1e-12)
+        assert state.log_weights[6] - state.log_weights[0] == pytest.approx(math.log(48), abs=1e-12)
         assert state.outcome_counts("positive") == {i: 1} and state.outcome_counts("negative") == {}
 
     def test_uncertain_is_noop(self, table1, table1_stats):
@@ -73,8 +71,8 @@ class TestCountedPosterior:
         codes, keys = classify_scores(models, [0, 0, 0], [0, 0, 0], np.array([[4.0, 3.5, 4.999]]))
         assert codes.tolist() == [[len(keys)] * 3]
         state = counted_posterior(table1, table1_stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-        assert state.counts == {} and state.finite.tobytes() == init_posterior(table1).finite.tobytes()
-        assert state.log_weights.tobytes() == init_posterior(table1).log_weights.tobytes()
+        assert state.counts == {} and not state.hits.any()
+        assert state.finite.tobytes() == state.log_weights.tobytes() == np.log(table1.priors).tobytes()
 
     def test_unreliable_region_is_noop(self, table1, table1_stats):
         """An unreliable bin adopts no score, whatever its side of the one threshold it has."""
@@ -83,8 +81,8 @@ class TestCountedPosterior:
         codes, keys = classify_scores(models, [0, 0], [1, 1], np.array([[-100.0, 100.0]]))
         assert keys == () and codes.tolist() == [[0, 0]]
         state = counted_posterior(table1, table1_stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-        assert state.counts == {}
-        assert state.log_weights.tobytes() == init_posterior(table1).log_weights.tobytes()
+        assert state.counts == {} and not state.hits.any()
+        assert state.log_weights.tobytes() == np.log(table1.priors).tobytes()
 
     def test_zero_counts_are_dropped(self, table1, table1_stats):
         key = (table1.attribute_index("cylinder"), "positive", 0.96)
@@ -121,9 +119,9 @@ class TestCountedPosterior:
     def test_truth_weight_nondecreasing_under_correct_evidence(self, table1, table1_stats):
         # with equal priors the floors are w and 1-w; any ppv/npv above them
         # multiplies the true object's weight by a factor >= 1
-        truth = table1.object_index("7")
+        truth = table1.objects.index("7")
         observations = []
-        state = init_posterior(table1)
+        state = counted_posterior(table1, table1_stats, {})
         for i in range(table1.n_attributes):
             w = table1_stats.attribute_priors[i]
             model = make_synthetic_model(i, ppv=max(w, 0.9), npv=max(1 - w, 0.9))
@@ -220,13 +218,13 @@ class TestOrderIndependence:
         forward, reverse = fused(cat, stats, sequence), fused(cat, stats, sequence[::-1])
         assert np.array_equal(forward.log_weights, reverse.log_weights)
         assert posterior(forward)[1] == 0.0 and posterior(reverse)[1] == 0.0
-        assert posterior_ratio(forward, 0, 1) == math.inf
-        assert posterior_ratio(forward, 1, 0) == -math.inf
+        assert forward.log_weights[0] - forward.log_weights[1] == math.inf
+        assert forward.log_weights[1] - forward.log_weights[0] == -math.inf
 
 
 class TestDecide:
     def test_unique_maximum(self, table1):
-        lw = init_posterior(table1).log_weights.copy()
+        lw = np.log(table1.priors)
         lw[3] += 1.0
         state = PosteriorState({}, np.zeros(lw.size, dtype=np.int64), lw)
         decision = decide(state, table1)
@@ -261,20 +259,6 @@ class TestDecide:
 
 
 class TestPosteriorNumerics:
-    def test_ratio_zero_at_init(self, table1):
-        state = init_posterior(table1)
-        assert posterior_ratio(state, 0, 5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_ratio_antisymmetric(self, table1, table1_stats):
-        i = table1.attribute_index("cylinder")
-        model = make_synthetic_model(i, 0.93, 0.95)
-        state = fused(table1, table1_stats, [(model, "positive")])
-        assert posterior_ratio(state, 1, 7) == pytest.approx(-posterior_ratio(state, 7, 1), abs=1e-15)
-
-    def test_ratio_index_checked(self, table1):
-        with pytest.raises(IndexError):
-            posterior_ratio(init_posterior(table1), 0, 9)
-
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_normalization(self, seed):

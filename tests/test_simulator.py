@@ -137,6 +137,16 @@ class TestScenarioValidation:
             pytest.param("training_bias", "pos_std_scale", 10**400, id="training_bias-pos_std_scale-huge"),
             (None, "bins", [[100, "120"]]),
             (None, "orientation", "sideways"),
+            # values that parse but that calibration or the scenario cannot use
+            ("calibration", "target_ppv", 1.5),
+            ("calibration", "target_npv", 0),
+            ("calibration", "min_detection_rate", 2),
+            ("calibration", "n_pos_per_object", 0),
+            ("calibration", "n_neg_per_object", -3),
+            (None, "bins", [[120, 100]]),
+            ("score_models", "std", 0),
+            (None, "schedule", [[9, 1]]),
+            (None, "seed", -1),
         ],
     )
     def test_unparsable_value_names_file_and_key(self, tmp_path, repo_root, section, key, value):
@@ -144,7 +154,10 @@ class TestScenarioValidation:
 
         raw = json.loads((repo_root / "scenarios" / "exp2.json").read_text())
         raw["catalog"] = str(repo_root / "catalogs" / "exp2.json")
-        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        if section == "score_models":
+            next(iter(raw["score_models"].values()))["pos"][0][key] = value
+        else:
+            (raw if section is None else raw.setdefault(section, {}))[key] = value
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ScenarioError, match=f"{path}.*'{key}'"):

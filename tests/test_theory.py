@@ -100,7 +100,7 @@ class TestCertification:
         pos = {table1.attribute_index("bottle shape"), table1.attribute_index("yellow color")}
         verdict = certify_guaranteed_recognition(table1, models, pos, set())
         assert verdict.guaranteed
-        assert verdict.object_index == table1.object_index("7")
+        assert verdict.object_index == table1.objects.index("7")
 
     def test_ambiguous_evidence_not_guaranteed(self, table1):
         models = self.make_models(table1)
@@ -144,8 +144,7 @@ class TestRateBounds:
         stats = compute_stats(table1)
         i = table1.attribute_index("bottle shape")  # w = 1/3
         model = make_synthetic_model(i, ppv=0.96, npv=0.9, detection_rate=0.5, true_negative_rate=0.5)
-        bounds = false_rate_bounds(model, stats)
-        entry = bounds.entries[0]
+        entry = false_rate_bounds(model, stats)[0]
         assert entry.false_positive_upper == pytest.approx(0.04 / (2 / 3), abs=1e-12)
         assert entry.false_negative_upper == pytest.approx(0.1 / (1 / 3), abs=1e-12)
         assert entry.false_positive_ok and entry.false_negative_ok
@@ -154,7 +153,7 @@ class TestRateBounds:
         stats = compute_stats(table1)
         i = table1.attribute_index("bottle shape")
         model = make_synthetic_model(i, ppv=1.0, npv=0.96)
-        entry = false_rate_bounds(model, stats).entries[0]
+        entry = false_rate_bounds(model, stats)[0]
         assert entry.false_positive_upper == 0.0
         assert entry.false_positive_ok
 
