@@ -50,7 +50,7 @@ class ObjectCatalog:
                 f"matrix shape {matrix.shape} does not match "
                 f"{len(objects)} objects x {len(attributes)} attributes"
             )
-        if not np.isin(matrix, (0, 1)).all():
+        if not ((matrix == 0) | (matrix == 1)).all():
             raise CatalogError("matrix entries must be 0 or 1")
         if priors.shape != (len(objects),):
             raise CatalogError("expected one prior per object")

@@ -29,13 +29,14 @@ from attrfuse.experiments import (
     write_manifest,
     write_theorem_csv,
 )
-from attrfuse.fusion import counted_posterior, decide, posterior
+from attrfuse.fusion import posterior
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     PICK_STREAM,
     ScenarioError,
     calibrate_scenario,
     classify_scores,
+    decide_episodes,
     derived_rng,
     load_scenario,
 )
@@ -203,7 +204,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    """Classify every observation line in one engine pass, count the adopted outcomes, and decide."""
+    """Classify every observation line in one engine pass, count the adopted outcomes, and decide them as one row."""
     catalog = load_catalog(args.catalog)
     models = load_models(args.model, catalog)
     stats = compute_stats(catalog)
@@ -216,20 +217,28 @@ def _cmd_fuse(args) -> int:
         raise SystemExit(
             f"{obs_path}:{numbers[n]}: attribute index {attrs[n]} is constant across the catalog and cannot be fused"
         )
-    state = counted_posterior(catalog, stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-    adopted = sum(state.counts.values())
-    decision = decide(state, catalog, rng=derived_rng(args.seed, PICK_STREAM))
-    probs = posterior(state)
+    # the engine row holds only the adopted keys: an unadopted one may belong to a catalog-constant attribute
+    counts = np.bincount(codes[0], minlength=len(keys) + 1)[:-1]
+    adopted = np.flatnonzero(counts).tolist()
+    keys, counts = [keys[k] for k in adopted], counts[adopted].tolist()
+    row = np.repeat(np.arange(len(keys)), counts)[None, :]
+    episodes = decide_episodes(row, keys, catalog, stats, [row.shape[1]], lambda _: derived_rng(args.seed, PICK_STREAM))
+    candidates = np.flatnonzero(episodes.tied[0, 0]).tolist()
+    outcome_counts: dict[str, dict[str, int]] = {"positive": {}, "negative": {}}
+    for (i, outcome, _), n in zip(keys, counts):  # keys are sorted, so attributes come in index order
+        per_attribute = outcome_counts[outcome]
+        per_attribute[catalog.attributes[i]] = per_attribute.get(catalog.attributes[i], 0) + n
+    probs = posterior(episodes.log_weights[0])
     record = {
-        "winner": None if decision.winner is None else catalog.objects[decision.winner],
-        "candidates": [catalog.objects[j] for j in decision.candidates],
-        "tie_broken_by": decision.tie_broken_by,
+        "winner": catalog.objects[episodes.winners[0, 0]],
+        "candidates": [catalog.objects[j] for j in candidates],
+        "tie_broken_by": "none" if len(candidates) == 1 else "random" if episodes.random[0, 0] else "prior",
         "posterior": {catalog.objects[j]: float(probs[j]) for j in range(catalog.n_objects)},
-        "adopted_observations": adopted,
-        "discarded_observations": len(numbers) - adopted,
-        "positive_counts": {catalog.attributes[i]: n for i, n in sorted(state.outcome_counts("positive").items())},
-        "negative_counts": {catalog.attributes[i]: n for i, n in sorted(state.outcome_counts("negative").items())},
-        "saturated": state.saturated,
+        "adopted_observations": sum(counts),
+        "discarded_observations": len(numbers) - sum(counts),
+        "positive_counts": outcome_counts["positive"],
+        "negative_counts": outcome_counts["negative"],
+        "saturated": bool(episodes.hits.any()),
     }
     text = json.dumps(record, indent=2)
     if args.out:

@@ -23,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_args
+from typing import Callable, Mapping, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -384,6 +384,16 @@ def classify_scores(
     return codes, keys
 
 
+class Episodes(NamedTuple):
+    """What :func:`decide_episodes` decides; ``hits`` and ``log_weights`` are those after the last checkpoint."""
+
+    winners: np.ndarray  # (checkpoints, rows): the MAP object
+    random: np.ndarray  # (checkpoints, rows): whether a seeded pick broke a prior tie
+    tied: np.ndarray  # (checkpoints, rows, objects): the objects tied at the maximum posterior
+    hits: np.ndarray  # (rows, objects): zero-factor hits
+    log_weights: np.ndarray  # (rows, objects): the MAP log weights (fusion.map_log_weights)
+
+
 def decide_episodes(
     codes: np.ndarray,
     keys: Sequence[FactorKey],
@@ -391,16 +401,17 @@ def decide_episodes(
     stats: CatalogStats,
     checkpoints: Sequence[int],
     pick: Callable[[int], np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """MAP winners of every row after each checkpoint's leading draws, and which were random picks.
+) -> Episodes:
+    """MAP decisions of every row after each of one or more checkpoints' leading draws.
 
     ``codes`` (rows x draws) come from :func:`classify_scores` or any other
     source of codes into the sorted ``keys``. Counts accumulate from one
-    checkpoint to the next. A row's pick stream ``pick(row)`` is made at its
-    first random tie and consumed in checkpoint order; rows without one
-    never make it. A ``pick`` that returns one shared generator for every
-    row is valid only with a single checkpoint. Returns two
-    (checkpoints x rows) arrays.
+    checkpoint to the next. A posterior tie goes to the best prior; a tie
+    in the prior as well goes to a seeded uniform pick. A row's pick stream
+    ``pick(row)`` is made at its first random tie and consumed in
+    checkpoint order; rows without one never make it. A ``pick`` that
+    returns one shared generator for every row is valid only with a single
+    checkpoint.
     """
     table = factor_table(keys, stats)
     log_prior = np.log(catalog.priors)
@@ -409,21 +420,23 @@ def decide_episodes(
     counts = np.zeros((rows, n_codes), dtype=np.int64)
     winners = np.empty((len(checkpoints), rows), dtype=np.int64)
     random = np.zeros((len(checkpoints), rows), dtype=bool)
+    tied = np.empty((len(checkpoints), rows, catalog.n_objects), dtype=bool)
     streams: dict[int, np.random.Generator] = {}
     start = 0
     for c, stop in enumerate(checkpoints):
         step = codes[:, start:stop] + offsets
         counts += np.bincount(step.ravel(), minlength=counts.size).reshape(counts.shape)
         start = stop
-        log_weights = map_log_weights(*tally(log_prior, counts[:, :-1], table))
-        _, prior_best = tie_sets(log_weights, catalog.priors)
+        hits, finite = tally(log_prior, counts[:, :-1], table)
+        log_weights = map_log_weights(hits, finite)
+        tied[c], prior_best = tie_sets(log_weights, catalog.priors)
         winners[c] = prior_best.argmax(axis=1)
         random[c] = prior_best.sum(axis=1) > 1
         for r in np.flatnonzero(random[c]).tolist():
             if r not in streams:
                 streams[r] = pick(r)
             winners[c, r] = pick_tied(prior_best[r], streams[r])
-    return winners, random
+    return Episodes(winners, random, tied, hits, log_weights)
 
 
 _REQUIRED = object()
@@ -465,6 +478,13 @@ def _target(value) -> float:
 def _rate(value) -> float:
     if not 0.0 <= _number(value) <= 1.0:
         raise ValueError(f"expected a number in [0, 1], got {value!r}")
+    return float(value)
+
+
+# a training spread scale: numpy draws at scale 0 but rejects a negative one
+def _scale(value) -> float:
+    if not _number(value) >= 0.0:
+        raise ValueError(f"expected a non-negative number, got {value!r}")
     return float(value)
 
 
@@ -540,8 +560,8 @@ def load_scenario(path: str | Path) -> Scenario:
     bias = TrainingBias(
         pos_mean_shift=_field(path, bias_raw, "pos_mean_shift", _number, 0.0),
         neg_mean_shift=_field(path, bias_raw, "neg_mean_shift", _number, 0.0),
-        pos_std_scale=_field(path, bias_raw, "pos_std_scale", _number, 1.0),
-        neg_std_scale=_field(path, bias_raw, "neg_std_scale", _number, 1.0),
+        pos_std_scale=_field(path, bias_raw, "pos_std_scale", _scale, 1.0),
+        neg_std_scale=_field(path, bias_raw, "neg_std_scale", _scale, 1.0),
     )
     families = _field(
         path,

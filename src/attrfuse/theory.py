@@ -2,10 +2,16 @@
 
 For an attribute with positive prior ``w`` and worst-case prior ratios
 ``r+``/``r-``, correct and uniquely identifying evidence is guaranteed to win
-the MAP decision when every involved classifier satisfies
+the MAP decision when every involved classifier satisfies, strictly,
 
-    ppv >= r+ * w / (1 + (r+ - 1) * w)
-    npv >= r- * (1 - w) / (w + r- * (1 - w))
+    ppv > r+ * w / (1 + (r+ - 1) * w)
+    npv > r- * (1 - w) / (w + r- * (1 - w))
+
+At a floor the factor only offsets the worst-case prior ratio, so the
+weights tie and the prior fallback may pick another object. A bin qualifies
+when its factor beats the ratio by more than the decision's relative
+``TIE_RELATIVE_TOLERANCE``: its odds ``v / (1 - v)`` exceed the floor's odds
+that much, with ``BOUND_TOLERANCE`` of slack toward rejection.
 
 With equal priors both ratios are 1 and the floors reduce to ``w`` and
 ``1 - w``. The false-positive and false-negative rates of a calibrated bin
@@ -24,9 +30,11 @@ from attrfuse.catalog import (
     unique_candidates,
 )
 from attrfuse.classifier import ClassifierModel
+from attrfuse.fusion import TIE_RELATIVE_TOLERANCE
 
-# Bound comparisons allow this absolute slack to avoid float-equality
-# brittleness at exact thresholds.
+# Absolute slack on bound comparisons at exact thresholds, spent toward
+# rejection by the predictive-value floors and toward acceptance by the
+# false-rate bounds.
 BOUND_TOLERANCE = 1e-12
 
 
@@ -84,8 +92,14 @@ def required_predictive_values(stats: CatalogStats, attribute_index: int) -> tup
     return ppv_bound, npv_bound
 
 
+def _qualifies(value: float, floor: float) -> bool:
+    """Whether a predictive value's factor beats that of its ``floor`` by more than the tie tolerance."""
+    value -= BOUND_TOLERANCE
+    return value * (1.0 - floor) * (1.0 - TIE_RELATIVE_TOLERANCE) > floor * (1.0 - value)
+
+
 def requirement_report(models: Mapping[int, ClassifierModel], stats: CatalogStats) -> RequirementReport:
-    """Check every reliable bin of every usable modeled attribute against the floors."""
+    """Check that every reliable bin of every usable modeled attribute qualifies, strictly above the floors."""
     entries: list[BinRequirement] = []
     for attribute_index in sorted(models):
         if not stats.usable[attribute_index]:
@@ -102,8 +116,8 @@ def requirement_report(models: Mapping[int, ClassifierModel], stats: CatalogStat
                     bin_index=bin_index,
                     ppv_bound=ppv_bound,
                     npv_bound=npv_bound,
-                    ppv_ok=cal.ppv >= ppv_bound - BOUND_TOLERANCE,
-                    npv_ok=cal.npv >= npv_bound - BOUND_TOLERANCE,
+                    ppv_ok=_qualifies(cal.ppv, ppv_bound),
+                    npv_ok=_qualifies(cal.npv, npv_bound),
                 )
             )
     overall = all(e.ppv_ok and e.npv_ok for e in entries)
@@ -119,9 +133,9 @@ def certify_guaranteed_recognition(
     """Brute-force certificate that the given evidence forces a correct MAP winner.
 
     The verdict is guaranteed only when (a) exactly one object is consistent
-    with the evidence and (b) every involved attribute meets its
-    predictive-value floor in every reliable bin of its model, so the
-    conclusion does not depend on which bin the evidence came from.
+    with the evidence and (b) every involved attribute qualifies, strictly
+    above its predictive-value floor, in every reliable bin of its model,
+    so the conclusion does not depend on which bin the evidence came from.
     """
     stats = compute_stats(catalog)
     pos = frozenset(int(i) for i in pos_set)
@@ -145,16 +159,12 @@ def certify_guaranteed_recognition(
             return CertificationVerdict(False, None, candidates, f"attribute {i} has no reliable bin")
         ppv_bound, npv_bound = required_predictive_values(stats, i)
         for cal in reliable:
-            if i in pos and cal.ppv < ppv_bound - BOUND_TOLERANCE:
-                return CertificationVerdict(
-                    False, None, candidates,
-                    f"attribute {i} bin {cal.bin_index}: ppv {cal.ppv:.6f} below bound {ppv_bound:.6f}",
-                )
-            if i in neg and cal.npv < npv_bound - BOUND_TOLERANCE:
-                return CertificationVerdict(
-                    False, None, candidates,
-                    f"attribute {i} bin {cal.bin_index}: npv {cal.npv:.6f} below bound {npv_bound:.6f}",
-                )
+            for observed, name, value, bound in ((pos, "ppv", cal.ppv, ppv_bound), (neg, "npv", cal.npv, npv_bound)):
+                if i in observed and not _qualifies(value, bound):
+                    return CertificationVerdict(
+                        False, None, candidates,
+                        f"attribute {i} bin {cal.bin_index}: {name} {value:.6f} at or below bound {bound:.6f}",
+                    )
     return CertificationVerdict(True, target, candidates, "unique candidate with qualifying predictive values")
 
 

@@ -5,21 +5,26 @@ calibration oracles use exact Fraction arithmetic and share no code with the
 package under test. The one-observation loop that the batched engine and
 ``attrfuse fuse`` replaced (``sample_score`` -> ``make_observation`` ->
 ``update``) is kept as the reference the engine is compared against bit for
-bit, and the line-by-line observation reader and checks that ``attrfuse
-fuse`` ran before it read columns are the reference for the columnar
-reader. These references may import package types (the models and
-scenarios they read), and the one-observation ``update`` builds each state
-through ``counted_posterior``, but none of the batched code paths they
-check. ``make_synthetic_model`` builds the models with stated predictive
-values that the posterior and theory tests feed them.
+bit, with the one-row posterior (``counted_posterior``: counts -> ``tally``)
+and the MAP tie rule (``decide``) it decided by. The line-by-line
+observation reader and checks that ``attrfuse fuse`` ran before it read
+columns are the reference for the columnar reader. These references may
+import package types (the models and scenarios they read) and the
+``factor_table``/``tally``/``map_log_weights`` sums, but none of the
+batched code paths they check. ``make_synthetic_model`` builds the models
+with stated predictive values that the posterior and theory tests feed
+them, and ``factor_codes`` codes their outcomes as one engine row.
 """
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from attrfuse.classifier import BinCalibration, ClassifierModel
-from attrfuse.fusion import counted_posterior
+from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
 
 
 def posterior_oracle(priors, matrix, observations, ppv, npv):
@@ -136,22 +141,67 @@ def make_synthetic_model(attribute_index, ppv, npv, detection_rate=1.0, true_neg
     return ClassifierModel(attribute_index=attribute_index, orientation="lower_is_positive", calibrations={0: cal})
 
 
-def factor_counts(observations):
-    """Adoptions per factor key of (model, outcome) observations in bin 0, in first-seen key order.
+def factor_codes(observations):
+    """(model, outcome) observations in bin 0 as one engine row: codes in observation order, and the sorted keys.
 
-    Uncertain outcomes count nothing.
+    Each adopted outcome's code indexes its (attribute, outcome, predictive
+    value) key; an uncertain one gets the no-key code ``len(keys)``.
     """
-    counts = {}
+    observed = []
     for model, outcome in observations:
-        if outcome != "uncertain":
-            cal = model.calibrations[0]
-            key = (model.attribute_index, outcome, cal.ppv if outcome == "positive" else cal.npv)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+        cal = model.calibrations[0]
+        observed.append(None if outcome == "uncertain" else (model.attribute_index, outcome, cal.ppv if outcome == "positive" else cal.npv))
+    keys = sorted({key for key in observed if key is not None})
+    index = {key: n for n, key in enumerate(keys)}
+    return np.array([[index.get(key, len(keys)) for key in observed]], dtype=np.intp), keys
 
 
 # ---------------------------------------------------------------------------
-# The per-observation path: one scalar draw, classification and count at a time.
+# The per-observation path: one scalar draw, classification and count at a
+# time, and one posterior row decided at a time.
+
+
+class Posterior(NamedTuple):
+    """One row's posterior: the positive counts per factor key in sorted key order, their tally row, and the MAP log weights."""
+
+    counts: dict
+    hits: np.ndarray
+    finite: np.ndarray
+    log_weights: np.ndarray
+
+
+class Decision(NamedTuple):
+    """One row's MAP decision: the winner, the posterior-tied candidates, and the break used ("none", "prior" or "random")."""
+
+    winner: int
+    candidates: tuple
+    tie_broken_by: str
+
+
+def counted_posterior(catalog, stats, counts):
+    """The posterior after each factor key's count of adopted observations; zero counts are dropped."""
+    counts = {key: int(counts[key]) for key in sorted(counts) if counts[key]}
+    row = np.array([list(counts.values())], dtype=np.int64)
+    hits, finite = tally(np.log(catalog.priors), row, factor_table(list(counts), stats))
+    return Posterior(counts, hits[0], finite[0], map_log_weights(hits[0], finite[0]))
+
+
+def decide(state, catalog, rng):
+    """Argmax over one posterior row; posterior ties fall back to the prior argmax, prior ties to a seeded uniform pick.
+
+    Weights within a relative ``TIE_RELATIVE_TOLERANCE`` of the maximum are
+    tied, and so are the tied candidates' priors within it of the best one.
+    """
+    log_weights = state.log_weights
+    tied = log_weights >= log_weights.max() + math.log1p(-TIE_RELATIVE_TOLERANCE)
+    candidates = tuple(np.flatnonzero(tied).tolist())
+    if len(candidates) == 1:
+        return Decision(candidates[0], candidates, "none")
+    best = max(catalog.priors[j] for j in candidates)
+    options = [j for j in candidates if catalog.priors[j] >= best * (1.0 - TIE_RELATIVE_TOLERANCE)]
+    if len(options) == 1:
+        return Decision(options[0], candidates, "prior")
+    return Decision(options[int(rng.integers(len(options)))], candidates, "random")
 
 
 @dataclass(frozen=True)

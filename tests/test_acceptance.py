@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.fusion import counted_posterior, posterior
+from attrfuse.fusion import posterior
 from attrfuse.experiments import (
     convergence_suite,
     exact_recognition_suite,
@@ -23,11 +23,12 @@ from attrfuse.simulator import (
     CALIBRATION_STREAM,
     calibrate_scenario,
     classify_scores,
+    decide_episodes,
     derived_rng,
     draw_training_sets,
 )
 
-from oracles import count_rates, factor_counts, make_synthetic_model, posterior_oracle
+from oracles import count_rates, factor_codes, make_synthetic_model, posterior_oracle
 
 
 def _report(number: int, description: str, passed: bool):
@@ -44,6 +45,17 @@ def _catalog(matrix, priors):
         matrix=matrix,
         priors=np.asarray(priors, dtype=float),
     )
+
+
+def _log_weights(catalog, stats, codes, keys):
+    """The engine's MAP log weights of one row of codes into ``keys``."""
+    episodes = decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: np.random.default_rng(0))
+    return episodes.log_weights[0]
+
+
+def _fused(catalog, stats, observations):
+    """The engine's posterior after (model, outcome) observations in bin 0."""
+    return posterior(_log_weights(catalog, stats, *factor_codes(observations)))
 
 
 def test_criterion_1_exhaustive_small_case_oracle():
@@ -68,11 +80,11 @@ def test_criterion_1_exhaustive_small_case_oracle():
         slots = list(itertools.product(range(m), outcomes))
         for length in range(4):
             for sequence in itertools.product(slots, repeat=length):
-                state = counted_posterior(catalog, stats, factor_counts([(models[i], o) for i, o in sequence]))
+                probs = _fused(catalog, stats, [(models[i], o) for i, o in sequence])
                 expected = posterior_oracle(
                     catalog.priors.tolist(), catalog.matrix.tolist(), list(sequence), ppv, npv
                 )
-                worst = max(worst, float(np.max(np.abs(posterior(state) - np.asarray(expected)))))
+                worst = max(worst, float(np.max(np.abs(probs - np.asarray(expected)))))
                 cases += 1
     elapsed = time.monotonic() - start
     _report(
@@ -194,8 +206,7 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
         i = int(rng.integers(table1.n_attributes))
         model = make_synthetic_model(i, float(rng.uniform(0.7, 1.0)), float(rng.uniform(0.7, 1.0)))
         observations.append((model, ("positive", "negative")[int(rng.integers(2))]))
-    state = counted_posterior(table1, stats, factor_counts(observations))
-    normalization_ok = abs(posterior(state).sum() - 1.0) <= 1e-12
+    normalization_ok = abs(_fused(table1, stats, observations).sum() - 1.0) <= 1e-12
 
     # order independence within 1e-10 in log domain
     models = {i: make_synthetic_model(i, 0.92 + 0.005 * i, 0.9 + 0.005 * i) for i in range(10)}
@@ -204,7 +215,7 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
     ]
 
     def log_posterior(sequence):
-        return np.log(posterior(counted_posterior(table1, stats, factor_counts([(models[i], o) for i, o in sequence]))))
+        return np.log(_fused(table1, stats, [(models[i], o) for i, o in sequence]))
 
     reference = log_posterior(observations)
     order_ok = all(
@@ -221,8 +232,8 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
     unreliable = dataclasses.replace(models[0].calibrations[0], bin_index=3, reliable=False)
     gated = {0: dataclasses.replace(models[0], calibrations={**models[0].calibrations, 3: unreliable})}
     codes, keys = classify_scores(gated, [0, 0, 0], [0, 3, 3], np.array([[0.5, -1.0, 2.0]]))
-    base = counted_posterior(table1, stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-    noop_ok = base.counts == {} and base.log_weights.tobytes() == np.log(table1.priors).tobytes()
+    weights = _log_weights(table1, stats, codes, keys)
+    noop_ok = (codes == len(keys)).all() and weights.tobytes() == np.log(table1.priors).tobytes()
 
     # threshold sweep determinism under input permutation and repetition
     from attrfuse.classifier import calibrate_bin

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from attrfuse.catalog import ObjectCatalog, load_catalog
 from attrfuse.classifier import load_models, save_models
 from attrfuse.cli import _checked_observations, _read_observation_columns, main
-from attrfuse.simulator import load_scenario
+from attrfuse.simulator import PICK_STREAM, derived_rng, load_scenario
 from oracles import checked_observation_lines, make_synthetic_model
 
 BOM = b"\xef\xbb\xbf"
@@ -140,6 +140,58 @@ def test_fuse_locates_adopted_constant_attribute(tmp_path):
     obs.write_text("varies,0,-1.0\nalways,0,0.5\nalways,0,-1.0\nalways,0,2.0\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(obs))}:3: attribute index 1 is constant across the catalog"):
         main(["fuse", "--catalog", str(catalog_path), "--model", str(model_path), "--obs", str(obs)])
+
+
+def _synthetic_fuse_inputs(tmp_path, objects, matrix, ppv):
+    """A catalog of ``objects`` ((id, prior) pairs) over attributes a0, a1, ..., and synthetic models with ``ppv``."""
+    attributes = [f"a{i}" for i in range(len(matrix[0]))]
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(json.dumps({
+        "objects": [{"id": name, "prior": prior} for name, prior in objects],
+        "attributes": attributes,
+        "matrix": matrix,
+    }))
+    model_path = tmp_path / "models.json"
+    models = {i: make_synthetic_model(i, ppv, 0.9) for i in range(len(attributes))}
+    save_models(models, load_catalog(catalog_path), model_path)
+    return ["fuse", "--catalog", str(catalog_path), "--model", str(model_path)]
+
+
+def test_fuse_breaks_a_posterior_tie_by_the_prior(tmp_path, capsys):
+    """One adopted positive at the predictive-value floor ties both objects, and the better prior wins."""
+    # A (prior 0.4) has a0 and B (prior 0.6) lacks it, so a0's PPV floor is 0.5
+    argv = _synthetic_fuse_inputs(tmp_path, [("A", 0.4), ("B", 0.6)], [[1], [0]], ppv=0.5)
+    obs = tmp_path / "obs.csv"
+    obs.write_text("a0,0,-1.0\n")  # synthetic thresholds sit at 0 and 1: -1 is positive
+    assert main([*argv, "--obs", str(obs)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["candidates"], record["winner"], record["tie_broken_by"]) == (["A", "B"], "B", "prior")
+    assert record["posterior"] == pytest.approx({"A": 0.5, "B": 0.5}, abs=1e-12)
+    assert (record["positive_counts"], record["negative_counts"], record["saturated"]) == ({"a0": 1}, {}, False)
+
+
+def test_fuse_on_a_header_only_file_is_the_prior_decision(tmp_path, capsys):
+    """No observation line sends a zero-width row through the engine: the equal priors tie, and the seeded pick decides."""
+    argv = _synthetic_fuse_inputs(tmp_path, [("p", 0.5), ("q", 0.5)], [[1], [0]], ppv=0.9)
+    obs = tmp_path / "obs.csv"
+    obs.write_text("attribute,bin,score\n")
+    winners = []
+    for seed in range(8):
+        assert main([*argv, "--obs", str(obs), "--seed", str(seed)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record == {
+            "winner": "pq"[derived_rng(seed, PICK_STREAM).integers(2)],
+            "candidates": ["p", "q"],
+            "tie_broken_by": "random",
+            "posterior": {"p": 0.5, "q": 0.5},
+            "adopted_observations": 0,
+            "discarded_observations": 0,
+            "positive_counts": {},
+            "negative_counts": {},
+            "saturated": False,
+        }
+        winners.append(record["winner"])
+    assert set(winners) == {"p", "q"}
 
 
 def test_fuse_reports_missing_obs_file(repo_root, exp2_models, tmp_path):
@@ -326,6 +378,7 @@ def test_missing_or_malformed_input_file_is_a_message(repo_root, exp2_models, tm
         ("calibrate", "exp2", "calibration", "min_detection_rate", 2),
         ("exp2", "exp2", "calibration", "target_npv", 1.5),
         ("exp3", "exp3", "calibration", "n_pos_per_object", 0),
+        ("calibrate", "exp2", "training_bias", "pos_std_scale", -1),
         ("exp1", "exp2", None, "bins", None),  # exp1 compares bins, and exp2.json has one
         ("exp3", "exp2", None, "families", None),  # exp2.json defines no attribute families
     ],

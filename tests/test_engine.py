@@ -1,4 +1,4 @@
-"""The batched episode engine against the one-observation, one-row path it replaces (``tests/oracles.py``)."""
+"""The batched episode engine against the one-observation, one-row path it replaced (``tests/oracles.py``)."""
 import dataclasses
 
 import numpy as np
@@ -14,7 +14,7 @@ from attrfuse.experiments import (
     experiment3_attribute_families,
     single_threshold_models,
 )
-from attrfuse.fusion import counted_posterior, decide, factor_table, map_log_weights, tally
+from attrfuse.fusion import factor_table, map_log_weights, tally
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     PICK_STREAM,
@@ -31,7 +31,16 @@ from attrfuse.simulator import (
     stream_draws,
 )
 
-from oracles import Observation, classify, make_observation, make_synthetic_model, sample_score, update
+from oracles import (
+    Observation,
+    classify,
+    counted_posterior,
+    decide,
+    make_observation,
+    make_synthetic_model,
+    sample_score,
+    update,
+)
 
 PREDICTIVE_VALUES = (1.0, 0.9, 0.75)
 
@@ -81,19 +90,21 @@ def test_batch_rows_equal_one_row_posteriors_and_decisions(case, seed):
 
     half = codes.shape[1] // 2
     checkpoints = [half, codes.shape[1]]
-    winners, random = decide_episodes(codes, keys, catalog, stats, checkpoints, lambda r: derived_rng(seed, r))
+    episodes = decide_episodes(codes, keys, catalog, stats, checkpoints, lambda r: derived_rng(seed, r))
+    # the engine's last-checkpoint rows are the batched tally's
+    assert episodes.hits.tobytes() == hits.tobytes() and episodes.log_weights.tobytes() == batched.tobytes()
     for r, row in enumerate(codes):
         state = counted_posterior(catalog, stats, _row_counts(keys, row))
-        # the one-row state is the batched tally row itself, read-only, over the positive counts in key order
+        # the one-row tally over the positive counts in key order is the batched row itself
         assert state.hits.tobytes() == hits[r].tobytes() and state.finite.tobytes() == finite[r].tobytes()
-        assert not state.hits.flags.writeable and not state.finite.flags.writeable
         assert list(state.counts) == [key for key, n in zip(keys, counts[r]) if n]
         assert batched[r].tobytes() == state.log_weights.tobytes()
         pick = derived_rng(seed, r)  # the row's own stream, consumed over its checkpoints
         for c, stop in enumerate(checkpoints):
             decision = decide(counted_posterior(catalog, stats, _row_counts(keys, row[:stop])), catalog, rng=pick)
-            assert winners[c, r] == decision.winner
-            assert random[c, r] == (decision.tie_broken_by == "random")
+            assert episodes.winners[c, r] == decision.winner
+            assert tuple(np.flatnonzero(episodes.tied[c, r]).tolist()) == decision.candidates
+            assert episodes.random[c, r] == (decision.tie_broken_by == "random")
 
 
 def test_stream_draws_equal_scalar_calls():
@@ -275,7 +286,7 @@ def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
     truths = np.arange(trials) % catalog.n_objects
     scores = draw_scores(scenario, truths, attrs, bins, stream_draws(3, (SCORE_STREAM,), trials, len(columns)))
     codes, keys = classify_scores(models, attrs, bins, scores)
-    winners, random = decide_episodes(codes, keys, catalog, stats, [len(columns)], lambda r: derived_rng(3, PICK_STREAM, r))
+    episodes = decide_episodes(codes, keys, catalog, stats, [len(columns)], lambda r: derived_rng(3, PICK_STREAM, r))
     outcomes = [key[1] for key in keys] + ["uncertain"]
     for t, gt in enumerate(truths.tolist()):
         rng = derived_rng(3, SCORE_STREAM, t)
@@ -286,4 +297,4 @@ def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
             assert (scores[t, c], outcomes[codes[t, c]]) == (score, obs.outcome)
             state = update(state, obs, models[i], catalog, stats)
         decision = decide(state, catalog, rng=derived_rng(3, PICK_STREAM, t))
-        assert (winners[0, t], random[0, t]) == (decision.winner, decision.tie_broken_by == "random")
+        assert (episodes.winners[0, t], episodes.random[0, t]) == (decision.winner, decision.tie_broken_by == "random")

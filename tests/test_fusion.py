@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel
-from attrfuse.fusion import (
-    Decision,
-    PosteriorState,
-    counted_posterior,
-    decide,
-    posterior,
-)
-from attrfuse.simulator import classify_scores
+from attrfuse.fusion import posterior
+from attrfuse.simulator import classify_scores, decide_episodes
 
-from oracles import factor_counts, make_synthetic_model, posterior_oracle
+from oracles import factor_codes, make_synthetic_model, posterior_oracle
 
 
 def small_catalog(matrix, priors):
@@ -29,9 +23,19 @@ def small_catalog(matrix, priors):
     )
 
 
-def fused(catalog, stats, observations):
-    """The posterior after (model, outcome) observations in bin 0."""
-    return counted_posterior(catalog, stats, factor_counts(observations))
+def decided(codes, keys, catalog, stats, seed=0):
+    """The engine's decision of one row of codes into ``keys``, with ties picked from a Philox stream seeded ``seed``."""
+    return decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: np.random.Generator(np.random.Philox(seed)))
+
+
+def fused(catalog, stats, observations, seed=0):
+    """The engine's decision after (model, outcome) observations in bin 0, as one row in observation order."""
+    return decided(*factor_codes(observations), catalog, stats, seed)
+
+
+def log_weights(catalog, stats, observations):
+    """The MAP log weights of the engine's row after (model, outcome) observations in bin 0."""
+    return fused(catalog, stats, observations).log_weights[0]
 
 
 @pytest.fixture(scope="module")
@@ -41,28 +45,26 @@ def table1_stats(table1):
 
 class TestInit:
     def test_equal_priors(self, table1, table1_stats):
-        state = counted_posterior(table1, table1_stats, {})
-        assert posterior(state) == pytest.approx(np.full(9, 1 / 9), abs=1e-12)
-        assert state.outcome_counts("positive") == {} and state.outcome_counts("negative") == {}
-        assert state.counts == {}
+        episodes = fused(table1, table1_stats, [])
+        assert posterior(episodes.log_weights[0]) == pytest.approx(np.full(9, 1 / 9), abs=1e-12)
+        assert not episodes.hits.any() and episodes.tied.all()
 
     def test_priors_recovered_exactly(self):
         cat = small_catalog([[1], [0], [1]], [0.5, 0.3, 0.2])
-        assert posterior(counted_posterior(cat, compute_stats(cat), {})) == pytest.approx([0.5, 0.3, 0.2], abs=1e-12)
+        assert posterior(log_weights(cat, compute_stats(cat), [])) == pytest.approx([0.5, 0.3, 0.2], abs=1e-12)
 
 
-class TestCountedPosterior:
+class TestPosteriorRow:
     def test_bottle_shape_positive(self, table1, table1_stats):
         i = table1.attribute_index("bottle shape")
         model = make_synthetic_model(i, ppv=0.96, npv=0.96)
-        state = fused(table1, table1_stats, [(model, "positive")])
-        probs = posterior(state)
+        weights = log_weights(table1, table1_stats, [(model, "positive")])
+        probs = posterior(weights)
         expected = np.full(9, 0.04 / (2 / 3) / 9)   # factor 0.06 on the six non-bottles
         expected[6:] = 0.96 / (1 / 3) / 9           # factor 2.88 on objects 7, 8, 9
         assert probs == pytest.approx(expected, abs=1e-12)
         assert probs[6] == pytest.approx(0.32, abs=1e-12)
-        assert state.log_weights[6] - state.log_weights[0] == pytest.approx(math.log(48), abs=1e-12)
-        assert state.outcome_counts("positive") == {i: 1} and state.outcome_counts("negative") == {}
+        assert weights[6] - weights[0] == pytest.approx(math.log(48), abs=1e-12)
 
     def test_uncertain_is_noop(self, table1, table1_stats):
         """A score between the thresholds gets the no-key code, so it adds no count and no factor."""
@@ -70,9 +72,8 @@ class TestCountedPosterior:
         models = {0: ClassifierModel(0, "lower_is_positive", {0: cal})}
         codes, keys = classify_scores(models, [0, 0, 0], [0, 0, 0], np.array([[4.0, 3.5, 4.999]]))
         assert codes.tolist() == [[len(keys)] * 3]
-        state = counted_posterior(table1, table1_stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-        assert state.counts == {} and not state.hits.any()
-        assert state.finite.tobytes() == state.log_weights.tobytes() == np.log(table1.priors).tobytes()
+        episodes = decided(codes, keys, table1, table1_stats)
+        assert not episodes.hits.any() and episodes.log_weights[0].tobytes() == np.log(table1.priors).tobytes()
 
     def test_unreliable_region_is_noop(self, table1, table1_stats):
         """An unreliable bin adopts no score, whatever its side of the one threshold it has."""
@@ -80,14 +81,14 @@ class TestCountedPosterior:
         models = {0: ClassifierModel(0, "lower_is_positive", {1: unreliable})}
         codes, keys = classify_scores(models, [0, 0], [1, 1], np.array([[-100.0, 100.0]]))
         assert keys == () and codes.tolist() == [[0, 0]]
-        state = counted_posterior(table1, table1_stats, dict(zip(keys, np.bincount(codes[0], minlength=len(keys)))))
-        assert state.counts == {} and not state.hits.any()
-        assert state.log_weights.tobytes() == np.log(table1.priors).tobytes()
+        episodes = decided(codes, keys, table1, table1_stats)
+        assert not episodes.hits.any() and episodes.log_weights[0].tobytes() == np.log(table1.priors).tobytes()
 
-    def test_zero_counts_are_dropped(self, table1, table1_stats):
-        key = (table1.attribute_index("cylinder"), "positive", 0.96)
-        state = counted_posterior(table1, table1_stats, {key: 0})
-        assert state.counts == {} and state.finite.tobytes() == np.log(table1.priors).tobytes() and not state.saturated
+    def test_uncoded_key_adds_nothing(self, table1, table1_stats):
+        """A key that no code selects leaves the prior's weights bit for bit."""
+        keys = [(table1.attribute_index("cylinder"), "positive", 0.96)]
+        episodes = decided(np.array([[1, 1]]), keys, table1, table1_stats)
+        assert not episodes.hits.any() and episodes.log_weights[0].tobytes() == np.log(table1.priors).tobytes()
 
     def test_constant_attribute_rejected(self):
         cat = small_catalog([[1, 1], [1, 0]], [0.5, 0.5])
@@ -101,34 +102,34 @@ class TestCountedPosterior:
         stats = compute_stats(cat)
         model = make_synthetic_model(0, ppv=1.0, npv=1.0)
         observations = [(model, "positive")]
-        state = fused(cat, stats, observations)
-        assert state.saturated
-        assert state.log_weights[1] == -np.inf
-        assert posterior(state)[1] == 0.0
+        episodes = fused(cat, stats, observations)
+        assert episodes.hits.any()
+        assert episodes.log_weights[0, 1] == -np.inf
+        assert posterior(episodes.log_weights[0])[1] == 0.0
         # finite contradicting evidence cannot revive an object a factor of 0 ruled out
         soft = make_synthetic_model(1, ppv=0.9, npv=0.9)
         observations += [(soft, "positive")] * 3
-        assert posterior(fused(cat, stats, observations))[1] == 0.0
+        assert posterior(log_weights(cat, stats, observations))[1] == 0.0
         # once every object is contradicted, the finite evidence decides again
         hard = make_synthetic_model(1, ppv=1.0, npv=1.0)
-        state = fused(cat, stats, observations + [(hard, "positive")])
-        assert np.isfinite(state.log_weights).all()
-        assert state.log_weights[1] > state.log_weights[0]
-        assert posterior(state).sum() == pytest.approx(1.0, abs=1e-12)
+        weights = log_weights(cat, stats, observations + [(hard, "positive")])
+        assert np.isfinite(weights).all()
+        assert weights[1] > weights[0]
+        assert posterior(weights).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_truth_weight_nondecreasing_under_correct_evidence(self, table1, table1_stats):
         # with equal priors the floors are w and 1-w; any ppv/npv above them
         # multiplies the true object's weight by a factor >= 1
         truth = table1.objects.index("7")
         observations = []
-        state = counted_posterior(table1, table1_stats, {})
+        weights = log_weights(table1, table1_stats, [])
         for i in range(table1.n_attributes):
             w = table1_stats.attribute_priors[i]
             model = make_synthetic_model(i, ppv=max(w, 0.9), npv=max(1 - w, 0.9))
             observations.append((model, "positive" if table1.matrix[truth, i] else "negative"))
-            new = fused(table1, table1_stats, observations)
-            assert new.log_weights[truth] >= state.log_weights[truth] - 1e-12
-            state = new
+            new = log_weights(table1, table1_stats, observations)
+            assert new[truth] >= weights[truth] - 1e-12
+            weights = new
 
 
 class TestOracleEquivalence:
@@ -154,9 +155,9 @@ class TestOracleEquivalence:
             (int(rng.integers(n_attr)), outcomes[int(rng.integers(3))])
             for _ in range(int(rng.integers(0, 4)))
         ]
-        state = fused(cat, stats, [(models[i], outcome) for i, outcome in obs])
+        weights = log_weights(cat, stats, [(models[i], outcome) for i, outcome in obs])
         expected = posterior_oracle(cat.priors.tolist(), matrix.tolist(), obs, ppv.tolist(), npv.tolist())
-        assert posterior(state) == pytest.approx(expected, abs=1e-10)
+        assert posterior(weights) == pytest.approx(expected, abs=1e-10)
 
 
 class TestOrderIndependence:
@@ -176,7 +177,7 @@ class TestOrderIndependence:
         ]
 
         def run(sequence):
-            return np.log(posterior(fused(cat, stats, [(models[i], outcome) for i, outcome in sequence])))
+            return np.log(posterior(log_weights(cat, stats, [(models[i], outcome) for i, outcome in sequence])))
 
         base = run(obs)
         for _ in range(3):
@@ -202,7 +203,7 @@ class TestOrderIndependence:
         obs = [(models[int(rng.integers(8))], outcomes[int(rng.integers(3))]) for _ in range(10)]
 
         def run(sequence):
-            return fused(cat, stats, sequence).log_weights
+            return log_weights(cat, stats, sequence)
 
         base = run(obs)
         for _ in range(3):
@@ -215,47 +216,41 @@ class TestOrderIndependence:
         hard = make_synthetic_model(0, ppv=1.0, npv=0.96)
         soft = make_synthetic_model(1, ppv=0.9, npv=0.9)
         sequence = [(hard, "positive"), (soft, "positive"), (soft, "positive")]
-        forward, reverse = fused(cat, stats, sequence), fused(cat, stats, sequence[::-1])
-        assert np.array_equal(forward.log_weights, reverse.log_weights)
+        forward, reverse = log_weights(cat, stats, sequence), log_weights(cat, stats, sequence[::-1])
+        assert np.array_equal(forward, reverse)
         assert posterior(forward)[1] == 0.0 and posterior(reverse)[1] == 0.0
-        assert forward.log_weights[0] - forward.log_weights[1] == math.inf
-        assert forward.log_weights[1] - forward.log_weights[0] == -math.inf
+        assert forward[0] - forward[1] == math.inf
+        assert forward[1] - forward[0] == -math.inf
 
 
 class TestDecide:
-    def test_unique_maximum(self, table1):
-        lw = np.log(table1.priors)
-        lw[3] += 1.0
-        state = PosteriorState({}, np.zeros(lw.size, dtype=np.int64), lw)
-        decision = decide(state, table1)
-        assert decision == Decision(winner=3, candidates=(3,), tie_broken_by="none")
+    """The engine's MAP rule on one row: a unique maximum, a prior break, and a seeded pick among prior ties."""
+
+    def test_unique_maximum(self, table1, table1_stats):
+        truth = table1.objects.index("7")
+        evidence = [
+            (make_synthetic_model(table1.attribute_index(name), 0.96, 0.96), "positive")
+            for name in ("bottle shape", "yellow color")
+        ]
+        episodes = fused(table1, table1_stats, evidence)
+        assert np.flatnonzero(episodes.tied[0, 0]).tolist() == [truth]
+        assert (episodes.winners[0, 0], episodes.random[0, 0]) == (truth, False)
 
     def test_three_way_tie_forced_pick(self, table1, table1_stats):
         i = table1.attribute_index("bottle shape")
         model = make_synthetic_model(i, 0.96, 0.96)
-        state = fused(table1, table1_stats, [(model, "positive")])
-        d1 = decide(state, table1, rng=np.random.Generator(np.random.Philox(123)))
-        d2 = decide(state, table1, rng=np.random.Generator(np.random.Philox(123)))
-        assert d1.candidates == (6, 7, 8)
-        assert d1.tie_broken_by == "random"
-        assert d1.winner in (6, 7, 8)
-        assert d1 == d2
-
-    def test_tie_without_rng_unresolved(self, table1, table1_stats):
-        i = table1.attribute_index("bottle shape")
-        model = make_synthetic_model(i, 0.96, 0.96)
-        state = fused(table1, table1_stats, [(model, "positive")])
-        decision = decide(state, table1)
-        assert decision.winner is None
-        assert decision.candidates == (6, 7, 8)
+        first, second = (fused(table1, table1_stats, [(model, "positive")], seed=123) for _ in range(2))
+        assert np.flatnonzero(first.tied[0, 0]).tolist() == [6, 7, 8]
+        assert first.random[0, 0]
+        assert first.winners[0, 0] in (6, 7, 8)
+        assert first.winners.tobytes() == second.winners.tobytes()
 
     def test_prior_breaks_tie(self):
-        cat = small_catalog([[1, 0], [0, 1], [0, 0]], [0.4, 0.2, 0.4])
-        state = PosteriorState({}, np.zeros(3, dtype=np.int64), np.log(np.array([0.5, 0.5, 1e-6])))
-        decision = decide(state, cat)
-        assert decision.winner == 0
-        assert decision.tie_broken_by == "prior"
-        assert decision.candidates == (0, 1)
+        """At the predictive-value floor the posterior ties, and the prior picks the object without the attribute."""
+        cat = small_catalog([[1], [0]], [0.4, 0.6])
+        episodes = fused(cat, compute_stats(cat), [(make_synthetic_model(0, 0.5, 0.9), "positive")])
+        assert episodes.tied[0, 0].tolist() == [True, True]
+        assert (episodes.winners[0, 0], episodes.random[0, 0]) == (1, False)
 
 
 class TestPosteriorNumerics:
@@ -273,13 +268,13 @@ class TestPosteriorNumerics:
             i = int(rng.integers(5))
             model = make_synthetic_model(i, float(rng.uniform(0.7, 1.0)), float(rng.uniform(0.7, 1.0)))
             observations.append((model, ["positive", "negative"][int(rng.integers(2))]))
-        state = fused(cat, stats, observations)
-        assert posterior(state).sum() == pytest.approx(1.0, abs=1e-12)
+        assert posterior(log_weights(cat, stats, observations)).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_long_runs_stay_finite(self, table1, table1_stats):
         i = table1.attribute_index("cylinder")
         model = make_synthetic_model(i, 0.96, 0.96)
-        state = fused(table1, table1_stats, [(model, "positive")] * 3000)
-        assert state.counts == {(i, "positive", 0.96): 3000}
-        assert np.isfinite(state.log_weights).all()
-        assert posterior(state).sum() == pytest.approx(1.0, abs=1e-12)
+        codes, keys = factor_codes([(model, "positive")] * 3000)
+        assert keys == [(i, "positive", 0.96)]
+        weights = decided(codes, keys, table1, table1_stats).log_weights[0]
+        assert np.isfinite(weights).all()
+        assert posterior(weights).sum() == pytest.approx(1.0, abs=1e-12)

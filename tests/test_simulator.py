@@ -66,11 +66,11 @@ def episodes(scenario, models, truths, schedule, seed, key=()):
     attrs, bins = [i for i, _ in columns], [k for _, k in columns]
     z = stream_draws(seed, (SCORE_STREAM, *key), len(truths), len(columns))
     codes, keys = classify_scores(models, attrs, bins, draw_scores(scenario, np.asarray(truths), attrs, bins, z))
-    winners, random = decide_episodes(
+    episodes = decide_episodes(
         codes, keys, scenario.catalog, compute_stats(scenario.catalog), [len(columns)],
         lambda r: derived_rng(seed, PICK_STREAM, *key, r),
     )
-    return codes, winners[0], random[0]
+    return codes, episodes.winners[0], episodes.random[0]
 
 
 class TestScenarioValidation:
@@ -147,6 +147,8 @@ class TestScenarioValidation:
             ("score_models", "std", 0),
             (None, "schedule", [[9, 1]]),
             (None, "seed", -1),
+            ("training_bias", "pos_std_scale", -1),
+            ("training_bias", "neg_std_scale", -0.5),
         ],
     )
     def test_unparsable_value_names_file_and_key(self, tmp_path, repo_root, section, key, value):
@@ -254,6 +256,16 @@ class TestTrainingSets:
 
     def test_default_per_object_training_count(self):
         assert CalibrationConfig().n_pos_per_object == 20
+
+    def test_zero_spread_scale_draws_at_the_mean(self, tmp_path, repo_root):
+        raw = json.loads((repo_root / "scenarios" / "exp2.json").read_text())
+        raw["catalog"] = str(repo_root / "catalogs" / "exp2.json")
+        raw["training_bias"] = {"pos_mean_shift": -1.0, "pos_std_scale": 0}
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(raw))
+        scn = load_scenario(path)
+        pos, _ = generate_training_set(scn, 0, 0, 5, 5, derived_rng(2, 0))
+        assert pos.tolist() == [scn.score_models[(0, "pos", 0)].mean - 1.0] * 5
 
     def test_bias_shifts_training_draws(self):
         scn = tiny_scenario(training_bias=TrainingBias(neg_mean_shift=-30.0, neg_std_scale=0.5))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.experiments import exact_recognition_suite
+from attrfuse.simulator import decide_episodes
 from attrfuse.theory import (
     certify_guaranteed_recognition,
     false_rate_bounds,
@@ -129,6 +132,61 @@ class TestCertification:
         pos = {table1.attribute_index("bottle shape"), table1.attribute_index("yellow color")}
         verdict = certify_guaranteed_recognition(table1, {}, pos, set())
         assert not verdict.guaranteed
+
+
+def engine_decision(catalog, models, pos, neg):
+    """The engine's one-row decision on one adopted observation per attribute in ``pos`` and ``neg`` (bin 0)."""
+    keyed = [(i, "positive", models[i].calibrations[0].ppv) for i in sorted(pos)]
+    keyed += [(i, "negative", models[i].calibrations[0].npv) for i in sorted(neg)]
+    keys = sorted(keyed)
+    codes = np.array([[keys.index(key) for key in keyed]], dtype=np.intp)
+    pick = np.random.Generator(np.random.Philox(0))
+    return decide_episodes(codes, keys, catalog, compute_stats(catalog), [codes.shape[1]], lambda _: pick)
+
+
+class TestFloorAgreement:
+    """The certificate holds exactly when the decision it describes has the truth as its only candidate."""
+
+    @pytest.mark.parametrize("ppv", [0.5, 0.5 * (1 + 1e-10)])
+    def test_tie_at_the_floor_is_not_guaranteed(self, ppv):
+        # A (prior 0.4) has the attribute, B (prior 0.6) lacks it: the PPV floor is 0.5
+        cat = small_catalog([[1], [0]], [0.4, 0.6])
+        models = {0: make_synthetic_model(0, ppv, 0.9)}
+        assert required_predictive_values(compute_stats(cat), 0)[0] == pytest.approx(0.5, abs=1e-15)
+        episodes = engine_decision(cat, models, {0}, set())
+        assert episodes.tied[0, 0].tolist() == [True, True] and episodes.winners[0, 0] == 1  # B, by its prior
+        verdict = certify_guaranteed_recognition(cat, models, {0}, set())
+        assert not verdict.guaranteed and "at or below bound" in verdict.reason
+        assert not requirement_report(models, compute_stats(cat)).overall_ok
+
+    def test_above_the_floor_is_guaranteed(self):
+        cat = small_catalog([[1], [0]], [0.4, 0.6])
+        models = {0: make_synthetic_model(0, 0.500001, 0.9)}
+        assert np.flatnonzero(engine_decision(cat, models, {0}, set()).tied[0, 0]).tolist() == [0]
+        assert certify_guaranteed_recognition(cat, models, {0}, set()).guaranteed
+        assert requirement_report(models, compute_stats(cat)).overall_ok
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_certified_evidence_decides_the_truth_alone(self, seed):
+        """Predictive values at, just above and well above their floors: a certified case never ties."""
+        rng = np.random.default_rng(seed)
+        n_objects, n_attributes = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        matrix = rng.integers(0, 2, size=(n_objects, n_attributes))
+        if not (matrix.any(axis=0) & (1 - matrix).any(axis=0)).all():
+            return
+        cat = small_catalog(matrix, rng.dirichlet(np.ones(n_objects)) * 0.9 + 0.1 / n_objects)
+        stats = compute_stats(cat)
+        scales = (1.0, 1.0, 1 + 1e-10, 1 + 3e-9, 1 + 1e-6, 1.05)
+        models = {}
+        for i in range(n_attributes):
+            ppv, npv = (min(1.0, floor * scales[int(rng.integers(len(scales)))]) for floor in required_predictive_values(stats, i))
+            models[i] = make_synthetic_model(i, ppv, npv)
+        truth = int(rng.integers(n_objects))
+        pos = set(np.flatnonzero(matrix[truth]).tolist())
+        neg = set(range(n_attributes)) - pos
+        if certify_guaranteed_recognition(cat, models, pos, neg).guaranteed:
+            assert np.flatnonzero(engine_decision(cat, models, pos, neg).tied[0, 0]).tolist() == [truth]
 
 
 class TestRateBounds:
