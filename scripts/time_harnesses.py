@@ -7,12 +7,17 @@ acceptance suite: convergence 4000 trials, exp3 1200, exp2 2500, exact
 recognition 1000 cases. ``fuse_10000`` is ``attrfuse fuse`` through
 ``cli.main`` on a fixed 10^4-line stream in bin 1 over the exp3 models, and
 ``fuse_10`` the same on the stream's first 10 lines, which shows the
-per-call cost. The scenario files are loaded, and the models and the
-streams written, once, outside the timed calls.
+per-call cost. ``calibrate_exp3`` is ``attrfuse calibrate`` through
+``cli.main`` on the exp3 scenario: it loads the scenario, draws the training
+sets, calibrates every bin and writes the models. The scenario files are
+loaded, and the models and the streams written, once, outside the timed
+calls; every timed call writes into one temporary directory.
 
     PYTHONPATH=src python scripts/time_harnesses.py
 """
+import contextlib
 import functools
+import io
 import json
 import statistics
 import sys
@@ -61,6 +66,12 @@ def fuse_argvs(scenario, workdir: Path) -> dict[int, list[str]]:
     return argvs
 
 
+def quiet(argv: list[str]) -> int:
+    """``cli.main(argv)`` with what it prints discarded, so that stdout holds only the timings."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return attrfuse_main(argv)
+
+
 def harnesses(workdir: Path):
     exp2 = load_scenario(REPO / "scenarios" / "exp2.json")
     exp3 = load_scenario(REPO / "scenarios" / "exp3.json")
@@ -71,6 +82,10 @@ def harnesses(workdir: Path):
         "experiment2_2500": lambda: experiment2_threshold_comparison(exp2, trials=2500),
         "exact_recognition_suite_1000": lambda: exact_recognition_suite(1000, SEED),
         **{f"fuse_{n}": functools.partial(attrfuse_main, argv) for n, argv in fuse.items()},
+        "calibrate_exp3": functools.partial(
+            quiet,
+            ["calibrate", "--scenario", str(REPO / "scenarios" / "exp3.json"), "--out", str(workdir / "calibrated.json")],
+        ),
     }
 
 

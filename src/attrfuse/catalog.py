@@ -159,7 +159,10 @@ def unique_candidates(
 def load_catalog(path: str | Path) -> ObjectCatalog:
     """Load a catalog file: keys ``objects`` ({id, prior} records), ``attributes``, ``matrix``.
 
-    An unreadable or malformed file raises :class:`CatalogError` naming the file.
+    An unreadable or malformed file raises :class:`CatalogError` naming the
+    file, and a value of the wrong JSON type also names the key. Nothing is
+    coerced: ids are strings, priors are numbers, and matrix rows are lists
+    of the integers 0 and 1, one per attribute.
     """
     path = Path(path)
     try:
@@ -171,10 +174,20 @@ def load_catalog(path: str | Path) -> ObjectCatalog:
     try:
         objects = [entry["id"] for entry in raw["objects"]]
         priors = [entry["prior"] for entry in raw["objects"]]
-        attributes = list(raw["attributes"])
+        attributes = raw["attributes"]
         matrix = raw["matrix"]
     except (KeyError, TypeError) as exc:
         raise CatalogError(f"{path}: missing or malformed key ({exc})") from exc
+    # type() rather than isinstance(): a JSON true is not a number
+    if not all(type(o) is str for o in objects) or not all(type(p) in (int, float) for p in priors):
+        raise CatalogError(f"{path}: key 'objects': each id must be a string and each prior a number")
+    if type(attributes) is not list or not all(type(a) is str for a in attributes):
+        raise CatalogError(f"{path}: key 'attributes' must be a list of strings")
+    if type(matrix) is not list or not all(
+        type(row) is list and len(row) == len(attributes) and all(type(v) is int and 0 <= v <= 1 for v in row)
+        for row in matrix
+    ):
+        raise CatalogError(f"{path}: key 'matrix' must be a list of rows, each one 0 or 1 per attribute")
     try:
         return ObjectCatalog(objects=objects, attributes=attributes, matrix=np.asarray(matrix), priors=np.asarray(priors, dtype=float))
     except CatalogError as exc:

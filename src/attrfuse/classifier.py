@@ -38,7 +38,7 @@ class ModelFileError(ValueError):
 
 @dataclass(frozen=True)
 class BinCalibration:
-    """Calibration result for one (attribute, environment bin) pair.
+    """Calibration result for one (attribute, environment bin) pair; the bin is its key in the model.
 
     ``theta_pos``/``theta_neg`` are None when no threshold met its target on
     the calibration sample. All rates are exact counts on the calibration
@@ -46,7 +46,6 @@ class BinCalibration:
     are zero and the corresponding predictive value is None.
     """
 
-    bin_index: int
     theta_pos: float | None
     theta_neg: float | None
     ppv: float | None
@@ -75,9 +74,7 @@ class ClassifierModel:
     def __post_init__(self):
         if self.orientation not in _ORIENTATIONS:
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        for bin_index, cal in self.calibrations.items():
-            if cal.bin_index != bin_index:
-                raise ValueError("calibration keyed under a different bin index")
+        for cal in self.calibrations.values():
             if cal.reliable:
                 lo, hi = cal.theta_pos, cal.theta_neg
                 if self.orientation == "higher_is_positive":
@@ -133,7 +130,7 @@ def _sweep(pos_scores, neg_scores, orientation: Orientation) -> _Sweep:
     )
 
 
-def _record(sweep: _Sweep, i_pos: int | None, i_neg: int | None, bin_index: int) -> BinCalibration:
+def _record(sweep: _Sweep, i_pos: int | None, i_neg: int | None) -> BinCalibration:
     """The bin's record with thresholds at candidates ``i_pos``/``i_neg`` (None: no threshold).
 
     Rates are the sweep's counts there. A predictive value is None when its
@@ -156,7 +153,6 @@ def _record(sweep: _Sweep, i_pos: int | None, i_neg: int | None, bin_index: int)
         theta_pos = None if theta_pos is None else -theta_pos
         theta_neg = None if theta_neg is None else -theta_neg
     return BinCalibration(
-        bin_index=bin_index,
         theta_pos=theta_pos,
         theta_neg=theta_neg,
         ppv=ppv,
@@ -176,7 +172,6 @@ def calibrate_bin(
     target_ppv: float = DEFAULT_TARGET_PPV,
     target_npv: float = DEFAULT_TARGET_NPV,
     min_detection_rate: float = DEFAULT_MIN_DETECTION_RATE,
-    bin_index: int = 0,
 ) -> BinCalibration:
     """Sweep thresholds on labeled scores and pick the most permissive qualifying pair.
 
@@ -211,11 +206,11 @@ def calibrate_bin(
     if i_neg is not None:
         qualifies_pos &= s.candidates <= s.candidates[i_neg]
     i_pos = int(np.flatnonzero(qualifies_pos)[-1]) if qualifies_pos.any() else None
-    return _record(s, i_pos, i_neg, bin_index)
+    return _record(s, i_pos, i_neg)
 
 
 def single_threshold_calibration(
-    pos_scores, neg_scores, orientation: Orientation = "lower_is_positive", bin_index: int = 0
+    pos_scores, neg_scores, orientation: Orientation = "lower_is_positive"
 ) -> BinCalibration:
     """The min-error threshold as a record whose two thresholds coincide, so no score is uncertain.
 
@@ -231,7 +226,7 @@ def single_threshold_calibration(
     tied = np.flatnonzero(errors == errors.min())
     target = 0.5 * (s.candidates[tied[0]] + s.candidates[tied[-1]])
     i = int(tied[np.argmin(np.abs(s.candidates[tied] - target))])
-    return _record(s, i, i, bin_index)
+    return _record(s, i, i)
 
 
 def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
@@ -246,28 +241,20 @@ def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
     return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
+# the keys of a saved bin record besides "bin" and "reliable", in the order they are written
+_THRESHOLD_KEYS = ("theta_pos", "theta_neg")
+_UNIT_KEYS = ("ppv", "npv", "detection_rate", "true_negative_rate", "false_positive_rate", "false_negative_rate")
+
+
 def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, path: str | Path) -> None:
-    """Persist calibrated models keyed by attribute id."""
+    """Persist calibrated models keyed by attribute id; each bin record is written under its key in the model."""
     entries = []
     for attribute_index in sorted(models):
         model = models[attribute_index]
-        bins = []
-        for bin_index in sorted(model.calibrations):
-            cal = model.calibrations[bin_index]
-            bins.append(
-                {
-                    "bin": cal.bin_index,
-                    "theta_pos": cal.theta_pos,
-                    "theta_neg": cal.theta_neg,
-                    "ppv": cal.ppv,
-                    "npv": cal.npv,
-                    "detection_rate": cal.detection_rate,
-                    "true_negative_rate": cal.true_negative_rate,
-                    "false_positive_rate": cal.false_positive_rate,
-                    "false_negative_rate": cal.false_negative_rate,
-                    "reliable": cal.reliable,
-                }
-            )
+        bins = [
+            {"bin": k, **{key: getattr(cal, key) for key in _THRESHOLD_KEYS + _UNIT_KEYS}, "reliable": cal.reliable}
+            for k, cal in sorted(model.calibrations.items())
+        ]
         entries.append(
             {
                 "attribute": catalog.attributes[attribute_index],
@@ -276,10 +263,6 @@ def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, p
             }
         )
     Path(path).write_text(json.dumps({"models": entries}, indent=2) + "\n")
-
-
-_THRESHOLD_KEYS = ("theta_pos", "theta_neg")
-_UNIT_KEYS = ("ppv", "npv", "detection_rate", "true_negative_rate", "false_positive_rate", "false_negative_rate")
 
 
 def _bin_record(rec: Mapping) -> BinCalibration:
@@ -299,16 +282,16 @@ def _bin_record(rec: Mapping) -> BinCalibration:
         if type(value) not in (int, float) or not (0.0 <= value <= 1.0 if unit else -math.inf < value < math.inf):
             raise ValueError(f"{where}: key {key!r} must be a finite number{' in [0, 1]' if unit else ''}, got {value!r}")
         values[key] = float(value)
-    return BinCalibration(bin_index=rec["bin"], reliable=rec["reliable"], **values)
+    return BinCalibration(reliable=rec["reliable"], **values)
 
 
 def load_models(path: str | Path, catalog: ObjectCatalog) -> dict[int, ClassifierModel]:
     """Load models persisted by :func:`save_models`, resolving attribute ids via the catalog.
 
     An unreadable file raises :class:`ModelFileError` naming the file, and a
-    malformed one names the file, the attribute and the key. Reliable bins
-    need finite thresholds and predictive values in [0, 1]; unreliable ones
-    may leave them null.
+    malformed one names the file, the attribute and the key. Each attribute,
+    and each bin of it, appears once. Reliable bins need finite thresholds
+    and predictive values in [0, 1]; unreliable ones may leave them null.
     """
     try:
         entries = json.loads(Path(path).read_bytes())["models"]
@@ -316,12 +299,21 @@ def load_models(path: str | Path, catalog: ObjectCatalog) -> dict[int, Classifie
         raise ModelFileError(f"{path}: cannot read models ({exc.strerror})") from None
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ModelFileError(f"{path}: not a models file ({exc!r})") from None
+    if not isinstance(entries, list):
+        raise ModelFileError(f"{path}: key 'models' must be a list of attribute entries")
     models: dict[int, ClassifierModel] = {}
     for entry in entries:
         attribute = entry.get("attribute") if isinstance(entry, dict) else None
         try:
             i = catalog.attribute_index(entry["attribute"])
-            cals = {cal.bin_index: cal for cal in map(_bin_record, entry["bins"])}
+            if i in models:
+                raise ValueError("listed twice")
+            cals: dict[int, BinCalibration] = {}
+            for rec in entry["bins"]:
+                cal = _bin_record(rec)
+                if rec["bin"] in cals:
+                    raise ValueError(f"bin {rec['bin']}: listed twice")
+                cals[rec["bin"]] = cal
             models[i] = ClassifierModel(attribute_index=i, orientation=entry["orientation"], calibrations=cals)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc

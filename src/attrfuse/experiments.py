@@ -171,7 +171,7 @@ def single_threshold_models(
     for i in sorted({a for a, _ in training_sets}):
         cals = {}
         for k in range(scenario.n_bins):
-            cals[k] = single_threshold_calibration(*training_sets[(i, k)], orientation=scenario.orientation, bin_index=k)
+            cals[k] = single_threshold_calibration(*training_sets[(i, k)], orientation=scenario.orientation)
             if not cals[k].reliable:
                 raise scenario.error("degenerate single-threshold split: a predictive value is undefined")
         models[i] = ClassifierModel(attribute_index=i, orientation=scenario.orientation, calibrations=cals)

@@ -225,35 +225,15 @@ class Scenario:
         return len(self.bins)
 
 
-def generate_training_set(
-    scenario: Scenario,
-    attribute_index: int,
-    bin_index: int,
-    n_pos: int,
-    n_neg: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Labeled training scores for one (attribute, bin), with the scenario's training bias applied."""
-    if n_pos < 1 or n_neg < 1:
-        raise ScenarioError("training set needs at least one sample per label")
-    if not 0 <= bin_index < scenario.n_bins:
-        raise ScenarioError(f"unknown bin index {bin_index}")
-    bias = scenario.training_bias
-    pos_model = scenario.score_models[(attribute_index, "pos", bin_index)]
-    neg_model = scenario.score_models[(attribute_index, "neg", bin_index)]
-    pos = rng.normal(pos_model.mean + bias.pos_mean_shift, pos_model.stddev * bias.pos_std_scale, size=n_pos)
-    neg = rng.normal(neg_model.mean + bias.neg_mean_shift, neg_model.stddev * bias.neg_std_scale, size=n_neg)
-    return pos, neg
-
-
 def draw_training_sets(
     scenario: Scenario,
     rng: np.random.Generator | None = None,
 ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Training scores for every (attribute, bin); counts scale with the catalog's label split."""
+    """Training scores for every (attribute, bin) with the training bias applied; counts scale with the label split."""
     if rng is None:
         rng = derived_rng(scenario.seed, CALIBRATION_STREAM)
     cfg = scenario.calibration
+    bias = scenario.training_bias
     matrix = scenario.catalog.matrix
     sets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for i in range(scenario.catalog.n_attributes):
@@ -264,7 +244,11 @@ def draw_training_sets(
         n_pos = cfg.n_pos_per_object * n_pos_objects
         n_neg = cfg.n_neg_per_object * n_neg_objects
         for k in range(scenario.n_bins):
-            sets[(i, k)] = generate_training_set(scenario, i, k, n_pos, n_neg, rng)
+            pos_model = scenario.score_models[(i, "pos", k)]
+            neg_model = scenario.score_models[(i, "neg", k)]
+            pos = rng.normal(pos_model.mean + bias.pos_mean_shift, pos_model.stddev * bias.pos_std_scale, size=n_pos)
+            neg = rng.normal(neg_model.mean + bias.neg_mean_shift, neg_model.stddev * bias.neg_std_scale, size=n_neg)
+            sets[(i, k)] = (pos, neg)
     return sets
 
 
@@ -287,7 +271,6 @@ def calibrate_from_sets(
                 target_ppv=cfg.target_ppv,
                 target_npv=cfg.target_npv,
                 min_detection_rate=cfg.min_detection_rate,
-                bin_index=k,
             )
         models[i] = ClassifierModel(attribute_index=i, orientation=scenario.orientation, calibrations=cals)
     return models

@@ -154,16 +154,16 @@ def certify_guaranteed_recognition(
         model = models.get(i)
         if model is None:
             return CertificationVerdict(False, None, candidates, f"attribute {i} has no classifier model")
-        reliable = [model.calibrations[k] for k in sorted(model.calibrations) if model.calibrations[k].reliable]
+        reliable = [(k, cal) for k, cal in sorted(model.calibrations.items()) if cal.reliable]
         if not reliable:
             return CertificationVerdict(False, None, candidates, f"attribute {i} has no reliable bin")
         ppv_bound, npv_bound = required_predictive_values(stats, i)
-        for cal in reliable:
+        for k, cal in reliable:
             for observed, name, value, bound in ((pos, "ppv", cal.ppv, ppv_bound), (neg, "npv", cal.npv, npv_bound)):
                 if i in observed and not _qualifies(value, bound):
                     return CertificationVerdict(
                         False, None, candidates,
-                        f"attribute {i} bin {cal.bin_index}: {name} {value:.6f} at or below bound {bound:.6f}",
+                        f"attribute {i} bin {k}: {name} {value:.6f} at or below bound {bound:.6f}",
                     )
     return CertificationVerdict(True, target, candidates, "unique candidate with qualifying predictive values")
 

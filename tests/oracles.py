@@ -127,7 +127,6 @@ def make_synthetic_model(attribute_index, ppv, npv, detection_rate=1.0, true_neg
     fp_rate = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
     fn_rate = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
     cal = BinCalibration(
-        bin_index=0,
         theta_pos=0.0,
         theta_neg=1.0,
         ppv=float(ppv),

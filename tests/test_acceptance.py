@@ -229,7 +229,7 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
 
     # uncertain outcomes and unreliable bins are exact no-ops: no key is counted
     # (synthetic thresholds sit at 0 and 1; bin 3 is not reliable)
-    unreliable = dataclasses.replace(models[0].calibrations[0], bin_index=3, reliable=False)
+    unreliable = dataclasses.replace(models[0].calibrations[0], reliable=False)
     gated = {0: dataclasses.replace(models[0], calibrations={**models[0].calibrations, 3: unreliable})}
     codes, keys = classify_scores(gated, [0, 0, 0], [0, 3, 3], np.array([[0.5, -1.0, 2.0]]))
     weights = _log_weights(table1, stats, codes, keys)

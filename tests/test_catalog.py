@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ class TestLoader:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"objects": [{"id": "x", "prior": 1.0}]}))
         with pytest.raises(CatalogError):
+            load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            pytest.param("matrix", lambda raw: raw["matrix"][2].append(0), id="ragged-row"),
+            pytest.param("objects", lambda raw: raw["objects"][0].update(prior=[0.111]), id="list-prior"),
+            pytest.param("objects", lambda raw: raw["objects"][0].update(prior="0.111"), id="string-prior"),
+            pytest.param("objects", lambda raw: raw["objects"][0].update(prior=True), id="boolean-prior"),
+            pytest.param("matrix", lambda raw: raw["matrix"][0].__setitem__(0, True), id="boolean-entry"),
+            pytest.param("matrix", lambda raw: raw["matrix"][0].__setitem__(0, 1.0), id="float-entry"),
+            pytest.param("matrix", lambda raw: raw.update(matrix="0110"), id="string-matrix"),
+            pytest.param("objects", lambda raw: raw["objects"][4].update(id=5), id="integer-object-id"),
+            pytest.param("attributes", lambda raw: raw.update(attributes="abc"), id="string-attributes"),
+        ],
+    )
+    def test_loader_rejects_wrong_json_types(self, repo_root, tmp_path, key, edit):
+        """Nothing is coerced: each value of the wrong JSON type is an error naming the file and the key."""
+        raw = json.loads((repo_root / "catalogs" / "table1.json").read_text())
+        edit(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: key '{key}'"):
             load_catalog(path)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 import tempfile
@@ -150,12 +151,12 @@ class TestClassifyScores:
     @pytest.fixture()
     def model(self):
         cal = BinCalibration(
-            bin_index=0, theta_pos=6.5, theta_neg=8.0, ppv=0.97, npv=0.97,
+            theta_pos=6.5, theta_neg=8.0, ppv=0.97, npv=0.97,
             detection_rate=0.8, true_negative_rate=0.8,
             false_positive_rate=0.01, false_negative_rate=0.01, reliable=True,
         )
         bad = BinCalibration(
-            bin_index=1, theta_pos=None, theta_neg=None, ppv=None, npv=None,
+            theta_pos=None, theta_neg=None, ppv=None, npv=None,
             detection_rate=0.0, true_negative_rate=0.0,
             false_positive_rate=0.0, false_negative_rate=0.0, reliable=False,
         )
@@ -250,8 +251,6 @@ class TestPersistence:
     @staticmethod
     def _saved_record(exp2_scenario, tmp_path, edit):
         """Save the exp2 models, apply ``edit`` to the first reliable bin record, and return the file."""
-        import json
-
         models = calibrate_scenario(exp2_scenario, derived_rng(exp2_scenario.seed, 0))
         path = tmp_path / "models.json"
         save_models(models, exp2_scenario.catalog, path)
@@ -280,6 +279,48 @@ class TestPersistence:
         with pytest.raises(ModelFileError, match=re.escape(f"{path}: attribute {attribute!r}: bin {k}: key {key!r}")):
             load_models(path, exp2_scenario.catalog)
 
+    @staticmethod
+    def _saved_file(exp2_scenario, tmp_path, edit):
+        """Save the exp2 models, apply ``edit`` to the parsed file, and return the file and its first attribute."""
+        path = tmp_path / "models.json"
+        save_models(calibrate_scenario(exp2_scenario, derived_rng(exp2_scenario.seed, 0)), exp2_scenario.catalog, path)
+        raw = json.loads(path.read_text())
+        attribute = raw["models"][0]["attribute"]
+        edit(raw)
+        path.write_text(json.dumps(raw))
+        return path, attribute
+
+    @pytest.mark.parametrize("value", [5, None, {}])
+    def test_models_not_a_list_rejected(self, exp2_scenario, tmp_path, value):
+        path, _ = self._saved_file(exp2_scenario, tmp_path, lambda raw: raw.update(models=value))
+        with pytest.raises(ModelFileError, match=f"^{re.escape(str(path))}: key 'models'"):
+            load_models(path, exp2_scenario.catalog)
+
+    def test_repeated_bin_rejected(self, exp2_scenario, tmp_path):
+        def repeat_bin_0(raw):
+            bins = raw["models"][0]["bins"]
+            bins.append(dict(bins[0], theta_pos=bins[0]["theta_pos"] - 1.0))
+
+        path, attribute = self._saved_file(exp2_scenario, tmp_path, repeat_bin_0)
+        with pytest.raises(ModelFileError, match=re.escape(f"{path}: attribute {attribute!r}: bin 0: listed twice")):
+            load_models(path, exp2_scenario.catalog)
+
+    def test_repeated_attribute_rejected(self, exp2_scenario, tmp_path):
+        path, attribute = self._saved_file(exp2_scenario, tmp_path, lambda raw: raw["models"].append(raw["models"][0]))
+        with pytest.raises(ModelFileError, match=re.escape(f"{path}: attribute {attribute!r}: listed twice")):
+            load_models(path, exp2_scenario.catalog)
+
+    def test_one_record_serves_several_bins(self, exp2_scenario, tmp_path):
+        """The model's key is the record's bin, so one record may sit under several bins."""
+        cal = calibrate_bin([1, 2, 3], [10, 11, 12])
+        models = {0: ClassifierModel(0, "lower_is_positive", {0: cal, 3: cal})}
+        path = tmp_path / "models.json"
+        save_models(models, exp2_scenario.catalog, path)
+        (saved,) = json.loads(path.read_text())["models"]
+        assert [rec["bin"] for rec in saved["bins"]] == [0, 3]
+        assert saved["bins"][0] == {**saved["bins"][1], "bin": 0}
+        assert load_models(path, exp2_scenario.catalog) == models
+
     @given(
         st.lists(
             st.tuples(
@@ -306,7 +347,7 @@ class TestPersistence:
             cals = {}
             for k, (pos, neg, single) in enumerate(bins):
                 calibrate = single_threshold_calibration if single else calibrate_bin
-                cals[k] = calibrate(pos, neg, orientation, bin_index=k)
+                cals[k] = calibrate(pos, neg, orientation)
             models[i] = ClassifierModel(i, orientation, cals)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "models.json"

@@ -349,6 +349,11 @@ def test_fuse_reports_malformed_model_file(repo_root, exp2_models, tmp_path):
             "fuse", "--catalog", b'{"objects": [{"id": "a", "prior": 0.5}], "attributes": ["x"], "matrix": [[1]]}',
             id="fuse-catalog-bad-priors",
         ),
+        pytest.param(
+            "fuse", "--catalog",
+            b'{"objects": [{"id": "a", "prior": 0.5}, {"id": "b", "prior": 0.5}], "attributes": ["x"], "matrix": [[1], [0, 1]]}',
+            id="fuse-catalog-ragged-matrix",
+        ),
         pytest.param("fuse", "--model", None, id="fuse-model-missing"),
         *(pytest.param(command, "--scenario", None, id=f"{command}-scenario-missing")
           for command in ("calibrate", "exp1", "exp2", "exp3")),

@@ -144,16 +144,16 @@ def test_draw_scores_equal_sample_score():
             assert scores[gt, c] == sample_score(scenario, i, truth, 0, rng)
 
 
-def _cal(k, theta_pos, theta_neg, reliable=True):
-    return BinCalibration(k, theta_pos, theta_neg, 0.97 if reliable else None, 0.9, 0.5, 0.5, 0.01, 0.05, reliable)
+def _cal(theta_pos, theta_neg, reliable=True):
+    return BinCalibration(theta_pos, theta_neg, 0.97 if reliable else None, 0.9, 0.5, 0.5, 0.01, 0.05, reliable)
 
 
 @pytest.mark.parametrize("orientation", ["lower_is_positive", "higher_is_positive"])
 def test_classify_scores_equal_classify(orientation):
     lo, hi = (1.0, 2.0) if orientation == "lower_is_positive" else (2.0, 1.0)
     models = {
-        0: ClassifierModel(0, orientation, {0: _cal(0, lo, hi), 1: _cal(1, 1.5, 1.5)}),
-        1: ClassifierModel(1, orientation, {0: _cal(0, None, hi, reliable=False), 1: _cal(1, lo, hi)}),
+        0: ClassifierModel(0, orientation, {0: _cal(lo, hi), 1: _cal(1.5, 1.5)}),
+        1: ClassifierModel(1, orientation, {0: _cal(None, hi, reliable=False), 1: _cal(lo, hi)}),
     }
     attributes, bins = [0, 0, 1, 1], [0, 1, 0, 1]
     scores = np.array([[s] * 4 for s in (0.5, 1.0, 1.5, 2.0, 2.5)])  # thresholds hit exactly

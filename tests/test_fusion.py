@@ -68,7 +68,7 @@ class TestPosteriorRow:
 
     def test_uncertain_is_noop(self, table1, table1_stats):
         """A score between the thresholds gets the no-key code, so it adds no count and no factor."""
-        cal = BinCalibration(0, 3.0, 5.0, 0.97, 0.97, 0.5, 0.5, 0.01, 0.01, True)
+        cal = BinCalibration(3.0, 5.0, 0.97, 0.97, 0.5, 0.5, 0.01, 0.01, True)
         models = {0: ClassifierModel(0, "lower_is_positive", {0: cal})}
         codes, keys = classify_scores(models, [0, 0, 0], [0, 0, 0], np.array([[4.0, 3.5, 4.999]]))
         assert codes.tolist() == [[len(keys)] * 3]
@@ -77,7 +77,7 @@ class TestPosteriorRow:
 
     def test_unreliable_region_is_noop(self, table1, table1_stats):
         """An unreliable bin adopts no score, whatever its side of the one threshold it has."""
-        unreliable = BinCalibration(1, None, 5.0, None, 0.97, 0.0, 0.5, 0.0, 0.01, False)
+        unreliable = BinCalibration(None, 5.0, None, 0.97, 0.0, 0.5, 0.0, 0.01, False)
         models = {0: ClassifierModel(0, "lower_is_positive", {1: unreliable})}
         codes, keys = classify_scores(models, [0, 0], [1, 1], np.array([[-100.0, 100.0]]))
         assert keys == () and codes.tolist() == [[0, 0]]

@@ -22,7 +22,7 @@ from attrfuse.simulator import (
     decide_episodes,
     derived_rng,
     draw_scores,
-    generate_training_set,
+    draw_training_sets,
     load_scenario,
     stream_draws,
     stream_keys,
@@ -233,26 +233,22 @@ class TestSampling:
         draws = draw_scores(scn, np.zeros(n, dtype=int), [0], [0], z)  # object 0 has attribute 0
         assert abs(draws.mean() - 3.0) < 3 * 2.0 / np.sqrt(n)
 
-    def test_missing_triple(self):
-        scn = tiny_scenario()
-        with pytest.raises(ScenarioError):
-            generate_training_set(scn, 0, 3, 5, 5, derived_rng(1, 0))
-
 
 class TestTrainingSets:
-    def test_counts_and_determinism(self):
-        scn = tiny_scenario()
-        pos1, neg1 = generate_training_set(scn, 0, 0, 20, 80, derived_rng(9, 0))
-        pos2, neg2 = generate_training_set(scn, 0, 0, 20, 80, derived_rng(9, 0))
-        assert pos1.shape == (20,) and neg1.shape == (80,)
-        assert np.array_equal(pos1, pos2) and np.array_equal(neg1, neg2)
-        pos3, _ = generate_training_set(scn, 0, 0, 20, 80, derived_rng(10, 0))
-        assert not np.array_equal(pos1, pos3)
+    @staticmethod
+    def sized(scenario, n_pos_per_object, n_neg_per_object):
+        calibration = CalibrationConfig(n_pos_per_object=n_pos_per_object, n_neg_per_object=n_neg_per_object)
+        return dataclasses.replace(scenario, calibration=calibration)
 
-    def test_zero_count_rejected(self):
-        scn = tiny_scenario()
-        with pytest.raises(ScenarioError):
-            generate_training_set(scn, 0, 0, 0, 10, derived_rng(1, 0))
+    def test_counts_and_determinism(self):
+        scn = self.sized(tiny_scenario(), 20, 80)
+        sets = draw_training_sets(scn, derived_rng(9, 0))
+        again = draw_training_sets(scn, derived_rng(9, 0))
+        assert sorted(sets) == [(0, 0), (1, 0)]
+        assert all(pos.shape == (20,) and neg.shape == (80,) for pos, neg in sets.values())
+        assert all(np.array_equal(a, b) for key in sets for a, b in zip(sets[key], again[key]))
+        pos3, _ = draw_training_sets(scn, derived_rng(10, 0))[(0, 0)]
+        assert not np.array_equal(sets[(0, 0)][0], pos3)
 
     def test_default_per_object_training_count(self):
         assert CalibrationConfig().n_pos_per_object == 20
@@ -264,12 +260,12 @@ class TestTrainingSets:
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(raw))
         scn = load_scenario(path)
-        pos, _ = generate_training_set(scn, 0, 0, 5, 5, derived_rng(2, 0))
-        assert pos.tolist() == [scn.score_models[(0, "pos", 0)].mean - 1.0] * 5
+        pos, _ = draw_training_sets(scn, derived_rng(2, 0))[(0, 0)]
+        assert pos.size > 0 and pos.tolist() == [scn.score_models[(0, "pos", 0)].mean - 1.0] * pos.size
 
     def test_bias_shifts_training_draws(self):
         scn = tiny_scenario(training_bias=TrainingBias(neg_mean_shift=-30.0, neg_std_scale=0.5))
-        _, neg = generate_training_set(scn, 0, 0, 10, 4000, derived_rng(2, 0))
+        _, neg = draw_training_sets(self.sized(scn, 10, 4000), derived_rng(2, 0))[(0, 0)]
         assert abs(neg.mean() - 70.0) < 1.0
         assert abs(neg.std() - 0.25) < 0.05
 

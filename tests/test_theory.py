@@ -246,7 +246,7 @@ class TestRequirementReport:
                 orientation=weak.orientation,
                 calibrations={
                     0: weak.calibrations[0].__class__(
-                        bin_index=0, theta_pos=None, theta_neg=None, ppv=None, npv=None,
+                        theta_pos=None, theta_neg=None, ppv=None, npv=None,
                         detection_rate=0.0, true_negative_rate=0.0,
                         false_positive_rate=0.0, false_negative_rate=0.0, reliable=False,
                     )
