@@ -25,7 +25,7 @@ import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -274,6 +274,9 @@ def experiment3_attribute_families(
         seed = scenario.seed
     catalog = scenario.catalog
     stats = compute_stats(catalog)
+    for i in systems["all"]:
+        if not stats.usable[i]:
+            raise scenario.error(f"key 'families': attribute {catalog.attributes[i]!r} is constant across the catalog")
     models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
 
     ground_truths = np.arange(trials) % catalog.n_objects
@@ -331,22 +334,23 @@ class TheoremReport:
 
 
 def random_exact_recognition_case(rng: np.random.Generator):
-    """Random small catalog, bound-satisfying predictive values, and correct,
-    uniquely identifying observations for the ground-truth object.
+    """A random small catalog with correct, uniquely identifying evidence, as :func:`decide_episodes` reads it.
 
-    Returns (catalog, stats, ppv, npv, ground_truth, observations), where
-    ``ppv[i]`` and ``npv[i]`` are attribute ``i``'s predictive values, each
-    2-100 % of the way from its :func:`required_predictive_values` floor to
-    1, and observations is a multiset of (attribute_index, outcome) pairs
-    covering the ground truth's full positive and negative index sets.
+    Returns (catalog, stats, keys, ground_truth, observed). ``keys[i]`` is
+    ``(i, outcome, value)``: the ground truth's outcome of attribute ``i``
+    and its ppv or npv, 2-100 % of the way from the
+    :func:`required_predictive_values` floor to 1. ``observed`` holds each
+    attribute code once, then 0-3 repeats, each a copy of a uniformly drawn
+    earlier code. The matrix is uniform over those with mixed columns and
+    distinct rows: column codes are independent and uniform over the mixed
+    columns, and a draw is kept only when its rows differ.
     """
     n_objects = int(rng.integers(2, 7))
     n_attributes = int(rng.integers(3, 9))
     while True:
-        matrix = rng.integers(0, 2, size=(n_objects, n_attributes))
-        columns_mixed = bool(matrix.any(axis=0).all() and (1 - matrix).any(axis=0).all())
-        rows_distinct = len({tuple(row) for row in matrix.tolist()}) == n_objects
-        if columns_mixed and rows_distinct:
+        columns = rng.integers(1, 2**n_objects - 1, size=n_attributes)
+        matrix = columns >> np.arange(n_objects)[:, None] & 1
+        if len(set((matrix @ (1 << np.arange(n_attributes))).tolist())) == n_objects:
             break
     priors = rng.uniform(0.05, 1.0, size=n_objects)
     priors = priors / priors.sum()
@@ -357,18 +361,14 @@ def random_exact_recognition_case(rng: np.random.Generator):
         priors=priors,
     )
     stats = compute_stats(catalog)
-    ppv, npv = [], []
-    for i in range(n_attributes):
-        ppv_bound, npv_bound = required_predictive_values(stats, i)
-        ppv.append(min(1.0, ppv_bound + float(rng.uniform(0.02, 1.0)) * (1.0 - ppv_bound)))
-        npv.append(min(1.0, npv_bound + float(rng.uniform(0.02, 1.0)) * (1.0 - npv_bound)))
+    floors = np.array([required_predictive_values(stats, i) for i in range(n_attributes)])
+    values = np.minimum(1.0, floors + rng.uniform(0.02, 1.0, size=(n_attributes, 2)) * (1.0 - floors))
     ground_truth = int(rng.integers(n_objects))
-    row = catalog.matrix[ground_truth]
-    observations = [(i, "positive") for i in np.flatnonzero(row).tolist()]
-    observations += [(i, "negative") for i in np.flatnonzero(row == 0).tolist()]
+    keys = [(i, "positive" if has else "negative", float(values[i, 1 - has])) for i, has in enumerate(matrix[ground_truth].tolist())]
+    observed = np.arange(n_attributes)
     for _ in range(int(rng.integers(0, 4))):
-        observations.append(observations[int(rng.integers(len(observations)))])
-    return catalog, stats, ppv, npv, ground_truth, observations
+        observed = np.append(observed, observed[rng.integers(observed.size)])
+    return catalog, stats, keys, ground_truth, observed
 
 
 def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
@@ -376,12 +376,8 @@ def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
     correct = 0
     rng = np.random.Generator(np.random.Philox(0))
     for case_key in stream_keys(seed, (CASE_STREAM,), cases):
-        catalog, stats, ppv, npv, ground_truth, observations = random_exact_recognition_case(load_key(rng, case_key))
-        observed = [(i, outcome, ppv[i] if outcome == "positive" else npv[i]) for i, outcome in observations]
-        keys = sorted(set(observed))
-        index = {key: n for n, key in enumerate(keys)}
-        codes = np.array([[index[key] for key in observed]])
-        tied = decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: rng).tied[0, 0]
+        catalog, stats, keys, ground_truth, observed = random_exact_recognition_case(load_key(rng, case_key))
+        tied = decide_episodes(observed[None], keys, catalog, stats, [observed.size], lambda _: rng).tied[0, 0]
         correct += np.flatnonzero(tied).tolist() == [ground_truth]
     return correct, cases
 
@@ -478,62 +474,50 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_exp1_csvs(result: DistributionShiftResult, out_dir: str | Path) -> list[Path]:
+def _write_csv(out_dir: str | Path, name: str, header: str, rows: Iterable[Sequence]) -> Path:
+    """``header`` and one comma-joined line per row as ``out_dir/name``, making ``out_dir`` if needed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kde_path = out_dir / "exp1_kde.csv"
-    lines = ["bin,truth,x,density"]
-    for k in range(len(result.bins)):
-        for truth, dens in (("pos", result.pos_density[k]), ("neg", result.neg_density[k])):
-            for x, d in zip(result.grid, dens):
-                lines.append(f"{k},{truth},{_fmt(x)},{_fmt(d)}")
-    kde_path.write_text("\n".join(lines) + "\n")
-    overlap_path = out_dir / "exp1_overlap.csv"
-    lines = ["bin,overlap"]
-    for k, ov in enumerate(result.overlap):
-        lines.append(f"{k},{_fmt(ov)}")
-    overlap_path.write_text("\n".join(lines) + "\n")
-    return [kde_path, overlap_path]
+    path = out_dir / name
+    path.write_text("\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n")
+    return path
+
+
+def write_exp1_csvs(result: DistributionShiftResult, out_dir: str | Path) -> list[Path]:
+    kde = (
+        (k, truth, _fmt(x), _fmt(d))
+        for k in range(len(result.bins))
+        for truth, dens in (("pos", result.pos_density[k]), ("neg", result.neg_density[k]))
+        for x, d in zip(result.grid, dens)
+    )
+    return [
+        _write_csv(out_dir, "exp1_kde.csv", "bin,truth,x,density", kde),
+        _write_csv(out_dir, "exp1_overlap.csv", "bin,overlap", ((k, _fmt(ov)) for k, ov in enumerate(result.overlap))),
+    ]
 
 
 def write_exp2_csv(curve: ErrorCurve, out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "exp2_error_curve.csv"
-    lines = ["K,method,error,halfwidth"]
-    rows = (
+    methods = (
         ("two_threshold", curve.two_threshold_error, curve.two_threshold_halfwidth),
         ("single_threshold", curve.single_threshold_error, curve.single_threshold_halfwidth),
         ("two_threshold_random_tie", curve.random_tie_error, curve.random_tie_halfwidth),
     )
-    for method, err, hw in rows:
-        for k, e, h in zip(curve.k_values, err, hw):
-            lines.append(f"{k},{method},{_fmt(e)},{_fmt(h)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = ((k, method, _fmt(e), _fmt(h)) for method, err, hw in methods for k, e, h in zip(curve.k_values, err, hw))
+    return _write_csv(out_dir, "exp2_error_curve.csv", "K,method,error,halfwidth", rows)
 
 
 def write_exp3_csv(result: FamilyAccuracyResult, out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "exp3_accuracy.csv"
-    lines = ["bin,method,accuracy,halfwidth"]
-    for k in range(len(result.bins)):
-        for s_idx, name in enumerate(result.systems):
-            lines.append(f"{k},{name},{_fmt(result.accuracy[k, s_idx])},{_fmt(result.halfwidths[k, s_idx])}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = (
+        (k, name, _fmt(result.accuracy[k, s_idx]), _fmt(result.halfwidths[k, s_idx]))
+        for k in range(len(result.bins))
+        for s_idx, name in enumerate(result.systems)
+    )
+    return _write_csv(out_dir, "exp3_accuracy.csv", "bin,method,accuracy,halfwidth", rows)
 
 
 def write_theorem_csv(report: TheoremReport, out_dir: str | Path) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "theorem_convergence.csv"
-    lines = ["K,error"]
-    for k, e in zip(report.convergence_k, report.convergence_error):
-        lines.append(f"{k},{_fmt(e)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = ((k, _fmt(e)) for k, e in zip(report.convergence_k, report.convergence_error))
+    return _write_csv(out_dir, "theorem_convergence.csv", "K,error", rows)
 
 
 def write_manifest(

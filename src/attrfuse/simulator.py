@@ -485,13 +485,13 @@ def _orientation(value) -> str:
 
 def _parse_score_models(
     path: Path,
-    raw: Mapping,
+    per_attribute: Mapping[int, Mapping],
     catalog: ObjectCatalog,
     n_bins: int,
 ) -> dict[tuple[int, str, int], ScoreModel]:
     out: dict[tuple[int, str, int], ScoreModel] = {}
-    for attribute_id, per_truth in raw.items():
-        i = catalog.attribute_index(attribute_id)
+    for i, per_truth in per_attribute.items():
+        attribute_id = catalog.attributes[i]
         for truth in ("pos", "neg"):
             per_bin = _field(path, per_truth, truth, list)
             if len(per_bin) != n_bins:
@@ -528,7 +528,8 @@ def load_scenario(path: str | Path) -> Scenario:
     catalog_path = _field(path, raw, "catalog", Path)
     catalog = load_catalog(catalog_path if catalog_path.is_absolute() else path.parent / catalog_path)
     bins = _field(path, raw, "bins", lambda v: tuple((_number(lo), _number(hi)) for lo, hi in v))
-    score_models = _parse_score_models(path, _field(path, raw, "score_models", _mapping), catalog, len(bins))
+    per_attribute = _field(path, raw, "score_models", lambda v: {catalog.attribute_index(a): m for a, m in _mapping(v).items()})
+    score_models = _parse_score_models(path, per_attribute, catalog, len(bins))
     seed = _field(path, raw, "seed", _integer)
 
     cal_raw = _field(path, raw, "calibration", _mapping, {})

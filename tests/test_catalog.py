@@ -16,7 +16,6 @@ from attrfuse.catalog import (
 )
 from attrfuse.experiments import random_exact_recognition_case
 from attrfuse.fusion import factor_table
-from attrfuse.theory import required_predictive_values
 
 
 def make_catalog(matrix, priors):
@@ -204,17 +203,13 @@ class TestStats:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_index_sets_partition(self, seed):
-        # the exact-recognition case observes each attribute of the ground truth once, with its true outcome
-        catalog, stats, ppv, npv, truth, observations = random_exact_recognition_case(np.random.default_rng(seed))
-        pos = {i for i, outcome in observations if outcome == "positive"}
-        neg = {i for i, outcome in observations if outcome == "negative"}
-        assert pos | neg == set(range(catalog.n_attributes))
+        # the exact-recognition case keys each attribute of the ground truth once, with its true outcome
+        catalog, stats, keys, truth, observed = random_exact_recognition_case(np.random.default_rng(seed))
+        pos = {i for i, outcome, _ in keys if outcome == "positive"}
+        neg = {i for i, outcome, _ in keys if outcome == "negative"}
+        assert pos | neg == set(observed.tolist()) == set(range(catalog.n_attributes))
         assert not pos & neg
         assert unique_candidates(catalog, pos, neg) == (truth,)
-        # every attribute's predictive values meet the floors that the exact-recognition theorem assumes
-        for i in range(catalog.n_attributes):
-            ppv_floor, npv_floor = required_predictive_values(stats, i)
-            assert ppv[i] >= ppv_floor and npv[i] >= npv_floor
 
     def test_ranges(self, table1):
         stats = compute_stats(table1)

@@ -1,6 +1,7 @@
 import json
 import platform
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,13 +387,24 @@ def test_missing_or_malformed_input_file_is_a_message(repo_root, exp2_models, tm
         ("calibrate", "exp2", "training_bias", "pos_std_scale", -1),
         ("exp1", "exp2", None, "bins", None),  # exp1 compares bins, and exp2.json has one
         ("exp3", "exp2", None, "families", None),  # exp2.json defines no attribute families
+        ("exp3", "exp3", "catalog", "families", "gable top carton shape"),  # a family attribute every object has
     ],
 )
 def test_unusable_scenario_is_a_message(repo_root, tmp_path, command, scenario, section, key, value):
-    """A scenario value that calibration or the experiment cannot use ends in a message naming the file and key."""
+    """A scenario value that calibration or the experiment cannot use ends in a message naming the file and key.
+
+    With ``section`` "catalog", the scenario reads a copy of its catalog in
+    which every object has the attribute ``value``.
+    """
     raw = json.loads((repo_root / "scenarios" / f"{scenario}.json").read_text())
     raw["catalog"] = str((repo_root / "scenarios" / raw["catalog"]).resolve())
-    if section is not None:
+    if section == "catalog":
+        catalog = json.loads(Path(raw["catalog"]).read_text())
+        for row in catalog["matrix"]:
+            row[catalog["attributes"].index(value)] = 1
+        raw["catalog"] = str(tmp_path / "catalog.json")
+        Path(raw["catalog"]).write_text(json.dumps(catalog))
+    elif section is not None:
         raw[section][key] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog
 from attrfuse.simulator import CalibrationConfig, Scenario, ScenarioError, ScoreModel
@@ -10,6 +12,7 @@ from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
+    random_exact_recognition_case,
     single_threshold_models,
     theorem_suites,
     write_exp1_csvs,
@@ -17,6 +20,7 @@ from attrfuse.experiments import (
     write_exp3_csv,
     write_manifest,
 )
+from attrfuse.theory import required_predictive_values
 
 
 def flat_scenario(n_bins=3, seed=17, std=3.0):
@@ -137,6 +141,24 @@ class TestTheoremSuites:
             detection_rate=1.0, true_negative_rate=1.0,
         )
         assert np.all(error == 0.0)
+
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_recognition_case_format(self, seed):
+        catalog, stats, keys, truth, observed = random_exact_recognition_case(np.random.default_rng(seed))
+        matrix, m = catalog.matrix, catalog.n_attributes
+        assert (matrix.any(axis=0) & ~matrix.all(axis=0)).all()  # every column mixed
+        assert len({tuple(row) for row in matrix.tolist()}) == catalog.n_objects
+        # one key per attribute, in index order, carrying the truth's outcome and its predictive value
+        assert [i for i, _, _ in keys] == list(range(m))
+        for i, outcome, value in keys:
+            assert outcome == ("positive" if matrix[truth, i] else "negative")
+            floor = required_predictive_values(stats, i)[outcome == "negative"]
+            assert floor <= value <= 1.0
+        # each attribute code once, then at most 3 repeats
+        assert observed[:m].tolist() == list(range(m))
+        assert observed.size - m <= 3 and set(observed[m:].tolist()) <= set(range(m))
 
 
 class TestOutputs:

@@ -145,6 +145,7 @@ class TestScenarioValidation:
             ("calibration", "n_neg_per_object", -3),
             (None, "bins", [[120, 100]]),
             ("score_models", "std", 0),
+            pytest.param(None, "score_models", {"nope": {}}, id="score_models-unknown-attribute"),
             (None, "schedule", [[9, 1]]),
             (None, "seed", -1),
             ("training_bias", "pos_std_scale", -1),
