@@ -92,7 +92,7 @@ class CatalogStats:
     ratios between the negative and positive object groups (and vice versa),
     clamped below at 1; they are NaN for attributes that are constant across
     the catalog, and ``usable`` marks the non-constant attributes that may
-    enter fusion.
+    enter fusion. Stats from :func:`prior_stats` may carry leading case axes.
     """
 
     attribute_priors: np.ndarray
@@ -102,21 +102,23 @@ class CatalogStats:
     positive_mask: np.ndarray  # (n_attributes, n_objects) bool, transposed matrix
 
 
-def compute_stats(catalog: ObjectCatalog) -> CatalogStats:
-    """Precompute per-attribute priors, ratio terms, and the positive mask."""
-    member = catalog.matrix.astype(bool)
-    priors = catalog.priors
-    attr_priors = priors @ catalog.matrix.astype(float)
-    usable = member.any(axis=0) & (~member).any(axis=0)
-    n_attr = catalog.n_attributes
-    ratio_pos = np.full(n_attr, np.nan)
-    ratio_neg = np.full(n_attr, np.nan)
-    for i in np.flatnonzero(usable):
-        pos_priors = priors[member[:, i]]
-        neg_priors = priors[~member[:, i]]
-        ratio_pos[i] = max(1.0, float(neg_priors.max() / pos_priors.min()))
-        ratio_neg[i] = max(1.0, float(pos_priors.max() / neg_priors.min()))
-    positive_mask = np.ascontiguousarray(member.T)
+def prior_stats(matrix: np.ndarray, priors: np.ndarray) -> CatalogStats:
+    """:class:`CatalogStats` of a 0/1 ``matrix`` (..., objects, attributes) and its ``priors`` (..., objects).
+
+    Leading axes hold independent catalogs. A zero prior marks a padded
+    object slot, which belongs to neither group of any attribute.
+    """
+    present = (priors > 0)[..., None]
+    member, lacking = (matrix != 0) & present, (matrix == 0) & present
+    usable = member.any(axis=-2) & lacking.any(axis=-2)
+    column = priors[..., None]
+    # an empty group's max is 0 and its min inf, so an unusable ratio divides without a warning
+    pos_max, pos_min = np.where(member, column, 0.0).max(axis=-2), np.where(member, column, np.inf).min(axis=-2)
+    neg_max, neg_min = np.where(lacking, column, 0.0).max(axis=-2), np.where(lacking, column, np.inf).min(axis=-2)
+    ratio_pos = np.where(usable, np.maximum(1.0, neg_max / pos_min), np.nan)
+    ratio_neg = np.where(usable, np.maximum(1.0, pos_max / neg_min), np.nan)
+    attr_priors = (priors[..., None, :] @ matrix.astype(float))[..., 0, :]
+    positive_mask = np.ascontiguousarray(np.swapaxes(member, -1, -2))
     for arr in (attr_priors, ratio_pos, ratio_neg, usable, positive_mask):
         arr.setflags(write=False)
     return CatalogStats(
@@ -126,6 +128,11 @@ def compute_stats(catalog: ObjectCatalog) -> CatalogStats:
         usable=usable,
         positive_mask=positive_mask,
     )
+
+
+def compute_stats(catalog: ObjectCatalog) -> CatalogStats:
+    """Precompute per-attribute priors, ratio terms, and the positive mask."""
+    return prior_stats(catalog.matrix, catalog.priors)
 
 
 def unique_candidates(

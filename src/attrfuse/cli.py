@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -322,7 +323,9 @@ def _cmd_theorems(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="attrfuse",
         description="Attribute-classifier fusion: calibration, observation fusion, and experiment harnesses.",
@@ -362,8 +365,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theorems)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CatalogError, ModelFileError, ScenarioError) as exc:

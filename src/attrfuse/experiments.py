@@ -30,8 +30,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from attrfuse._version import __version__
-from attrfuse.catalog import ObjectCatalog, compute_stats
+from attrfuse.catalog import ObjectCatalog, compute_stats, prior_stats
 from attrfuse.classifier import ClassifierModel, kde_density, single_threshold_calibration
+from attrfuse.fusion import log_factor_rows, map_log_weights, tally, tie_sets
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
     CASE_STREAM,
@@ -49,7 +50,7 @@ from attrfuse.simulator import (
     stream_draws,
     stream_keys,
 )
-from attrfuse.theory import required_predictive_values
+from attrfuse.theory import predictive_value_floors
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy 2.0 renamed trapz to trapezoid
 
@@ -99,12 +100,14 @@ def experiment1_distribution_shift(
         seed = scenario.seed
     i = scenario.kde_attribute
     catalog = scenario.catalog
+    if not compute_stats(catalog).usable[i]:
+        raise scenario.error(f"key 'kde_attribute': attribute {catalog.attributes[i]!r} is constant across the catalog")
     n_pos_objects = int(catalog.matrix[:, i].sum())
     n_neg_objects = catalog.n_objects - n_pos_objects
     if n_pos is None:
-        n_pos = scenario.calibration.n_pos_per_object * max(n_pos_objects, 1)
+        n_pos = scenario.calibration.n_pos_per_object * n_pos_objects
     if n_neg is None:
-        n_neg = scenario.calibration.n_neg_per_object * max(n_neg_objects, 1)
+        n_neg = scenario.calibration.n_neg_per_object * n_neg_objects
 
     pos_scores = []
     neg_scores = []
@@ -333,53 +336,66 @@ class TheoremReport:
         return self.exact_pass and self.convergence_pass
 
 
-def random_exact_recognition_case(rng: np.random.Generator):
-    """A random small catalog with correct, uniquely identifying evidence, as :func:`decide_episodes` reads it.
+def _draw_exact_cases(rngs: Iterable[np.random.Generator], cases: int):
+    """One small catalog with correct, uniquely identifying evidence per generator, padded to 6 objects and 8 attributes.
 
-    Returns (catalog, stats, keys, ground_truth, observed). ``keys[i]`` is
-    ``(i, outcome, value)``: the ground truth's outcome of attribute ``i``
-    and its ppv or npv, 2-100 % of the way from the
-    :func:`required_predictive_values` floor to 1. ``observed`` holds each
-    attribute code once, then 0-3 repeats, each a copy of a uniformly drawn
-    earlier code. The matrix is uniform over those with mixed columns and
-    distinct rows: column codes are independent and uniform over the mixed
-    columns, and a draw is kept only when its rows differ.
+    Returns per case the 0/1 matrix, the raw priors (0 for an absent object),
+    the uniforms that place each attribute's ppv and npv 2-100 % of the way
+    from its floor to 1, the ground truth, and each attribute's observation
+    count (0 for an absent one). A case has 2-6 objects and 3-8 attributes;
+    each attribute is observed once, then 0-3 repeats each copy a uniformly
+    drawn earlier observation. The generators are taken one case at a time.
     """
-    n_objects = int(rng.integers(2, 7))
-    n_attributes = int(rng.integers(3, 9))
-    while True:
-        columns = rng.integers(1, 2**n_objects - 1, size=n_attributes)
-        matrix = columns >> np.arange(n_objects)[:, None] & 1
-        if len(set((matrix @ (1 << np.arange(n_attributes))).tolist())) == n_objects:
-            break
-    priors = rng.uniform(0.05, 1.0, size=n_objects)
-    priors = priors / priors.sum()
-    catalog = ObjectCatalog(
-        objects=tuple(f"object-{j}" for j in range(n_objects)),
-        attributes=tuple(f"attr-{i}" for i in range(n_attributes)),
-        matrix=matrix,
-        priors=priors,
+    columns, counts = np.zeros((cases, 8), dtype=np.int64), np.zeros((cases, 8), dtype=np.int64)
+    priors, uniforms, truth = np.zeros((cases, 6)), np.zeros((cases, 8, 2)), np.empty(cases, dtype=np.intp)
+    for c, rng in zip(range(cases), rngs):
+        n_objects, n_attributes = int(rng.integers(2, 7)), int(rng.integers(3, 9))
+        while True:  # column codes uniform over the mixed columns, kept when the rows differ
+            drawn = rng.integers(1, 2**n_objects - 1, size=n_attributes)
+            matrix = drawn >> np.arange(n_objects)[:, None] & 1
+            if len(set((matrix @ (1 << np.arange(n_attributes))).tolist())) == n_objects:
+                break
+        columns[c, :n_attributes] = drawn
+        priors[c, :n_objects] = rng.uniform(0.05, 1.0, size=n_objects)
+        uniforms[c, :n_attributes] = rng.uniform(0.02, 1.0, size=(n_attributes, 2))
+        truth[c] = rng.integers(n_objects)
+        observed = list(range(n_attributes))
+        for _ in range(int(rng.integers(0, 4))):
+            observed.append(observed[rng.integers(len(observed))])
+        counts[c] = np.bincount(observed, minlength=8)
+    return (columns[:, None, :] >> np.arange(6)[:, None] & 1).astype(np.int8), priors, uniforms, truth, counts
+
+
+def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ground truths, posterior-tied objects and MAP log weights of the cases drawn from streams ``(seed, CASE_STREAM, c)``.
+
+    One array pass runs the engine's formulas with a leading case axis. A
+    case keys each attribute with the truth's outcome, once per observation;
+    the objects are padded to 6, and a padded object is never tied.
+    """
+    rng = np.random.Generator(np.random.Philox(0))
+    case_keys = stream_keys(seed, (CASE_STREAM,), cases)
+    matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases((load_key(rng, key) for key in case_keys), cases)
+    priors = raw_priors / raw_priors.sum(axis=1, keepdims=True)
+    stats = prior_stats(matrix, priors)
+    floors = np.stack(predictive_value_floors(stats), axis=-1)
+    ppv, npv = np.moveaxis(np.minimum(1.0, floors + uniforms * (1.0 - floors)), -1, 0)
+    positive = matrix[np.arange(cases), truth] == 1
+    keyed = counts > 0  # a padded attribute has no key: its floors are NaN and its count 0
+    table = np.zeros(stats.positive_mask.shape)
+    table[keyed] = log_factor_rows(
+        stats.positive_mask[keyed], stats.attribute_priors[keyed], positive[keyed], np.where(positive, ppv, npv)[keyed]
     )
-    stats = compute_stats(catalog)
-    floors = np.array([required_predictive_values(stats, i) for i in range(n_attributes)])
-    values = np.minimum(1.0, floors + rng.uniform(0.02, 1.0, size=(n_attributes, 2)) * (1.0 - floors))
-    ground_truth = int(rng.integers(n_objects))
-    keys = [(i, "positive" if has else "negative", float(values[i, 1 - has])) for i, has in enumerate(matrix[ground_truth].tolist())]
-    observed = np.arange(n_attributes)
-    for _ in range(int(rng.integers(0, 4))):
-        observed = np.append(observed, observed[rng.integers(observed.size)])
-    return catalog, stats, keys, ground_truth, observed
+    hits, finite = tally(np.log(priors, out=np.full(priors.shape, -np.inf), where=priors > 0), counts, table)
+    log_weights = map_log_weights(hits, finite)
+    return truth, tie_sets(log_weights, priors)[0], log_weights
 
 
 def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
-    """Count randomized cases whose one engine row leaves the ground truth as the only posterior-tied candidate."""
-    correct = 0
-    rng = np.random.Generator(np.random.Philox(0))
-    for case_key in stream_keys(seed, (CASE_STREAM,), cases):
-        catalog, stats, keys, ground_truth, observed = random_exact_recognition_case(load_key(rng, case_key))
-        tied = decide_episodes(observed[None], keys, catalog, stats, [observed.size], lambda _: rng).tied[0, 0]
-        correct += np.flatnonzero(tied).tolist() == [ground_truth]
-    return correct, cases
+    """Count randomized cases whose posterior ties only the ground truth (:func:`decide_exact_cases`)."""
+    truth, tied, _ = decide_exact_cases(cases, seed)
+    correct = tied[np.arange(cases), truth] & (tied.sum(axis=1) == 1)
+    return int(correct.sum()), cases
 
 
 def convergence_suite(

@@ -32,45 +32,49 @@ def posterior(log_weights: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise libm log (numpy's SIMD log may differ in the last bit), ``-inf`` where ``x`` is not positive."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _log_factor_row(key: FactorKey, stats: CatalogStats) -> np.ndarray:
-    i, outcome, predictive_value = key
-    w = float(stats.attribute_priors[i])
-    p_match, p_other = predictive_value, 1.0 - predictive_value
-    if outcome == "negative":
-        p_match, p_other = p_other, p_match
-    return np.where(stats.positive_mask[i], _log(p_match) - math.log(w), _log(p_other) - math.log(1.0 - w))
+def log_factor_rows(positive_mask: np.ndarray, w: np.ndarray, positive: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Per-object log factors of keys given elementwise by their attribute's object mask (..., objects) and
+    prior ``w``, whether their outcome is positive, and their predictive value."""
+    has = np.where(positive, value, 1.0 - value)  # the outcome's probability for an object with the attribute
+    lacks = np.where(positive, 1.0 - value, value)
+    return np.where(positive_mask, (_log(has) - _log(w))[..., None], (_log(lacks) - _log(1.0 - w))[..., None])
 
 
 def factor_table(keys: Sequence[FactorKey], stats: CatalogStats) -> np.ndarray:
     """The per-object log rows of ``keys``, one row per key."""
-    table = np.empty((len(keys), stats.positive_mask.shape[1]))
-    for row, key in enumerate(keys):
-        if not stats.usable[key[0]]:
-            raise NonDiscriminativeAttributeError(
-                f"attribute index {key[0]} is constant across the catalog and cannot be fused"
-            )
-        table[row] = _log_factor_row(key, stats)
-    return table
+    attributes = np.array([key[0] for key in keys], dtype=np.intp)
+    unusable = ~stats.usable[attributes]
+    if unusable.any():
+        raise NonDiscriminativeAttributeError(
+            f"attribute index {attributes[unusable.argmax()]} is constant across the catalog and cannot be fused"
+        )
+    positive = np.array([key[1] == "positive" for key in keys], dtype=bool)
+    value = np.array([key[2] for key in keys], dtype=float)
+    return log_factor_rows(stats.positive_mask[attributes], stats.attribute_priors[attributes], positive, value)
 
 
 def tally(log_prior: np.ndarray, counts: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``counts`` (rows x keys, keys in sorted order): zero-factor hits and finite log sums.
 
-    ``table`` holds the keys' log rows. A zero count adds +-0.0, so a row's
-    sums equal those over its nonzero keys alone, bit for bit.
+    ``table`` holds the keys' log rows (keys x objects), or one such table
+    per row of ``counts`` (rows x keys x objects); ``log_prior`` is one row
+    of objects, or one per row of ``counts``. A zero count adds +-0.0, so a
+    row's sums equal those over its nonzero keys alone, bit for bit.
     """
     zero = np.isneginf(table)
     finite_table = np.where(zero, 0.0, table)
-    hits = np.zeros((counts.shape[0], log_prior.size), dtype=np.int64)
-    finite = np.tile(log_prior, (counts.shape[0], 1))
+    hits = np.zeros((counts.shape[0], log_prior.shape[-1]), dtype=np.int64)
+    finite = np.broadcast_to(log_prior, hits.shape).copy()
     for key in range(counts.shape[1]):
         count = counts[:, key, None]
-        hits += count * zero[key]
-        finite += count * finite_table[key]
+        hits += count * zero[..., key, :]
+        finite += count * finite_table[..., key, :]
     return hits, finite
 
 

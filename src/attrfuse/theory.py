@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from attrfuse.catalog import (
     CatalogStats,
     NonDiscriminativeAttributeError,
@@ -84,12 +86,14 @@ def required_predictive_values(stats: CatalogStats, attribute_index: int) -> tup
         raise NonDiscriminativeAttributeError(
             f"attribute index {attribute_index} is constant across the catalog"
         )
-    w = float(stats.attribute_priors[attribute_index])
-    rp = float(stats.prior_ratio_pos[attribute_index])
-    rm = float(stats.prior_ratio_neg[attribute_index])
-    ppv_bound = rp * w / (1.0 + (rp - 1.0) * w)
-    npv_bound = rm * (1.0 - w) / (w + rm * (1.0 - w))
-    return ppv_bound, npv_bound
+    ppv_bound, npv_bound = predictive_value_floors(stats)
+    return float(ppv_bound[attribute_index]), float(npv_bound[attribute_index])
+
+
+def predictive_value_floors(stats: CatalogStats) -> tuple[np.ndarray, np.ndarray]:
+    """PPV and NPV floors of every attribute, with the stats' leading case axes; NaN for constant attributes."""
+    w, rp, rm = stats.attribute_priors, stats.prior_ratio_pos, stats.prior_ratio_neg
+    return rp * w / (1.0 + (rp - 1.0) * w), rm * (1.0 - w) / (w + rm * (1.0 - w))
 
 
 def _qualifies(value: float, floor: float) -> bool:

@@ -8,10 +8,14 @@ package under test. The one-observation loop that the batched engine and
 bit, with the one-row posterior (``counted_posterior``: counts -> ``tally``)
 and the MAP tie rule (``decide``) it decided by. The line-by-line
 observation reader and checks that ``attrfuse fuse`` ran before it read
-columns are the reference for the columnar reader. These references may
-import package types (the models and scenarios they read) and the
-``factor_table``/``tally``/``map_log_weights`` sums, but none of the
-batched code paths they check. ``make_synthetic_model`` builds the models
+columns are the reference for the columnar reader, and the one-case
+exact-recognition path (``random_exact_recognition_case``: a catalog,
+``compute_stats`` and per-attribute floors, decided by ``decide_episodes``)
+is the reference for the padded pass. These references may import package
+types (the models and scenarios they read), the
+``factor_table``/``tally``/``map_log_weights`` sums and the shared
+exact-recognition case draw, but none of the batched code paths they
+check. ``make_synthetic_model`` builds the models
 with stated predictive values that the posterior and theory tests feed
 them, and ``factor_codes`` codes their outcomes as one engine row.
 """
@@ -23,8 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel
+from attrfuse.experiments import _draw_exact_cases
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
+from attrfuse.theory import required_predictive_values
 
 
 def posterior_oracle(priors, matrix, observations, ppv, npv):
@@ -153,6 +160,34 @@ def factor_codes(observations):
     keys = sorted({key for key in observed if key is not None})
     index = {key: n for n, key in enumerate(keys)}
     return np.array([[index.get(key, len(keys)) for key in observed]], dtype=np.intp), keys
+
+
+def random_exact_recognition_case(rng: np.random.Generator):
+    """One exact-recognition case from ``rng``, as ``decide_episodes`` reads it.
+
+    Returns (catalog, stats, keys, ground_truth, observed) from the
+    package's case draw. ``keys[i]`` is ``(i, outcome, value)``: the ground
+    truth's outcome of attribute ``i`` and its ppv or npv, placed by the
+    drawn uniform between the ``required_predictive_values`` floor and 1.
+    ``observed`` holds each attribute code once, then one more per repeat.
+    """
+    matrix, priors, uniforms, truth, counts = (a[0] for a in _draw_exact_cases([rng], 1))
+    n_objects, n_attributes = int((priors > 0).sum()), int((counts > 0).sum())
+    raw = priors[:n_objects]
+    catalog = ObjectCatalog(
+        objects=tuple(f"object-{j}" for j in range(n_objects)),
+        attributes=tuple(f"attr-{i}" for i in range(n_attributes)),
+        matrix=matrix[:n_objects, :n_attributes],
+        priors=raw / raw.sum(),
+    )
+    stats = compute_stats(catalog)
+    floors = np.array([required_predictive_values(stats, i) for i in range(n_attributes)])
+    values = np.minimum(1.0, floors + uniforms[:n_attributes] * (1.0 - floors))
+    ground_truth = int(truth)
+    keys = [(i, "positive" if has else "negative", float(values[i, 1 - has])) for i, has in enumerate(catalog.matrix[ground_truth].tolist())]
+    attributes = np.arange(n_attributes)
+    observed = np.concatenate([attributes, np.repeat(attributes, counts[:n_attributes] - 1)])
+    return catalog, stats, keys, ground_truth, observed
 
 
 # ---------------------------------------------------------------------------

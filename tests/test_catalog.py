@@ -12,10 +12,11 @@ from attrfuse.catalog import (
     ObjectCatalog,
     compute_stats,
     load_catalog,
+    prior_stats,
     unique_candidates,
 )
-from attrfuse.experiments import random_exact_recognition_case
 from attrfuse.fusion import factor_table
+from oracles import random_exact_recognition_case
 
 
 def make_catalog(matrix, priors):
@@ -224,3 +225,24 @@ class TestStats:
         assert not stats.usable[0]
         assert np.isnan(stats.prior_ratio_pos[0])
         assert stats.usable[1]
+
+    def test_constant_attributes_have_no_ratios(self):
+        # every object has a0 and none has a1; a2 splits {o0} from {o1, o2}
+        cat = make_catalog([[1, 0, 1], [1, 0, 0], [1, 0, 0]], [0.2, 0.3, 0.5])
+        stats = compute_stats(cat)
+        assert stats.usable.tolist() == [False, False, True]
+        assert np.isnan(stats.prior_ratio_pos[:2]).all() and np.isnan(stats.prior_ratio_neg[:2]).all()
+        assert stats.prior_ratio_pos[2] == pytest.approx(0.5 / 0.2) and stats.prior_ratio_neg[2] == 1.0
+        assert stats.attribute_priors.tolist() == pytest.approx([1.0, 0.0, 0.2])
+
+    def test_padded_stack_matches_each_catalog(self):
+        # a zero prior pads a slot that belongs to neither group; a zero column pads an attribute
+        matrices = [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[1, 0, 1], [0, 1, 1], [1, 1, 0]]]
+        priors = [[0.25, 0.75, 0.0], [0.2, 0.3, 0.5]]
+        stacked = prior_stats(np.array(matrices), np.array(priors))
+        for c, (n, m) in enumerate([(2, 2), (3, 3)]):
+            one = compute_stats(make_catalog(np.array(matrices[c])[:n, :m], priors[c][:n]))
+            for field in ("attribute_priors", "prior_ratio_pos", "prior_ratio_neg", "usable"):
+                np.testing.assert_array_equal(getattr(stacked, field)[c, :m], getattr(one, field))
+            np.testing.assert_array_equal(stacked.positive_mask[c, :m, :n], one.positive_mask)
+            assert not stacked.positive_mask[c, :, n:].any() and not stacked.usable[c, m:].any()

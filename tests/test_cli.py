@@ -388,6 +388,7 @@ def test_missing_or_malformed_input_file_is_a_message(repo_root, exp2_models, tm
         ("exp1", "exp2", None, "bins", None),  # exp1 compares bins, and exp2.json has one
         ("exp3", "exp2", None, "families", None),  # exp2.json defines no attribute families
         ("exp3", "exp3", "catalog", "families", "gable top carton shape"),  # a family attribute every object has
+        ("exp1", "exp1", "catalog", "kde_attribute", "bottle shape"),  # a KDE attribute every object has
     ],
 )
 def test_unusable_scenario_is_a_message(repo_root, tmp_path, command, scenario, section, key, value):

@@ -2,17 +2,26 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog
-from attrfuse.simulator import CalibrationConfig, Scenario, ScenarioError, ScoreModel
+from attrfuse.simulator import (
+    CASE_STREAM,
+    CalibrationConfig,
+    Scenario,
+    ScenarioError,
+    ScoreModel,
+    decide_episodes,
+    load_key,
+    stream_keys,
+)
 from attrfuse.experiments import (
     convergence_suite,
+    decide_exact_cases,
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
-    random_exact_recognition_case,
     single_threshold_models,
     theorem_suites,
     write_exp1_csvs,
@@ -21,6 +30,7 @@ from attrfuse.experiments import (
     write_manifest,
 )
 from attrfuse.theory import required_predictive_values
+from oracles import random_exact_recognition_case
 
 
 def flat_scenario(n_bins=3, seed=17, std=3.0):
@@ -127,7 +137,36 @@ class TestExperiment3:
         assert coarse[-1] > fine[-1]
 
 
+def assert_pass_decides_as_reference(cases, seed):
+    """Each case of :func:`decide_exact_cases` against the one-case reference decided by ``decide_episodes``.
+
+    Returns each case's (objects, attributes).
+    """
+    truths, tied, log_weights = decide_exact_cases(cases, seed)
+    rng = np.random.Generator(np.random.Philox(0))
+    shapes = []
+    for c, key in enumerate(stream_keys(seed, (CASE_STREAM,), cases)):
+        catalog, stats, keys, truth, observed = random_exact_recognition_case(load_key(rng, key))
+        episodes = decide_episodes(observed[None], keys, catalog, stats, [observed.size], lambda _: rng)
+        n = catalog.n_objects
+        assert truths[c] == truth
+        assert tied[c, :n].tolist() == episodes.tied[0, 0].tolist()
+        assert not tied[c, n:].any()  # a padded object slot is never tied
+        np.testing.assert_allclose(log_weights[c, :n], episodes.log_weights[0], rtol=1e-12, atol=0)
+        shapes.append((n, catalog.n_attributes))
+    return shapes
+
+
 class TestTheoremSuites:
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40))
+    @example(0, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_pass_decides_each_case_as_the_reference(self, seed, cases):
+        assert_pass_decides_as_reference(cases, seed)
+
+    def test_pass_pads_a_small_case_beside_a_full_one(self):
+        assert assert_pass_decides_as_reference(2, seed=2468) == [(2, 3), (6, 8)]
+
     def test_report_structure(self):
         report = theorem_suites(trials=300, seed=3, exact_cases=150, k_checkpoints=(5, 50))
         assert report.exact_pass and report.exact_correct == 150
