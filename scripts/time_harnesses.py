@@ -7,11 +7,15 @@ acceptance suite: convergence 4000 trials, exp3 1200, exp2 2500, exact
 recognition 1000 cases. ``fuse_10000`` is ``attrfuse fuse`` through
 ``cli.main`` on a fixed 10^4-line stream in bin 1 over the exp3 models, and
 ``fuse_10`` the same on the stream's first 10 lines, which shows the
-per-call cost. ``calibrate_exp3`` is ``attrfuse calibrate`` through
-``cli.main`` on the exp3 scenario: it loads the scenario, draws the training
-sets, calibrates every bin and writes the models. The scenario files are
-loaded, and the models and the streams written, once, outside the timed
-calls; every timed call writes into one temporary directory.
+per-call cost. ``fuse_tie`` is the same call on the four-line ``tie`` stream
+of ``tests/test_golden.py`` at ``--seed 0``: objects 7, 8 and 9 tie in the
+posterior and the prior, so the call pays the seeded pick's Philox pass,
+which no line of the other two streams reaches. ``calibrate_exp3`` is
+``attrfuse calibrate`` through ``cli.main`` on the exp3 scenario: it loads
+the scenario, draws the training sets, calibrates every bin and writes the
+models. The scenario files are loaded, and the models and the streams
+written, once, outside the timed calls; every timed call writes into one
+temporary directory.
 
     PYTHONPATH=src python scripts/time_harnesses.py
 """
@@ -41,10 +45,18 @@ REPO = Path(__file__).resolve().parents[1]
 SEED = 99  # the theorem suites' seed in scripts/reproduce_results.py
 REPEATS = 3
 FUSE_LINES = (10, 10_000)
+# the golden ``tie`` stream: its adopted lines leave objects 7, 8 and 9 tied, and --seed picks the winner
+TIE_STREAM = """attribute,bin,score
+bottle shape,1,10.0
+cylinder,1,30.0
+box shape,3,5.0
+red color,4,17.0
+"""
 
 
-def fuse_argvs(scenario, workdir: Path) -> dict[int, list[str]]:
-    """``fuse`` arguments per length, each on the leading lines of one fixed stream of object 1 in bin 1.
+def fuse_argvs(scenario, workdir: Path) -> dict[str, list[str]]:
+    """``fuse`` arguments by harness name: per length, the leading lines of one fixed stream of object 1 in bin 1,
+    and the ``tie`` stream at ``--seed 0``.
 
     The streams and the models are written to ``workdir``.
     """
@@ -55,13 +67,14 @@ def fuse_argvs(scenario, workdir: Path) -> dict[int, list[str]]:
     attrs = rng.integers(scenario.catalog.n_attributes, size=n_lines).tolist()
     scores = draw_scores(scenario, np.array([0]), attrs, [1] * n_lines, rng.standard_normal((1, n_lines)))[0]
     lines = [f"{scenario.catalog.attributes[i]},1,{s!r}\n" for i, s in zip(attrs, scores.tolist())]
+    streams = {f"fuse_{n}": "".join(lines[:n]) for n in FUSE_LINES} | {"fuse_tie": TIE_STREAM}
     argvs = {}
-    for n in FUSE_LINES:
-        obs = workdir / f"obs{n}.csv"
-        obs.write_text("".join(lines[:n]))
-        argvs[n] = [
+    for name, text in streams.items():
+        obs = workdir / f"{name}.csv"
+        obs.write_text(text)
+        argvs[name] = [
             "fuse", "--catalog", str(REPO / "catalogs" / "table1.json"), "--model", str(models),
-            "--obs", str(obs), "--out", str(workdir / "decision.json"),
+            "--obs", str(obs), "--seed", "0", "--out", str(workdir / "decision.json"),
         ]
     return argvs
 
@@ -81,7 +94,7 @@ def harnesses(workdir: Path):
         "experiment3_1200": lambda: experiment3_attribute_families(exp3, trials=1200),
         "experiment2_2500": lambda: experiment2_threshold_comparison(exp2, trials=2500),
         "exact_recognition_suite_1000": lambda: exact_recognition_suite(1000, SEED),
-        **{f"fuse_{n}": functools.partial(attrfuse_main, argv) for n, argv in fuse.items()},
+        **{name: functools.partial(attrfuse_main, argv) for name, argv in fuse.items()},
         "calibrate_exp3": functools.partial(
             quiet,
             ["calibrate", "--scenario", str(REPO / "scenarios" / "exp3.json"), "--out", str(workdir / "calibrated.json")],

@@ -223,7 +223,10 @@ def _cmd_fuse(args) -> int:
     adopted = np.flatnonzero(counts).tolist()
     keys, counts = [keys[k] for k in adopted], counts[adopted].tolist()
     row = np.repeat(np.arange(len(keys)), counts)[None, :]
-    episodes = decide_episodes(row, keys, catalog, stats, [row.shape[1]], lambda _: derived_rng(args.seed, PICK_STREAM))
+    episodes = decide_episodes(
+        row, keys, catalog, stats, [row.shape[1]],
+        lambda _: np.random.SeedSequence([args.seed, PICK_STREAM]).generate_state(2, np.uint64)[None],
+    )
     candidates = np.flatnonzero(episodes.tied[0, 0]).tolist()
     outcome_counts: dict[str, dict[str, int]] = {"positive": {}, "negative": {}}
     for (i, outcome, _), n in zip(keys, counts):  # keys are sorted, so attributes come in index order

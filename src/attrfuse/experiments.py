@@ -215,7 +215,7 @@ def experiment2_threshold_comparison(
     for system, models in enumerate((two_models, single_models)):
         codes, keys = classify_scores(models, columns, bins, scores)
         episodes.append(decide_episodes(
-            codes, keys, catalog, stats, checkpoints, lambda t, system=system: derived_rng(seed, PICK_STREAM, t, system)
+            codes, keys, catalog, stats, checkpoints, lambda rows, system=system: stream_keys(seed, PICK_STREAM, rows, system)
         ))
     wrong_two, wrong_single = (decided.winners != ground_truths for decided in episodes)
     wrong_tie = wrong_two & episodes[0].random
@@ -260,7 +260,9 @@ def experiment3_attribute_families(
     Every system restarts from the priors in each bin and observes
     ``rounds_per_bin`` times there. Systems share score and tie-pick streams,
     so a degenerate scenario where the families coincide yields exactly equal
-    accuracies.
+    accuracies. Per bin, the three systems' columns are classified in one
+    call, and their code rows, stacked, are decided in one
+    :func:`decide_episodes` call.
     """
     for name in ("fine", "coarse", "color"):
         if name not in scenario.families:
@@ -282,28 +284,27 @@ def experiment3_attribute_families(
             raise scenario.error(f"key 'families': attribute {catalog.attributes[i]!r} is constant across the catalog")
     models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
 
+    # each system reads a prefix of the trial's score draws; the systems'
+    # columns are classified together and their code rows stacked, system
+    # after system, padded with the uncertain code to the longest
+    widths = [rounds_per_bin * len(systems[name]) for name in EXP3_SYSTEMS]
+    columns = [i for name in EXP3_SYSTEMS for i in systems[name] * rounds_per_bin]
+    prefixes = np.concatenate([np.arange(width) for width in widths])
     ground_truths = np.arange(trials) % catalog.n_objects
-    n_draws = rounds_per_bin * max(len(attrs) for attrs in systems.values())
     accuracy = np.zeros((scenario.n_bins, len(EXP3_SYSTEMS)))
-    pick_rng = np.random.Generator(np.random.Philox(0))
     for k in range(scenario.n_bins):
-        # each system reads a prefix of the trial's score draws, and the
-        # trial's pick stream from its start
-        z = stream_draws(seed, (SCORE_STREAM, k), trials, n_draws)
-        pick_keys = stream_keys(seed, (PICK_STREAM, k), trials)
-        for s_idx, name in enumerate(EXP3_SYSTEMS):
-            columns = list(systems[name]) * rounds_per_bin
-            bins = [k] * len(columns)
-            scores = draw_scores(scenario, ground_truths, columns, bins, z[:, : len(columns)])
-            codes, keys = classify_scores(models, columns, bins, scores)
-            # one checkpoint consumes each pick stream at once, so a single
-            # shared generator can serve every trial; a second checkpoint
-            # would need a generator per trial
-            checkpoints = [len(columns)]
-            episodes = decide_episodes(
-                codes, keys, catalog, stats, checkpoints, lambda t: load_key(pick_rng, pick_keys[t])
-            )
-            accuracy[k, s_idx] = (episodes.winners[0] == ground_truths).mean()
+        z = stream_draws(seed, (SCORE_STREAM, k), trials, max(widths))
+        bins = [k] * len(columns)
+        codes, keys = classify_scores(models, columns, bins, draw_scores(scenario, ground_truths, columns, bins, z[:, prefixes]))
+        stacked = np.full((len(EXP3_SYSTEMS), trials, max(widths)), len(keys), dtype=codes.dtype)
+        for s_idx, system_codes in enumerate(np.split(codes, np.cumsum(widths)[:-1], axis=1)):
+            stacked[s_idx, :, : widths[s_idx]] = system_codes
+        # every system picks a trial's ties from the trial's one stream (seed, PICK_STREAM, k, t)
+        episodes = decide_episodes(
+            stacked.reshape(-1, max(widths)), keys, catalog, stats, [max(widths)],
+            lambda rows: stream_keys(seed, PICK_STREAM, k, rows % trials),
+        )
+        accuracy[k] = (episodes.winners[0].reshape(len(EXP3_SYSTEMS), trials) == ground_truths).mean(axis=1)
 
     halfwidths = np.array([[halfwidth(a, trials) for a in row] for row in accuracy])
     return FamilyAccuracyResult(
@@ -374,7 +375,7 @@ def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     the objects are padded to 6, and a padded object is never tied.
     """
     rng = np.random.Generator(np.random.Philox(0))
-    case_keys = stream_keys(seed, (CASE_STREAM,), cases)
+    case_keys = stream_keys(seed, CASE_STREAM, np.arange(cases))
     matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases((load_key(rng, key) for key in case_keys), cases)
     priors = raw_priors / raw_priors.sum(axis=1, keepdims=True)
     stats = prior_stats(matrix, priors)
@@ -439,7 +440,7 @@ def convergence_suite(
         [lacks < true_negative_rate, lacks < true_negative_rate + q], [code[1, "negative"], code[1, "positive"]], len(keys)
     )
     episodes = decide_episodes(
-        codes, keys, catalog, stats, [2 * k for k in k_values], lambda t: derived_rng(seed, PICK_STREAM, t)
+        codes, keys, catalog, stats, [2 * k for k in k_values], lambda rows: stream_keys(seed, PICK_STREAM, rows)
     )
     wrong = episodes.winners != ground_truth
     return k_values, wrong.mean(axis=1)

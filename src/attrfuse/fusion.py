@@ -89,8 +89,3 @@ def tie_sets(log_weights: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, n
     best_prior = np.where(tied, priors, -np.inf).max(axis=-1, keepdims=True)
     return tied, tied & (priors >= best_prior * (1.0 - TIE_RELATIVE_TOLERANCE))
 
-
-def pick_tied(prior_best: np.ndarray, rng: np.random.Generator) -> int:
-    """Seeded uniform pick among one row's prior-tied candidates."""
-    options = np.flatnonzero(prior_best)
-    return int(options[rng.integers(options.size)])

@@ -15,12 +15,17 @@ Episodes run batched: every trial's draws come from its own stream as one
 array, are classified with vectorised threshold compares
 (:func:`classify_scores`), counted per factor key and decided together
 (:func:`decide_episodes`). ``attrfuse fuse`` classifies its observation
-lines as one row of the same :func:`classify_scores` call.
+lines as one row of the same :func:`classify_scores` call. Seeded tie
+picks need no generator object: Philox is counter-based (Salmon et al.
+2011), so :func:`seeded_picks` computes the tied rows' Philox blocks
+directly and makes every pick with Lemire's bounded draw, equal to
+``Generator(Philox(key)).integers(n)`` calls, in one pass.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence, get_args
@@ -40,7 +45,6 @@ from attrfuse.fusion import (
     FactorKey,
     factor_table,
     map_log_weights,
-    pick_tied,
     tally,
     tie_sets,
 )
@@ -68,6 +72,7 @@ _XSHIFT = 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_OTHER_POOL_WORDS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -81,51 +86,70 @@ def _entropy_words(value: int) -> list[int]:
     return words
 
 
-def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's word hash: each call xors and multiplies by the next constant of its sequence."""
-    const = init
-
-    def hash_word(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(_XSHIFT))
-
-    return hash_word
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants of the first ``calls`` calls of a SeedSequence word hash, as a (calls + 1, 1) uint32 column."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def stream_keys(seed: int, key: Sequence[int], trials: int) -> np.ndarray:
-    """Philox keys of the streams ``(seed, *key, t)`` for ``t < trials``, as a (trials, 2) uint64 array.
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's word hash over consecutive calls with constants ``consts``: row ``j`` is hashed by call ``j``,
+    which xors with its constant and multiplies by the next."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    return values ^ (values >> np.uint32(_XSHIFT))
 
-    Row ``t`` equals ``SeedSequence([seed, *key, t]).generate_state(2, np.uint64)``,
-    the key :func:`derived_rng` gives its Philox: the pool mixing runs as
-    uint32 array arithmetic over every trial at once. Loaded with counter 0
-    and an empty buffer (:func:`load_key`), a key gives the same stream as
-    ``derived_rng(seed, *key, t)``.
+
+def stream_keys(seed: int | np.ndarray, *key: int | np.ndarray) -> np.ndarray:
+    """Philox keys of the streams ``(seed, *key)``, as a ``(*shape, 2)`` uint64 array.
+
+    Any entry may be an integer array, and the entries broadcast to
+    ``shape`` (``()`` when every entry is a scalar). The key at each index
+    equals ``SeedSequence([seed, *key]).generate_state(2, np.uint64)`` with
+    the array entries taken at that index, the key :func:`derived_rng`
+    gives its Philox: the pool mixing runs as uint32 array arithmetic over
+    every stream at once. A scalar entry may be any non-negative integer and
+    is split into 32-bit words as SeedSequence splits it; an array entry
+    must be one word, in ``[0, 2**32)``. Loaded with counter 0 and an empty
+    buffer (:func:`load_key`), a key gives the same stream as
+    ``derived_rng(seed, *key)``.
     """
-    prefix = [w for value in (seed, *key) for w in _entropy_words(value)]
-    entropy = [np.full(trials, w, dtype=np.uint32) for w in prefix] + [np.arange(trials, dtype=np.uint32)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
+    words: list = []
+    for value in (seed, *key):
+        if not isinstance(value, np.ndarray) or value.ndim == 0:
+            words.extend(_entropy_words(value))
+            continue
+        if not np.issubdtype(value.dtype, np.integer):
+            raise TypeError(f"expected an integer array entry, got dtype {value.dtype}")
+        if value.size and not (value.min() >= 0 and value.max() <= _MASK32):
+            raise ValueError(f"expected array entries in [0, 2**32), got values from {value.min()} to {value.max()}")
+        words.append(value)
+    shape = np.broadcast(*(word for word in words if isinstance(word, np.ndarray))).shape
+    entropy = np.zeros((max(len(words), _POOL_SIZE), math.prod(shape)), dtype=np.uint32)  # a missing word is 0
+    for row, word in zip(entropy, words):
+        row.reshape(shape)[...] = word
+    extra = entropy[_POOL_SIZE : len(words)]
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(extra)))
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(_XSHIFT))
 
-    zeros = np.zeros(trials, dtype=np.uint32)  # a missing pool word hashes as 0
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    # SeedSequence mixes word by word; each step below stacks the hash calls that do not depend on each other
+    pool = _hash(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    call = _POOL_SIZE
+    for src, others in enumerate(_OTHER_POOL_WORDS):  # each other word is mixed with the next hash of pool[src]
+        pool[others] = mix(pool[others], _hash(pool[src], consts[call : call + _POOL_SIZE]))
+        call += _POOL_SIZE - 1
+    for word in extra:
+        pool = mix(pool, _hash(word, consts[call : call + _POOL_SIZE + 1]))
+        call += _POOL_SIZE
 
     # generate_state(2, uint64): the four pool words hashed once more, read as two little-endian uint64
-    output_hash = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([output_hash(word) for word in pool], axis=1).astype("<u4")
-    return state.view("<u8").astype(np.uint64)
+    state = np.ascontiguousarray(_hash(pool, _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)).T, dtype="<u4")
+    return state.view("<u8").astype(np.uint64).reshape(*shape, 2)
 
 
 def load_key(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
@@ -139,6 +163,81 @@ def load_key(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
         "uinteger": 0,
     }
     return rng
+
+
+# Philox4x64-10 (Salmon et al. 2011) as numpy's Philox runs it: the multipliers of words 0 and 2, and the
+# Weyl constants added to the two key words after each round
+_PHILOX_M0, _PHILOX_M2 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
+
+def _philox_draws(keys: np.ndarray, counter: int) -> np.ndarray:
+    """The 32-bit draws of the Philox block at ``counter`` of each key row, (rows, 8) uint32.
+
+    numpy's Philox makes its ``c``-th block of four 64-bit words at counter
+    ``c`` (1, 2, ...), and ``next_uint32`` reads a word's low half before
+    its high half. Each row's word sits in its own 128-bit lane of one
+    Python integer, so one integer multiply forms every row's 64x64-bit
+    product and no lane carries into the next. A round maps the words to
+    (high 2 ^ word 1 ^ key 0, low 2, high 0 ^ word 3 ^ key 1, low 0); words
+    1 and 3 and the keys are masked to their lanes' low 64 bits only where
+    that matters, before a multiply and when the block is read.
+    """
+    rows = len(keys)
+    lanes = np.zeros((3, rows, 2), dtype="<u8")  # key words 0 and 1, and ones, in the low halves of the lanes
+    lanes[:2, :, 0] = keys.T
+    lanes[2, :, 0] = 1
+    key0, key1, ones = (int.from_bytes(lane.tobytes(), "little") for lane in lanes)
+    low = ones * (2**64 - 1)
+    bump0, bump1 = _PHILOX_W0 * ones, _PHILOX_W1 * ones
+    word0, word1, word2, word3 = counter * ones, 0, 0, 0
+    for _ in range(_PHILOX_ROUNDS):
+        product0, product2 = _PHILOX_M0 * word0, _PHILOX_M2 * word2
+        word0, word2 = ((product2 >> 64) ^ word1 ^ key0) & low, ((product0 >> 64) ^ word3 ^ key1) & low
+        word1, word3 = product2, product0
+        key0 += bump0
+        key1 += bump1
+    block = np.frombuffer(b"".join(word.to_bytes(16 * rows, "little") for word in (word0, word1, word2, word3)), "<u8")
+    return np.ascontiguousarray(block.reshape(4, rows, 2)[:, :, 0].T).view("<u4")
+
+
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def seeded_picks(keys: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Uniform picks in ``[0, n)`` from the Philox streams with ``keys``, as ``Generator.integers(n)`` makes them.
+
+    ``keys`` is (rows, 2) uint64 and ``n`` (checkpoints, rows), each below
+    ``2**32``. Row ``r``'s stream makes one pick at each checkpoint where
+    its ``n`` exceeds 1, in checkpoint order: entry ``[c, r]`` is the pick a
+    ``Generator(Philox(key=keys[r]))`` returns from its call for checkpoint
+    ``c``. Where ``n`` is below 2 no draw is made and the pick is 0, as
+    ``integers(1)`` draws nothing. A pick is Lemire's bounded draw on the
+    stream's next 32-bit draw ``u`` (Lemire 2019, ACM TOMACS 29:3):
+    ``(u * n) >> 32``, redrawn while the product's low half is below
+    ``2**32 % n``. The draws come from :func:`_philox_draws`, a block at a
+    time, as far as each row's stream runs.
+    """
+    keys, n = np.asarray(keys, dtype=np.uint64), np.asarray(n, dtype=np.uint64)
+    picks = np.zeros(n.shape, dtype=np.int64)
+    draws = _philox_draws(keys, 1)
+    cursor = np.zeros(len(keys), dtype=np.intp)  # each row's next draw
+    for c in range(n.shape[0]):
+        rows = np.flatnonzero(n[c] > 1)
+        bound = n[c, rows]
+        threshold = np.uint64(2**32) % bound
+        while rows.size:
+            at = cursor[rows]
+            while at.max() >= draws.shape[1]:  # a row ran out of draws: every row's next block
+                draws = np.concatenate([draws, _philox_draws(keys, draws.shape[1] // 8 + 1)], axis=1)
+            product = draws[rows, at] * bound
+            cursor[rows] = at + 1
+            kept = product & _LOW32 >= threshold
+            picks[c, rows[kept]] = product[kept] >> _SHIFT32
+            rejected = ~kept
+            rows, bound, threshold = rows[rejected], bound[rejected], threshold[rejected]
+    return picks
 
 
 @dataclass(frozen=True)
@@ -293,7 +392,7 @@ def stream_draws(seed: int, key: Sequence[int], trials: int, n: int, kind: str =
     """
     out = np.empty((trials, n))
     rng = np.random.Generator(np.random.Philox(0))
-    for t, stream_key in enumerate(stream_keys(seed, key, trials)):
+    for t, stream_key in enumerate(stream_keys(seed, *key, np.arange(trials))):
         getattr(load_key(rng, stream_key), kind)(n, out=out[t])
     return out
 
@@ -383,28 +482,27 @@ def decide_episodes(
     catalog: ObjectCatalog,
     stats: CatalogStats,
     checkpoints: Sequence[int],
-    pick: Callable[[int], np.random.Generator],
+    pick_keys: Callable[[np.ndarray], np.ndarray],
 ) -> Episodes:
     """MAP decisions of every row after each of one or more checkpoints' leading draws.
 
     ``codes`` (rows x draws) come from :func:`classify_scores` or any other
     source of codes into the sorted ``keys``. Counts accumulate from one
     checkpoint to the next. A posterior tie goes to the best prior; a tie
-    in the prior as well goes to a seeded uniform pick. A row's pick stream
-    ``pick(row)`` is made at its first random tie and consumed in
-    checkpoint order; rows without one never make it. A ``pick`` that
-    returns one shared generator for every row is valid only with a single
-    checkpoint.
+    in the prior as well goes to a seeded uniform pick. Every checkpoint is
+    decided first; then :func:`seeded_picks` makes all the picks in one
+    pass, each row's in checkpoint order from its own Philox stream.
+    ``pick_keys(rows)`` gives those streams' keys, (len(rows), 2) uint64,
+    for the rows with a random tie at some checkpoint; it is called once,
+    and not at all when no row has one.
     """
     table = factor_table(keys, stats)
     log_prior = np.log(catalog.priors)
     rows, n_codes = codes.shape[0], len(keys) + 1
     offsets = n_codes * np.arange(rows)[:, None]
     counts = np.zeros((rows, n_codes), dtype=np.int64)
-    winners = np.empty((len(checkpoints), rows), dtype=np.int64)
-    random = np.zeros((len(checkpoints), rows), dtype=bool)
     tied = np.empty((len(checkpoints), rows, catalog.n_objects), dtype=bool)
-    streams: dict[int, np.random.Generator] = {}
+    prior_best = np.empty_like(tied)
     start = 0
     for c, stop in enumerate(checkpoints):
         step = codes[:, start:stop] + offsets
@@ -412,13 +510,15 @@ def decide_episodes(
         start = stop
         hits, finite = tally(log_prior, counts[:, :-1], table)
         log_weights = map_log_weights(hits, finite)
-        tied[c], prior_best = tie_sets(log_weights, catalog.priors)
-        winners[c] = prior_best.argmax(axis=1)
-        random[c] = prior_best.sum(axis=1) > 1
-        for r in np.flatnonzero(random[c]).tolist():
-            if r not in streams:
-                streams[r] = pick(r)
-            winners[c, r] = pick_tied(prior_best[r], streams[r])
+        tied[c], prior_best[c] = tie_sets(log_weights, catalog.priors)
+    options = prior_best.sum(axis=-1)
+    winners = prior_best.argmax(axis=-1)
+    random = options > 1
+    picking = np.flatnonzero(random.any(axis=0))
+    if picking.size:
+        picks = seeded_picks(pick_keys(picking), options[:, picking])
+        # the pick-th prior-best object: the first whose running count of them exceeds the pick
+        winners[:, picking] = (prior_best[:, picking].cumsum(axis=-1) > picks[..., None]).argmax(axis=-1)
     return Episodes(winners, random, tied, hits, log_weights)
 
 

@@ -26,6 +26,7 @@ from attrfuse.simulator import (
     decide_episodes,
     derived_rng,
     draw_training_sets,
+    stream_keys,
 )
 
 from oracles import count_rates, factor_codes, make_synthetic_model, posterior_oracle
@@ -49,7 +50,7 @@ def _catalog(matrix, priors):
 
 def _log_weights(catalog, stats, codes, keys):
     """The engine's MAP log weights of one row of codes into ``keys``."""
-    episodes = decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: np.random.default_rng(0))
+    episodes = decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: stream_keys(0)[None])
     return episodes.log_weights[0]
 
 

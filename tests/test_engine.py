@@ -29,6 +29,7 @@ from attrfuse.simulator import (
     draw_scores,
     draw_training_sets,
     stream_draws,
+    stream_keys,
 )
 
 from oracles import (
@@ -90,7 +91,7 @@ def test_batch_rows_equal_one_row_posteriors_and_decisions(case, seed):
 
     half = codes.shape[1] // 2
     checkpoints = [half, codes.shape[1]]
-    episodes = decide_episodes(codes, keys, catalog, stats, checkpoints, lambda r: derived_rng(seed, r))
+    episodes = decide_episodes(codes, keys, catalog, stats, checkpoints, lambda rows: stream_keys(seed, rows))
     # the engine's last-checkpoint rows are the batched tally's
     assert episodes.hits.tobytes() == hits.tobytes() and episodes.log_weights.tobytes() == batched.tobytes()
     for r, row in enumerate(codes):
@@ -286,7 +287,7 @@ def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
     truths = np.arange(trials) % catalog.n_objects
     scores = draw_scores(scenario, truths, attrs, bins, stream_draws(3, (SCORE_STREAM,), trials, len(columns)))
     codes, keys = classify_scores(models, attrs, bins, scores)
-    episodes = decide_episodes(codes, keys, catalog, stats, [len(columns)], lambda r: derived_rng(3, PICK_STREAM, r))
+    episodes = decide_episodes(codes, keys, catalog, stats, [len(columns)], lambda rows: stream_keys(3, PICK_STREAM, rows))
     outcomes = [key[1] for key in keys] + ["uncertain"]
     for t, gt in enumerate(truths.tolist()):
         rng = derived_rng(3, SCORE_STREAM, t)

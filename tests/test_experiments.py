@@ -145,9 +145,9 @@ def assert_pass_decides_as_reference(cases, seed):
     truths, tied, log_weights = decide_exact_cases(cases, seed)
     rng = np.random.Generator(np.random.Philox(0))
     shapes = []
-    for c, key in enumerate(stream_keys(seed, (CASE_STREAM,), cases)):
+    for c, key in enumerate(stream_keys(seed, CASE_STREAM, np.arange(cases))):
         catalog, stats, keys, truth, observed = random_exact_recognition_case(load_key(rng, key))
-        episodes = decide_episodes(observed[None], keys, catalog, stats, [observed.size], lambda _: rng)
+        episodes = decide_episodes(observed[None], keys, catalog, stats, [observed.size], lambda _: key[None])
         n = catalog.n_objects
         assert truths[c] == truth
         assert tied[c, :n].tolist() == episodes.tied[0, 0].tolist()

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel
-from attrfuse.fusion import posterior
-from attrfuse.simulator import classify_scores, decide_episodes
+from attrfuse.fusion import log_factor_rows, posterior
+from attrfuse.simulator import classify_scores, decide_episodes, stream_keys
 
 from oracles import factor_codes, make_synthetic_model, posterior_oracle
 
@@ -24,8 +24,8 @@ def small_catalog(matrix, priors):
 
 
 def decided(codes, keys, catalog, stats, seed=0):
-    """The engine's decision of one row of codes into ``keys``, with ties picked from a Philox stream seeded ``seed``."""
-    return decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: np.random.Generator(np.random.Philox(seed)))
+    """The engine's decision of one row of codes into ``keys``, with ties picked from ``Philox(seed)``'s stream."""
+    return decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: stream_keys(seed)[None])
 
 
 def fused(catalog, stats, observations, seed=0):
@@ -245,6 +245,26 @@ class TestDecide:
         assert first.winners[0, 0] in (6, 7, 8)
         assert first.winners.tobytes() == second.winners.tobytes()
 
+    def test_pick_keys_only_for_rows_with_random_ties(self, table1, table1_stats):
+        """``pick_keys`` is called once, with every row that breaks a tie by a pick, and never when no row does."""
+        evidence = [
+            (make_synthetic_model(table1.attribute_index(name), 0.96, 0.96), "positive")
+            for name in ("bottle shape", "yellow color")
+        ]
+        row, keys = factor_codes(evidence)
+        uncertain = len(keys)
+        codes = np.array([[uncertain, uncertain], row[0], [row[0, 0], uncertain]])  # 9-way tie, unique, 3-way tie
+        calls = []
+
+        def pick_keys(rows):
+            calls.append(rows.tolist())
+            return stream_keys(5, rows)
+
+        episodes = decide_episodes(codes, keys, table1, table1_stats, [2], pick_keys)
+        assert calls == [[0, 2]] and episodes.random[0].tolist() == [True, False, True]
+        decide_episodes(codes[1:2], keys, table1, table1_stats, [2], pick_keys)
+        assert calls == [[0, 2]]
+
     def test_prior_breaks_tie(self):
         """At the predictive-value floor the posterior ties, and the prior picks the object without the attribute."""
         cat = small_catalog([[1], [0]], [0.4, 0.6])
@@ -278,3 +298,15 @@ class TestPosteriorNumerics:
         weights = decided(codes, keys, table1, table1_stats).log_weights[0]
         assert np.isfinite(weights).all()
         assert posterior(weights).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_factor_rows_take_libm_log():
+    """The factor rows use libm's ``math.log``, bit for bit, where numpy's SIMD ``np.log`` differs in the last bit."""
+    values = np.random.default_rng(0).uniform(0.9, 1.0, 4000)
+    values = values[np.log(values) != [math.log(v) for v in values.tolist()]]
+    w = 0.95  # log(v) - log(w) is exact for most v here, so a last-bit difference in log(v) shows
+    expected = np.array([[math.log(v) - math.log(w), math.log(1.0 - v) - math.log(1.0 - w)] for v in values.tolist()])
+    if not (np.log(values) - np.log(w) != expected[:, 0]).any():
+        pytest.skip("this numpy build's log agrees with libm on the sample")
+    rows = log_factor_rows(np.array([True, False]), np.full(values.size, w), np.ones(values.size, dtype=bool), values)
+    assert rows.tobytes() == expected.tobytes()

@@ -24,6 +24,7 @@ from attrfuse.simulator import (
     draw_scores,
     draw_training_sets,
     load_scenario,
+    seeded_picks,
     stream_draws,
     stream_keys,
 )
@@ -68,7 +69,7 @@ def episodes(scenario, models, truths, schedule, seed, key=()):
     codes, keys = classify_scores(models, attrs, bins, draw_scores(scenario, np.asarray(truths), attrs, bins, z))
     episodes = decide_episodes(
         codes, keys, scenario.catalog, compute_stats(scenario.catalog), [len(columns)],
-        lambda r: derived_rng(seed, PICK_STREAM, *key, r),
+        lambda rows: stream_keys(seed, PICK_STREAM, *key, rows),
     )
     return codes, episodes.winners[0], episodes.random[0]
 
@@ -189,6 +190,15 @@ class TestScenarioValidation:
 _ENTROPY = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**100)
 
 
+def seed_sequence_keys(entries, shape):
+    """``SeedSequence([...]).generate_state(2, uint64)`` at each index of ``shape``, array entries taken there."""
+    out = np.empty((*shape, 2), dtype=np.uint64)
+    for index in np.ndindex(*shape):
+        words = [int(np.broadcast_to(e, shape)[index]) if np.ndim(e) else e for e in entries]
+        out[index] = np.random.SeedSequence(words).generate_state(2, np.uint64)
+    return out
+
+
 class TestStreamKeys:
     @settings(max_examples=300, deadline=None)
     @given(seed=_ENTROPY, key=st.lists(_ENTROPY, max_size=5), trials=st.integers(0, 40))
@@ -198,20 +208,106 @@ class TestStreamKeys:
     @example(seed=0, key=[], trials=3)  # fewer words than the pool
     def test_matches_seed_sequence(self, seed, key, trials):
         expected = [np.random.SeedSequence([seed, *key, t]).generate_state(2, np.uint64) for t in range(trials)]
-        keys = stream_keys(seed, key, trials)
+        keys = stream_keys(seed, *key, np.arange(trials))
         assert keys.dtype == np.uint64 and keys.shape == (trials, 2)
         assert np.array_equal(keys, np.reshape(expected, (trials, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(_ENTROPY, min_size=1, max_size=6),
+        data=st.data(),
+        words=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    )
+    def test_array_entry_in_any_position(self, entries, data, words):
+        """One array entry, in any position among scalar entries of one or more words, broadcasts to its shape."""
+        position = data.draw(st.integers(0, len(entries) - 1))
+        entries[position] = np.array(words, dtype=np.int64)
+        keys = stream_keys(*entries)
+        assert keys.dtype == np.uint64 and keys.shape == (len(words), 2)
+        assert np.array_equal(keys, seed_sequence_keys(entries, (len(words),)))
+
+    def test_array_entries_broadcast(self):
+        entries = [np.arange(3, dtype=np.uint32)[:, None], 2**64 + 9, np.array([0, 2**32 - 1], dtype=np.uint64), 5]
+        keys = stream_keys(*entries)
+        assert keys.shape == (3, 2, 2)
+        assert np.array_equal(keys, seed_sequence_keys(entries, (3, 2)))
+
+    @pytest.mark.parametrize("entries", [(0,), (2**32,), (2**40 + 3, 2**70, 1), (7, PICK_STREAM)])
+    def test_scalar_entries_give_one_key(self, entries):
+        assert np.array_equal(stream_keys(*entries), np.random.SeedSequence(entries).generate_state(2, np.uint64))
 
     @pytest.mark.parametrize("seed, key", [(-1, (SCORE_STREAM,)), (3, (PICK_STREAM, -2))])
     def test_negative_entropy_rejected(self, seed, key):
         with pytest.raises(ValueError, match="non-negative"):
-            stream_keys(seed, key, 4)
+            stream_keys(seed, *key, np.arange(4))
+
+    @pytest.mark.parametrize("entry", [np.array([0, -1]), np.array([2**32]), np.array([[1], [2**40]], dtype=np.uint64)])
+    def test_array_entry_outside_one_word_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            stream_keys(3, PICK_STREAM, entry)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            stream_keys(entry, PICK_STREAM)
+
+    def test_array_entry_of_floats_rejected(self):
+        with pytest.raises(TypeError, match="integer array"):
+            stream_keys(3, PICK_STREAM, np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("kind", ["standard_normal", "random"])
     @pytest.mark.parametrize("seed", [2**40 + 3, 2**70])  # one-word seeds: tests/test_engine.py
     def test_stream_draws_match_per_trial_generators(self, kind, seed):
         expected = [getattr(derived_rng(seed, SCORE_STREAM, 2, t), kind)(7) for t in range(25)]
         assert np.array_equal(stream_draws(seed, (SCORE_STREAM, 2), 25, 7, kind=kind), expected)
+
+
+def generator_picks(keys, n):
+    """The reference for :func:`seeded_picks`: each row's ``Generator(Philox(key=...)).integers(n)`` calls in order."""
+    picks = np.zeros(np.shape(n), dtype=np.int64)
+    generators = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    for c, r in np.argwhere(np.asarray(n) > 1).tolist():  # checkpoint-major: each row's calls in checkpoint order
+        picks[c, r] = generators[r].integers(int(n[c][r]))
+    return picks, generators
+
+
+def draws_used(rng):
+    """How many 32-bit draws a fresh Philox generator has made: two per 64-bit word, less a held high half."""
+    state = rng.bit_generator.state
+    words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+    return 2 * words - state["has_uint32"]
+
+
+_PICK_BOUND = st.integers(0, 1) | st.integers(2, 9) | st.integers(2, 2**32 - 1)  # 0 and 1: no pick
+
+
+@st.composite
+def pick_cases(draw):
+    """Keys of 1-6 rows, and per checkpoint and row the bound of its pick, with rows that pick at only some checkpoints."""
+    rows = draw(st.integers(1, 6))
+    checkpoints = draw(st.integers(1, 16))
+    keys = np.array(draw(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=rows, max_size=rows)), dtype=np.uint64)
+    n = draw(st.lists(st.lists(_PICK_BOUND, min_size=rows, max_size=rows), min_size=checkpoints, max_size=checkpoints))
+    return keys, np.array(n, dtype=np.int64)
+
+
+class TestSeededPicks:
+    @settings(max_examples=300, deadline=None)
+    @given(pick_cases())
+    def test_equal_generator_integers(self, case):
+        keys, n = case
+        assert np.array_equal(seeded_picks(keys, n), generator_picks(keys, n)[0])
+
+    def test_rejections_and_later_blocks(self):
+        """At n = 3 * 2**30 a draw is rejected a quarter of the time, so rows draw past their second 8-draw block."""
+        keys = stream_keys(11, PICK_STREAM, np.arange(300))
+        n = np.full((12, 300), 3 * 2**30)
+        n[::3, ::2] = 0  # even rows skip every third checkpoint
+        expected, generators = generator_picks(keys, n)
+        used = np.array([draws_used(rng) for rng in generators])
+        assert used.max() > 16 and (used > (n > 1).sum(axis=0)).any()
+        assert np.array_equal(seeded_picks(keys, n), expected)
+
+    def test_no_picks(self):
+        keys = stream_keys(0, np.arange(3))
+        assert np.array_equal(seeded_picks(keys, np.ones((2, 3), dtype=np.int64)), np.zeros((2, 3)))
 
 
 class TestSampling:

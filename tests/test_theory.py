@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.experiments import exact_recognition_suite
-from attrfuse.simulator import decide_episodes
+from attrfuse.simulator import decide_episodes, stream_keys
 from attrfuse.theory import (
     certify_guaranteed_recognition,
     false_rate_bounds,
@@ -140,8 +140,7 @@ def engine_decision(catalog, models, pos, neg):
     keyed += [(i, "negative", models[i].calibrations[0].npv) for i in sorted(neg)]
     keys = sorted(keyed)
     codes = np.array([[keys.index(key) for key in keyed]], dtype=np.intp)
-    pick = np.random.Generator(np.random.Philox(0))
-    return decide_episodes(codes, keys, catalog, compute_stats(catalog), [codes.shape[1]], lambda _: pick)
+    return decide_episodes(codes, keys, catalog, compute_stats(catalog), [codes.shape[1]], lambda _: stream_keys(0)[None])
 
 
 class TestFloorAgreement:
