@@ -11,6 +11,7 @@ each holds one part:
 - ``attrfuse.theory``: the predictive-value floors and false-rate bounds under which the decision is guaranteed.
 - ``attrfuse.experiments``: the Monte Carlo harnesses of the three experiments and the theorem suites, with CSV output.
 - ``attrfuse.cli``: the ``attrfuse`` command: ``calibrate``, ``fuse``, ``exp1`` to ``exp3`` and ``theorems``.
+- ``attrfuse._fields``: the JSON input rules the three loaders share: the file reader, the field reader, the converters.
 """
 
 from attrfuse._version import __version__

@@ -1,11 +1,13 @@
 """Object catalogs: binary attribute matrices, priors, and prior-derived statistics."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+from attrfuse._fields import _bit, _list, _mapping, _number, _string, read_field, read_json
 
 # Prior vectors whose sum is off by at most this much are rescaled; anything
 # further off is treated as a user error and rejected.
@@ -166,36 +168,19 @@ def unique_candidates(
 def load_catalog(path: str | Path) -> ObjectCatalog:
     """Load a catalog file: keys ``objects`` ({id, prior} records), ``attributes``, ``matrix``.
 
-    An unreadable or malformed file raises :class:`CatalogError` naming the
-    file, and a value of the wrong JSON type also names the key. Nothing is
-    coerced: ids are strings, priors are numbers, and matrix rows are lists
-    of the integers 0 and 1, one per attribute.
+    A malformed file raises :class:`CatalogError` naming the file and the key. Ids are strings, priors finite
+    numbers, and matrix rows lists of the integers 0 and 1, one per attribute; nothing is coerced.
     """
     path = Path(path)
+    _, raw = read_json(path, CatalogError, "catalog")
+    read = partial(read_field, CatalogError, path, raw)
+    entries = read("objects", partial(_list, item=_mapping))
+    where = [f"{path}: key 'objects': entry {n}" for n in range(len(entries))]
+    ids = [read_field(CatalogError, at, entry, "id", _string) for at, entry in zip(where, entries)]
+    priors = [read_field(CatalogError, at, entry, "prior", _number) for at, entry in zip(where, entries)]
+    attributes = read("attributes", partial(_list, item=_string))
+    matrix = read("matrix", partial(_list, item=partial(_list, item=_bit, length=len(attributes))))
     try:
-        raw = json.loads(path.read_bytes())
-    except OSError as exc:
-        raise CatalogError(f"{path}: cannot read catalog ({exc.strerror})") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        objects = [entry["id"] for entry in raw["objects"]]
-        priors = [entry["prior"] for entry in raw["objects"]]
-        attributes = raw["attributes"]
-        matrix = raw["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise CatalogError(f"{path}: missing or malformed key ({exc})") from exc
-    # type() rather than isinstance(): a JSON true is not a number
-    if not all(type(o) is str for o in objects) or not all(type(p) in (int, float) for p in priors):
-        raise CatalogError(f"{path}: key 'objects': each id must be a string and each prior a number")
-    if type(attributes) is not list or not all(type(a) is str for a in attributes):
-        raise CatalogError(f"{path}: key 'attributes' must be a list of strings")
-    if type(matrix) is not list or not all(
-        type(row) is list and len(row) == len(attributes) and all(type(v) is int and 0 <= v <= 1 for v in row)
-        for row in matrix
-    ):
-        raise CatalogError(f"{path}: key 'matrix' must be a list of rows, each one 0 or 1 per attribute")
-    try:
-        return ObjectCatalog(objects=objects, attributes=attributes, matrix=np.asarray(matrix), priors=np.asarray(priors, dtype=float))
+        return ObjectCatalog(objects=ids, attributes=attributes, matrix=np.asarray(matrix), priors=np.asarray(priors))
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from None

@@ -11,21 +11,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Literal, Mapping
+from typing import Literal, Mapping, get_args
 
 import numpy as np
 
+from attrfuse._fields import Orientation, _attribute, _boolean, _integer, _list, _mapping, _number, _number_or_null
+from attrfuse._fields import _orientation, _rate, _rate_or_null, read_field, read_json
 from attrfuse.catalog import ObjectCatalog
 
-Orientation = Literal["lower_is_positive", "higher_is_positive"]
 Outcome = Literal["positive", "negative", "uncertain"]
 
 DEFAULT_TARGET_PPV = 0.96
 DEFAULT_TARGET_NPV = 0.96
 DEFAULT_MIN_DETECTION_RATE = 0.09
 
-_ORIENTATIONS = ("lower_is_positive", "higher_is_positive")
+_ORIENTATIONS = get_args(Orientation)
 
 
 class CalibrationError(ValueError):
@@ -241,81 +243,63 @@ def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
     return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
-# the keys of a saved bin record besides "bin" and "reliable", in the order they are written
-_THRESHOLD_KEYS = ("theta_pos", "theta_neg")
-_UNIT_KEYS = ("ppv", "npv", "detection_rate", "true_negative_rate", "false_positive_rate", "false_negative_rate")
-
-
 def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, path: str | Path) -> None:
     """Persist calibrated models keyed by attribute id; each bin record is written under its key in the model."""
-    entries = []
-    for attribute_index in sorted(models):
-        model = models[attribute_index]
-        bins = [
-            {"bin": k, **{key: getattr(cal, key) for key in _THRESHOLD_KEYS + _UNIT_KEYS}, "reliable": cal.reliable}
-            for k, cal in sorted(model.calibrations.items())
-        ]
-        entries.append(
-            {
-                "attribute": catalog.attributes[attribute_index],
-                "orientation": model.orientation,
-                "bins": bins,
-            }
-        )
+    entries = [
+        {
+            "attribute": catalog.attributes[i],
+            "orientation": models[i].orientation,
+            # vars(): the record's fields in their order, "reliable" last
+            "bins": [{"bin": k, **vars(cal)} for k, cal in sorted(models[i].calibrations.items())],
+        }
+        for i in sorted(models)
+    ]
     Path(path).write_text(json.dumps({"models": entries}, indent=2) + "\n")
 
 
-def _bin_record(rec: Mapping) -> BinCalibration:
-    """One saved bin record; a ValueError names the bin and the key."""
-    where = f"bin {rec.get('bin')!r}"
-    if type(rec.get("bin")) is not int or type(rec.get("reliable")) is not bool:
-        raise ValueError(f"{where}: key 'bin' must be an integer and key 'reliable' true or false")
-    values = {}
-    for key in _THRESHOLD_KEYS + _UNIT_KEYS:
-        if key not in rec:
-            raise ValueError(f"{where}: missing key {key!r}")
-        value = values[key] = rec[key]
-        if value is None and not rec["reliable"] and key in ("theta_pos", "theta_neg", "ppv", "npv"):
-            continue  # an unreliable bin may lack thresholds and predictive values
-        unit = key in _UNIT_KEYS
-        # type() rather than isinstance(): a JSON true is not a number; nan fails both range tests
-        if type(value) not in (int, float) or not (0.0 <= value <= 1.0 if unit else -math.inf < value < math.inf):
-            raise ValueError(f"{where}: key {key!r} must be a finite number{' in [0, 1]' if unit else ''}, got {value!r}")
-        values[key] = float(value)
-    return BinCalibration(reliable=rec["reliable"], **values)
+def _bin_record(where: str, rec: dict) -> tuple[int, BinCalibration]:
+    """One saved bin record of the attribute at ``where``, with its bin; a ModelFileError names the bin and the key."""
+    k = read_field(ModelFileError, where, rec, "bin", _integer)
+    where = f"{where}: bin {k}"
+    reliable = read_field(ModelFileError, where, rec, "reliable", _boolean)
+    # an unreliable bin may leave its thresholds and predictive values null
+    number, rate = (_number, _rate) if reliable else (_number_or_null, _rate_or_null)
+    return k, BinCalibration(
+        theta_pos=read_field(ModelFileError, where, rec, "theta_pos", number),
+        theta_neg=read_field(ModelFileError, where, rec, "theta_neg", number),
+        ppv=read_field(ModelFileError, where, rec, "ppv", rate),
+        npv=read_field(ModelFileError, where, rec, "npv", rate),
+        detection_rate=read_field(ModelFileError, where, rec, "detection_rate", _rate),
+        true_negative_rate=read_field(ModelFileError, where, rec, "true_negative_rate", _rate),
+        false_positive_rate=read_field(ModelFileError, where, rec, "false_positive_rate", _rate),
+        false_negative_rate=read_field(ModelFileError, where, rec, "false_negative_rate", _rate),
+        reliable=reliable,
+    )
 
 
 def load_models(path: str | Path, catalog: ObjectCatalog) -> dict[int, ClassifierModel]:
     """Load models persisted by :func:`save_models`, resolving attribute ids via the catalog.
 
-    An unreadable file raises :class:`ModelFileError` naming the file, and a
-    malformed one names the file, the attribute and the key. Each attribute,
-    and each bin of it, appears once. Reliable bins need finite thresholds
-    and predictive values in [0, 1]; unreliable ones may leave them null.
+    A malformed file raises :class:`ModelFileError` naming the file, the attribute, the bin and the key. Each
+    attribute, and each bin of it, appears once. Reliable bins need finite thresholds and predictive values in
+    [0, 1]; unreliable ones may leave them null.
     """
-    try:
-        entries = json.loads(Path(path).read_bytes())["models"]
-    except OSError as exc:
-        raise ModelFileError(f"{path}: cannot read models ({exc.strerror})") from None
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ModelFileError(f"{path}: not a models file ({exc!r})") from None
-    if not isinstance(entries, list):
-        raise ModelFileError(f"{path}: key 'models' must be a list of attribute entries")
+    _, raw = read_json(path, ModelFileError, "models")
+    attribute, records = _attribute(catalog.attributes), partial(_list, item=_mapping)
     models: dict[int, ClassifierModel] = {}
-    for entry in entries:
-        attribute = entry.get("attribute") if isinstance(entry, dict) else None
+    for n, entry in enumerate(read_field(ModelFileError, path, raw, "models", records)):
+        i = read_field(ModelFileError, f"{path}: key 'models': entry {n}", entry, "attribute", attribute)
+        where = f"{path}: attribute {catalog.attributes[i]!r}"
+        if i in models:
+            raise ModelFileError(f"{where}: listed twice")
+        orientation = read_field(ModelFileError, where, entry, "orientation", _orientation)
+        cals: dict[int, BinCalibration] = {}
+        for k, cal in (_bin_record(where, rec) for rec in read_field(ModelFileError, where, entry, "bins", records)):
+            if k in cals:
+                raise ModelFileError(f"{where}: bin {k}: listed twice")
+            cals[k] = cal
         try:
-            i = catalog.attribute_index(entry["attribute"])
-            if i in models:
-                raise ValueError("listed twice")
-            cals: dict[int, BinCalibration] = {}
-            for rec in entry["bins"]:
-                cal = _bin_record(rec)
-                if rec["bin"] in cals:
-                    raise ValueError(f"bin {rec['bin']}: listed twice")
-                cals[rec["bin"]] = cal
-            models[i] = ClassifierModel(attribute_index=i, orientation=entry["orientation"], calibrations=cals)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ModelFileError(f"{path}: attribute {attribute!r}: {reason}") from None
+            models[i] = ClassifierModel(attribute_index=i, orientation=orientation, calibrations=cals)
+        except ValueError as exc:  # crossed thresholds
+            raise ModelFileError(f"{where}: {exc}") from None
     return models

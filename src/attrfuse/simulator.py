@@ -24,21 +24,22 @@ directly and makes every pick with Lemire's bounded draw, equal to
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence, get_args
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from attrfuse.catalog import CatalogStats, ObjectCatalog, load_catalog
+from attrfuse._fields import _attribute, _count, _integer, _list, _mapping, _number, _orientation, _rate, _scale
+from attrfuse._fields import _string, _target, read_field, read_json
+from attrfuse.catalog import CatalogError, CatalogStats, ObjectCatalog, load_catalog
 from attrfuse.classifier import (
     DEFAULT_MIN_DETECTION_RATE,
     DEFAULT_TARGET_NPV,
     DEFAULT_TARGET_PPV,
     ClassifierModel,
-    Orientation,
     calibrate_bin,
 )
 from attrfuse.fusion import (
@@ -522,152 +523,65 @@ def decide_episodes(
     return Episodes(winners, random, tied, hits, log_weights)
 
 
-_REQUIRED = object()
-
-
-def _field(path: Path, raw: Mapping, key: str, convert: Callable, default=_REQUIRED):
-    """``convert(raw[key])`` (or of ``default`` when the key is absent), as a ScenarioError naming the file and key."""
-    try:
-        return convert(raw[key] if default is _REQUIRED or key in raw else default)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: missing or malformed key {key!r} ({exc})") from None
-
-
-def _mapping(value) -> Mapping:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    if type(value) is not int:  # a JSON true is not an integer
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    if type(value) not in (int, float) or not -np.inf < value < np.inf:
-        raise TypeError(f"expected a finite JSON number, got {value!r}")
-    return float(value)
-
-
-# the ranges calibrate_bin accepts: targets in (0, 1], the detection floor in [0, 1]
-def _target(value) -> float:
-    if not 0.0 < _number(value) <= 1.0:
-        raise ValueError(f"expected a number in (0, 1], got {value!r}")
-    return float(value)
-
-
-def _rate(value) -> float:
-    if not 0.0 <= _number(value) <= 1.0:
-        raise ValueError(f"expected a number in [0, 1], got {value!r}")
-    return float(value)
-
-
-# a training spread scale: numpy draws at scale 0 but rejects a negative one
-def _scale(value) -> float:
-    if not _number(value) >= 0.0:
-        raise ValueError(f"expected a non-negative number, got {value!r}")
-    return float(value)
-
-
-def _count(value) -> int:
-    if _integer(value) < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
-    return value
-
-
-def _orientation(value) -> str:
-    if value not in get_args(Orientation):
-        raise ValueError(f"expected one of {get_args(Orientation)}, got {value!r}")
-    return value
-
-
-def _parse_score_models(
-    path: Path,
-    per_attribute: Mapping[int, Mapping],
-    catalog: ObjectCatalog,
-    n_bins: int,
-) -> dict[tuple[int, str, int], ScoreModel]:
-    out: dict[tuple[int, str, int], ScoreModel] = {}
-    for i, per_truth in per_attribute.items():
-        attribute_id = catalog.attributes[i]
-        for truth in ("pos", "neg"):
-            per_bin = _field(path, per_truth, truth, list)
-            if len(per_bin) != n_bins:
-                raise ScenarioError(
-                    f"{path}: score model for {attribute_id!r}/{truth} has {len(per_bin)} entries, expected {n_bins}"
-                )
-            for k, rec in enumerate(per_bin):
-                family = _field(path, rec, "family", str, "gaussian")
-                mean, stddev = _field(path, rec, "mean", _number), _field(path, rec, "std", _number)
-                try:
-                    out[(i, truth, k)] = ScoreModel(family, mean, stddev)
-                except ScenarioError as exc:
-                    raise ScenarioError(f"{path}: score model for {attribute_id!r}/{truth}, bin {k}: {exc}") from None
-    return out
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file and its referenced catalog (path relative to the scenario).
 
-    An unreadable file raises :class:`ScenarioError` naming the file, and
-    missing, unparsable or out-of-range values name the file and the key.
+    A malformed file raises :class:`ScenarioError` naming the file and the
+    key, and so does a catalog that does not load, under the key ``catalog``.
     """
     path = Path(path)
+    data, raw = read_json(path, ScenarioError, "scenario")
+    read = partial(read_field, ScenarioError, path, raw)
     try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ScenarioError(f"{path}: cannot read scenario ({exc.strerror})") from None
-    digest = hashlib.sha256(data).hexdigest()
-    try:
-        raw = json.loads(data)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-
-    catalog_path = _field(path, raw, "catalog", Path)
-    catalog = load_catalog(catalog_path if catalog_path.is_absolute() else path.parent / catalog_path)
-    bins = _field(path, raw, "bins", lambda v: tuple((_number(lo), _number(hi)) for lo, hi in v))
-    per_attribute = _field(path, raw, "score_models", lambda v: {catalog.attribute_index(a): m for a, m in _mapping(v).items()})
-    score_models = _parse_score_models(path, per_attribute, catalog, len(bins))
-    seed = _field(path, raw, "seed", _integer)
-
-    cal_raw = _field(path, raw, "calibration", _mapping, {})
-    calibration = CalibrationConfig(
-        target_ppv=_field(path, cal_raw, "target_ppv", _target, DEFAULT_TARGET_PPV),
-        target_npv=_field(path, cal_raw, "target_npv", _target, DEFAULT_TARGET_NPV),
-        min_detection_rate=_field(path, cal_raw, "min_detection_rate", _rate, DEFAULT_MIN_DETECTION_RATE),
-        n_pos_per_object=_field(path, cal_raw, "n_pos_per_object", _count, 20),
-        n_neg_per_object=_field(path, cal_raw, "n_neg_per_object", _count, 20),
-    )
-    bias_raw = _field(path, raw, "training_bias", _mapping, {})
-    bias = TrainingBias(
-        pos_mean_shift=_field(path, bias_raw, "pos_mean_shift", _number, 0.0),
-        neg_mean_shift=_field(path, bias_raw, "neg_mean_shift", _number, 0.0),
-        pos_std_scale=_field(path, bias_raw, "pos_std_scale", _scale, 1.0),
-        neg_std_scale=_field(path, bias_raw, "neg_std_scale", _scale, 1.0),
-    )
-    families = _field(
-        path,
-        raw,
-        "families",
-        lambda v: {name: tuple(map(catalog.attribute_index, ids)) for name, ids in _mapping(v).items()},
-        {},
-    )
-    schedule = _field(path, raw, "schedule", lambda v: tuple((_integer(b), _integer(r)) for b, r in v), [])
-    kde_attribute = _field(path, raw, "kde_attribute", catalog.attribute_index, catalog.attributes[0])
-
+        catalog = load_catalog(path.parent / read("catalog", _string))  # an absolute path replaces the parent
+    except CatalogError as exc:
+        raise ScenarioError(f"{path}: key 'catalog': {exc}") from None
+    attribute = _attribute(catalog.attributes)
+    bins = tuple(read("bins", partial(_list, item=lambda pair: tuple(_list(pair, _number, 2)))))
+    per_bin = partial(_list, item=_mapping, length=len(bins))
+    score_models: dict[tuple[int, str, int], ScoreModel] = {}
+    by_id = read("score_models", _mapping)
+    for attribute_id in by_id:
+        if attribute_id not in catalog.attributes:
+            raise ScenarioError(f"{path}: key 'score_models': unknown attribute id {attribute_id!r}")
+        i, where = catalog.attributes.index(attribute_id), f"{path}: score model for {attribute_id!r}"
+        per_truth = read_field(ScenarioError, f"{path}: key 'score_models'", by_id, attribute_id, _mapping)
+        for truth in ("pos", "neg"):
+            for k, rec in enumerate(read_field(ScenarioError, where, per_truth, truth, per_bin)):
+                at = f"{where}/{truth}, bin {k}"
+                family = read_field(ScenarioError, at, rec, "family", _string, "gaussian")
+                mean = read_field(ScenarioError, at, rec, "mean", _number)
+                stddev = read_field(ScenarioError, at, rec, "std", _number)
+                try:
+                    score_models[(i, truth, k)] = ScoreModel(family, mean, stddev)
+                except ScenarioError as exc:
+                    raise ScenarioError(f"{at}: {exc}") from None
+    cal = partial(read_field, ScenarioError, f"{path}: key 'calibration'", read("calibration", _mapping, {}))
+    bias = partial(read_field, ScenarioError, f"{path}: key 'training_bias'", read("training_bias", _mapping, {}))
+    named = read("families", _mapping, {})
+    family = partial(read_field, ScenarioError, f"{path}: key 'families'", named)
     return Scenario(
         catalog=catalog,
         bins=bins,
         score_models=score_models,
-        seed=seed,
-        orientation=_field(path, raw, "orientation", _orientation, "lower_is_positive"),
-        schedule=schedule,
-        calibration=calibration,
-        training_bias=bias,
-        families=families,
-        kde_attribute=kde_attribute,
+        seed=read("seed", _integer),
+        orientation=read("orientation", _orientation, "lower_is_positive"),
+        schedule=tuple(read("schedule", partial(_list, item=lambda pair: tuple(_list(pair, _integer, 2))), [])),
+        calibration=CalibrationConfig(
+            target_ppv=cal("target_ppv", _target, DEFAULT_TARGET_PPV),
+            target_npv=cal("target_npv", _target, DEFAULT_TARGET_NPV),
+            min_detection_rate=cal("min_detection_rate", _rate, DEFAULT_MIN_DETECTION_RATE),
+            n_pos_per_object=cal("n_pos_per_object", _count, 20),
+            n_neg_per_object=cal("n_neg_per_object", _count, 20),
+        ),
+        training_bias=TrainingBias(
+            pos_mean_shift=bias("pos_mean_shift", _number, 0.0),
+            neg_mean_shift=bias("neg_mean_shift", _number, 0.0),
+            pos_std_scale=bias("pos_std_scale", _scale, 1.0),
+            neg_std_scale=bias("neg_std_scale", _scale, 1.0),
+        ),
+        families={name: tuple(family(name, partial(_list, item=attribute))) for name in named},
+        kde_attribute=read("kde_attribute", attribute, catalog.attributes[0]),
         path=path,
-        sha256=digest,
+        sha256=hashlib.sha256(data).hexdigest(),
     )

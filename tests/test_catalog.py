@@ -1,9 +1,11 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import (
@@ -16,7 +18,10 @@ from attrfuse.catalog import (
     unique_candidates,
 )
 from attrfuse.fusion import factor_table
+from json_mutations import mutated
 from oracles import random_exact_recognition_case
+
+TABLE1 = json.loads((Path(__file__).resolve().parents[1] / "catalogs" / "table1.json").read_text())
 
 
 def make_catalog(matrix, priors):
@@ -82,6 +87,8 @@ class TestLoader:
             pytest.param("matrix", lambda raw: raw.update(matrix="0110"), id="string-matrix"),
             pytest.param("objects", lambda raw: raw["objects"][4].update(id=5), id="integer-object-id"),
             pytest.param("attributes", lambda raw: raw.update(attributes="abc"), id="string-attributes"),
+            pytest.param("objects", lambda raw: raw["objects"][0].update(prior=10**400), id="huge-prior"),
+            pytest.param("objects", lambda raw: raw["objects"][0].update(prior=-(10**400)), id="huge-negative-prior"),
         ],
     )
     def test_loader_rejects_wrong_json_types(self, repo_root, tmp_path, key, edit):
@@ -92,6 +99,19 @@ class TestLoader:
         path.write_text(json.dumps(raw))
         with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: key '{key}'"):
             load_catalog(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=mutated(TABLE1))
+    @example(raw={**TABLE1, "objects": [{**TABLE1["objects"][0], "prior": 10**400}, *TABLE1["objects"][1:]]})
+    def test_loader_fuzz(self, raw):
+        """A one-value mutation of a shipped catalog loads, or raises a CatalogError naming the file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "catalog.json"
+            path.write_text(json.dumps(raw))
+            try:
+                load_catalog(path)
+            except CatalogError as exc:
+                assert str(exc).startswith(f"{path}: "), exc
 
 
 class TestAttributePrior:

@@ -27,6 +27,7 @@ from attrfuse.classifier import (
 )
 from attrfuse.simulator import calibrate_scenario, classify_scores, derived_rng
 
+from json_mutations import mutated
 from oracles import bayes_threshold_oracle, calibrate_oracle, count_rates
 
 scores = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -273,7 +274,13 @@ class TestPersistence:
         with pytest.raises(ModelFileError, match=re.escape(message)):
             load_models(path, exp2_scenario.catalog)
 
-    @pytest.mark.parametrize("key, value", [("npv", 1.5), ("ppv", -0.1), ("theta_neg", None), ("theta_pos", float("inf"))])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("npv", 1.5), ("ppv", -0.1), ("theta_neg", None), ("theta_pos", float("inf")),
+            pytest.param("theta_pos", 10**400, id="theta_pos-huge"),
+        ],
+    )
     def test_reliable_bin_needs_finite_values_in_range(self, exp2_scenario, tmp_path, key, value):
         path, attribute, k = self._saved_record(exp2_scenario, tmp_path, lambda rec: rec.update({key: value}))
         with pytest.raises(ModelFileError, match=re.escape(f"{path}: attribute {attribute!r}: bin {k}: key {key!r}")):
@@ -290,11 +297,49 @@ class TestPersistence:
         path.write_text(json.dumps(raw))
         return path, attribute
 
-    @pytest.mark.parametrize("value", [5, None, {}])
+    @pytest.mark.parametrize("value", [5, None, {}, pytest.param(["abc"], id="string-entry")])
     def test_models_not_a_list_rejected(self, exp2_scenario, tmp_path, value):
         path, _ = self._saved_file(exp2_scenario, tmp_path, lambda raw: raw.update(models=value))
         with pytest.raises(ModelFileError, match=f"^{re.escape(str(path))}: key 'models'"):
             load_models(path, exp2_scenario.catalog)
+
+    @pytest.mark.parametrize(
+        "edit, location",
+        [
+            pytest.param(lambda entry: entry.update(bins={"a": 1}), "attribute {attribute!r}: key 'bins'", id="object-bins"),
+            pytest.param(lambda entry: entry["bins"].append("a"), "attribute {attribute!r}: key 'bins'", id="string-bin"),
+            pytest.param(
+                lambda entry: entry.pop("orientation"), "attribute {attribute!r}: missing key 'orientation'", id="no-orientation"
+            ),
+            pytest.param(
+                lambda entry: entry.update(attribute="no such"), "key 'models': entry 0: key 'attribute'", id="unknown-attribute"
+            ),
+        ],
+    )
+    def test_malformed_attribute_entry_names_the_key(self, exp2_scenario, tmp_path, edit, location):
+        path, attribute = self._saved_file(exp2_scenario, tmp_path, lambda raw: edit(raw["models"][0]))
+        message = f"{path}: {location.format(attribute=attribute)}"
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}"):
+            load_models(path, exp2_scenario.catalog)
+
+    @pytest.fixture(scope="class")
+    def exp2_saved(self, exp2_scenario, tmp_path_factory):
+        """The exp2 models as saved, parsed."""
+        path = tmp_path_factory.mktemp("models") / "models.json"
+        save_models(calibrate_scenario(exp2_scenario, derived_rng(exp2_scenario.seed, 0)), exp2_scenario.catalog, path)
+        return json.loads(path.read_text())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_load_models_fuzz(self, exp2_scenario, exp2_saved, data):
+        """A one-value mutation of a saved models file loads, or raises a ModelFileError naming the file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "models.json"
+            path.write_text(json.dumps(data.draw(mutated(exp2_saved))))
+            try:
+                load_models(path, exp2_scenario.catalog)
+            except ModelFileError as exc:
+                assert str(exc).startswith(f"{path}: "), exc
 
     def test_repeated_bin_rejected(self, exp2_scenario, tmp_path):
         def repeat_bin_0(raw):

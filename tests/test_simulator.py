@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,13 @@ from attrfuse.simulator import (
     stream_draws,
     stream_keys,
 )
+
+from json_mutations import mutated
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+# the exp3 scenario with its catalog path made absolute, so that a copy loads from any directory
+EXP3 = json.loads((REPO_ROOT / "scenarios" / "exp3.json").read_text())
+EXP3["catalog"] = str(REPO_ROOT / "catalogs" / "table1.json")
 
 
 def tiny_catalog():
@@ -151,6 +161,10 @@ class TestScenarioValidation:
             (None, "seed", -1),
             ("training_bias", "pos_std_scale", -1),
             ("training_bias", "neg_std_scale", -0.5),
+            # values that were coerced, and a catalog path no OS opens
+            ("score_models", "family", 5),
+            pytest.param("score_models", "mean", 10**400, id="score_models-mean-huge"),
+            pytest.param(None, "catalog", "no\0such catalog.json", id="catalog-nul-byte"),
         ],
     )
     def test_unparsable_value_names_file_and_key(self, tmp_path, repo_root, section, key, value):
@@ -174,6 +188,8 @@ class TestScenarioValidation:
             ("families", ["fine"]),
             ("families", {"fine": ["no such attribute"]}),
             ("kde_attribute", "no such attribute"),
+            pytest.param("families", {"fine": "ab"}, id="families-string"),
+            pytest.param("kde_attribute", ["bottle shape"], id="kde_attribute-list"),
         ],
     )
     def test_family_and_kde_attribute_name_file_and_key(self, tmp_path, repo_root, key, value):
@@ -184,6 +200,32 @@ class TestScenarioValidation:
         path.write_text(json.dumps(raw))
         with pytest.raises(ScenarioError, match=f"{path}.*'{key}'"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("truth", ["pos", "neg"])
+    @pytest.mark.parametrize("value", ["x", {"mean": 10.0, "std": 2.0}, None])
+    def test_score_model_list_names_its_key(self, tmp_path, repo_root, truth, value):
+        """A score model's ``pos``/``neg`` value that is not a list is rejected under its own key."""
+        raw = json.loads((repo_root / "scenarios" / "exp2.json").read_text())
+        raw["catalog"] = str(repo_root / "catalogs" / "exp2.json")
+        attribute, per_truth = next(iter(raw["score_models"].items()))
+        per_truth[truth] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(raw))
+        message = f"{path}: score model for {attribute!r}: key '{truth}' must be a list of length 1, got {value!r}"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=mutated(EXP3))
+    def test_loader_fuzz(self, raw):
+        """A one-value mutation of a shipped scenario loads, or raises a ScenarioError naming the file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(raw))
+            try:
+                load_scenario(path)
+            except ScenarioError as exc:
+                assert str(exc).startswith(f"{path}: "), exc
 
 
 # entropy ints of one 32-bit word and of several, as SeedSequence splits them
