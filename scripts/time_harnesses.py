@@ -4,9 +4,10 @@
 Prints one JSON object: the median wall time in seconds of three calls of
 each harness, keyed by harness and size. The sizes are those of the
 acceptance suite: convergence 4000 trials, exp3 1200, exp2 2500, exact
-recognition 1000 cases. ``fuse_10000`` is ``attrfuse fuse`` through
-``cli.main`` on a fixed 10^4-line stream in bin 1 over the exp3 models, and
-``fuse_10`` the same on the stream's first 10 lines, which shows the
+recognition 1000 cases; ``experiment1_10000`` is exp1 at the 10^4 draws per
+bin and class that ``scripts/reproduce_results.py`` asks for. ``fuse_10000``
+is ``attrfuse fuse`` through ``cli.main`` on a fixed 10^4-line stream in
+bin 1 over the exp3 models, and ``fuse_10`` the same on the stream's first 10 lines, which shows the
 per-call cost. ``fuse_tie`` is the same call on the four-line ``tie`` stream
 of ``tests/test_golden.py`` at ``--seed 0``: objects 7, 8 and 9 tie in the
 posterior and the prior, so the call pays the seeded pick's Philox pass,
@@ -40,6 +41,7 @@ from attrfuse.cli import main as attrfuse_main
 from attrfuse.experiments import (
     convergence_suite,
     exact_recognition_suite,
+    experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
 )
@@ -90,6 +92,7 @@ def quiet(argv: list[str]) -> int:
 
 
 def harnesses(workdir: Path):
+    exp1 = load_scenario(REPO / "scenarios" / "exp1.json")
     exp2 = load_scenario(REPO / "scenarios" / "exp2.json")
     exp3 = load_scenario(REPO / "scenarios" / "exp3.json")
     fuse = fuse_argvs(exp3, workdir)
@@ -98,6 +101,7 @@ def harnesses(workdir: Path):
         "experiment3_1200": lambda: experiment3_attribute_families(exp3, trials=1200),
         "experiment2_2500": lambda: experiment2_threshold_comparison(exp2, trials=2500),
         "exact_recognition_suite_1000": lambda: exact_recognition_suite(1000, SEED),
+        "experiment1_10000": lambda: experiment1_distribution_shift(exp1, n_pos=10_000, n_neg=10_000),
         **{name: functools.partial(attrfuse_main, argv) for name, argv in fuse.items()},
         "calibrate_exp3": functools.partial(
             quiet,

@@ -58,7 +58,8 @@ class ObjectCatalog:
             raise CatalogError("expected one prior per object")
         if not (priors > 0).all():
             raise CatalogError("priors must be strictly positive")
-        total = float(priors.sum())
+        with np.errstate(over="ignore"):  # finite priors near the float maximum sum to inf
+            total = float(priors.sum())
         if abs(total - 1.0) > PRIOR_SUM_TOLERANCE:
             raise CatalogError(f"priors sum to {total!r}, expected 1 within {PRIOR_SUM_TOLERANCE}")
         matrix = matrix.astype(np.int8)

@@ -24,8 +24,9 @@ import json
 import math
 import platform
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +40,10 @@ from attrfuse.simulator import (
     PICK_STREAM,
     SCORE_STREAM,
     Scenario,
+    TrainingSets,
+    _class_counts,
+    _class_scores,
+    _model_set,
     calibrate_from_sets,
     calibrate_scenario,
     classify_scores,
@@ -99,24 +104,13 @@ def experiment1_distribution_shift(
     if seed is None:
         seed = scenario.seed
     i = scenario.kde_attribute
-    catalog = scenario.catalog
-    if not compute_stats(catalog).usable[i]:
-        raise scenario.error(f"key 'kde_attribute': attribute {catalog.attributes[i]!r} is constant across the catalog")
-    n_pos_objects = int(catalog.matrix[:, i].sum())
-    n_neg_objects = catalog.n_objects - n_pos_objects
-    if n_pos is None:
-        n_pos = scenario.calibration.n_pos_per_object * n_pos_objects
-    if n_neg is None:
-        n_neg = scenario.calibration.n_neg_per_object * n_neg_objects
-
-    pos_scores = []
-    neg_scores = []
-    for k in range(scenario.n_bins):
-        rng = derived_rng(seed, SCORE_STREAM, k)
-        pm = scenario.score_models[(i, "pos", k)]
-        nm = scenario.score_models[(i, "neg", k)]
-        pos_scores.append(rng.normal(pm.mean, pm.stddev, size=n_pos))
-        neg_scores.append(rng.normal(nm.mean, nm.stddev, size=n_neg))
+    if (counts := _class_counts(scenario, i)) is None:
+        raise scenario.error(f"key 'kde_attribute': attribute {scenario.catalog.attributes[i]!r} is constant across the catalog")
+    n_pos = counts[0] if n_pos is None else n_pos
+    n_neg = counts[1] if n_neg is None else n_neg
+    pos_scores, neg_scores = zip(
+        *(_class_scores(scenario, i, k, n_pos, n_neg, derived_rng(seed, SCORE_STREAM, k)) for k in range(scenario.n_bins))
+    )
 
     everything = np.concatenate(pos_scores + neg_scores)
     lo = everything.min() - 3.0 * EXP1_BANDWIDTH
@@ -160,24 +154,16 @@ class ErrorCurve:
     random_tie_halfwidth: np.ndarray
 
 
-def single_threshold_models(
-    scenario: Scenario,
-    training_sets: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-) -> dict[int, ClassifierModel]:
+def single_threshold_models(scenario: Scenario, training_sets: TrainingSets) -> dict[int, ClassifierModel]:
     """Binary baseline: one min-error threshold per bin, no uncertain zone.
 
     Each bin is a :func:`single_threshold_calibration` record, counted on the
     training sample as :func:`calibrate_bin` counts it, so the same fusion
     machinery consumes its observations.
     """
-    models: dict[int, ClassifierModel] = {}
-    for i in sorted({a for a, _ in training_sets}):
-        cals = {}
-        for k in range(scenario.n_bins):
-            cals[k] = single_threshold_calibration(*training_sets[(i, k)], orientation=scenario.orientation)
-            if not cals[k].reliable:
-                raise scenario.error("degenerate single-threshold split: a predictive value is undefined")
-        models[i] = ClassifierModel(attribute_index=i, orientation=scenario.orientation, calibrations=cals)
+    models = _model_set(scenario, training_sets, partial(single_threshold_calibration, orientation=scenario.orientation))
+    if not all(cal.reliable for model in models.values() for cal in model.calibrations.values()):
+        raise scenario.error("degenerate single-threshold split: a predictive value is undefined")
     return models
 
 

@@ -57,6 +57,9 @@ PICK_STREAM = 2
 CASE_STREAM = 3
 
 
+TrainingSets = Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (attribute, bin): positive, negative scores
+
+
 class ScenarioError(ValueError):
     """Malformed scenario input."""
 
@@ -325,55 +328,68 @@ class Scenario:
         return len(self.bins)
 
 
+def _class_counts(scenario: Scenario, i: int) -> tuple[int, int] | None:
+    """Attribute ``i``'s positive and negative score counts (per object with and without it); None if it is constant."""
+    n_with = int(scenario.catalog.matrix[:, i].sum())
+    n_without = scenario.catalog.n_objects - n_with
+    cfg = scenario.calibration
+    return (cfg.n_pos_per_object * n_with, cfg.n_neg_per_object * n_without) if n_with and n_without else None
+
+
+def _not_finite(scenario: Scenario, i: int, truth: str, k: int, kind: str = "") -> ScenarioError:
+    """The located error for a score model whose ``kind`` draws are not finite."""
+    return scenario.error(
+        f"key 'score_models': score model for attribute {scenario.catalog.attributes[i]!r}, truth {truth!r}, "
+        f"bin {k} draws {kind}scores that are not finite"
+    )
+
+
+def _class_scores(
+    scenario: Scenario, i: int, k: int, n_pos: int, n_neg: int, rng: np.random.Generator, bias: TrainingBias | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n_pos`` positive, then ``n_neg`` negative scores of attribute ``i`` in bin ``k`` from ``rng``, with
+    ``bias`` applied to the score models when given; a draw that is not finite raises a ScenarioError."""
+    drawn = []
+    for truth, n in (("pos", n_pos), ("neg", n_neg)):
+        model = scenario.score_models[(i, truth, k)]
+        mean, std = model.mean, model.stddev
+        if bias is not None:
+            mean, std = mean + getattr(bias, f"{truth}_mean_shift"), std * getattr(bias, f"{truth}_std_scale")
+        drawn.append(rng.normal(mean, std, size=n))
+        if not np.isfinite(drawn[-1]).all():
+            raise _not_finite(scenario, i, truth, k, "" if bias is None else "training ")
+    return drawn[0], drawn[1]
+
+
 def draw_training_sets(
     scenario: Scenario,
     rng: np.random.Generator | None = None,
 ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Training scores for every (attribute, bin) with the training bias applied; counts scale with the label split."""
-    if rng is None:
-        rng = derived_rng(scenario.seed, CALIBRATION_STREAM)
-    cfg = scenario.calibration
-    bias = scenario.training_bias
-    matrix = scenario.catalog.matrix
-    sets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for i in range(scenario.catalog.n_attributes):
-        n_pos_objects = int(matrix[:, i].sum())
-        n_neg_objects = scenario.catalog.n_objects - n_pos_objects
-        if n_pos_objects == 0 or n_neg_objects == 0:
-            continue  # constant attribute: nothing to calibrate
-        n_pos = cfg.n_pos_per_object * n_pos_objects
-        n_neg = cfg.n_neg_per_object * n_neg_objects
-        for k in range(scenario.n_bins):
-            pos_model = scenario.score_models[(i, "pos", k)]
-            neg_model = scenario.score_models[(i, "neg", k)]
-            pos = rng.normal(pos_model.mean + bias.pos_mean_shift, pos_model.stddev * bias.pos_std_scale, size=n_pos)
-            neg = rng.normal(neg_model.mean + bias.neg_mean_shift, neg_model.stddev * bias.neg_std_scale, size=n_neg)
-            sets[(i, k)] = (pos, neg)
-    return sets
+    """Training scores for every (attribute, bin) with the training bias applied; counts scale with the label split.
+
+    A constant attribute has nothing to calibrate and gets no sets.
+    """
+    rng = derived_rng(scenario.seed, CALIBRATION_STREAM) if rng is None else rng
+    counts = {i: n for i in range(scenario.catalog.n_attributes) if (n := _class_counts(scenario, i))}
+    bias, bins = scenario.training_bias, range(scenario.n_bins)
+    return {(i, k): _class_scores(scenario, i, k, *n, rng, bias) for i, n in counts.items() for k in bins}
 
 
-def calibrate_from_sets(
-    scenario: Scenario,
-    training_sets: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-) -> dict[int, ClassifierModel]:
+def _model_set(scenario: Scenario, training_sets: TrainingSets, calibrate: Callable) -> dict[int, ClassifierModel]:
+    """One model per attribute of ``training_sets``; its record in bin ``k`` is ``calibrate(pos, neg)`` of set ``k``."""
+    return {
+        i: ClassifierModel(i, scenario.orientation, {k: calibrate(*training_sets[(i, k)]) for k in range(scenario.n_bins)})
+        for i in sorted({i for i, _ in training_sets})
+    }
+
+
+def calibrate_from_sets(scenario: Scenario, training_sets: TrainingSets) -> dict[int, ClassifierModel]:
     """Two-threshold models from pre-drawn training sets."""
     cfg = scenario.calibration
-    models: dict[int, ClassifierModel] = {}
-    attrs = sorted({i for i, _ in training_sets})
-    for i in attrs:
-        cals = {}
-        for k in range(scenario.n_bins):
-            pos, neg = training_sets[(i, k)]
-            cals[k] = calibrate_bin(
-                pos,
-                neg,
-                orientation=scenario.orientation,
-                target_ppv=cfg.target_ppv,
-                target_npv=cfg.target_npv,
-                min_detection_rate=cfg.min_detection_rate,
-            )
-        models[i] = ClassifierModel(attribute_index=i, orientation=scenario.orientation, calibrations=cals)
-    return models
+    return _model_set(scenario, training_sets, partial(
+        calibrate_bin, orientation=scenario.orientation, target_ppv=cfg.target_ppv, target_npv=cfg.target_npv,
+        min_detection_rate=cfg.min_detection_rate,
+    ))
 
 
 def calibrate_scenario(
@@ -409,14 +425,20 @@ def draw_scores(
 
     Column ``c`` observes attribute ``attributes[c]`` in bin ``bins[c]`` of
     each row's ground-truth object; ``mean + std * z`` equals the scalar
-    ``Generator.normal(mean, std)`` draw bit for bit.
+    ``Generator.normal(mean, std)`` draw bit for bit. A score that is not
+    finite raises a ScenarioError.
     """
     truth = scenario.catalog.matrix[np.asarray(ground_truths)[:, None], np.asarray(attributes, dtype=np.intp)] != 0
     pos = [scenario.score_models[(i, "pos", k)] for i, k in zip(attributes, bins)]
     neg = [scenario.score_models[(i, "neg", k)] for i, k in zip(attributes, bins)]
     mean = np.where(truth, [m.mean for m in pos], [m.mean for m in neg])
     std = np.where(truth, [m.stddev for m in pos], [m.stddev for m in neg])
-    return mean + std * z
+    with np.errstate(over="ignore"):
+        scores = mean + std * z
+    if not np.isfinite(scores).all():
+        row, c = np.argwhere(~np.isfinite(scores))[0]
+        raise _not_finite(scenario, attributes[c], "pos" if truth[row, c] else "neg", bins[c])
+    return scores
 
 
 def classify_scores(

@@ -100,6 +100,16 @@ class TestLoader:
         with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: key '{key}'"):
             load_catalog(path)
 
+    def test_loader_rejects_prior_sum_overflow(self, repo_root, tmp_path):
+        """Two finite priors whose sum overflows are a located prior-sum error, not a RuntimeWarning."""
+        raw = json.loads((repo_root / "catalogs" / "table1.json").read_text())
+        for entry in raw["objects"][:2]:
+            entry["prior"] = 1.7e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: priors sum to inf, expected 1"):
+            load_catalog(path)
+
     @settings(max_examples=200, deadline=None)
     @given(raw=mutated(TABLE1))
     @example(raw={**TABLE1, "objects": [{**TABLE1["objects"][0], "prior": 10**400}, *TABLE1["objects"][1:]]})

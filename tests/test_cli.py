@@ -377,6 +377,18 @@ def test_missing_or_malformed_input_file_is_a_message(repo_root, exp2_models, tm
     assert isinstance(exc.value.code, str) and exc.value.code.startswith(f"{path}: "), exc.value.code
 
 
+def _set_paths(raw, keys, value):
+    """Set ``value`` at the key path ``keys`` of ``raw``; "*" stands for every key or index."""
+    head, *rest = keys
+    if head == "*":
+        for each in (raw if isinstance(raw, dict) else range(len(raw))):
+            _set_paths(raw, [each, *rest], value)
+    elif rest:
+        _set_paths(raw.setdefault(head, {}) if isinstance(raw, dict) else raw[head], rest, value)
+    else:
+        raw[head] = value
+
+
 @pytest.mark.parametrize(
     "command, scenario, section, key, value",
     [
@@ -389,13 +401,27 @@ def test_missing_or_malformed_input_file_is_a_message(repo_root, exp2_models, tm
         ("exp3", "exp2", None, "families", None),  # exp2.json defines no attribute families
         ("exp3", "exp3", "catalog", "families", "gable top carton shape"),  # a family attribute every object has
         ("exp1", "exp1", "catalog", "kde_attribute", "bottle shape"),  # a KDE attribute every object has
+        # score models whose draws are not finite: in calibration, after the training bias, in exp1 and in exp3's test
+        pytest.param("calibrate", "exp3", None, "score_models", {("score_models", "gable top carton shape", "pos", 0, "std"): 1e308},
+                     id="calibrate-training-std-overflows"),
+        pytest.param("calibrate", "exp3", None, "score_models", {("training_bias", "pos_std_scale"): 1e308},
+                     id="calibrate-biased-std-overflows"),
+        pytest.param("exp1", "exp1", None, "score_models", {("score_models", "bottle shape", "pos", 1, "std"): 1e308},
+                     id="exp1-std-overflows"),
+        pytest.param(
+            "exp3", "exp3", None, "score_models",
+            {("score_models", "*", "pos", "*", "std"): 1e308, ("training_bias", "pos_std_scale"): 1e-307},
+            id="exp3-test-std-overflows",
+        ),
     ],
 )
 def test_unusable_scenario_is_a_message(repo_root, tmp_path, command, scenario, section, key, value):
     """A scenario value that calibration or the experiment cannot use ends in a message naming the file and key.
 
     With ``section`` "catalog", the scenario reads a copy of its catalog in
-    which every object has the attribute ``value``.
+    which every object has the attribute ``value``. A mapping ``value``
+    sets the value at each of its key paths, where "*" stands for every
+    key or index and a missing mapping is made on the way.
     """
     raw = json.loads((repo_root / "scenarios" / f"{scenario}.json").read_text())
     raw["catalog"] = str((repo_root / "scenarios" / raw["catalog"]).resolve())
@@ -405,6 +431,9 @@ def test_unusable_scenario_is_a_message(repo_root, tmp_path, command, scenario, 
             row[catalog["attributes"].index(value)] = 1
         raw["catalog"] = str(tmp_path / "catalog.json")
         Path(raw["catalog"]).write_text(json.dumps(catalog))
+    elif isinstance(value, dict):
+        for keys, number in value.items():
+            _set_paths(raw, keys, number)
     elif section is not None:
         raw[section][key] = value
     path = tmp_path / "scenario.json"

@@ -6,17 +6,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog
+from attrfuse.classifier import kde_density
 from attrfuse.simulator import (
     CASE_STREAM,
+    SCORE_STREAM,
     CalibrationConfig,
     Scenario,
     ScenarioError,
     ScoreModel,
     decide_episodes,
+    derived_rng,
     load_key,
     stream_keys,
 )
 from attrfuse.experiments import (
+    EXP1_BANDWIDTH,
+    EXP1_GRID_POINTS,
     convergence_suite,
     decide_exact_cases,
     experiment1_distribution_shift,
@@ -81,6 +86,25 @@ class TestExperiment1:
         result = experiment1_distribution_shift(exp1_scenario)
         assert result.n_pos == 120   # 40 per positive object, 3 objects
         assert result.n_neg == 210   # 35 per negative object, 6 objects
+
+    @pytest.mark.parametrize("n", [None, 500])
+    def test_draws_pinned(self, exp1_scenario, n):
+        """Bin ``k``'s densities are the KDE of ``n_pos`` positive, then ``n_neg`` negative draws of the stream
+        ``(seed, SCORE_STREAM, k)``, bit for bit; the golden digests leave exp1 out, so this pins its draws."""
+        result = experiment1_distribution_shift(exp1_scenario, n_pos=n, n_neg=n)
+        i, seed = exp1_scenario.kde_attribute, exp1_scenario.seed
+        drawn = {}
+        for k in range(exp1_scenario.n_bins):
+            rng = derived_rng(seed, SCORE_STREAM, k)
+            for truth, size in (("pos", result.n_pos), ("neg", result.n_neg)):
+                model = exp1_scenario.score_models[(i, truth, k)]
+                drawn[truth, k] = rng.normal(model.mean, model.stddev, size=size)
+        everything = np.concatenate(list(drawn.values()))
+        grid = np.linspace(everything.min() - 3.0 * EXP1_BANDWIDTH, everything.max() + 3.0 * EXP1_BANDWIDTH, EXP1_GRID_POINTS)
+        assert np.array_equal(result.grid, grid)
+        for k in range(exp1_scenario.n_bins):
+            assert np.array_equal(result.pos_density[k], kde_density(drawn["pos", k], EXP1_BANDWIDTH, grid))
+            assert np.array_equal(result.neg_density[k], kde_density(drawn["neg", k], EXP1_BANDWIDTH, grid))
 
 
 class TestExperiment2:
