@@ -14,12 +14,15 @@ posterior and the prior, so the call pays the seeded pick's Philox pass,
 which no line of the other two streams reaches. ``calibrate_exp3`` is
 ``attrfuse calibrate`` through ``cli.main`` on the exp3 scenario: it loads
 the scenario, draws the training sets, calibrates every bin and writes the
-models. ``load_catalog_table1``, ``load_scenario_exp3`` and
+models. ``calibrate_exp3_x10`` is the same on a copy of the exp3 scenario
+with 10x its per-object training counts, where each of the 50 calibrated
+sets holds 1800 scores. ``load_catalog_table1``, ``load_scenario_exp3`` and
 ``load_models_exp3`` are one call of each loader on the shipped table 1
 catalog, the shipped exp3 scenario and the models calibrated from it, the
 files every ``fuse`` and ``calibrate`` call reads. The scenario files are
-loaded, and the models and the streams written, once, outside the timed
-calls; every timed call writes into one temporary directory.
+loaded, and the models, the streams and the scenario copy written, once,
+outside the timed calls; every timed call writes into one temporary
+directory.
 
     PYTHONPATH=src python scripts/time_harnesses.py
 """
@@ -85,6 +88,18 @@ def fuse_argvs(scenario, workdir: Path) -> dict[str, list[str]]:
     return argvs
 
 
+def scaled_exp3(scale: int, workdir: Path) -> Path:
+    """A copy of the exp3 scenario in ``workdir`` with ``scale`` times its per-object training counts."""
+    path = REPO / "scenarios" / "exp3.json"
+    raw = json.loads(path.read_text())
+    raw["catalog"] = str((path.parent / raw["catalog"]).resolve())
+    for key in ("n_pos_per_object", "n_neg_per_object"):
+        raw["calibration"][key] *= scale
+    copy = workdir / f"exp3_x{scale}.json"
+    copy.write_text(json.dumps(raw))
+    return copy
+
+
 def quiet(argv: list[str]) -> int:
     """``cli.main(argv)`` with what it prints discarded, so that stdout holds only the timings."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -106,6 +121,10 @@ def harnesses(workdir: Path):
         "calibrate_exp3": functools.partial(
             quiet,
             ["calibrate", "--scenario", str(REPO / "scenarios" / "exp3.json"), "--out", str(workdir / "calibrated.json")],
+        ),
+        "calibrate_exp3_x10": functools.partial(
+            quiet,
+            ["calibrate", "--scenario", str(scaled_exp3(10, workdir)), "--out", str(workdir / "calibrated.json")],
         ),
         "load_catalog_table1": functools.partial(load_catalog, REPO / "catalogs" / "table1.json"),
         "load_scenario_exp3": functools.partial(load_scenario, REPO / "scenarios" / "exp3.json"),

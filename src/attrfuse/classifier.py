@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Literal, Mapping, get_args
+from typing import Callable, Iterator, Literal, Mapping, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -85,86 +85,229 @@ class ClassifierModel:
                     raise ValueError("reliable calibration has crossed thresholds")
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """Counts of one bin's labeled samples at every threshold candidate.
+# The score slots one sweep pass holds (pairs x the pass's longest pair). Pairs are batched in order up to it, so a
+# pass's arrays stay near a megabyte however large the training sets; a longer pair gets a pass of its own.
+_PASS_SLOTS = 2**13
+
+Pairs = Sequence[tuple]  # per bin: its positive and its negative scores, each array-like
+
+
+class _Sweep(NamedTuple):
+    """Counts of a pass of labeled (positive, negative) score pairs at every threshold candidate, one row per pair.
 
     Scores are negated under ``higher_is_positive``, so a sample is
     classified positive at or below a candidate and negative at or above it.
-    Candidates are midpoints between consecutive distinct scores plus one
-    sentinel beyond each extreme, in ascending order.
+    Row ``r``'s scores are sorted into its first ``n_pos[r] + n_neg[r]``
+    slots, and column ``c`` of ``candidates`` lies between sorted slots
+    ``c - 1`` and ``c``. The candidates are where ``is_candidate`` holds:
+    column 0, a sentinel below the lowest score, and the column after each
+    run of equal scores, the midpoint to the next score or a sentinel above
+    the highest. So a row's candidates ascend along it. The counts at each
+    are those ``np.searchsorted`` gives at its value.
     """
 
     flip: bool
-    n_pos: int
-    n_neg: int
-    candidates: np.ndarray
-    tp: np.ndarray
-    fp: np.ndarray
-    tn: np.ndarray
-    fn: np.ndarray
+    n_pos: np.ndarray  # (rows,)
+    n_neg: np.ndarray
+    candidates: np.ndarray  # (rows, slots + 1)
+    is_candidate: np.ndarray
+    tp: np.ndarray  # positives at or below the candidate
+    fp: np.ndarray  # negatives at or below it
+    tn: np.ndarray  # negatives at or above it
+    fn: np.ndarray  # positives at or above it
 
 
-def _sweep(pos_scores, neg_scores, orientation: Orientation) -> _Sweep:
-    pos = np.asarray(pos_scores, dtype=float).ravel()
-    neg = np.asarray(neg_scores, dtype=float).ravel()
-    if pos.size == 0 or neg.size == 0:
-        raise CalibrationError("calibration needs at least one positive and one negative score")
-    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
-        raise CalibrationError("calibration scores must be finite")
-    if orientation not in _ORIENTATIONS:
-        raise CalibrationError(f"unknown orientation {orientation!r}")
-    flip = orientation == "higher_is_positive"
-    p = np.sort(-pos if flip else pos)
-    n = np.sort(-neg if flip else neg)
-    distinct = np.unique(np.concatenate([p, n]))
-    mids = 0.5 * (distinct[:-1] + distinct[1:])
-    cands = np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``0.5 * (a + b)``, or ``0.5 * a + 0.5 * b`` where the sum of finite ``a`` and ``b`` overflows."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (a + b)
+    overflowed = np.isinf(mid) & np.isfinite(a) & np.isfinite(b)
+    mid[overflowed] = 0.5 * a[overflowed] + 0.5 * b[overflowed]
+    return mid
+
+
+def _sweep(flat: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray, flip: bool) -> _Sweep:
+    """The sweep of the pairs whose scores follow each other in ``flat``, each pair's positives first.
+
+    Each row is sorted once, and the running count of positives over the
+    sorted slots gives every candidate's counts. A candidate lies strictly
+    between two scores unless it rounds onto one: the midpoint of adjacent
+    doubles, or a sentinel at a magnitude where ``s - 1 == s``. Such a
+    candidate counts the whole run of equal scores it lands on.
+    """
+    sizes = n_pos + n_neg
+    rows, slots = len(sizes), int(sizes.max())
+    columns = np.arange(slots + 1)
+    values = np.full((rows, slots + 1), np.inf)  # padding sorts last; the extra column ends each row's last run
+    values[columns < sizes[:, None]] = -flat if flip else flat  # each row's scores in its leading slots
+    order = np.argsort(values, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    positives = np.zeros((rows, slots + 2), dtype=np.int64)  # [r, c]: positives among row r's first c sorted slots
+    np.cumsum(order < n_pos[:, None], axis=1, out=positives[:, 1:])
+
+    is_candidate = np.ones(values.shape, dtype=bool)
+    is_candidate[:, 1:] = values[:, :-1] != values[:, 1:]
+    candidates = np.empty(values.shape)
+    candidates[:, 0] = values[:, 0] - 1.0
+    candidates[:, 1:] = _midpoint(values[:, :-1], values[:, 1:])
+    candidates[np.arange(rows), sizes] = values[np.arange(rows), sizes - 1] + 1.0
+
+    # slots at or below a candidate, and strictly below it: c at column c, unless the candidate lands on a run
+    at_or_below = strictly_below = columns
+    tp = below = positives[:, :-1]  # positives at or below, and strictly below, each candidate
+    onto_next = is_candidate & (candidates == values)
+    if onto_next.any():  # the run from slot c on counts as at or below: up to the next candidate column
+        run_ends = np.full(values.shape, slots + 1)
+        run_ends[:, :-1] = np.minimum.accumulate(np.where(is_candidate, columns, slots + 1)[:, :0:-1], axis=1)[:, ::-1]
+        at_or_below = np.where(onto_next, run_ends, columns)
+        tp = np.take_along_axis(positives, at_or_below, axis=1)
+    onto_previous = np.zeros(values.shape, dtype=bool)
+    onto_previous[:, 1:] = is_candidate[:, 1:] & (candidates[:, 1:] == values[:, :-1])
+    if onto_previous.any():  # the run up to slot c - 1 counts as at or above: from the last candidate column before c
+        run_starts = np.zeros(values.shape, dtype=np.intp)
+        run_starts[:, 1:] = np.maximum.accumulate(np.where(is_candidate, columns, 0), axis=1)[:, :-1]
+        strictly_below = np.where(onto_previous, run_starts, columns)
+        below = np.take_along_axis(positives, strictly_below, axis=1)
     return _Sweep(
         flip=flip,
-        n_pos=p.size,
-        n_neg=n.size,
-        candidates=cands,
-        tp=np.searchsorted(p, cands, side="right").astype(float),
-        fp=np.searchsorted(n, cands, side="right").astype(float),
-        tn=(n.size - np.searchsorted(n, cands, side="left")).astype(float),
-        fn=(p.size - np.searchsorted(p, cands, side="left")).astype(float),
+        n_pos=n_pos,
+        n_neg=n_neg,
+        candidates=candidates,
+        is_candidate=is_candidate,
+        tp=tp,
+        fp=at_or_below - tp,
+        tn=n_neg[:, None] - (strictly_below - below),
+        fn=n_pos[:, None] - below,
     )
 
 
-def _record(sweep: _Sweep, i_pos: int | None, i_neg: int | None) -> BinCalibration:
-    """The bin's record with thresholds at candidates ``i_pos``/``i_neg`` (None: no threshold).
+def _sample_problem(pos: np.ndarray, neg: np.ndarray) -> str | None:
+    """Why one pair's scores cannot be calibrated, or None."""
+    if pos.size == 0 or neg.size == 0:
+        return "calibration needs at least one positive and one negative score"
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        return "calibration scores must be finite"
+    return None
+
+
+def _sweeps(pairs: Pairs, orientation: Orientation, check: Callable[[], None] = lambda: None) -> Iterator[_Sweep]:
+    """The sweeps of ``pairs``, in passes of at most :data:`_PASS_SLOTS` score slots, in pair order.
+
+    Errors come in the order a loop of one-pair calls raises them: the
+    first pair's sample checks, then ``orientation``, then ``check()`` (the
+    caller's own arguments), then each later pair's sample checks.
+    """
+    arrays = [(np.asarray(pos, dtype=float).ravel(), np.asarray(neg, dtype=float).ravel()) for pos, neg in pairs]
+    if not arrays:
+        return
+    if problem := _sample_problem(*arrays[0]):
+        raise CalibrationError(problem)
+    if orientation not in _ORIENTATIONS:
+        raise CalibrationError(f"unknown orientation {orientation!r}")
+    check()
+    n_pos = np.array([pos.size for pos, _ in arrays])
+    n_neg = np.array([neg.size for _, neg in arrays])
+    sizes = n_pos + n_neg
+    start = 0
+    while start < len(arrays):
+        stop, width = start + 1, sizes[start]
+        while stop < len(arrays) and (stop + 1 - start) * max(width, sizes[stop]) <= _PASS_SLOTS:
+            stop, width = stop + 1, max(width, sizes[stop])
+        flat = np.concatenate([a for pair in arrays[start:stop] for a in pair])
+        if not (np.isfinite(flat).all() and n_pos[start:stop].all() and n_neg[start:stop].all()):
+            raise CalibrationError(next(filter(None, (_sample_problem(*pair) for pair in arrays[start:stop]))))
+        yield _sweep(flat, n_pos[start:stop], n_neg[start:stop], orientation == "higher_is_positive")
+        start = stop
+
+
+def _records(sweep: _Sweep, i_pos: np.ndarray, i_neg: np.ndarray) -> list[BinCalibration]:
+    """Each row's record with thresholds at candidate columns ``i_pos``/``i_neg`` (-1: no threshold).
 
     Rates are the sweep's counts there. A predictive value is None when its
     threshold is missing or classifies no sample, and the record is reliable
     when both predictive values are defined.
     """
-    theta_pos = theta_neg = ppv = npv = None
-    detection = false_positive = true_negative = false_negative = 0.0
-    if i_pos is not None:
-        theta_pos = float(sweep.candidates[i_pos])
-        tp, fp = float(sweep.tp[i_pos]), float(sweep.fp[i_pos])
-        detection, false_positive = tp / sweep.n_pos, fp / sweep.n_neg
-        ppv = tp / (tp + fp) if tp + fp else None
-    if i_neg is not None:
-        theta_neg = float(sweep.candidates[i_neg])
-        tn, fn = float(sweep.tn[i_neg]), float(sweep.fn[i_neg])
-        true_negative, false_negative = tn / sweep.n_neg, fn / sweep.n_pos
-        npv = tn / (tn + fn) if tn + fn else None
-    if sweep.flip:
-        theta_pos = None if theta_pos is None else -theta_pos
-        theta_neg = None if theta_neg is None else -theta_neg
-    return BinCalibration(
-        theta_pos=theta_pos,
-        theta_neg=theta_neg,
-        ppv=ppv,
-        npv=npv,
-        detection_rate=detection,
-        true_negative_rate=true_negative,
-        false_positive_rate=false_positive,
-        false_negative_rate=false_negative,
-        reliable=ppv is not None and npv is not None,
-    )
+    rows = np.arange(len(i_pos))  # a column of -1 reads the last column, and the row ignores it
+    columns = zip(*(a.tolist() for a in (
+        sweep.n_pos, sweep.n_neg, i_pos, i_neg, sweep.candidates[rows, i_pos], sweep.tp[rows, i_pos],
+        sweep.fp[rows, i_pos], sweep.candidates[rows, i_neg], sweep.tn[rows, i_neg], sweep.fn[rows, i_neg],
+    )))
+    records = []
+    for n_pos, n_neg, p, n, theta_pos, tp, fp, theta_neg, tn, fn in columns:
+        ppv = npv = None
+        detection = false_positive = true_negative = false_negative = 0.0
+        if p < 0:
+            theta_pos = None
+        else:
+            detection, false_positive = tp / n_pos, fp / n_neg
+            ppv = tp / (tp + fp) if tp + fp else None
+            theta_pos = -theta_pos if sweep.flip else theta_pos
+        if n < 0:
+            theta_neg = None
+        else:
+            true_negative, false_negative = tn / n_neg, fn / n_pos
+            npv = tn / (tn + fn) if tn + fn else None
+            theta_neg = -theta_neg if sweep.flip else theta_neg
+        records.append(BinCalibration(
+            theta_pos=theta_pos,
+            theta_neg=theta_neg,
+            ppv=ppv,
+            npv=npv,
+            detection_rate=detection,
+            true_negative_rate=true_negative,
+            false_positive_rate=false_positive,
+            false_negative_rate=false_negative,
+            reliable=ppv is not None and npv is not None,
+        ))
+    return records
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Each row's first column where ``mask`` holds, or -1."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+
+
+def _last(mask: np.ndarray) -> np.ndarray:
+    """Each row's last column where ``mask`` holds, or -1."""
+    return np.where(mask.any(axis=1), mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1), -1)
+
+
+def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``count / total``, and 0 where ``total`` is 0."""
+    return np.divide(count, total, out=np.zeros(count.shape), where=total > 0)
+
+
+def calibrate_bins(
+    pairs: Pairs,
+    orientation: Orientation = "lower_is_positive",
+    target_ppv: float = DEFAULT_TARGET_PPV,
+    target_npv: float = DEFAULT_TARGET_NPV,
+    min_detection_rate: float = DEFAULT_MIN_DETECTION_RATE,
+) -> list[BinCalibration]:
+    """:func:`calibrate_bin`'s record of each (positive, negative) pair, from one sweep of the pairs in array passes.
+
+    The records, and the error raised on bad input, are those of a loop of
+    :func:`calibrate_bin` calls over ``pairs``.
+    """
+
+    def check():
+        if not 0.0 < target_ppv <= 1.0 or not 0.0 < target_npv <= 1.0:
+            raise CalibrationError("predictive value targets must be in (0, 1]")
+        if not 0.0 <= min_detection_rate <= 1.0:
+            raise CalibrationError("min_detection_rate must be in [0, 1]")
+
+    records = []
+    for s in _sweeps(pairs, orientation, check):
+        predicted_neg = s.tn + s.fn
+        qualifies_neg = s.is_candidate & (predicted_neg >= 1) & (_share(s.tn, predicted_neg) >= target_npv)
+        i_neg = _first(qualifies_neg & (s.tn / s.n_neg[:, None] >= min_detection_rate))
+        predicted_pos = s.tp + s.fp
+        qualifies_pos = s.is_candidate & (predicted_pos >= 1) & (_share(s.tp, predicted_pos) >= target_ppv)
+        qualifies_pos &= s.tp / s.n_pos[:, None] >= min_detection_rate
+        # the positive threshold is at or inside the negative one, where there is one
+        cap = np.where(i_neg >= 0, s.candidates[np.arange(len(i_neg)), i_neg], np.inf)
+        records += _records(s, _last(qualifies_pos & (s.candidates <= cap[:, None])), i_neg)
+    return records
 
 
 def calibrate_bin(
@@ -189,26 +332,27 @@ def calibrate_bin(
     are midpoints between consecutive distinct scores plus one sentinel
     beyond each extreme, so the sweep is exhaustive and deterministic. No
     qualifying threshold is not an error: the bin is simply marked
-    unreliable.
+    unreliable. This is :func:`calibrate_bins` on one pair.
     """
-    s = _sweep(pos_scores, neg_scores, orientation)
-    if not 0.0 < target_ppv <= 1.0 or not 0.0 < target_npv <= 1.0:
-        raise CalibrationError("predictive value targets must be in (0, 1]")
-    if not 0.0 <= min_detection_rate <= 1.0:
-        raise CalibrationError("min_detection_rate must be in [0, 1]")
+    return calibrate_bins([(pos_scores, neg_scores)], orientation, target_ppv, target_npv, min_detection_rate)[0]
 
-    predicted_neg = s.tn + s.fn
-    npv_at = np.divide(s.tn, predicted_neg, out=np.zeros_like(s.tn), where=predicted_neg > 0)
-    qualifies_neg = (predicted_neg >= 1) & (npv_at >= target_npv) & (s.tn / s.n_neg >= min_detection_rate)
-    i_neg = int(np.flatnonzero(qualifies_neg)[0]) if qualifies_neg.any() else None
 
-    predicted_pos = s.tp + s.fp
-    ppv_at = np.divide(s.tp, predicted_pos, out=np.zeros_like(s.tp), where=predicted_pos > 0)
-    qualifies_pos = (predicted_pos >= 1) & (ppv_at >= target_ppv) & (s.tp / s.n_pos >= min_detection_rate)
-    if i_neg is not None:
-        qualifies_pos &= s.candidates <= s.candidates[i_neg]
-    i_pos = int(np.flatnonzero(qualifies_pos)[-1]) if qualifies_pos.any() else None
-    return _record(s, i_pos, i_neg)
+def single_threshold_calibrations(pairs: Pairs, orientation: Orientation = "lower_is_positive") -> list[BinCalibration]:
+    """:func:`single_threshold_calibration`'s record of each (positive, negative) pair, from one sweep of the pairs.
+
+    The records, and the error raised on bad input, are those of a loop of
+    :func:`single_threshold_calibration` calls over ``pairs``.
+    """
+    records = []
+    for s in _sweeps(pairs, orientation):
+        errors = np.where(s.is_candidate, (s.n_pos[:, None] - s.tp) + s.fp, np.iinfo(np.int64).max)
+        tied = errors == errors.min(axis=1, keepdims=True)
+        rows = np.arange(len(tied))
+        target = _midpoint(s.candidates[rows, _first(tied)], s.candidates[rows, _last(tied)])
+        with np.errstate(over="ignore"):  # only an untied candidate can lie beyond the float range from the target
+            i = np.where(tied, np.abs(s.candidates - target[:, None]), np.inf).argmin(axis=1)
+        records += _records(s, i, i)
+    return records
 
 
 def single_threshold_calibration(
@@ -221,14 +365,10 @@ def single_threshold_calibration(
     taking the lower candidate when two are equidistant, so the result is
     deterministic. Rates are counted as :func:`calibrate_bin` counts them.
     The record is unreliable when a predictive value is undefined because
-    one side classifies no sample.
+    one side classifies no sample. This is :func:`single_threshold_calibrations`
+    on one pair.
     """
-    s = _sweep(pos_scores, neg_scores, orientation)
-    errors = (s.n_pos - s.tp) + s.fp
-    tied = np.flatnonzero(errors == errors.min())
-    target = 0.5 * (s.candidates[tied[0]] + s.candidates[tied[-1]])
-    i = int(tied[np.argmin(np.abs(s.candidates[tied] - target))])
-    return _record(s, i, i)
+    return single_threshold_calibrations([(pos_scores, neg_scores)], orientation)[0]
 
 
 def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from attrfuse._version import __version__
 from attrfuse.catalog import ObjectCatalog, compute_stats, prior_stats
-from attrfuse.classifier import ClassifierModel, kde_density, single_threshold_calibration
+from attrfuse.classifier import ClassifierModel, kde_density, single_threshold_calibrations
 from attrfuse.fusion import log_factor_rows, map_log_weights, tally, tie_sets
 from attrfuse.simulator import (
     CALIBRATION_STREAM,
@@ -51,9 +51,9 @@ from attrfuse.simulator import (
     derived_rng,
     draw_scores,
     draw_training_sets,
-    load_key,
     stream_draws,
     stream_keys,
+    stream_starts,
 )
 from attrfuse.theory import predictive_value_floors
 
@@ -158,10 +158,10 @@ def single_threshold_models(scenario: Scenario, training_sets: TrainingSets) -> 
     """Binary baseline: one min-error threshold per bin, no uncertain zone.
 
     Each bin is a :func:`single_threshold_calibration` record, counted on the
-    training sample as :func:`calibrate_bin` counts it, so the same fusion
-    machinery consumes its observations.
+    training sample by the same sweep as :func:`calibrate_bin`'s, so the
+    same fusion machinery consumes its observations.
     """
-    models = _model_set(scenario, training_sets, partial(single_threshold_calibration, orientation=scenario.orientation))
+    models = _model_set(scenario, training_sets, partial(single_threshold_calibrations, orientation=scenario.orientation))
     if not all(cal.reliable for model in models.values() for cal in model.calibrations.values()):
         raise scenario.error("degenerate single-threshold split: a predictive value is undefined")
     return models
@@ -360,9 +360,8 @@ def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     case keys each attribute with the truth's outcome, once per observation;
     the objects are padded to 6, and a padded object is never tied.
     """
-    rng = np.random.Generator(np.random.Philox(0))
     case_keys = stream_keys(seed, CASE_STREAM, np.arange(cases))
-    matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases((load_key(rng, key) for key in case_keys), cases)
+    matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases(stream_starts(case_keys), cases)
     priors = raw_priors / raw_priors.sum(axis=1, keepdims=True)
     stats = prior_stats(matrix, priors)
     floors = np.stack(predictive_value_floors(stats), axis=-1)

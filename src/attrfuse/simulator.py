@@ -8,8 +8,8 @@ run seeded with ``s`` always uses the stream derived from ``(s, ..., t)``, so
 records are reproducible bit for bit and trials are independent. A Philox
 stream is fixed by its key at counter 0, so :func:`stream_keys` computes
 every trial's key, ``SeedSequence([s, ..., t]).generate_state(2, uint64)``,
-in one vectorised pass, and :func:`load_key` sets one reused generator to
-each in turn; :func:`derived_rng` builds a single stream's generator.
+in one vectorised pass, and :func:`stream_starts` sets one reused generator
+to each in turn; :func:`derived_rng` builds a single stream's generator.
 
 Episodes run batched: every trial's draws come from its own stream as one
 array, are classified with vectorised threshold compares
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from attrfuse.classifier import (
     DEFAULT_TARGET_NPV,
     DEFAULT_TARGET_PPV,
     ClassifierModel,
-    calibrate_bin,
+    calibrate_bins,
 )
 from attrfuse.fusion import (
     FactorKey,
@@ -156,17 +156,36 @@ def stream_keys(seed: int | np.ndarray, *key: int | np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64).reshape(*shape, 2)
 
 
-def load_key(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
-    """``rng`` (a Philox generator) set to the start of the stream with ``key``: counter 0, empty buffer."""
-    rng.bit_generator.state = {
+def _start_state(key) -> dict:
+    """The Philox state at the start of the stream with ``key``: counter 0, empty buffer."""
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def load_key(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """``rng`` (a Philox generator) set to the start of the stream with ``key``: counter 0, empty buffer."""
+    rng.bit_generator.state = _start_state(key)
     return rng
+
+
+def stream_starts(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Philox generator set in turn to the start of each key's stream, as :func:`load_key` sets it.
+
+    The generator and one state dict serve every key: only the dict's key,
+    as Python ints, changes from one stream to the next.
+    """
+    rng = np.random.Generator(np.random.Philox(0))
+    state = _start_state(None)
+    for key in np.asarray(keys, dtype=np.uint64).tolist():
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        yield rng
 
 
 # Philox4x64-10 (Salmon et al. 2011) as numpy's Philox runs it: the multipliers of words 0 and 2, and the
@@ -376,18 +395,21 @@ def draw_training_sets(
 
 
 def _model_set(scenario: Scenario, training_sets: TrainingSets, calibrate: Callable) -> dict[int, ClassifierModel]:
-    """One model per attribute of ``training_sets``; its record in bin ``k`` is ``calibrate(pos, neg)`` of set ``k``."""
-    return {
-        i: ClassifierModel(i, scenario.orientation, {k: calibrate(*training_sets[(i, k)]) for k in range(scenario.n_bins)})
-        for i in sorted({i for i, _ in training_sets})
-    }
+    """One model per attribute of ``training_sets``; its record in bin ``k`` is the one of set ``k``.
+
+    ``calibrate`` takes every set's (positive, negative) pair in one call,
+    attribute-major, and returns their records in that order.
+    """
+    attributes, bins = sorted({i for i, _ in training_sets}), range(scenario.n_bins)
+    records = iter(calibrate([training_sets[(i, k)] for i in attributes for k in bins]))
+    return {i: ClassifierModel(i, scenario.orientation, {k: next(records) for k in bins}) for i in attributes}
 
 
 def calibrate_from_sets(scenario: Scenario, training_sets: TrainingSets) -> dict[int, ClassifierModel]:
     """Two-threshold models from pre-drawn training sets."""
     cfg = scenario.calibration
     return _model_set(scenario, training_sets, partial(
-        calibrate_bin, orientation=scenario.orientation, target_ppv=cfg.target_ppv, target_npv=cfg.target_npv,
+        calibrate_bins, orientation=scenario.orientation, target_ppv=cfg.target_ppv, target_npv=cfg.target_npv,
         min_detection_rate=cfg.min_detection_rate,
     ))
 
@@ -405,12 +427,12 @@ def stream_draws(seed: int, key: Sequence[int], trials: int, n: int, kind: str =
 
     Philox is counter-based, so one array call yields the same values, and
     leaves the stream in the same state, as ``n`` scalar calls. Every row
-    comes from one generator, loaded in turn with each trial's key.
+    comes from one generator, set in turn to each trial's stream
+    (:func:`stream_starts`).
     """
     out = np.empty((trials, n))
-    rng = np.random.Generator(np.random.Philox(0))
-    for t, stream_key in enumerate(stream_keys(seed, *key, np.arange(trials))):
-        getattr(load_key(rng, stream_key), kind)(n, out=out[t])
+    for row, rng in zip(out, stream_starts(stream_keys(seed, *key, np.arange(trials)))):
+        getattr(rng, kind)(n, out=row)
     return out
 
 

@@ -11,7 +11,10 @@ observation reader and checks that ``attrfuse fuse`` ran before it read
 columns are the reference for the columnar reader, and the one-case
 exact-recognition path (``random_exact_recognition_case``: a catalog,
 ``compute_stats`` and per-attribute floors, decided by ``decide_episodes``)
-is the reference for the padded pass. These references may import package
+is the reference for the padded pass. The per-pair candidate sweep
+(``reference_sweep``: sorted classes counted with ``np.searchsorted``) and
+the two pick rules on it are the reference for the batched calibration
+sweep, record for record. These references may import package
 types (the models and scenarios they read), the
 ``factor_table``/``tally``/``map_log_weights`` sums and the shared
 exact-recognition case draw, but none of the batched code paths they
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import BinCalibration, ClassifierModel
+from attrfuse.classifier import BinCalibration, CalibrationError, ClassifierModel
 from attrfuse.experiments import _draw_exact_cases
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
 from attrfuse.theory import required_predictive_values
@@ -123,6 +126,116 @@ def count_rates(pos, neg, theta_pos, theta_neg):
     ppv = tp / (tp + fp) if tp + fp else None
     npv = tn / (tn + fn) if tn + fn else None
     return ppv, tp / len(pos), npv, tn / len(neg)
+
+
+class ReferenceSweep(NamedTuple):
+    """One pair's counts at every threshold candidate, as the per-pair sweep counted them."""
+
+    flip: bool
+    n_pos: int
+    n_neg: int
+    candidates: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
+    tn: np.ndarray
+    fn: np.ndarray
+
+
+def reference_sweep(pos_scores, neg_scores, orientation):
+    """The per-pair candidate sweep that the batched ``classifier._sweeps`` replaced, with its checks.
+
+    Candidates are midpoints between consecutive distinct oriented scores
+    plus one sentinel beyond each extreme; the counts come from four
+    ``np.searchsorted`` calls on the sorted classes.
+    """
+    pos = np.asarray(pos_scores, dtype=float).ravel()
+    neg = np.asarray(neg_scores, dtype=float).ravel()
+    if pos.size == 0 or neg.size == 0:
+        raise CalibrationError("calibration needs at least one positive and one negative score")
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise CalibrationError("calibration scores must be finite")
+    if orientation not in ("lower_is_positive", "higher_is_positive"):
+        raise CalibrationError(f"unknown orientation {orientation!r}")
+    flip = orientation == "higher_is_positive"
+    p = np.sort(-pos if flip else pos)
+    n = np.sort(-neg if flip else neg)
+    distinct = np.unique(np.concatenate([p, n]))
+    mids = 0.5 * (distinct[:-1] + distinct[1:])
+    cands = np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+    return ReferenceSweep(
+        flip=flip,
+        n_pos=p.size,
+        n_neg=n.size,
+        candidates=cands,
+        tp=np.searchsorted(p, cands, side="right").astype(float),
+        fp=np.searchsorted(n, cands, side="right").astype(float),
+        tn=(n.size - np.searchsorted(n, cands, side="left")).astype(float),
+        fn=(p.size - np.searchsorted(p, cands, side="left")).astype(float),
+    )
+
+
+def reference_record(sweep, i_pos, i_neg):
+    """The record with thresholds at candidates ``i_pos``/``i_neg`` (None: no threshold) of a reference sweep."""
+    theta_pos = theta_neg = ppv = npv = None
+    detection = false_positive = true_negative = false_negative = 0.0
+    if i_pos is not None:
+        theta_pos = float(sweep.candidates[i_pos])
+        tp, fp = float(sweep.tp[i_pos]), float(sweep.fp[i_pos])
+        detection, false_positive = tp / sweep.n_pos, fp / sweep.n_neg
+        ppv = tp / (tp + fp) if tp + fp else None
+    if i_neg is not None:
+        theta_neg = float(sweep.candidates[i_neg])
+        tn, fn = float(sweep.tn[i_neg]), float(sweep.fn[i_neg])
+        true_negative, false_negative = tn / sweep.n_neg, fn / sweep.n_pos
+        npv = tn / (tn + fn) if tn + fn else None
+    if sweep.flip:
+        theta_pos = None if theta_pos is None else -theta_pos
+        theta_neg = None if theta_neg is None else -theta_neg
+    return BinCalibration(
+        theta_pos=theta_pos,
+        theta_neg=theta_neg,
+        ppv=ppv,
+        npv=npv,
+        detection_rate=detection,
+        true_negative_rate=true_negative,
+        false_positive_rate=false_positive,
+        false_negative_rate=false_negative,
+        reliable=ppv is not None and npv is not None,
+    )
+
+
+def reference_calibrate_bin(
+    pos_scores, neg_scores, orientation="lower_is_positive", target_ppv=0.96, target_npv=0.96, min_detection_rate=0.09
+):
+    """``calibrate_bin`` as it was written on the per-pair sweep: the reference for the batched sweep."""
+    s = reference_sweep(pos_scores, neg_scores, orientation)
+    if not 0.0 < target_ppv <= 1.0 or not 0.0 < target_npv <= 1.0:
+        raise CalibrationError("predictive value targets must be in (0, 1]")
+    if not 0.0 <= min_detection_rate <= 1.0:
+        raise CalibrationError("min_detection_rate must be in [0, 1]")
+
+    predicted_neg = s.tn + s.fn
+    npv_at = np.divide(s.tn, predicted_neg, out=np.zeros_like(s.tn), where=predicted_neg > 0)
+    qualifies_neg = (predicted_neg >= 1) & (npv_at >= target_npv) & (s.tn / s.n_neg >= min_detection_rate)
+    i_neg = int(np.flatnonzero(qualifies_neg)[0]) if qualifies_neg.any() else None
+
+    predicted_pos = s.tp + s.fp
+    ppv_at = np.divide(s.tp, predicted_pos, out=np.zeros_like(s.tp), where=predicted_pos > 0)
+    qualifies_pos = (predicted_pos >= 1) & (ppv_at >= target_ppv) & (s.tp / s.n_pos >= min_detection_rate)
+    if i_neg is not None:
+        qualifies_pos &= s.candidates <= s.candidates[i_neg]
+    i_pos = int(np.flatnonzero(qualifies_pos)[-1]) if qualifies_pos.any() else None
+    return reference_record(s, i_pos, i_neg)
+
+
+def reference_single_threshold(pos_scores, neg_scores, orientation="lower_is_positive"):
+    """``single_threshold_calibration`` as it was written on the per-pair sweep."""
+    s = reference_sweep(pos_scores, neg_scores, orientation)
+    errors = (s.n_pos - s.tp) + s.fp
+    tied = np.flatnonzero(errors == errors.min())
+    target = 0.5 * (s.candidates[tied[0]] + s.candidates[tied[-1]])
+    i = int(tied[np.argmin(np.abs(s.candidates[tied] - target))])
+    return reference_record(s, i, i)
 
 
 def make_synthetic_model(attribute_index, ppv, npv, detection_rate=1.0, true_negative_rate=1.0):

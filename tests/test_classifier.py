@@ -4,12 +4,14 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attrfuse import classifier
 from attrfuse.catalog import ObjectCatalog
 from attrfuse.classifier import (
     DEFAULT_MIN_DETECTION_RATE,
@@ -20,15 +22,17 @@ from attrfuse.classifier import (
     ModelFileError,
     ClassifierModel,
     calibrate_bin,
+    calibrate_bins,
     kde_density,
     load_models,
     save_models,
     single_threshold_calibration,
+    single_threshold_calibrations,
 )
-from attrfuse.simulator import calibrate_scenario, classify_scores, derived_rng
+from attrfuse.simulator import calibrate_from_sets, calibrate_scenario, classify_scores, derived_rng, draw_training_sets
 
 from json_mutations import mutated
-from oracles import bayes_threshold_oracle, calibrate_oracle, count_rates
+from oracles import bayes_threshold_oracle, calibrate_oracle, count_rates, reference_calibrate_bin, reference_single_threshold
 
 scores = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 score_lists = st.lists(scores, min_size=1, max_size=30)
@@ -130,6 +134,18 @@ class TestCalibrateBin:
         ppv, det, npv, tnr = count_rates(pos, neg, cal.theta_pos, cal.theta_neg)
         assert ppv >= 0.96 and det >= 0.09
         assert npv >= 0.96 and tnr >= 0.09
+
+    @pytest.mark.parametrize("flip", [1.0, -1.0])
+    def test_midpoint_of_huge_scores_stays_finite(self, flip):
+        """Two finite scores whose sum overflows still have their midpoint as a candidate, not inf."""
+        orientation = "lower_is_positive" if flip > 0 else "higher_is_positive"
+        cal = calibrate_bin([flip * 1e308], [flip * 1.7e308, flip * 1.79e308], orientation)
+        assert cal.theta_pos == cal.theta_neg == flip * (0.5 * 1e308 + 0.5 * 1.7e308)
+        assert cal.reliable and cal.ppv == cal.npv == 1.0
+        single = single_threshold_calibration([flip * 1e308], [flip * 1.7e308, flip * 1.79e308], orientation)
+        assert single.theta_pos == flip * (0.5 * 1e308 + 0.5 * 1.7e308)
+        # the tied candidates are the low sentinel and 0; the untied ones lie more than the float range above them
+        assert single_threshold_calibration([-flip * 1.7e308], [flip * 1.7e308, flip * 1.75e308], orientation).theta_pos == -flip * 1.7e308
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(3)
@@ -410,3 +426,92 @@ def test_record_orientation_mirror(calibrate, pos, neg):
     negated = [None if theta is None else -theta for theta in (low.theta_pos, low.theta_neg)]
     assert [high.theta_pos, high.theta_neg] == negated
     assert dataclasses.replace(high, theta_pos=low.theta_pos, theta_neg=low.theta_neg) == low
+
+
+# Scores that make candidates collide: a few anchors, each moved by up to two doubles with np.nextafter, so the
+# midpoint of two neighbours rounds onto one of them; at 2**53 and beyond a sentinel ``s - 1`` or ``s + 1`` is ``s``.
+_ANCHORS = [0.0, 1.0, -3.5, 1e-310, 2.0**53, -(2.0**53), 2.0**60 + 2048, -1e300]
+
+
+@st.composite
+def colliding_scores(draw):
+    value = draw(st.sampled_from(_ANCHORS))
+    steps = draw(st.integers(-2, 2))
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, steps)))
+    return value
+
+
+sweep_scores = st.lists(st.one_of(colliding_scores(), scores, st.sampled_from([-1.0, 0.0, 2.5])), min_size=1, max_size=20)
+sweep_pairs = st.lists(st.tuples(sweep_scores, sweep_scores), min_size=1, max_size=6)
+
+
+def _bits(records):
+    """Records with every float as its repr, so that 0.0 and -0.0 differ."""
+    return [tuple(map(repr, dataclasses.astuple(rec))) for rec in records]
+
+
+@given(
+    sweep_pairs,
+    st.sampled_from(["lower_is_positive", "higher_is_positive"]),
+    st.sampled_from([0.5, 0.8, DEFAULT_TARGET_PPV, 1.0]),
+    st.sampled_from([0.5, 0.8, DEFAULT_TARGET_NPV, 1.0]),
+    st.sampled_from([0.0, DEFAULT_MIN_DETECTION_RATE, 0.3]),
+    st.sampled_from([1, 24, classifier._PASS_SLOTS]),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_sweep_matches_per_pair_reference(pairs, orientation, target_ppv, target_npv, floor, pass_slots):
+    """Every record of the batched sweep equals, bit for bit, the per-pair reference's record of its pair.
+
+    Rows differ in length, scores repeat, and adjacent doubles and scores of
+    2**53 and more make candidates land on scores. Smaller pass sizes split
+    the pairs over several passes, and a pass of one slot holds one pair.
+    """
+    with mock.patch.object(classifier, "_PASS_SLOTS", pass_slots):
+        two = calibrate_bins(pairs, orientation, target_ppv, target_npv, floor)
+        one = single_threshold_calibrations(pairs, orientation)
+    assert _bits(two) == _bits([reference_calibrate_bin(p, n, orientation, target_ppv, target_npv, floor) for p, n in pairs])
+    assert _bits(one) == _bits([reference_single_threshold(p, n, orientation) for p, n in pairs])
+
+
+@pytest.mark.parametrize(
+    "pairs, kwargs",
+    [
+        ([([1.0], [2.0]), ([], [1.0])], {}),
+        ([([1.0], [math.nan]), ([], [1.0])], {}),
+        ([([], [math.nan])], {}),
+        ([([1.0], [2.0]), ([math.inf], [1.0])], {"target_ppv": 0.0}),
+        ([([1.0], [2.0]), ([math.inf], [1.0])], {"orientation": "sideways"}),
+        ([([], [2.0]), ([1.0], [1.0])], {"orientation": "sideways"}),
+        ([([1.0], [2.0]), ([2.0], [])], {"min_detection_rate": 2.0}),
+    ],
+)
+def test_batched_errors_are_the_per_pair_loops_first(pairs, kwargs):
+    """A batch raises the error that a loop of one-pair calls raises first."""
+
+    def first_error(calibrate, **kwargs):
+        with pytest.raises(CalibrationError) as exc:
+            for pos, neg in pairs:
+                calibrate(pos, neg, **kwargs)
+        return str(exc.value)
+
+    with pytest.raises(CalibrationError, match=re.escape(first_error(reference_calibrate_bin, **kwargs))):
+        calibrate_bins(pairs, **kwargs)
+    orientation = {k: v for k, v in kwargs.items() if k == "orientation"}
+    with pytest.raises(CalibrationError, match=re.escape(first_error(reference_single_threshold, **orientation))):
+        single_threshold_calibrations(pairs, **orientation)
+
+
+def test_model_set_at_ten_times_the_training_counts_matches_the_reference(exp3_scenario):
+    """exp3's 50 sets at 10x training counts span several passes; each record is the per-pair reference's."""
+    cfg = dataclasses.replace(
+        exp3_scenario.calibration, n_pos_per_object=200, n_neg_per_object=200,
+    )
+    scenario = dataclasses.replace(exp3_scenario, calibration=cfg)
+    training = draw_training_sets(scenario)
+    models = calibrate_from_sets(scenario, training)
+    expected = [
+        reference_calibrate_bin(pos, neg, scenario.orientation, cfg.target_ppv, cfg.target_npv, cfg.min_detection_rate)
+        for pos, neg in training.values()
+    ]
+    assert _bits(models[i].calibrations[k] for i, k in training) == _bits(expected)

@@ -1,4 +1,5 @@
 import json
+import math
 import platform
 import re
 from pathlib import Path
@@ -443,6 +444,31 @@ def test_unusable_scenario_is_a_message(repo_root, tmp_path, command, scenario, 
         main([command, "--scenario", str(path), "--out", str(tmp_path / "out"), *trials])
     assert isinstance(exc.value.code, str) and exc.value.code.startswith(f"{path}: "), exc.value.code
     assert f"'{key}'" in exc.value.code
+
+
+@pytest.mark.parametrize(
+    "attribute, k",
+    [("box shape", 2), ("box shape", 4), ("wide mouth bottle shape", 3), ("cup shape", 1), ("cup shape", 4),
+     ("yellow color", 4)],
+)
+def test_calibrate_huge_finite_scores_to_finite_thresholds(repo_root, tmp_path, capsys, attribute, k):
+    """Training draws near the float maximum calibrate without an overflow warning, to finite thresholds.
+
+    At a ``pos`` spread of 1e308 these bins' draws all stay finite, but two
+    of them sum beyond the float range, so a midpoint taken as ``0.5 * (a + b)``
+    overflows (pytest turns the RuntimeWarning into an error).
+    """
+    raw = json.loads((repo_root / "scenarios" / "exp3.json").read_text())
+    raw["catalog"] = str((repo_root / "scenarios" / raw["catalog"]).resolve())
+    raw["score_models"][attribute]["pos"][k]["std"] = 1e308
+    path, out = tmp_path / "scenario.json", tmp_path / "models.json"
+    path.write_text(json.dumps(raw))
+    assert main(["calibrate", "--scenario", str(path), "--out", str(out)]) == 0
+    thresholds = [
+        rec[key] for entry in json.loads(out.read_text())["models"] for rec in entry["bins"]
+        for key in ("theta_pos", "theta_neg") if rec[key] is not None
+    ]
+    assert thresholds and all(math.isfinite(theta) for theta in thresholds)
 
 
 @pytest.mark.parametrize("command", ["calibrate", "fuse", "exp1", "exp2", "exp3", "theorems"])
