@@ -4,8 +4,10 @@
 Prints one JSON object: the median wall time in seconds of three calls of
 each harness, keyed by harness and size. The sizes are those of the
 acceptance suite: convergence 4000 trials, exp3 1200, exp2 2500, exact
-recognition 1000 cases; ``experiment1_10000`` is exp1 at the 10^4 draws per
-bin and class that ``scripts/reproduce_results.py`` asks for. ``fuse_10000``
+recognition 1000 cases; ``experiment3_90`` is exp3 at 90 trials, the size of
+one perfbench ``exp3_families`` op, where the per-bin fixed costs weigh most;
+``experiment1_10000`` is exp1 at the 10^4 draws per bin and class that
+``scripts/reproduce_results.py`` asks for. ``fuse_10000``
 is ``attrfuse fuse`` through ``cli.main`` on a fixed 10^4-line stream in
 bin 1 over the exp3 models, and ``fuse_10`` the same on the stream's first 10 lines, which shows the
 per-call cost. ``fuse_tie`` is the same call on the four-line ``tie`` stream
@@ -114,6 +116,7 @@ def harnesses(workdir: Path):
     return {
         "convergence_suite_4000": lambda: convergence_suite(4000, SEED),
         "experiment3_1200": lambda: experiment3_attribute_families(exp3, trials=1200),
+        "experiment3_90": lambda: experiment3_attribute_families(exp3, trials=90),
         "experiment2_2500": lambda: experiment2_threshold_comparison(exp2, trials=2500),
         "exact_recognition_suite_1000": lambda: exact_recognition_suite(1000, SEED),
         "experiment1_10000": lambda: experiment1_distribution_shift(exp1, n_pos=10_000, n_neg=10_000),

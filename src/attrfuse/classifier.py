@@ -379,8 +379,9 @@ def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
     if not bandwidth > 0:
         raise CalibrationError("bandwidth must be positive")
     x = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    z = (x[:, None] - s[None, :]) / bandwidth
-    return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # a kernel whose square overflows is exactly 0: exp(-inf)
+        z = (x[:, None] - s[None, :]) / bandwidth
+        return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, path: str | Path) -> None:

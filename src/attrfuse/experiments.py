@@ -61,6 +61,7 @@ _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy 2.0
 
 EXP1_BANDWIDTH = 3.0  # KDE kernel standard deviation, in score units
 EXP1_GRID_POINTS = 256
+EXP1_MASS_TOLERANCE = 0.01  # how far a class density's integral over the grid may be from 1
 EXP3_SYSTEMS = ("fine", "coarse", "all")
 
 
@@ -115,9 +116,24 @@ def experiment1_distribution_shift(
     everything = np.concatenate(pos_scores + neg_scores)
     lo = everything.min() - 3.0 * EXP1_BANDWIDTH
     hi = everything.max() + 3.0 * EXP1_BANDWIDTH
+    spread = (
+        f"key 'score_models': {scenario.catalog.attributes[i]!r} scores spread from {lo:.6g} to {hi:.6g}, "
+        f"too far for a {EXP1_GRID_POINTS}-point KDE grid at kernel width {EXP1_BANDWIDTH:g}"
+    )
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo):
+            raise scenario.error(f"{spread}: the grid's span is beyond the float range")
     grid = np.linspace(lo, hi, EXP1_GRID_POINTS)
     pos_density = np.stack([kde_density(s, EXP1_BANDWIDTH, grid) for s in pos_scores])
     neg_density = np.stack([kde_density(s, EXP1_BANDWIDTH, grid) for s in neg_scores])
+    mass = _trapezoid(np.stack([pos_density, neg_density]), grid, axis=-1)
+    off = ~(np.abs(mass - 1.0) <= EXP1_MASS_TOLERANCE)
+    if off.any():
+        truth, k = np.argwhere(off)[0]
+        raise scenario.error(
+            f"{spread}: the {('pos', 'neg')[truth]} density of bin {k} integrates to {mass[truth, k]:.6g}, "
+            f"not to 1 within {EXP1_MASS_TOLERANCE:g}"
+        )
     overlap = np.array(
         [float(_trapezoid(np.minimum(pos_density[k], neg_density[k]), grid)) for k in range(scenario.n_bins)]
     )
@@ -278,8 +294,11 @@ def experiment3_attribute_families(
     prefixes = np.concatenate([np.arange(width) for width in widths])
     ground_truths = np.arange(trials) % catalog.n_objects
     accuracy = np.zeros((scenario.n_bins, len(EXP3_SYSTEMS)))
-    for k in range(scenario.n_bins):
-        z = stream_draws(seed, (SCORE_STREAM, k), trials, max(widths))
+    # every bin's score draws, and every (bin, trial)'s pick key, in one call each
+    bin_axis = np.arange(scenario.n_bins)[:, None]
+    z_bins = stream_draws(seed, (SCORE_STREAM, bin_axis), trials, max(widths))
+    pick_keys = stream_keys(seed, PICK_STREAM, bin_axis, np.arange(trials))
+    for k, z in enumerate(z_bins):
         bins = [k] * len(columns)
         codes, keys = classify_scores(models, columns, bins, draw_scores(scenario, ground_truths, columns, bins, z[:, prefixes]))
         stacked = np.full((len(EXP3_SYSTEMS), trials, max(widths)), len(keys), dtype=codes.dtype)
@@ -288,7 +307,7 @@ def experiment3_attribute_families(
         # every system picks a trial's ties from the trial's one stream (seed, PICK_STREAM, k, t)
         episodes = decide_episodes(
             stacked.reshape(-1, max(widths)), keys, catalog, stats, [max(widths)],
-            lambda rows: stream_keys(seed, PICK_STREAM, k, rows % trials),
+            lambda rows: pick_keys[k, rows % trials],
         )
         accuracy[k] = (episodes.winners[0].reshape(len(EXP3_SYSTEMS), trials) == ground_truths).mean(axis=1)
 
@@ -363,6 +382,7 @@ def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     case_keys = stream_keys(seed, CASE_STREAM, np.arange(cases))
     matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases(stream_starts(case_keys), cases)
     priors = raw_priors / raw_priors.sum(axis=1, keepdims=True)
+    priors /= priors.sum(axis=1, keepdims=True)  # the rescale ObjectCatalog applies to a normalized prior vector
     stats = prior_stats(matrix, priors)
     floors = np.stack(predictive_value_floors(stats), axis=-1)
     ppv, npv = np.moveaxis(np.minimum(1.0, floors + uniforms * (1.0 - floors)), -1, 0)

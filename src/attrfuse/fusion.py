@@ -64,17 +64,19 @@ def tally(log_prior: np.ndarray, counts: np.ndarray, table: np.ndarray) -> tuple
 
     ``table`` holds the keys' log rows (keys x objects), or one such table
     per row of ``counts`` (rows x keys x objects); ``log_prior`` is one row
-    of objects, or one per row of ``counts``. A zero count adds +-0.0, so a
+    of objects, or one per row of ``counts``. The hits are one integer
+    product of the counts with the zero-factor mask, exact in int64. The
+    finite sums add each key's term in key order, the count taken as a
+    float as numpy's mixed multiply takes it; a zero count adds +-0.0, so a
     row's sums equal those over its nonzero keys alone, bit for bit.
     """
     zero = np.isneginf(table)
     finite_table = np.where(zero, 0.0, table)
-    hits = np.zeros((counts.shape[0], log_prior.shape[-1]), dtype=np.int64)
+    hits = (counts[:, None, :] @ zero.astype(np.int64))[:, 0]
     finite = np.broadcast_to(log_prior, hits.shape).copy()
-    for key in range(counts.shape[1]):
-        count = counts[:, key, None]
-        hits += count * zero[..., key, :]
-        finite += count * finite_table[..., key, :]
+    term = np.empty_like(finite)
+    for key, count in enumerate(counts.T.astype(float)[..., None]):
+        finite += np.multiply(count, finite_table[..., key, :], out=term)
     return hits, finite
 
 

@@ -422,18 +422,24 @@ def calibrate_scenario(
     return calibrate_from_sets(scenario, draw_training_sets(scenario, rng))
 
 
-def stream_draws(seed: int, key: Sequence[int], trials: int, n: int, kind: str = "standard_normal") -> np.ndarray:
+def stream_draws(
+    seed: int, key: Sequence[int | np.ndarray], trials: int, n: int, kind: str = "standard_normal"
+) -> np.ndarray:
     """``n`` draws from each trial's stream ``(seed, *key, t)``, one row per trial.
 
-    Philox is counter-based, so one array call yields the same values, and
-    leaves the stream in the same state, as ``n`` scalar calls. Every row
-    comes from one generator, set in turn to each trial's stream
-    (:func:`stream_starts`).
+    Any entry of ``key`` may be an integer array; the entries broadcast with
+    the trial axis ``np.arange(trials)`` as in :func:`stream_keys`, so an
+    entry of shape ``(m, 1)`` gives ``(m, trials, n)`` draws, and all-scalar
+    entries give ``(trials, n)``. Philox is counter-based, so one array call
+    yields the same values, and leaves the stream in the same state, as
+    ``n`` scalar calls. Every row comes from one generator, set in turn to
+    each trial's stream (:func:`stream_starts`).
     """
-    out = np.empty((trials, n))
-    for row, rng in zip(out, stream_starts(stream_keys(seed, *key, np.arange(trials)))):
+    keys = stream_keys(seed, *key, np.arange(trials))
+    out = np.empty((math.prod(keys.shape[:-1]), n))
+    for row, rng in zip(out, stream_starts(keys.reshape(-1, 2))):
         getattr(rng, kind)(n, out=row)
-    return out
+    return out.reshape(*keys.shape[:-1], n)
 
 
 def draw_scores(

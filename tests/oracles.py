@@ -11,7 +11,9 @@ observation reader and checks that ``attrfuse fuse`` ran before it read
 columns are the reference for the columnar reader, and the one-case
 exact-recognition path (``random_exact_recognition_case``: a catalog,
 ``compute_stats`` and per-attribute floors, decided by ``decide_episodes``)
-is the reference for the padded pass. The per-pair candidate sweep
+is the reference for the padded pass, and the per-key loop
+(``reference_tally``) is the reference for ``tally``'s integer hit
+product and buffered sums. The per-pair candidate sweep
 (``reference_sweep``: sorted classes counted with ``np.searchsorted``) and
 the two pick rules on it are the reference for the batched calibration
 sweep, record for record. These references may import package
@@ -301,6 +303,20 @@ def random_exact_recognition_case(rng: np.random.Generator):
     attributes = np.arange(n_attributes)
     observed = np.concatenate([attributes, np.repeat(attributes, counts[:n_attributes] - 1)])
     return catalog, stats, keys, ground_truth, observed
+
+
+def reference_tally(log_prior, counts, table):
+    """``tally`` as a loop over the keys in sorted order: each key's count times its zero-factor mask and its
+    finite log row, added to the running sums."""
+    zero = np.isneginf(table)
+    finite_table = np.where(zero, 0.0, table)
+    hits = np.zeros((counts.shape[0], log_prior.shape[-1]), dtype=np.int64)
+    finite = np.broadcast_to(log_prior, hits.shape).copy()
+    for key in range(counts.shape[1]):
+        count = counts[:, key, None]
+        hits += count * zero[..., key, :]
+        finite += count * finite_table[..., key, :]
+    return hits, finite
 
 
 # ---------------------------------------------------------------------------

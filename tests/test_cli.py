@@ -409,6 +409,11 @@ def _set_paths(raw, keys, value):
                      id="calibrate-biased-std-overflows"),
         pytest.param("exp1", "exp1", None, "score_models", {("score_models", "bottle shape", "pos", 1, "std"): 1e308},
                      id="exp1-std-overflows"),
+        # finite exp1 draws too spread for the KDE grid: its step, then its span, beyond what the kernel can resolve
+        pytest.param("exp1", "exp1", None, "score_models", {("score_models", "bottle shape", "pos", 1, "std"): 1e306},
+                     id="exp1-kde-grid-too-coarse"),
+        pytest.param("exp1", "exp1", None, "score_models", {("score_models", "bottle shape", "pos", 1, "std"): 4e307},
+                     id="exp1-kde-grid-span-overflows"),
         pytest.param(
             "exp3", "exp3", None, "score_models",
             {("score_models", "*", "pos", "*", "std"): 1e308, ("training_bias", "pos_std_scale"): 1e-307},

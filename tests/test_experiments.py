@@ -184,6 +184,7 @@ def assert_pass_decides_as_reference(cases, seed):
 class TestTheoremSuites:
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40))
     @example(0, 1)
+    @example(2994502579, 4)  # case 1's log weight cancels; off by 1.07e-12 unless the pass rescales as the catalog does
     @settings(max_examples=40, deadline=None)
     def test_pass_decides_each_case_as_the_reference(self, seed, cases):
         assert_pass_decides_as_reference(cases, seed)

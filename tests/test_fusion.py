@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel
-from attrfuse.fusion import log_factor_rows, posterior
+from attrfuse.fusion import log_factor_rows, posterior, tally
 from attrfuse.simulator import classify_scores, decide_episodes, stream_keys
 
-from oracles import factor_codes, make_synthetic_model, posterior_oracle
+from oracles import factor_codes, make_synthetic_model, posterior_oracle, reference_tally
 
 
 def small_catalog(matrix, priors):
@@ -310,3 +311,27 @@ def test_factor_rows_take_libm_log():
         pytest.skip("this numpy build's log agrees with libm on the sample")
     rows = log_factor_rows(np.array([True, False]), np.full(values.size, w), np.ones(values.size, dtype=bool), values)
     assert rows.tobytes() == expected.tobytes()
+
+
+@st.composite
+def tally_inputs(draw):
+    """A log prior, counts and a key table for :func:`tally`: one shared table or one per row, with zero
+    counts and ``-inf`` (zero-factor) entries drawn about half the time."""
+    rows, keys, objects = draw(st.integers(1, 12)), draw(st.integers(0, 8)), draw(st.integers(1, 7))
+    per_row = draw(st.booleans())
+    log_value = st.one_of(st.floats(-40.0, 40.0), st.just(-math.inf))
+    table = draw(arrays(float, (rows, keys, objects) if per_row else (keys, objects), elements=log_value))
+    log_prior_value = st.one_of(st.floats(-9.0, 0.0), st.just(-math.inf))
+    log_prior = draw(arrays(float, (rows, objects) if per_row else (objects,), elements=log_prior_value))
+    counts = draw(arrays(np.int64, (rows, keys), elements=st.one_of(st.just(0), st.integers(1, 40))))
+    return log_prior, counts, table
+
+
+@given(tally_inputs())
+@settings(max_examples=300, deadline=None)
+def test_tally_equals_the_per_key_loop(inputs):
+    """The integer hit product and buffered sums give the per-key loop's hits exactly and its finite sums bit for bit."""
+    hits, finite = tally(*inputs)
+    expected_hits, expected_finite = reference_tally(*inputs)
+    assert hits.dtype == np.int64 and np.array_equal(hits, expected_hits)
+    assert finite.shape == expected_finite.shape and finite.tobytes() == expected_finite.tobytes()

@@ -300,6 +300,18 @@ class TestStreamKeys:
         expected = [getattr(derived_rng(seed, SCORE_STREAM, 2, t), kind)(7) for t in range(25)]
         assert np.array_equal(stream_draws(seed, (SCORE_STREAM, 2), 25, 7, kind=kind), expected)
 
+    @pytest.mark.parametrize("kind", ["standard_normal", "random"])
+    def test_stream_draws_broadcast_array_key_entries(self, kind):
+        """A 2-D key entry gives, at each of its indices, the draws of ``derived_rng(seed, *key at that index, t)``."""
+        entry = np.array([[0, 7], [3, 10], [4, 11]])
+        draws = stream_draws(19, (SCORE_STREAM, entry[..., None]), 6, 5, kind=kind)  # a trailing axis for the trials
+        assert draws.shape == (3, 2, 6, 5)
+        for index in np.ndindex(entry.shape):
+            expected = [getattr(derived_rng(19, SCORE_STREAM, entry[index], t), kind)(5) for t in range(6)]
+            assert np.array_equal(draws[index], expected)
+        bins = np.arange(4)[:, None]  # exp3's form: one block of trials per bin
+        assert np.array_equal(stream_draws(19, (SCORE_STREAM, bins), 6, 5, kind=kind)[3], draws[1, 0])
+
 
 def generator_picks(keys, n):
     """The reference for :func:`seeded_picks`: each row's ``Generator(Philox(key=...)).integers(n)`` calls in order."""
