@@ -18,10 +18,13 @@ which no line of the other two streams reaches. ``calibrate_exp3`` is
 the scenario, draws the training sets, calibrates every bin and writes the
 models. ``calibrate_exp3_x10`` is the same on a copy of the exp3 scenario
 with 10x its per-object training counts, where each of the 50 calibrated
-sets holds 1800 scores. ``load_catalog_table1``, ``load_scenario_exp3`` and
+sets holds 1800 scores. ``draw_training_sets_exp3_x10`` is one
+``draw_training_sets`` call on that copy: the training draw alone, 90,000
+scores. ``load_catalog_table1``, ``load_scenario_exp3`` and
 ``load_models_exp3`` are one call of each loader on the shipped table 1
 catalog, the shipped exp3 scenario and the models calibrated from it, the
-files every ``fuse`` and ``calibrate`` call reads. The scenario files are
+files every ``fuse`` and ``calibrate`` call reads, and ``save_models_exp3``
+is one call of the writer on those models. The scenario files are
 loaded, and the models, the streams and the scenario copy written, once,
 outside the timed calls; every timed call writes into one temporary
 directory.
@@ -50,7 +53,8 @@ from attrfuse.experiments import (
     experiment2_threshold_comparison,
     experiment3_attribute_families,
 )
-from attrfuse.simulator import SCORE_STREAM, calibrate_scenario, derived_rng, draw_scores, load_scenario
+from attrfuse.simulator import SCORE_STREAM, calibrate_scenario, derived_rng, draw_scores, draw_training_sets
+from attrfuse.simulator import load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SEED = 99  # the theorem suites' seed in scripts/reproduce_results.py
@@ -113,6 +117,8 @@ def harnesses(workdir: Path):
     exp2 = load_scenario(REPO / "scenarios" / "exp2.json")
     exp3 = load_scenario(REPO / "scenarios" / "exp3.json")
     fuse = fuse_argvs(exp3, workdir)
+    exp3_x10 = scaled_exp3(10, workdir)
+    exp3_models = load_models(workdir / "models.json", exp3.catalog)
     return {
         "convergence_suite_4000": lambda: convergence_suite(4000, SEED),
         "experiment3_1200": lambda: experiment3_attribute_families(exp3, trials=1200),
@@ -127,11 +133,13 @@ def harnesses(workdir: Path):
         ),
         "calibrate_exp3_x10": functools.partial(
             quiet,
-            ["calibrate", "--scenario", str(scaled_exp3(10, workdir)), "--out", str(workdir / "calibrated.json")],
+            ["calibrate", "--scenario", str(exp3_x10), "--out", str(workdir / "calibrated.json")],
         ),
+        "draw_training_sets_exp3_x10": functools.partial(draw_training_sets, load_scenario(exp3_x10)),
         "load_catalog_table1": functools.partial(load_catalog, REPO / "catalogs" / "table1.json"),
         "load_scenario_exp3": functools.partial(load_scenario, REPO / "scenarios" / "exp3.json"),
         "load_models_exp3": functools.partial(load_models, workdir / "models.json", exp3.catalog),  # fuse_argvs saved it
+        "save_models_exp3": functools.partial(save_models, exp3_models, exp3.catalog, workdir / "saved.json"),
     }
 
 

@@ -384,18 +384,36 @@ def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
         return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
+# A bin record's fields, one per line at the depth ``json.dumps(..., indent=2)`` gives them in models.json. With no
+# indent the encoder runs in C; with one, CPython encodes in Python.
+_bin_fields = json.JSONEncoder(separators=(",\n" + " " * 10, ": ")).encode
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of the encoded ``items``, each on its own lines, its closing bracket at ``indent``, as
+    ``indent=2`` lays it out."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
 def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, path: str | Path) -> None:
-    """Persist calibrated models keyed by attribute id; each bin record is written under its key in the model."""
-    entries = [
-        {
-            "attribute": catalog.attributes[i],
-            "orientation": models[i].orientation,
-            # vars(): the record's fields in their order, "reliable" last
-            "bins": [{"bin": k, **vars(cal)} for k, cal in sorted(models[i].calibrations.items())],
-        }
-        for i in sorted(models)
-    ]
-    Path(path).write_text(json.dumps({"models": entries}, indent=2) + "\n")
+    """Persist calibrated models keyed by attribute id; each bin record is written under its key in the model.
+
+    The file is ``json.dumps({"models": [...]}, indent=2)`` and a newline,
+    byte for byte, with each bin record's fields encoded in C.
+    """
+    entries = []
+    for i in sorted(models):
+        # vars(): the record's fields in their order, "reliable" last
+        bins = [
+            "        {\n          " + _bin_fields({"bin": k, **vars(cal)})[1:-1] + "\n        }"
+            for k, cal in sorted(models[i].calibrations.items())
+        ]
+        entries.append(
+            f'    {{\n      "attribute": {json.dumps(catalog.attributes[i])},\n'
+            f'      "orientation": {json.dumps(models[i].orientation)},\n'
+            f'      "bins": {_json_list(bins, "      ")}\n    }}'
+        )
+    Path(path).write_text(f'{{\n  "models": {_json_list(entries, "  ")}\n}}\n')
 
 
 def _bin_record(where: str, rec: dict) -> tuple[int, BinCalibration]:

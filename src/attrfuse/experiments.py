@@ -110,7 +110,7 @@ def experiment1_distribution_shift(
     n_pos = counts[0] if n_pos is None else n_pos
     n_neg = counts[1] if n_neg is None else n_neg
     pos_scores, neg_scores = zip(
-        *(_class_scores(scenario, i, k, n_pos, n_neg, derived_rng(seed, SCORE_STREAM, k)) for k in range(scenario.n_bins))
+        *(_class_scores(scenario, [(i, k, n_pos, n_neg)], derived_rng(seed, SCORE_STREAM, k))[0] for k in range(scenario.n_bins))
     )
 
     everything = np.concatenate(pos_scores + neg_scores)

@@ -117,7 +117,7 @@ def stream_keys(seed: int | np.ndarray, *key: int | np.ndarray) -> np.ndarray:
     every stream at once. A scalar entry may be any non-negative integer and
     is split into 32-bit words as SeedSequence splits it; an array entry
     must be one word, in ``[0, 2**32)``. Loaded with counter 0 and an empty
-    buffer (:func:`load_key`), a key gives the same stream as
+    buffer (:func:`stream_starts`), a key gives the same stream as
     ``derived_rng(seed, *key)``.
     """
     words: list = []
@@ -168,14 +168,8 @@ def _start_state(key) -> dict:
     }
 
 
-def load_key(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
-    """``rng`` (a Philox generator) set to the start of the stream with ``key``: counter 0, empty buffer."""
-    rng.bit_generator.state = _start_state(key)
-    return rng
-
-
 def stream_starts(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """One Philox generator set in turn to the start of each key's stream, as :func:`load_key` sets it.
+    """One Philox generator set in turn to the start of each key's stream: counter 0, empty buffer.
 
     The generator and one state dict serve every key: only the dict's key,
     as Python ints, changes from one stream to the next.
@@ -364,20 +358,36 @@ def _not_finite(scenario: Scenario, i: int, truth: str, k: int, kind: str = "") 
 
 
 def _class_scores(
-    scenario: Scenario, i: int, k: int, n_pos: int, n_neg: int, rng: np.random.Generator, bias: TrainingBias | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``n_pos`` positive, then ``n_neg`` negative scores of attribute ``i`` in bin ``k`` from ``rng``, with
-    ``bias`` applied to the score models when given; a draw that is not finite raises a ScenarioError."""
-    drawn = []
-    for truth, n in (("pos", n_pos), ("neg", n_neg)):
-        model = scenario.score_models[(i, truth, k)]
-        mean, std = model.mean, model.stddev
-        if bias is not None:
-            mean, std = mean + getattr(bias, f"{truth}_mean_shift"), std * getattr(bias, f"{truth}_std_scale")
-        drawn.append(rng.normal(mean, std, size=n))
-        if not np.isfinite(drawn[-1]).all():
-            raise _not_finite(scenario, i, truth, k, "" if bias is None else "training ")
-    return drawn[0], drawn[1]
+    scenario: Scenario, sets: Sequence[tuple[int, int, int, int]], rng: np.random.Generator, bias: TrainingBias | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The positive and negative scores of each (attribute ``i``, bin ``k``, ``n_pos``, ``n_neg``) of ``sets``, with
+    ``bias`` applied to the score models when given.
+
+    One ``rng.standard_normal`` call draws them all: set by set, ``n_pos``
+    positive then ``n_neg`` negative scores. Each class's slice ``z``
+    becomes ``z * std + mean`` in place, bit for bit the
+    ``rng.normal(mean, std, n)`` calls of each class in turn, and the pairs
+    are views of the one array. A draw that is not finite raises a
+    ScenarioError naming the first such class in draw order.
+    """
+    classes = [(i, truth, k, n) for i, k, n_pos, n_neg in sets for truth, n in (("pos", n_pos), ("neg", n_neg))]
+    scores = rng.standard_normal(sum(n for *_, n in classes))
+    parts, start = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, truth, k, n in classes:
+            model = scenario.score_models[(i, truth, k)]
+            mean, std = model.mean, model.stddev
+            if bias is not None:
+                mean, std = mean + getattr(bias, f"{truth}_mean_shift"), std * getattr(bias, f"{truth}_std_scale")
+            part = scores[start : start + n]
+            part *= std
+            part += mean
+            parts.append(part)
+            start += n
+    if not np.isfinite(scores).all():
+        i, truth, k, _ = next(c for c, part in zip(classes, parts) if not np.isfinite(part).all())
+        raise _not_finite(scenario, i, truth, k, "" if bias is None else "training ")
+    return list(zip(parts[::2], parts[1::2]))
 
 
 def draw_training_sets(
@@ -386,12 +396,13 @@ def draw_training_sets(
 ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """Training scores for every (attribute, bin) with the training bias applied; counts scale with the label split.
 
-    A constant attribute has nothing to calibrate and gets no sets.
+    Every score comes from one :func:`_class_scores` draw, attribute-major,
+    then bin. A constant attribute has nothing to calibrate and gets no sets.
     """
     rng = derived_rng(scenario.seed, CALIBRATION_STREAM) if rng is None else rng
-    counts = {i: n for i in range(scenario.catalog.n_attributes) if (n := _class_counts(scenario, i))}
-    bias, bins = scenario.training_bias, range(scenario.n_bins)
-    return {(i, k): _class_scores(scenario, i, k, *n, rng, bias) for i, n in counts.items() for k in bins}
+    bins = range(scenario.n_bins)
+    sets = [(i, k, *n) for i in range(scenario.catalog.n_attributes) if (n := _class_counts(scenario, i)) for k in bins]
+    return dict(zip([(i, k) for i, k, *_ in sets], _class_scores(scenario, sets, rng, scenario.training_bias)))
 
 
 def _model_set(scenario: Scenario, training_sets: TrainingSets, calibrate: Callable) -> dict[int, ClassifierModel]:

@@ -16,7 +16,10 @@ is the reference for the padded pass, and the per-key loop
 product and buffered sums. The per-pair candidate sweep
 (``reference_sweep``: sorted classes counted with ``np.searchsorted``) and
 the two pick rules on it are the reference for the batched calibration
-sweep, record for record. These references may import package
+sweep, record for record. The per-class ``Generator.normal`` loop
+(``reference_class_scores``, ``reference_training_sets``) is the reference
+for the one-call training draw, and ``json.dumps(..., indent=2)``
+(``reference_models_text``) for the models writer. These references may import package
 types (the models and scenarios they read), the
 ``factor_table``/``tally``/``map_log_weights`` sums and the shared
 exact-recognition case draw, but none of the batched code paths they
@@ -24,6 +27,7 @@ check. ``make_synthetic_model`` builds the models
 with stated predictive values that the posterior and theory tests feed
 them, and ``factor_codes`` codes their outcomes as one engine row.
 """
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +40,7 @@ from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, CalibrationError, ClassifierModel
 from attrfuse.experiments import _draw_exact_cases
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
+from attrfuse.simulator import _not_finite
 from attrfuse.theory import required_predictive_values
 
 
@@ -317,6 +322,50 @@ def reference_tally(log_prior, counts, table):
         hits += count * zero[..., key, :]
         finite += count * finite_table[..., key, :]
     return hits, finite
+
+
+def reference_class_scores(scenario, i, k, n_pos, n_neg, rng, bias=None):
+    """``n_pos`` positive, then ``n_neg`` negative scores of attribute ``i`` in bin ``k``, one ``rng.normal`` call per
+    class, with ``bias`` applied to the score models when given; a draw that is not finite raises the located
+    ScenarioError."""
+    drawn = []
+    for truth, n in (("pos", n_pos), ("neg", n_neg)):
+        model = scenario.score_models[(i, truth, k)]
+        mean, std = model.mean, model.stddev
+        if bias is not None:
+            mean, std = mean + getattr(bias, f"{truth}_mean_shift"), std * getattr(bias, f"{truth}_std_scale")
+        drawn.append(rng.normal(mean, std, size=n))
+        if not np.isfinite(drawn[-1]).all():
+            raise _not_finite(scenario, i, truth, k, "" if bias is None else "training ")
+    return drawn[0], drawn[1]
+
+
+def reference_training_sets(scenario, rng):
+    """The training sets of every mixed attribute and bin, attribute-major, then bin, drawn by
+    :func:`reference_class_scores` with the training bias from ``rng``."""
+    catalog, cfg = scenario.catalog, scenario.calibration
+    sets = {}
+    for i in range(catalog.n_attributes):
+        n_with = int(catalog.matrix[:, i].sum())
+        if 0 < n_with < catalog.n_objects:
+            n_pos, n_neg = cfg.n_pos_per_object * n_with, cfg.n_neg_per_object * (catalog.n_objects - n_with)
+            for k in range(scenario.n_bins):
+                sets[(i, k)] = reference_class_scores(scenario, i, k, n_pos, n_neg, rng, scenario.training_bias)
+    return sets
+
+
+def reference_models_text(models, catalog):
+    """The text ``save_models`` writes: the models by attribute id, each bin record under its key, through
+    ``json.dumps`` at ``indent=2``."""
+    entries = [
+        {
+            "attribute": catalog.attributes[i],
+            "orientation": models[i].orientation,
+            "bins": [{"bin": k, **vars(cal)} for k, cal in sorted(models[i].calibrations.items())],
+        }
+        for i in sorted(models)
+    ]
+    return json.dumps({"models": entries}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

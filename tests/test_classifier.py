@@ -32,7 +32,8 @@ from attrfuse.classifier import (
 from attrfuse.simulator import calibrate_from_sets, calibrate_scenario, classify_scores, derived_rng, draw_training_sets
 
 from json_mutations import mutated
-from oracles import bayes_threshold_oracle, calibrate_oracle, count_rates, reference_calibrate_bin, reference_single_threshold
+from oracles import bayes_threshold_oracle, calibrate_oracle, count_rates, reference_calibrate_bin, reference_models_text
+from oracles import reference_single_threshold
 
 scores = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 score_lists = st.lists(scores, min_size=1, max_size=30)
@@ -414,6 +415,53 @@ class TestPersistence:
             path = Path(tmp) / "models.json"
             save_models(models, catalog, path)
             assert load_models(path, catalog) == models
+
+
+# attribute ids that JSON escapes or that look like the writer's own layout, and non-ASCII text
+attribute_ids = st.sampled_from(['say "hi"', "back\\slash", ",\n          : ", "caf\u00e9 \u2713", "\U0001f600"]) | st.text(
+    st.sampled_from(['"', "\\", ",", "\n", " ", ":", "{", "}", "a", "\u00e9", "\u2603", "\x00", "\t"]), min_size=1, max_size=8
+)
+rates = st.floats(0, 1) | st.sampled_from([0, 1, 0.0, 1.0])  # integer-valued rates, as ints and as floats
+thresholds = st.floats(-1e300, 1e300) | st.sampled_from([0, -0.0, 5, 1e16])
+
+
+@st.composite
+def bin_records(draw, orientation):
+    """A reliable record with uncrossed thresholds, or an unreliable one whose thresholds and predictive values may
+    be null."""
+    reliable = draw(st.booleans())
+    if reliable:
+        low, high = sorted(draw(st.tuples(thresholds, thresholds)))
+        theta_pos, theta_neg = (low, high) if orientation == "lower_is_positive" else (high, low)
+        ppv, npv = draw(rates), draw(rates)
+    else:
+        theta_pos, theta_neg = draw(st.none() | thresholds), draw(st.none() | thresholds)
+        ppv, npv = draw(st.none() | rates), draw(st.none() | rates)
+    return BinCalibration(theta_pos, theta_neg, ppv, npv, *(draw(rates) for _ in range(4)), reliable)
+
+
+@st.composite
+def model_sets(draw):
+    """A catalog and models of a subset of its attributes, which may be empty; a model may have no bins."""
+    ids = draw(st.lists(attribute_ids, min_size=1, max_size=4, unique=True))
+    catalog = ObjectCatalog(("a", "b"), tuple(ids), np.array([[1] * len(ids), [0] * len(ids)]), np.array([0.5, 0.5]))
+    models = {}
+    for i in draw(st.lists(st.integers(0, len(ids) - 1), unique=True)):
+        orientation = draw(st.sampled_from(["lower_is_positive", "higher_is_positive"]))
+        bins = draw(st.dictionaries(st.integers(0, 20), bin_records(orientation), max_size=3))
+        models[i] = ClassifierModel(i, orientation, bins)
+    return catalog, models
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_sets())
+def test_saved_models_are_the_indented_json_dump(model_set):
+    """``save_models`` writes the bytes of ``json.dumps({"models": entries}, indent=2)`` and a newline."""
+    catalog, models = model_set
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "models.json"
+        save_models(models, catalog, path)
+        assert path.read_bytes() == reference_models_text(models, catalog).encode()
 
 
 @pytest.mark.parametrize("calibrate", [calibrate_bin, single_threshold_calibration])

@@ -16,8 +16,8 @@ from attrfuse.simulator import (
     ScoreModel,
     decide_episodes,
     derived_rng,
-    load_key,
     stream_keys,
+    stream_starts,
 )
 from attrfuse.experiments import (
     EXP1_BANDWIDTH,
@@ -167,10 +167,9 @@ def assert_pass_decides_as_reference(cases, seed):
     Returns each case's (objects, attributes).
     """
     truths, tied, log_weights = decide_exact_cases(cases, seed)
-    rng = np.random.Generator(np.random.Philox(0))
     shapes = []
     for c, key in enumerate(stream_keys(seed, CASE_STREAM, np.arange(cases))):
-        catalog, stats, keys, truth, observed = random_exact_recognition_case(load_key(rng, key))
+        catalog, stats, keys, truth, observed = random_exact_recognition_case(next(stream_starts(key[None])))
         episodes = decide_episodes(observed[None], keys, catalog, stats, [observed.size], lambda _: key[None])
         n = catalog.n_objects
         assert truths[c] == truth

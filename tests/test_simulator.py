@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import json
+import math
 import re
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from attrfuse.simulator import (
     ScenarioError,
     ScoreModel,
     TrainingBias,
+    _class_scores,
     calibrate_scenario,
     classify_scores,
     decide_episodes,
@@ -33,6 +37,7 @@ from attrfuse.simulator import (
 )
 
 from json_mutations import mutated
+from oracles import reference_class_scores, reference_training_sets
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 # the exp3 scenario with its catalog path made absolute, so that a copy loads from any directory
@@ -404,15 +409,96 @@ class TestTrainingSets:
     def test_default_per_object_training_count(self):
         assert CalibrationConfig().n_pos_per_object == 20
 
-    def test_zero_spread_scale_draws_at_the_mean(self, tmp_path, repo_root):
+    # numpy's Generator.normal rejects a scale of -0.0 ("scale < 0"), which the scenario loader accepts; scaling the
+    # standard draws takes it as 0
+    @pytest.mark.parametrize("scale", [0, -0.0])
+    def test_zero_spread_scale_draws_at_the_mean(self, tmp_path, repo_root, scale):
         raw = json.loads((repo_root / "scenarios" / "exp2.json").read_text())
         raw["catalog"] = str(repo_root / "catalogs" / "exp2.json")
-        raw["training_bias"] = {"pos_mean_shift": -1.0, "pos_std_scale": 0}
+        raw["training_bias"] = {"pos_mean_shift": -1.0, "pos_std_scale": scale}
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(raw))
         scn = load_scenario(path)
         pos, _ = draw_training_sets(scn, derived_rng(2, 0))[(0, 0)]
         assert pos.size > 0 and pos.tolist() == [scn.score_models[(0, "pos", 0)].mean - 1.0] * pos.size
+
+    @staticmethod
+    def mixed_scenario(score_models, bins, n_per_object=(5, 5), bias=TrainingBias()):
+        """A three-object scenario whose attributes 0 and 1 are mixed; attribute 2, on every object, gets no sets."""
+        catalog = ObjectCatalog(
+            objects=("a", "b", "c"),
+            attributes=("x", "y", "z"),
+            matrix=np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1]]),
+            priors=np.full(3, 1 / 3),
+        )
+        return Scenario(
+            catalog=catalog,
+            bins=tuple((10.0 * k, 10.0 * (k + 1)) for k in range(bins)),
+            score_models={key: score_models(*key) for key in itertools.product(range(3), ("pos", "neg"), range(bins))},
+            seed=0,
+            calibration=CalibrationConfig(n_pos_per_object=n_per_object[0], n_neg_per_object=n_per_object[1]),
+            training_bias=bias,
+        )
+
+    @staticmethod
+    def assert_draws_equal(draw, reference, seed):
+        """``draw`` and ``reference``, each given a fresh generator of stream ``(seed, CALIBRATION_STREAM)``, return
+        the same sets bit for bit, or raise the same ScenarioError."""
+        try:
+            expected = reference(derived_rng(seed, CALIBRATION_STREAM))
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as raised:
+                draw(derived_rng(seed, CALIBRATION_STREAM))
+            assert str(raised.value) == str(exc)
+            return
+        sets = draw(derived_rng(seed, CALIBRATION_STREAM))
+        assert list(sets) == list(expected)
+        for key, pair in expected.items():
+            assert [a.view(np.int64).tolist() for a in sets[key]] == [a.view(np.int64).tolist() for a in pair]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_draw_equals_the_per_class_loop(self, data):
+        """The one standard-normal call, scaled class by class, against a ``Generator.normal`` call per class, on
+        both paths: the training sets with their bias, and exp1's one set per call without one. Means may be -0.0,
+        spread scales 0 and shifts negative; one spread of 1e308 can overflow, and then both raise."""
+        bins = data.draw(st.integers(1, 3), label="bins")
+        n_pos, n_neg = data.draw(st.tuples(st.integers(1, 30), st.integers(1, 30)), label="per object")
+        means = st.floats(-1e3, 1e3) | st.just(-0.0)
+        models = st.builds(ScoreModel, st.just("gaussian"), means, st.floats(1e-3, 1e3) | st.just(math.ulp(0.0)))
+        drawn = {key: data.draw(models) for key in itertools.product(range(3), ("pos", "neg"), range(bins))}
+        if huge := data.draw(st.none() | st.sampled_from(sorted(drawn)), label="1e308 spread"):
+            drawn[huge] = ScoreModel("gaussian", drawn[huge].mean, 1e308)
+        shifts, scales = st.floats(-50, 50) | st.just(-0.0), st.sampled_from([0.0, 1.0]) | st.floats(0, 10)
+        bias = data.draw(st.builds(TrainingBias, shifts, shifts, scales, scales), label="bias")
+        scn = self.mixed_scenario(lambda *key: drawn[key], bins, (n_pos, n_neg), bias)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        self.assert_draws_equal(partial(draw_training_sets, scn), partial(reference_training_sets, scn), seed)
+        k = data.draw(st.integers(0, bins - 1), label="exp1 bin")
+        self.assert_draws_equal(
+            lambda rng: dict(enumerate(_class_scores(scn, [(0, k, n_pos, n_neg)], rng))),
+            lambda rng: {0: reference_class_scores(scn, 0, k, n_pos, n_neg, rng)},
+            seed,
+        )
+
+    def test_unbiased_draw_keeps_a_negative_zero_mean(self):
+        """exp1's sampler adds no shift: a -0.0 mean stays -0.0 where the scaled draw underflows to -0.0."""
+        scn = self.mixed_scenario(lambda *_: ScoreModel("gaussian", -0.0, math.ulp(0.0)), 1)
+        pos, neg = _class_scores(scn, [(0, 0, 100, 100)], derived_rng(3, CALIBRATION_STREAM))[0]
+        ref_pos, ref_neg = reference_class_scores(scn, 0, 0, 100, 100, derived_rng(3, CALIBRATION_STREAM))
+        assert np.signbit(pos[pos == 0]).any()  # -0.0 + -0.0; a shift of 0.0 would have made it 0.0
+        assert pos.view(np.int64).tolist() == ref_pos.view(np.int64).tolist()
+        assert neg.view(np.int64).tolist() == ref_neg.view(np.int64).tolist()
+
+    def test_first_draw_that_is_not_finite_is_named(self):
+        """Every set is drawn before any is checked, and the error names the first class in draw order that is
+        not finite, as the per-class loop does."""
+        huge = ScoreModel("gaussian", 1.7e308, 1e308)
+        scn = self.mixed_scenario(lambda i, truth, k: huge if (i, k) == (1, 1) else ScoreModel("gaussian", 0.0, 1.0), 2)
+        message = "key 'score_models': score model for attribute 'y', truth 'pos', bin 1 draws training scores that are not finite"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            draw_training_sets(scn, derived_rng(0, CALIBRATION_STREAM))
+        self.assert_draws_equal(partial(draw_training_sets, scn), partial(reference_training_sets, scn), 0)
 
     def test_bias_shifts_training_draws(self):
         scn = tiny_scenario(training_bias=TrainingBias(neg_mean_shift=-30.0, neg_std_scale=0.5))
