@@ -9,8 +9,10 @@ one perfbench ``exp3_families`` op, where the per-bin fixed costs weigh most;
 ``experiment1_10000`` is exp1 at the 10^4 draws per bin and class that
 ``scripts/reproduce_results.py`` asks for. ``fuse_10000``
 is ``attrfuse fuse`` through ``cli.main`` on a fixed 10^4-line stream in
-bin 1 over the exp3 models, and ``fuse_10`` the same on the stream's first 10 lines, which shows the
-per-call cost. ``fuse_tie`` is the same call on the four-line ``tie`` stream
+bin 1 over the exp3 models, and ``fuse_1000`` and ``fuse_10`` the same on
+the stream's first 10^3 and 10 lines: ``fuse_10`` shows the per-call cost,
+and the step from ``fuse_1000`` to ``fuse_10000`` the per-line cost of the
+observation reader. ``fuse_tie`` is the same call on the four-line ``tie`` stream
 of ``tests/test_golden.py`` at ``--seed 0``: objects 7, 8 and 9 tie in the
 posterior and the prior, so the call pays the seeded pick's Philox pass,
 which no line of the other two streams reaches. ``calibrate_exp3`` is
@@ -59,7 +61,7 @@ from attrfuse.simulator import load_scenario
 REPO = Path(__file__).resolve().parents[1]
 SEED = 99  # the theorem suites' seed in scripts/reproduce_results.py
 REPEATS = 3
-FUSE_LINES = (10, 10_000)
+FUSE_LINES = (10, 1_000, 10_000)
 # the golden ``tie`` stream: its adopted lines leave objects 7, 8 and 9 tied, and --seed picks the winner
 TIE_STREAM = """attribute,bin,score
 bottle shape,1,10.0

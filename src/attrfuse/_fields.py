@@ -103,6 +103,8 @@ def _nullable(convert: Callable) -> Callable:
 
 _mapping, _string, _boolean = _typed(dict, "an object"), _typed(str, "a string"), _typed(bool, "true or false")
 _integer = _ranged((int,), -math.inf, math.inf, "an integer")
+# a bin index: the engine codes (attribute, bin) pairs in int64, and ``fuse`` indexes bins as numpy integers
+_bin = _ranged((int,), 0, 2**31 - 1, "an integer in [0, 2**31)")
 _count = _ranged((int,), 1, math.inf, "a positive integer")
 _bit = _ranged((int,), 0, 1, "0 or 1")
 _number = _ranged((int, float), -_MAX, _MAX, "a finite number")

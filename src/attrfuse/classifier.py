@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Literal, Mapping, NamedTuple, Sequence, g
 
 import numpy as np
 
-from attrfuse._fields import Orientation, _attribute, _boolean, _integer, _list, _mapping, _number, _number_or_null
+from attrfuse._fields import Orientation, _attribute, _bin, _boolean, _list, _mapping, _number, _number_or_null
 from attrfuse._fields import _orientation, _rate, _rate_or_null, read_field, read_json
 from attrfuse.catalog import ObjectCatalog
 
@@ -418,7 +418,7 @@ def save_models(models: Mapping[int, ClassifierModel], catalog: ObjectCatalog, p
 
 def _bin_record(where: str, rec: dict) -> tuple[int, BinCalibration]:
     """One saved bin record of the attribute at ``where``, with its bin; a ModelFileError names the bin and the key."""
-    k = read_field(ModelFileError, where, rec, "bin", _integer)
+    k = read_field(ModelFileError, where, rec, "bin", _bin)
     where = f"{where}: bin {k}"
     reliable = read_field(ModelFileError, where, rec, "reliable", _boolean)
     # an unreliable bin may leave its thresholds and predictive values null
@@ -440,8 +440,8 @@ def load_models(path: str | Path, catalog: ObjectCatalog) -> dict[int, Classifie
     """Load models persisted by :func:`save_models`, resolving attribute ids via the catalog.
 
     A malformed file raises :class:`ModelFileError` naming the file, the attribute, the bin and the key. Each
-    attribute, and each bin of it, appears once. Reliable bins need finite thresholds and predictive values in
-    [0, 1]; unreliable ones may leave them null.
+    attribute, and each bin of it, appears once, and each bin is an integer in [0, 2**31). Reliable bins need
+    finite thresholds and predictive values in [0, 1]; unreliable ones may leave them null.
     """
     _, raw = read_json(path, ModelFileError, "models")
     attribute, records = _attribute(catalog.attributes), partial(_list, item=_mapping)

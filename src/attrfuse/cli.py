@@ -11,7 +11,7 @@ import math
 import operator
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from pathlib import Path
 
 import numpy as np
@@ -46,24 +46,72 @@ from attrfuse.simulator import (
 _HEADER = ("attribute", "bin", "score")
 _SKIPPED = frozenset(("", "#")).__contains__  # first character of a blank or comment line
 _FIRST = operator.itemgetter(slice(1))
+_MISSED = -1  # the code of a field that no lookup finds; it indexes the last row or column of the check table
 
 
-def _factorized(items: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct items in first-seen order, and the index of each item among them."""
-    codes = {item: n for n, item in enumerate(dict.fromkeys(items))}
-    return list(codes), np.fromiter(map(codes.__getitem__, items), np.intp, len(items))
+def _fields(lines: list[str]) -> list[str] | None:
+    """The fields of ``lines``, three a line, or None when some line has another count.
+
+    No line holds a line break, so a "\n" can mark the last field of every
+    line but the last. Each field holds at most one mark, so every line has 3
+    fields iff there are 3 per line and the marks all sit in every third field.
+    The fields are not stripped, and the marks stay in them.
+    """
+    fields = "\n,".join(lines).split(",") if lines else []
+    if len(fields) != 3 * len(lines) or "".join(fields[2::3]).count("\n") != max(len(lines) - 1, 0):
+        return None
+    return fields
 
 
-def _read_observation_columns(path: Path) -> tuple[np.ndarray, list[str], list[int], np.ndarray, np.ndarray]:
-    """Parse observation lines `attribute,bin,score` into columns.
+def _codes(table: Mapping[str, int], fields: list[str], retry: Callable[[str], int]) -> np.ndarray:
+    """Each field's code in ``table``, one lookup per field; each distinct field that misses takes ``retry`` once."""
+    codes = np.fromiter(map(table.get, fields, itertools.repeat(_MISSED)), np.intp, len(fields))
+    missed = np.flatnonzero(codes == _MISSED).tolist()
+    if missed:
+        again = {field: retry(field) for field in {fields[n] for n in missed}}
+        codes[missed] = [again[fields[n]] for n in missed]
+    return codes
 
-    The columns are the line numbers, the attributes, the distinct bin values
-    with each line's index into them, and the scores. One leading UTF-8
-    byte-order mark, blank lines, #-comments and `attribute,bin,score`
-    headers before the first observation are skipped. The lines are split,
-    stripped and converted in bulk, and each distinct bin string is parsed
-    once; only a malformed file is walked line by line, to name the first
-    line with the wrong field count or an unparsable bin or score.
+
+def _scores(fields: list[str]) -> np.ndarray:
+    """The fields read by ``float``; a ValueError if one does not parse once stripped."""
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:  # "\x1f" pads a field for strip() but not for float()
+        return np.fromiter(map(float, map(str.strip, fields)), float, len(fields))
+
+
+def _stop_at_parse_error(
+    path: Path, lines: list[str], numbers: np.ndarray, bin_fields: list[str], score_fields: list[str]
+) -> None:
+    """Stop the run at the first line whose stripped bin or score Python's ``int`` or ``float`` does not read."""
+    for n, (bin_field, score_field) in enumerate(zip(bin_fields, score_fields)):
+        try:
+            int(bin_field.strip()), float(score_field.strip())
+        except ValueError:
+            raise SystemExit(f"{path}:{numbers[n]}: could not parse bin/score in {lines[numbers[n] - 1]!r}") from None
+
+
+def _read_observations(
+    path: Path, catalog: ObjectCatalog, models: Mapping[int, ClassifierModel]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line numbers, attribute indices, bins and scores of the observation lines `attribute,bin,score`, once every
+    line passes the checks.
+
+    One leading UTF-8 byte-order mark, blank lines, #-comments and
+    `attribute,bin,score` headers before the first observation are skipped;
+    a file with no blank line and no "#" keeps every line without building
+    a skip mask. The lines are split into fields in bulk and the scores are
+    converted in one numpy call. Each attribute field is one dictionary
+    lookup among the catalog's ids, and each bin field one among the decimal
+    forms of the calibrated bins; only the distinct fields that miss are
+    stripped, parsed with ``int`` and looked up again. A malformed file is
+    walked line by line to name its first line with the wrong field count or
+    an unparsable bin or score. Then the checks are, in order: a known
+    attribute, a calibrated model for it, a finite score and a bin its model
+    calibrates, as one gather from an (attribute, bin) table; the first
+    failing line in file order stops the run with the message of its first
+    failing check.
     """
     try:
         data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
@@ -75,70 +123,50 @@ def _read_observation_columns(path: Path) -> tuple[np.ndarray, list[str], list[i
         line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise SystemExit(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     lines = text.splitlines()
-    stripped = list(map(str.strip, lines))
-    kept_mask = ~np.fromiter(map(_SKIPPED, map(_FIRST, stripped)), bool, len(stripped))
-    kept = list(itertools.compress(stripped, kept_mask.tolist()))
-    numbers = np.flatnonzero(kept_mask) + 1
-    # No kept line holds a line break, so a "\n" can mark the last field of
-    # every line but the last. Each field holds at most one mark, so every
-    # line has 3 fields iff there are 3 per line and the marks all sit in
-    # every third field.
-    fields = "\n,".join(kept).split(",") if kept else []
+    numbers = np.arange(1, len(lines) + 1)
+    # a line with 3 fields is not blank, so without a "#" every line is an observation or header line
+    fields = None if "#" in text else _fields(lines)
     misfit = None  # the first line without 3 fields
-    if len(fields) != 3 * len(kept) or "".join(fields[2::3]).count("\n") != max(len(kept) - 1, 0):
-        misfit = next(n for n, line in enumerate(kept) if line.count(",") != 2)
-        fields = ",".join(kept[:misfit]).split(",") if misfit else []
-    fields = list(map(str.strip, fields))
-    start = len(list(itertools.takewhile(_HEADER.__eq__, zip(*[iter(fields)] * 3))))
-    del fields[: 3 * start]  # the leading header lines
-    attributes, bin_fields, score_fields = fields[0::3], fields[1::3], fields[2::3]
-    distinct_bins, bin_codes = _factorized(bin_fields)
-    bin_values = {}  # each distinct parsable bin string and its value, in first-seen order
-    for field in distinct_bins:
-        with contextlib.suppress(ValueError):
-            bin_values[field] = int(field)
-    try:
-        scores = np.array(score_fields, dtype=float)
-    except ValueError:
-        scores = None
-    if scores is None or len(bin_values) < len(distinct_bins):
-        for n, (bin_field, score_field) in enumerate(zip(bin_fields, score_fields)):
-            try:
-                int(bin_field), float(score_field)
-            except ValueError:
-                line_no = numbers[start + n]
-                raise SystemExit(f"{path}:{line_no}: could not parse bin/score in {lines[line_no - 1]!r}") from None
+    if fields is None:
+        kept_mask = ~np.fromiter(map(_SKIPPED, map(_FIRST, map(str.strip, lines))), bool, len(lines))
+        kept = list(itertools.compress(lines, kept_mask.tolist()))
+        numbers = np.flatnonzero(kept_mask) + 1
+        fields = _fields(kept)
+        if fields is None:
+            misfit = next(n for n, line in enumerate(kept) if line.count(",") != 2)
+            fields = ",".join(kept[:misfit]).split(",") if misfit else []
+    start = len(list(itertools.takewhile(lambda row: tuple(map(str.strip, row)) == _HEADER, zip(*[iter(fields)] * 3))))
+    numbers = numbers[start:]
+    attribute_fields, bin_fields, score_fields = (fields[3 * start + c :: 3] for c in range(3))
     if misfit is not None:
-        line_no = numbers[misfit]
+        _stop_at_parse_error(path, lines, numbers, bin_fields, score_fields)
+        line_no = numbers[misfit - start]
         raise SystemExit(f"{path}:{line_no}: expected `attribute,bin,score`, got {lines[line_no - 1]!r}")
-    return numbers[start:], attributes, list(bin_values.values()), bin_codes, scores
-
-
-def _checked_observations(
-    path: Path, catalog: ObjectCatalog, models: Mapping[int, ClassifierModel], columns: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Line numbers, attribute indices, bins and scores of the observation columns, once every line passes the checks.
-
-    The checks are, in order: a known attribute, a calibrated model for it,
-    a finite score and a bin its model calibrates. Each distinct attribute
-    is looked up once and each distinct (attribute, bin) pair checked once;
-    the first failing line in file order stops the run with the message of
-    its first failing check.
-    """
-    numbers, attributes, bin_values, bin_codes, scores = columns
-    index = {attribute: i for i, attribute in enumerate(catalog.attributes)}
-    distinct, attribute_codes = _factorized(attributes)
-    modeled = np.array([index[a] if index.get(a) in models else -1 for a in distinct], dtype=np.intp)
-    pair_key = attribute_codes * len(bin_values) + bin_codes
-    _, first, pair_codes = np.unique(pair_key, return_index=True, return_inverse=True)
-    pairs = zip(modeled[attribute_codes[first]].tolist(), bin_codes[first].tolist())  # each distinct pair once
-    known = np.array([i >= 0 and bin_values[k] in models[i].calibrations for i, k in pairs], dtype=bool)
-    failed = ~known[pair_codes] | ~np.isfinite(scores)
+    bin_values = sorted({k for model in models.values() for k in model.calibrations})
+    bin_column = {k: j for j, k in enumerate(bin_values)}
+    try:
+        scores = _scores(score_fields)
+        bins = _codes(
+            {str(k): j for k, j in bin_column.items()}, bin_fields,
+            lambda field: bin_column.get(int(field.strip()), _MISSED),
+        )
+    except ValueError:
+        _stop_at_parse_error(path, lines, numbers, bin_fields, score_fields)
+        raise
+    # a padded catalog id never equals a stripped field, so only ids equal to their own strip() can match
+    index = {a: i for i, a in enumerate(catalog.attributes) if a == a.strip()}
+    attributes = _codes(index, attribute_fields, lambda field: index.get(field.strip(), _MISSED))
+    known = np.zeros((catalog.n_attributes + 1, len(bin_values) + 1), dtype=bool)  # False in the last row and column
+    for i, model in models.items():
+        known[i, :-1] = [k in model.calibrations for k in bin_values]
+    failed = ~known[attributes, bins] | ~np.isfinite(scores)
     if failed.any():
         n = int(np.argmax(failed))
-        message = _first_failed_check(catalog, models, attributes[n], bin_values[bin_codes[n]], float(scores[n]))
+        message = _first_failed_check(
+            catalog, models, attribute_fields[n].strip(), int(bin_fields[n].strip()), float(scores[n])
+        )
         raise SystemExit(f"{path}:{numbers[n]}: {message}")
-    return numbers, modeled[attribute_codes], np.array(bin_values, dtype=np.intp)[bin_codes], scores
+    return numbers, attributes, np.array(bin_values, dtype=np.intp)[bins], scores
 
 
 def _first_failed_check(
@@ -210,7 +238,7 @@ def _cmd_fuse(args) -> int:
     models = load_models(args.model, catalog)
     stats = compute_stats(catalog)
     obs_path = Path(args.obs)
-    numbers, attrs, bins, scores = _checked_observations(obs_path, catalog, models, _read_observation_columns(obs_path))
+    numbers, attrs, bins, scores = _read_observations(obs_path, catalog, models)
     codes, keys = classify_scores(models, attrs, bins, scores[None, :])
     constant = np.flatnonzero((codes[0] < len(keys)) & ~stats.usable[attrs])
     if constant.size:  # the first adopted line of an attribute that no object lacks or every object lacks

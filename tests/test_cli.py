@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import platform
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, load_catalog
 from attrfuse.classifier import load_models, save_models
-from attrfuse.cli import _checked_observations, _read_observation_columns, main
+from attrfuse.cli import _read_observations, main
 from attrfuse.simulator import PICK_STREAM, derived_rng, load_scenario
 from oracles import checked_observation_lines, make_synthetic_model
 
@@ -240,25 +241,42 @@ _ODD_LINE = st.sampled_from([
     st.sampled_from(["box shape", " cup shape", "bottle shape"]),
     st.sampled_from(["0", "+0", "0_0", "\u0660", "-0", "0.0", "+1", "1_0", "\u0661"]),
     st.sampled_from(["infinity", "1_0.5", "-2.5", "\u0661.5", "-0.0", "3"]),
+) | st.builds(  # fields padded by what strip() removes; "\x1f" is whitespace to strip() but not to int() or float()
+    lambda fields, pads: ",".join(before + field + after for field, (before, after) in zip(fields, pads)).encode(),
+    st.tuples(
+        st.sampled_from(["box shape", "cup shape", "no such shape"]),
+        st.sampled_from(["0", "+0", "1", "0.0"]),
+        st.sampled_from(["1.5", "-2.5", "infinity"]),
+    ),
+    st.lists(st.tuples(*[st.sampled_from(["", " ", "\t", "\xa0", "\u3000", "\x1f"])] * 2), min_size=3, max_size=3),
 )
 _BREAK = st.sampled_from([b"\n", b"\r\n", b"\r", b"\x0c", "\x85".encode(), "\u2028".encode()])
 
 
 @settings(max_examples=300, deadline=None)
-@example(lines=[(b"box shape,0", b"\n"), (b"box shape,0,1.5,2", b"\n")], fuzz=[], bom=False)
+@example(lines=[(b"box shape,0", b"\n"), (b"box shape,0,1.5,2", b"\n")], fuzz=[], bom=False, padded_id=False)
+@example(lines=[(b"\x1fbox shape\x1f,\x1f0\x1f,\x1f1.5\x1f", b"\n")], fuzz=[], bom=False, padded_id=False)
+@example(lines=[(b"box shape,0,1.5", b"\n"), (b" cup shape ,0,1.5", b"\n")], fuzz=[], bom=False, padded_id=True)
 @given(
     lines=st.lists(st.tuples(_ODD_LINE, _BREAK), max_size=8),
     fuzz=st.lists(st.tuples(st.integers(0, 8), st.tuples(_FUSE_LINE, _BREAK)), max_size=2),
     bom=st.booleans(),
+    padded_id=st.booleans(),
 )
-def test_columnar_reader_matches_line_reader(repo_root, exp2_models, lines, fuzz, bom):
+def test_columnar_reader_matches_line_reader(repo_root, exp2_models, lines, fuzz, bom, padded_id):
     """The columnar reader and checks give the line-by-line reference's rows, or its message.
 
     The one intended difference is the byte-order mark: a leading one is
-    dropped, so the reference reads the bytes without it.
+    dropped, so the reference reads the bytes without it. With ``padded_id``
+    the catalog's "cup shape" is " cup shape ", an id that no stripped field
+    matches.
     """
     catalog = load_catalog(repo_root / "catalogs" / "exp2.json")
     models = load_models(exp2_models, catalog)
+    if padded_id:
+        catalog = dataclasses.replace(
+            catalog, attributes=[f" {a} " if a == "cup shape" else a for a in catalog.attributes]
+        )
     for position, line in fuzz:
         lines.insert(position, line)
     data = (BOM if bom else b"") + b"".join(line + newline for line, newline in lines)
@@ -275,8 +293,7 @@ def test_columnar_reader_matches_line_reader(repo_root, exp2_models, lines, fuzz
     obs.write_bytes(data)
 
     def columnar():
-        columns = _checked_observations(obs, catalog, models, _read_observation_columns(obs))
-        return zip(*(column.tolist() for column in columns))
+        return zip(*(column.tolist() for column in _read_observations(obs, catalog, models)))
 
     assert outcome(columnar) == expected
 
@@ -339,6 +356,29 @@ def test_fuse_reports_malformed_model_file(repo_root, exp2_models, tmp_path):
     obs.write_text("box shape,0,1.0\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(broken))}: attribute .*'theta_pos'"):
         _fuse(repo_root, broken, obs)
+
+
+@pytest.mark.parametrize(
+    "bins, value",
+    [
+        pytest.param([2**70], 2**70, id="beyond-int64"),
+        pytest.param([2**62, -2**62], 2**62, id="pair-code-overflows"),
+        pytest.param([-1], -1, id="negative"),
+    ],
+)
+def test_fuse_reports_bin_outside_engine_range(repo_root, exp2_models, tmp_path, capsys, bins, value):
+    """A models file's bin must lie in [0, 2**31): the engine codes (attribute, bin) pairs in int64."""
+    raw = json.loads(exp2_models.read_text())
+    entry = raw["models"][0]
+    entry["bins"] = [{**entry["bins"][0], "bin": k} for k in bins]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(raw))
+    obs = tmp_path / "obs.csv"
+    obs.write_text("".join(f"{entry['attribute']},{k},1.0\n" for k in bins))
+    message = f"{broken}: attribute {entry['attribute']!r}: key 'bin' must be an integer in [0, 2**31), got {value}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        _fuse(repo_root, broken, obs)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
