@@ -55,8 +55,8 @@ from attrfuse.experiments import (
     experiment2_threshold_comparison,
     experiment3_attribute_families,
 )
-from attrfuse.simulator import SCORE_STREAM, calibrate_scenario, derived_rng, draw_scores, draw_training_sets
-from attrfuse.simulator import load_scenario
+from attrfuse.simulator import calibrate_scenario, draw_scores, draw_training_sets, load_scenario
+from attrfuse.streams import SCORE_STREAM, derived_rng
 
 REPO = Path(__file__).resolve().parents[1]
 SEED = 99  # the theorem suites' seed in scripts/reproduce_results.py

@@ -108,7 +108,7 @@ _bin = _ranged((int,), 0, 2**31 - 1, "an integer in [0, 2**31)")
 _count = _ranged((int,), 1, math.inf, "a positive integer")
 _bit = _ranged((int,), 0, 1, "0 or 1")
 _number = _ranged((int, float), -_MAX, _MAX, "a finite number")
-# the ranges calibrate_bin accepts: targets in (0, 1] (ulp(0) is the least positive float), rates in [0, 1]
+# the ranges calibrate_bins accepts: targets in (0, 1] (ulp(0) is the least positive float), rates in [0, 1]
 _target = _ranged((int, float), math.ulp(0.0), 1.0, "a finite number in (0, 1]")
 _rate = _ranged((int, float), 0.0, 1.0, "a finite number in [0, 1]")
 # a training spread scale: numpy draws at scale 0 but rejects a negative one

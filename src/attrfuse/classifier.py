@@ -9,7 +9,6 @@ do not cross; unreliable bins always classify as uncertain.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -284,10 +283,22 @@ def calibrate_bins(
     target_npv: float = DEFAULT_TARGET_NPV,
     min_detection_rate: float = DEFAULT_MIN_DETECTION_RATE,
 ) -> list[BinCalibration]:
-    """:func:`calibrate_bin`'s record of each (positive, negative) pair, from one sweep of the pairs in array passes.
+    """The two-threshold record of each (positive, negative) pair of training scores, from one sweep in array passes.
 
-    The records, and the error raised on bad input, are those of a loop of
-    :func:`calibrate_bin` calls over ``pairs``.
+    In each pair, the negative threshold is the most permissive candidate
+    whose counted NPV reaches ``target_npv`` while classifying at least a
+    ``min_detection_rate`` fraction of the negatives; the positive threshold
+    is then the most permissive candidate at or inside it whose counted PPV
+    reaches ``target_ppv`` with a detection rate of at least
+    ``min_detection_rate``. Capping the positive sweep at the negative
+    threshold keeps the pair from crossing on strongly separated samples
+    (where both unconstrained sweeps would walk deep into the class gap) and
+    biases the positive threshold toward the conservative side. Candidates
+    are midpoints between consecutive distinct scores plus one sentinel
+    beyond each extreme, so the sweep is exhaustive and deterministic. No
+    qualifying threshold is not an error: the bin is simply marked
+    unreliable. On bad input, the error raised is the first in the order
+    :func:`_sweeps` gives.
     """
 
     def check():
@@ -310,38 +321,17 @@ def calibrate_bins(
     return records
 
 
-def calibrate_bin(
-    pos_scores,
-    neg_scores,
-    orientation: Orientation = "lower_is_positive",
-    target_ppv: float = DEFAULT_TARGET_PPV,
-    target_npv: float = DEFAULT_TARGET_NPV,
-    min_detection_rate: float = DEFAULT_MIN_DETECTION_RATE,
-) -> BinCalibration:
-    """Sweep thresholds on labeled scores and pick the most permissive qualifying pair.
-
-    The negative threshold is the most permissive candidate whose counted
-    NPV reaches ``target_npv`` while classifying at least a
-    ``min_detection_rate`` fraction of the negatives; the positive threshold
-    is then the most permissive candidate at or inside it whose counted PPV
-    reaches ``target_ppv`` with a detection rate of at least
-    ``min_detection_rate``. Capping the positive sweep at the negative
-    threshold keeps the pair from crossing on strongly separated samples
-    (where both unconstrained sweeps would walk deep into the class gap) and
-    biases the positive threshold toward the conservative side. Candidates
-    are midpoints between consecutive distinct scores plus one sentinel
-    beyond each extreme, so the sweep is exhaustive and deterministic. No
-    qualifying threshold is not an error: the bin is simply marked
-    unreliable. This is :func:`calibrate_bins` on one pair.
-    """
-    return calibrate_bins([(pos_scores, neg_scores)], orientation, target_ppv, target_npv, min_detection_rate)[0]
-
-
 def single_threshold_calibrations(pairs: Pairs, orientation: Orientation = "lower_is_positive") -> list[BinCalibration]:
-    """:func:`single_threshold_calibration`'s record of each (positive, negative) pair, from one sweep of the pairs.
+    """The min-error threshold of each (positive, negative) pair, from one sweep of the pairs in array passes.
 
-    The records, and the error raised on bad input, are those of a loop of
-    :func:`single_threshold_calibration` calls over ``pairs``.
+    Each record's two thresholds coincide, so no score is uncertain. The
+    threshold minimizes total misclassifications on the training sample;
+    ties are broken toward the midpoint of the tied candidate range, taking
+    the lower candidate when two are equidistant, so the result is
+    deterministic. Rates are counted as :func:`calibrate_bins` counts them.
+    A record is unreliable when a predictive value is undefined because one
+    side classifies no sample. On bad input, the error raised is the first
+    in the order :func:`_sweeps` gives.
     """
     records = []
     for s in _sweeps(pairs, orientation):
@@ -353,35 +343,6 @@ def single_threshold_calibrations(pairs: Pairs, orientation: Orientation = "lowe
             i = np.where(tied, np.abs(s.candidates - target[:, None]), np.inf).argmin(axis=1)
         records += _records(s, i, i)
     return records
-
-
-def single_threshold_calibration(
-    pos_scores, neg_scores, orientation: Orientation = "lower_is_positive"
-) -> BinCalibration:
-    """The min-error threshold as a record whose two thresholds coincide, so no score is uncertain.
-
-    The threshold minimizes total misclassifications on the training
-    sample; ties are broken toward the midpoint of the tied candidate range,
-    taking the lower candidate when two are equidistant, so the result is
-    deterministic. Rates are counted as :func:`calibrate_bin` counts them.
-    The record is unreliable when a predictive value is undefined because
-    one side classifies no sample. This is :func:`single_threshold_calibrations`
-    on one pair.
-    """
-    return single_threshold_calibrations([(pos_scores, neg_scores)], orientation)[0]
-
-
-def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
-    """Gaussian kernel density estimate with a fixed kernel standard deviation."""
-    s = np.asarray(scores, dtype=float).ravel()
-    if s.size == 0:
-        raise CalibrationError("kde needs at least one score")
-    if not bandwidth > 0:
-        raise CalibrationError("bandwidth must be positive")
-    x = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    with np.errstate(over="ignore"):  # a kernel whose square overflows is exactly 0: exp(-inf)
-        z = (x[:, None] - s[None, :]) / bandwidth
-        return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 # A bin record's fields, one per line at the depth ``json.dumps(..., indent=2)`` gives them in models.json. With no

@@ -31,16 +31,8 @@ from attrfuse.experiments import (
     write_theorem_csv,
 )
 from attrfuse.fusion import posterior
-from attrfuse.simulator import (
-    CALIBRATION_STREAM,
-    PICK_STREAM,
-    ScenarioError,
-    calibrate_scenario,
-    classify_scores,
-    decide_episodes,
-    derived_rng,
-    load_scenario,
-)
+from attrfuse.simulator import ScenarioError, calibrate_scenario, classify_scores, decide_episodes, load_scenario
+from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, derived_rng, stream_keys
 
 
 _HEADER = ("attribute", "bin", "score")
@@ -185,7 +177,7 @@ def _first_failed_check(
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, as numpy's SeedSequence requires."""
+    """A ``--seed`` value: a non-negative integer, as the stream keys require."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -252,8 +244,7 @@ def _cmd_fuse(args) -> int:
     keys, counts = [keys[k] for k in adopted], counts[adopted].tolist()
     row = np.repeat(np.arange(len(keys)), counts)[None, :]
     episodes = decide_episodes(
-        row, keys, catalog, stats, [row.shape[1]],
-        lambda _: np.random.SeedSequence([args.seed, PICK_STREAM]).generate_state(2, np.uint64)[None],
+        row, keys, catalog, stats, [row.shape[1]], lambda _: stream_keys(args.seed, PICK_STREAM)[None]
     )
     candidates = np.flatnonzero(episodes.tied[0, 0]).tolist()
     outcome_counts: dict[str, dict[str, int]] = {"positive": {}, "negative": {}}

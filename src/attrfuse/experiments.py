@@ -32,13 +32,9 @@ import numpy as np
 
 from attrfuse._version import __version__
 from attrfuse.catalog import ObjectCatalog, compute_stats, prior_stats
-from attrfuse.classifier import ClassifierModel, kde_density, single_threshold_calibrations
+from attrfuse.classifier import CalibrationError, ClassifierModel, single_threshold_calibrations
 from attrfuse.fusion import log_factor_rows, map_log_weights, tally, tie_sets
 from attrfuse.simulator import (
-    CALIBRATION_STREAM,
-    CASE_STREAM,
-    PICK_STREAM,
-    SCORE_STREAM,
     Scenario,
     TrainingSets,
     _class_counts,
@@ -48,13 +44,11 @@ from attrfuse.simulator import (
     calibrate_scenario,
     classify_scores,
     decide_episodes,
-    derived_rng,
     draw_scores,
     draw_training_sets,
-    stream_draws,
-    stream_keys,
-    stream_starts,
 )
+from attrfuse.streams import CALIBRATION_STREAM, CASE_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, stream_draws
+from attrfuse.streams import stream_keys, stream_starts
 from attrfuse.theory import predictive_value_floors
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy 2.0 renamed trapz to trapezoid
@@ -74,6 +68,19 @@ def halfwidth(rate: float, n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Experiment 1: score distributions depend on the environment bin
+
+
+def kde_density(scores, bandwidth: float, eval_points) -> np.ndarray:
+    """Gaussian kernel density estimate with a fixed kernel standard deviation."""
+    s = np.asarray(scores, dtype=float).ravel()
+    if s.size == 0:
+        raise CalibrationError("kde needs at least one score")
+    if not bandwidth > 0:
+        raise CalibrationError("bandwidth must be positive")
+    x = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    with np.errstate(over="ignore"):  # a kernel whose square overflows is exactly 0: exp(-inf)
+        z = (x[:, None] - s[None, :]) / bandwidth
+        return np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,10 @@ class ErrorCurve:
 def single_threshold_models(scenario: Scenario, training_sets: TrainingSets) -> dict[int, ClassifierModel]:
     """Binary baseline: one min-error threshold per bin, no uncertain zone.
 
-    Each bin is a :func:`single_threshold_calibration` record, counted on the
-    training sample by the same sweep as :func:`calibrate_bin`'s, so the
-    same fusion machinery consumes its observations.
+    Each bin is a :func:`~attrfuse.classifier.single_threshold_calibrations`
+    record, counted on the training sample by the same sweep as the
+    two-threshold models', so the same fusion machinery consumes its
+    observations.
     """
     models = _model_set(scenario, training_sets, partial(single_threshold_calibrations, orientation=scenario.orientation))
     if not all(cal.reliable for model in models.values() for cal in model.calibrations.values()):

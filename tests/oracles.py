@@ -26,6 +26,7 @@ exact-recognition case draw, but none of the batched code paths they
 check. ``make_synthetic_model`` builds the models
 with stated predictive values that the posterior and theory tests feed
 them, and ``factor_codes`` codes their outcomes as one engine row.
+``pair_record`` is no reference: it calls a batched calibration on one pair.
 """
 import json
 import math
@@ -214,7 +215,8 @@ def reference_record(sweep, i_pos, i_neg):
 def reference_calibrate_bin(
     pos_scores, neg_scores, orientation="lower_is_positive", target_ppv=0.96, target_npv=0.96, min_detection_rate=0.09
 ):
-    """``calibrate_bin`` as it was written on the per-pair sweep: the reference for the batched sweep."""
+    """The two-threshold record of one pair, picked on :func:`reference_sweep`: the most permissive NPV threshold,
+    then the most permissive PPV threshold at or inside it. The reference for ``calibrate_bins``."""
     s = reference_sweep(pos_scores, neg_scores, orientation)
     if not 0.0 < target_ppv <= 1.0 or not 0.0 < target_npv <= 1.0:
         raise CalibrationError("predictive value targets must be in (0, 1]")
@@ -236,13 +238,19 @@ def reference_calibrate_bin(
 
 
 def reference_single_threshold(pos_scores, neg_scores, orientation="lower_is_positive"):
-    """``single_threshold_calibration`` as it was written on the per-pair sweep."""
+    """The min-error single-threshold record of one pair, picked on :func:`reference_sweep` with the tie broken
+    toward the midpoint of the tied candidates. The reference for ``single_threshold_calibrations``."""
     s = reference_sweep(pos_scores, neg_scores, orientation)
     errors = (s.n_pos - s.tp) + s.fp
     tied = np.flatnonzero(errors == errors.min())
     target = 0.5 * (s.candidates[tied[0]] + s.candidates[tied[-1]])
     i = int(tied[np.argmin(np.abs(s.candidates[tied] - target))])
     return reference_record(s, i, i)
+
+
+def pair_record(calibrate, pos_scores, neg_scores, *args, **kwargs):
+    """The record ``calibrate`` (``calibrate_bins`` or ``single_threshold_calibrations``) gives one pair of scores."""
+    return calibrate([(pos_scores, neg_scores)], *args, **kwargs)[0]
 
 
 def make_synthetic_model(attribute_index, ppv, npv, detection_rate=1.0, true_negative_rate=1.0):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
+from attrfuse.classifier import calibrate_bins
 from attrfuse.fusion import posterior
 from attrfuse.experiments import (
     convergence_suite,
@@ -19,17 +20,10 @@ from attrfuse.experiments import (
     write_exp2_csv,
     write_exp3_csv,
 )
-from attrfuse.simulator import (
-    CALIBRATION_STREAM,
-    calibrate_scenario,
-    classify_scores,
-    decide_episodes,
-    derived_rng,
-    draw_training_sets,
-    stream_keys,
-)
+from attrfuse.simulator import calibrate_scenario, classify_scores, decide_episodes, draw_training_sets
+from attrfuse.streams import CALIBRATION_STREAM, derived_rng, stream_keys
 
-from oracles import count_rates, factor_codes, make_synthetic_model, posterior_oracle
+from oracles import count_rates, factor_codes, make_synthetic_model, pair_record, posterior_oracle
 
 
 def _report(number: int, description: str, passed: bool):
@@ -237,12 +231,12 @@ def test_criterion_7_invariant_suite(table1, exp2_scenario, tmp_path):
     noop_ok = (codes == len(keys)).all() and weights.tobytes() == np.log(table1.priors).tobytes()
 
     # threshold sweep determinism under input permutation and repetition
-    from attrfuse.classifier import calibrate_bin
-
     pos = rng.normal(10, 3, 40)
     neg = rng.normal(18, 3, 60)
     sweep_ok = (
-        calibrate_bin(pos, neg) == calibrate_bin(pos[::-1].copy(), neg[::-1].copy()) == calibrate_bin(pos, neg)
+        pair_record(calibrate_bins, pos, neg)
+        == pair_record(calibrate_bins, pos[::-1].copy(), neg[::-1].copy())
+        == pair_record(calibrate_bins, pos, neg)
     )
 
     # seed reproducibility: two runs emit byte-identical CSVs

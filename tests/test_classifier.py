@@ -21,19 +21,17 @@ from attrfuse.classifier import (
     CalibrationError,
     ModelFileError,
     ClassifierModel,
-    calibrate_bin,
     calibrate_bins,
-    kde_density,
     load_models,
     save_models,
-    single_threshold_calibration,
     single_threshold_calibrations,
 )
-from attrfuse.simulator import calibrate_from_sets, calibrate_scenario, classify_scores, derived_rng, draw_training_sets
+from attrfuse.simulator import calibrate_from_sets, calibrate_scenario, classify_scores, draw_training_sets
+from attrfuse.streams import derived_rng
 
 from json_mutations import mutated
 from oracles import bayes_threshold_oracle, calibrate_oracle, count_rates, reference_calibrate_bin, reference_models_text
-from oracles import reference_single_threshold
+from oracles import pair_record, reference_single_threshold
 
 scores = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 score_lists = st.lists(scores, min_size=1, max_size=30)
@@ -47,35 +45,35 @@ def test_default_calibration_targets():
 
 class TestCalibrateBin:
     def test_separated_sample(self):
-        cal = calibrate_bin([1, 2, 3], [10, 11, 12], target_ppv=1.0, target_npv=0.96, min_detection_rate=0.5)
+        cal = pair_record(calibrate_bins, [1, 2, 3], [10, 11, 12], target_ppv=1.0, target_npv=0.96, min_detection_rate=0.5)
         assert cal.theta_pos == 6.5
         assert cal.ppv == 1.0
         assert cal.detection_rate == 1.0
         assert cal.reliable
 
     def test_total_overlap_unreliable(self):
-        cal = calibrate_bin([5, 5, 5], [5, 5, 5])
+        cal = pair_record(calibrate_bins, [5, 5, 5], [5, 5, 5])
         assert not cal.reliable
         assert cal.theta_pos is None and cal.theta_neg is None
 
     def test_empty_sample_rejected(self):
         with pytest.raises(CalibrationError):
-            calibrate_bin([], [1.0])
+            pair_record(calibrate_bins, [], [1.0])
         with pytest.raises(CalibrationError):
-            calibrate_bin([1.0], [])
+            pair_record(calibrate_bins, [1.0], [])
 
     @pytest.mark.parametrize("pos, neg", [([1, float("nan"), 2], [5, 6, 7]), ([1, 2], [5, 6, float("inf")])])
     def test_nonfinite_sample_rejected(self, pos, neg):
         with pytest.raises(CalibrationError):
-            calibrate_bin(pos, neg)
+            pair_record(calibrate_bins, pos, neg)
         with pytest.raises(CalibrationError):
-            single_threshold_calibration(pos, neg)
+            pair_record(single_threshold_calibrations, pos, neg)
 
     def test_bad_targets_rejected(self):
         with pytest.raises(CalibrationError):
-            calibrate_bin([1], [2], target_ppv=0.0)
+            pair_record(calibrate_bins, [1], [2], target_ppv=0.0)
         with pytest.raises(CalibrationError):
-            calibrate_bin([1], [2], min_detection_rate=1.5)
+            pair_record(calibrate_bins, [1], [2], min_detection_rate=1.5)
 
     def test_separated_large_sample_stays_reliable(self):
         # the unconstrained positive sweep would walk past the negative one
@@ -83,7 +81,7 @@ class TestCalibrateBin:
         rng = np.random.default_rng(0)
         pos = rng.normal(0.0, 1.0, size=200)
         neg = rng.normal(20.0, 1.0, size=300)
-        cal = calibrate_bin(pos, neg)
+        cal = pair_record(calibrate_bins, pos, neg)
         assert cal.reliable
         assert cal.theta_pos <= cal.theta_neg
         assert cal.ppv >= 0.96 and cal.detection_rate >= 0.09
@@ -96,7 +94,7 @@ class TestCalibrateBin:
            st.floats(min_value=0.0, max_value=0.5))
     @settings(max_examples=80, deadline=None)
     def test_matches_loop_oracle(self, pos, neg, tp, tn, floor):
-        cal = calibrate_bin(pos, neg, target_ppv=tp, target_npv=tn, min_detection_rate=floor)
+        cal = pair_record(calibrate_bins, pos, neg, target_ppv=tp, target_npv=tn, min_detection_rate=floor)
         o_pos, o_neg, o_rel = calibrate_oracle(pos, neg, target_ppv=tp, target_npv=tn, min_detection_rate=floor)
         assert cal.reliable == o_rel
         assert cal.theta_pos == o_pos
@@ -107,8 +105,8 @@ class TestCalibrateBin:
            st.floats(min_value=0.0, max_value=0.4))
     @settings(max_examples=60, deadline=None)
     def test_monotone_safety(self, pos, neg, target, delta):
-        loose = calibrate_bin(pos, neg, target_ppv=target, min_detection_rate=0.05)
-        tight = calibrate_bin(pos, neg, target_ppv=min(1.0, target + delta), min_detection_rate=0.05)
+        loose = pair_record(calibrate_bins, pos, neg, target_ppv=target, min_detection_rate=0.05)
+        tight = pair_record(calibrate_bins, pos, neg, target_ppv=min(1.0, target + delta), min_detection_rate=0.05)
         if tight.theta_pos is not None:
             assert loose.theta_pos is not None
             assert tight.theta_pos <= loose.theta_pos
@@ -116,7 +114,7 @@ class TestCalibrateBin:
     @given(score_lists, score_lists)
     @settings(max_examples=60, deadline=None)
     def test_rates_partition_sample(self, pos, neg):
-        cal = calibrate_bin(pos, neg)
+        cal = pair_record(calibrate_bins, pos, neg)
         if not cal.reliable:
             return
         pos = np.asarray(pos, float)
@@ -129,7 +127,7 @@ class TestCalibrateBin:
     @given(score_lists, score_lists)
     @settings(max_examples=60, deadline=None)
     def test_reliable_implies_targets_met(self, pos, neg):
-        cal = calibrate_bin(pos, neg)
+        cal = pair_record(calibrate_bins, pos, neg)
         if not cal.reliable:
             return
         ppv, det, npv, tnr = count_rates(pos, neg, cal.theta_pos, cal.theta_neg)
@@ -140,20 +138,20 @@ class TestCalibrateBin:
     def test_midpoint_of_huge_scores_stays_finite(self, flip):
         """Two finite scores whose sum overflows still have their midpoint as a candidate, not inf."""
         orientation = "lower_is_positive" if flip > 0 else "higher_is_positive"
-        cal = calibrate_bin([flip * 1e308], [flip * 1.7e308, flip * 1.79e308], orientation)
+        cal = pair_record(calibrate_bins, [flip * 1e308], [flip * 1.7e308, flip * 1.79e308], orientation)
         assert cal.theta_pos == cal.theta_neg == flip * (0.5 * 1e308 + 0.5 * 1.7e308)
         assert cal.reliable and cal.ppv == cal.npv == 1.0
-        single = single_threshold_calibration([flip * 1e308], [flip * 1.7e308, flip * 1.79e308], orientation)
+        single = pair_record(single_threshold_calibrations, [flip * 1e308], [flip * 1.7e308, flip * 1.79e308], orientation)
         assert single.theta_pos == flip * (0.5 * 1e308 + 0.5 * 1.7e308)
         # the tied candidates are the low sentinel and 0; the untied ones lie more than the float range above them
-        assert single_threshold_calibration([-flip * 1.7e308], [flip * 1.7e308, flip * 1.75e308], orientation).theta_pos == -flip * 1.7e308
+        assert pair_record(single_threshold_calibrations, [-flip * 1.7e308], [flip * 1.7e308, flip * 1.75e308], orientation).theta_pos == -flip * 1.7e308
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(3)
         pos = rng.normal(0, 2, 25)
         neg = rng.normal(6, 2, 40)
-        a = calibrate_bin(pos, neg)
-        b = calibrate_bin(pos[::-1].copy(), rng.permutation(neg))
+        a = pair_record(calibrate_bins, pos, neg)
+        b = pair_record(calibrate_bins, pos[::-1].copy(), rng.permutation(neg))
         assert a == b
 
 
@@ -199,8 +197,8 @@ class TestClassifyScores:
     @given(score_lists, score_lists, st.lists(scores, min_size=1, max_size=10))
     @settings(max_examples=60, deadline=None)
     def test_orientation_mirror(self, pos, neg, probes):
-        low = calibrate_bin(pos, neg, orientation="lower_is_positive")
-        high = calibrate_bin([-x for x in pos], [-x for x in neg], orientation="higher_is_positive")
+        low = pair_record(calibrate_bins, pos, neg, orientation="lower_is_positive")
+        high = pair_record(calibrate_bins, [-x for x in pos], [-x for x in neg], orientation="higher_is_positive")
         assert low.reliable == high.reliable
         if not low.reliable:
             return
@@ -211,51 +209,27 @@ class TestClassifyScores:
 
 class TestSingleThresholdBaseline:
     def test_separated(self):
-        assert single_threshold_calibration([1, 2, 3], [10, 11, 12]).theta_pos == 6.5
+        assert pair_record(single_threshold_calibrations, [1, 2, 3], [10, 11, 12]).theta_pos == 6.5
 
     def test_interleaved_tie_break(self):
-        theta = single_threshold_calibration([1, 3], [2, 4]).theta_pos
+        theta = pair_record(single_threshold_calibrations, [1, 3], [2, 4]).theta_pos
         oracle_theta, oracle_errors = bayes_threshold_oracle([1, 3], [2, 4])
         assert theta == oracle_theta == 1.5
         assert oracle_errors == 1
 
     def test_degenerate_overlap_is_deterministic(self):
-        a = single_threshold_calibration([5, 6], [5, 6]).theta_pos
-        b = single_threshold_calibration([5, 6], [5, 6]).theta_pos
+        a = pair_record(single_threshold_calibrations, [5, 6], [5, 6]).theta_pos
+        b = pair_record(single_threshold_calibrations, [5, 6], [5, 6]).theta_pos
         assert a == b
 
     def test_empty_rejected(self):
         with pytest.raises(CalibrationError):
-            single_threshold_calibration([], [1])
+            pair_record(single_threshold_calibrations, [], [1])
 
     @given(score_lists, score_lists)
     @settings(max_examples=80, deadline=None)
     def test_matches_loop_oracle(self, pos, neg):
-        assert single_threshold_calibration(pos, neg).theta_pos == bayes_threshold_oracle(pos, neg)[0]
-
-
-class TestKde:
-    def test_single_kernel_peak(self):
-        val = kde_density([0.0], 1.0, [0.0])
-        assert val[0] == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
-
-    def test_symmetry(self):
-        dens = kde_density([-2.0, 2.0], 1.5, [-1.0, 1.0])
-        assert dens[0] == pytest.approx(dens[1], rel=1e-12)
-
-    def test_integrates_to_one(self):
-        rng = np.random.default_rng(1)
-        sample = rng.normal(40, 6, size=300)
-        grid = np.linspace(sample.min() - 25, sample.max() + 25, 3000)
-        dens = kde_density(sample, 3.0, grid)
-        trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-        assert trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
-
-    def test_errors(self):
-        with pytest.raises(CalibrationError):
-            kde_density([], 1.0, [0.0])
-        with pytest.raises(CalibrationError):
-            kde_density([1.0], 0.0, [0.0])
+        assert pair_record(single_threshold_calibrations, pos, neg).theta_pos == bayes_threshold_oracle(pos, neg)[0]
 
 
 class TestPersistence:
@@ -374,7 +348,7 @@ class TestPersistence:
 
     def test_one_record_serves_several_bins(self, exp2_scenario, tmp_path):
         """The model's key is the record's bin, so one record may sit under several bins."""
-        cal = calibrate_bin([1, 2, 3], [10, 11, 12])
+        cal = pair_record(calibrate_bins, [1, 2, 3], [10, 11, 12])
         models = {0: ClassifierModel(0, "lower_is_positive", {0: cal, 3: cal})}
         path = tmp_path / "models.json"
         save_models(models, exp2_scenario.catalog, path)
@@ -408,8 +382,8 @@ class TestPersistence:
         for i, (orientation, bins) in enumerate(attributes):
             cals = {}
             for k, (pos, neg, single) in enumerate(bins):
-                calibrate = single_threshold_calibration if single else calibrate_bin
-                cals[k] = calibrate(pos, neg, orientation)
+                calibrate = single_threshold_calibrations if single else calibrate_bins
+                cals[k] = pair_record(calibrate, pos, neg, orientation)
             models[i] = ClassifierModel(i, orientation, cals)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "models.json"
@@ -464,13 +438,13 @@ def test_saved_models_are_the_indented_json_dump(model_set):
         assert path.read_bytes() == reference_models_text(models, catalog).encode()
 
 
-@pytest.mark.parametrize("calibrate", [calibrate_bin, single_threshold_calibration])
+@pytest.mark.parametrize("calibrate", [calibrate_bins, single_threshold_calibrations])
 @given(score_lists, score_lists)
 @settings(max_examples=80, deadline=None)
 def test_record_orientation_mirror(calibrate, pos, neg):
     """Negated samples under the other orientation give negated thresholds and an otherwise equal record."""
-    low = calibrate(pos, neg, "lower_is_positive")
-    high = calibrate([-x for x in pos], [-x for x in neg], "higher_is_positive")
+    low = pair_record(calibrate, pos, neg, "lower_is_positive")
+    high = pair_record(calibrate, [-x for x in pos], [-x for x in neg], "higher_is_positive")
     negated = [None if theta is None else -theta for theta in (low.theta_pos, low.theta_neg)]
     assert [high.theta_pos, high.theta_neg] == negated
     assert dataclasses.replace(high, theta_pos=low.theta_pos, theta_neg=low.theta_neg) == low

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from attrfuse.catalog import ObjectCatalog, load_catalog
 from attrfuse.classifier import load_models, save_models
 from attrfuse.cli import _read_observations, main
-from attrfuse.simulator import PICK_STREAM, derived_rng, load_scenario
+from attrfuse.simulator import load_scenario
+from attrfuse.streams import PICK_STREAM, derived_rng
 from oracles import checked_observation_lines, make_synthetic_model
 
 BOM = b"\xef\xbb\xbf"
@@ -179,7 +180,7 @@ def test_fuse_on_a_header_only_file_is_the_prior_decision(tmp_path, capsys):
     obs = tmp_path / "obs.csv"
     obs.write_text("attribute,bin,score\n")
     winners = []
-    for seed in range(8):
+    for seed in [*range(8), 2**32, 2**64 + 5]:  # and seeds of two and three 32-bit words
         assert main([*argv, "--obs", str(obs), "--seed", str(seed)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record == {

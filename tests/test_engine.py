@@ -16,21 +16,16 @@ from attrfuse.experiments import (
 )
 from attrfuse.fusion import factor_table, map_log_weights, tally
 from attrfuse.simulator import (
-    CALIBRATION_STREAM,
-    PICK_STREAM,
-    SCORE_STREAM,
     ScoreModel,
     Scenario,
     calibrate_from_sets,
     calibrate_scenario,
     classify_scores,
     decide_episodes,
-    derived_rng,
     draw_scores,
     draw_training_sets,
-    stream_draws,
-    stream_keys,
 )
+from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, stream_draws, stream_keys
 
 from oracles import (
     Observation,

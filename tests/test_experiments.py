@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,19 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog
-from attrfuse.classifier import kde_density
-from attrfuse.simulator import (
-    CASE_STREAM,
-    SCORE_STREAM,
-    CalibrationConfig,
-    Scenario,
-    ScenarioError,
-    ScoreModel,
-    decide_episodes,
-    derived_rng,
-    stream_keys,
-    stream_starts,
-)
+from attrfuse.classifier import CalibrationError
+from attrfuse.simulator import CalibrationConfig, Scenario, ScenarioError, ScoreModel, decide_episodes
+from attrfuse.streams import CASE_STREAM, SCORE_STREAM, derived_rng, stream_keys, stream_starts
 from attrfuse.experiments import (
     EXP1_BANDWIDTH,
     EXP1_GRID_POINTS,
@@ -27,6 +18,7 @@ from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
+    kde_density,
     single_threshold_models,
     theorem_suites,
     write_exp1_csvs,
@@ -54,6 +46,30 @@ def flat_scenario(n_bins=3, seed=17, std=3.0):
     bins = tuple((float(60 + 10 * k), float(70 + 10 * k)) for k in range(n_bins))
     return Scenario(catalog=catalog, bins=bins, score_models=sm, seed=seed,
                     calibration=CalibrationConfig(n_pos_per_object=40, n_neg_per_object=40))
+
+
+class TestKde:
+    def test_single_kernel_peak(self):
+        val = kde_density([0.0], 1.0, [0.0])
+        assert val[0] == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
+
+    def test_symmetry(self):
+        dens = kde_density([-2.0, 2.0], 1.5, [-1.0, 1.0])
+        assert dens[0] == pytest.approx(dens[1], rel=1e-12)
+
+    def test_integrates_to_one(self):
+        rng = np.random.default_rng(1)
+        sample = rng.normal(40, 6, size=300)
+        grid = np.linspace(sample.min() - 25, sample.max() + 25, 3000)
+        dens = kde_density(sample, 3.0, grid)
+        trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+        assert trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
+
+    def test_errors(self):
+        with pytest.raises(CalibrationError):
+            kde_density([], 1.0, [0.0])
+        with pytest.raises(CalibrationError):
+            kde_density([1.0], 0.0, [0.0])
 
 
 class TestExperiment1:

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel
 from attrfuse.fusion import log_factor_rows, posterior, tally
-from attrfuse.simulator import classify_scores, decide_episodes, stream_keys
+from attrfuse.simulator import classify_scores, decide_episodes
+from attrfuse.streams import stream_keys
 
 from oracles import factor_codes, make_synthetic_model, posterior_oracle, reference_tally
 

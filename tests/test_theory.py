@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.experiments import exact_recognition_suite
-from attrfuse.simulator import decide_episodes, stream_keys
+from attrfuse.simulator import decide_episodes
+from attrfuse.streams import stream_keys
 from attrfuse.theory import (
     certify_guaranteed_recognition,
     false_rate_bounds,
