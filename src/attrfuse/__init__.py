@@ -6,9 +6,9 @@ each holds one part:
 
 - ``attrfuse.catalog``: object catalogs, their priors and the prior statistics the later stages read.
 - ``attrfuse.classifier``: per-bin two-threshold calibration, and saving and loading the models.
-- ``attrfuse.simulator``: scenarios, score draws, batched ternary classification and per-episode decisions.
+- ``attrfuse.simulator``: scenarios, score draws and batched ternary classification.
 - ``attrfuse.streams``: the seeded Philox streams: every harness's key layout, and the draws and tie picks made from them.
-- ``attrfuse.fusion``: the posterior fold of adopted outcomes and the MAP decision with its tie breaks.
+- ``attrfuse.fusion``: the decision engine: adopted-outcome counts, their posterior fold and the tie-broken MAP decision.
 - ``attrfuse.theory``: the predictive-value floors and false-rate bounds under which the decision is guaranteed.
 - ``attrfuse.experiments``: the Monte Carlo harnesses of the three experiments and the theorem suites, with CSV output.
 - ``attrfuse.cli``: the ``attrfuse`` command: ``calibrate``, ``fuse``, ``exp1`` to ``exp3`` and ``theorems``.

@@ -115,12 +115,14 @@ def prior_stats(matrix: np.ndarray, priors: np.ndarray) -> CatalogStats:
     member, lacking = (matrix != 0) & present, (matrix == 0) & present
     usable = member.any(axis=-2) & lacking.any(axis=-2)
     column = priors[..., None]
+    member_priors = np.where(member, column, 0.0)
     # an empty group's max is 0 and its min inf, so an unusable ratio divides without a warning
-    pos_max, pos_min = np.where(member, column, 0.0).max(axis=-2), np.where(member, column, np.inf).min(axis=-2)
+    pos_max, pos_min = member_priors.max(axis=-2), np.where(member, column, np.inf).min(axis=-2)
     neg_max, neg_min = np.where(lacking, column, 0.0).max(axis=-2), np.where(lacking, column, np.inf).min(axis=-2)
     ratio_pos = np.where(usable, np.maximum(1.0, neg_max / pos_min), np.nan)
     ratio_neg = np.where(usable, np.maximum(1.0, pos_max / neg_min), np.nan)
-    attr_priors = (priors[..., None, :] @ matrix.astype(float))[..., 0, :]
+    # summed object by object, so trailing padded objects cannot change a bit (a matmul's order depends on the shape)
+    attr_priors = member_priors.sum(axis=-2)
     positive_mask = np.ascontiguousarray(np.swapaxes(member, -1, -2))
     for arr in (attr_priors, ratio_pos, ratio_neg, usable, positive_mask):
         arr.setflags(write=False)

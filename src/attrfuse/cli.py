@@ -30,8 +30,8 @@ from attrfuse.experiments import (
     write_manifest,
     write_theorem_csv,
 )
-from attrfuse.fusion import posterior
-from attrfuse.simulator import ScenarioError, calibrate_scenario, classify_scores, decide_episodes, load_scenario
+from attrfuse.fusion import decide, factor_table, posterior
+from attrfuse.simulator import ScenarioError, calibrate_scenario, classify_scores, load_scenario
 from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, derived_rng, stream_keys
 
 
@@ -241,11 +241,10 @@ def _cmd_fuse(args) -> int:
     # the engine row holds only the adopted keys: an unadopted one may belong to a catalog-constant attribute
     counts = np.bincount(codes[0], minlength=len(keys) + 1)[:-1]
     adopted = np.flatnonzero(counts).tolist()
-    keys, counts = [keys[k] for k in adopted], counts[adopted].tolist()
-    row = np.repeat(np.arange(len(keys)), counts)[None, :]
-    episodes = decide_episodes(
-        row, keys, catalog, stats, [row.shape[1]], lambda _: stream_keys(args.seed, PICK_STREAM)[None]
-    )
+    keys, counts = [keys[k] for k in adopted], counts[adopted]
+    table = factor_table(keys, stats)
+    episodes = decide(counts[None, None], table, catalog.priors, lambda _: stream_keys(args.seed, PICK_STREAM)[None])
+    counts = counts.tolist()
     candidates = np.flatnonzero(episodes.tied[0, 0]).tolist()
     outcome_counts: dict[str, dict[str, int]] = {"positive": {}, "negative": {}}
     for (i, outcome, _), n in zip(keys, counts):  # keys are sorted, so attributes come in index order

@@ -33,7 +33,7 @@ import numpy as np
 from attrfuse._version import __version__
 from attrfuse.catalog import ObjectCatalog, compute_stats, prior_stats
 from attrfuse.classifier import CalibrationError, ClassifierModel, single_threshold_calibrations
-from attrfuse.fusion import log_factor_rows, map_log_weights, tally, tie_sets
+from attrfuse.fusion import count_codes, decide, factor_table, log_factor_rows
 from attrfuse.simulator import (
     Scenario,
     TrainingSets,
@@ -43,7 +43,6 @@ from attrfuse.simulator import (
     calibrate_from_sets,
     calibrate_scenario,
     classify_scores,
-    decide_episodes,
     draw_scores,
     draw_training_sets,
 )
@@ -224,8 +223,9 @@ def experiment2_threshold_comparison(
     episodes = []
     for system, models in enumerate((two_models, single_models)):
         codes, keys = classify_scores(models, columns, bins, scores)
-        episodes.append(decide_episodes(
-            codes, keys, catalog, stats, checkpoints, lambda rows, system=system: stream_keys(seed, PICK_STREAM, rows, system)
+        episodes.append(decide(
+            count_codes(codes, len(keys), checkpoints), factor_table(keys, stats), catalog.priors,
+            lambda rows, system=system: stream_keys(seed, PICK_STREAM, rows, system),
         ))
     wrong_two, wrong_single = (decided.winners != ground_truths for decided in episodes)
     wrong_tie = wrong_two & episodes[0].random
@@ -271,8 +271,8 @@ def experiment3_attribute_families(
     ``rounds_per_bin`` times there. Systems share score and tie-pick streams,
     so a degenerate scenario where the families coincide yields exactly equal
     accuracies. Per bin, the three systems' columns are classified in one
-    call, and their code rows, stacked, are decided in one
-    :func:`decide_episodes` call.
+    call, and their count rows, stacked, are decided in one
+    :func:`~attrfuse.fusion.decide` call.
     """
     for name in ("fine", "coarse", "color"):
         if name not in scenario.families:
@@ -294,9 +294,8 @@ def experiment3_attribute_families(
             raise scenario.error(f"key 'families': attribute {catalog.attributes[i]!r} is constant across the catalog")
     models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
 
-    # each system reads a prefix of the trial's score draws; the systems'
-    # columns are classified together and their code rows stacked, system
-    # after system, padded with the uncertain code to the longest
+    # each system reads a prefix of the trial's score draws; the systems' columns
+    # are classified together, and their count rows stacked system after system
     widths = [rounds_per_bin * len(systems[name]) for name in EXP3_SYSTEMS]
     columns = [i for name in EXP3_SYSTEMS for i in systems[name] * rounds_per_bin]
     prefixes = np.concatenate([np.arange(width) for width in widths])
@@ -309,14 +308,10 @@ def experiment3_attribute_families(
     for k, z in enumerate(z_bins):
         bins = [k] * len(columns)
         codes, keys = classify_scores(models, columns, bins, draw_scores(scenario, ground_truths, columns, bins, z[:, prefixes]))
-        stacked = np.full((len(EXP3_SYSTEMS), trials, max(widths)), len(keys), dtype=codes.dtype)
-        for s_idx, system_codes in enumerate(np.split(codes, np.cumsum(widths)[:-1], axis=1)):
-            stacked[s_idx, :, : widths[s_idx]] = system_codes
+        blocks = np.split(codes, np.cumsum(widths)[:-1], axis=1)
+        counts = np.concatenate([count_codes(block, len(keys), [block.shape[1]]) for block in blocks], axis=1)
         # every system picks a trial's ties from the trial's one stream (seed, PICK_STREAM, k, t)
-        episodes = decide_episodes(
-            stacked.reshape(-1, max(widths)), keys, catalog, stats, [max(widths)],
-            lambda rows: pick_keys[k, rows % trials],
-        )
+        episodes = decide(counts, factor_table(keys, stats), catalog.priors, lambda rows: pick_keys[k, rows % trials])
         accuracy[k] = (episodes.winners[0].reshape(len(EXP3_SYSTEMS), trials) == ground_truths).mean(axis=1)
 
     halfwidths = np.array([[halfwidth(a, trials) for a in row] for row in accuracy])
@@ -383,9 +378,9 @@ def _draw_exact_cases(rngs: Iterable[np.random.Generator], cases: int):
 def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ground truths, posterior-tied objects and MAP log weights of the cases drawn from streams ``(seed, CASE_STREAM, c)``.
 
-    One array pass runs the engine's formulas with a leading case axis. A
-    case keys each attribute with the truth's outcome, once per observation;
-    the objects are padded to 6, and a padded object is never tied.
+    One :func:`~attrfuse.fusion.decide` call decides the cases as rows, each with its own key table and priors. A
+    case keys each attribute with the truth's outcome, once per observation; the objects are padded to 6, and a
+    padded object is never tied. Prior ties pick from streams ``(seed, PICK_STREAM, CASE_STREAM, c)``, never read.
     """
     case_keys = stream_keys(seed, CASE_STREAM, np.arange(cases))
     matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases(stream_starts(case_keys), cases)
@@ -400,9 +395,8 @@ def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     table[keyed] = log_factor_rows(
         stats.positive_mask[keyed], stats.attribute_priors[keyed], positive[keyed], np.where(positive, ppv, npv)[keyed]
     )
-    hits, finite = tally(np.log(priors, out=np.full(priors.shape, -np.inf), where=priors > 0), counts, table)
-    log_weights = map_log_weights(hits, finite)
-    return truth, tie_sets(log_weights, priors)[0], log_weights
+    episodes = decide(counts[None], table, priors, lambda rows: stream_keys(seed, PICK_STREAM, CASE_STREAM, rows))
+    return truth, episodes.tied[0], episodes.log_weights
 
 
 def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
@@ -452,8 +446,9 @@ def convergence_suite(
     codes[:, 1::2] = np.select(
         [lacks < true_negative_rate, lacks < true_negative_rate + q], [code[1, "negative"], code[1, "positive"]], len(keys)
     )
-    episodes = decide_episodes(
-        codes, keys, catalog, stats, [2 * k for k in k_values], lambda rows: stream_keys(seed, PICK_STREAM, rows)
+    episodes = decide(
+        count_codes(codes, len(keys), [2 * k for k in k_values]), factor_table(keys, stats), catalog.priors,
+        lambda rows: stream_keys(seed, PICK_STREAM, rows),
     )
     wrong = episodes.winners != ground_truth
     return k_values, wrong.mean(axis=1)

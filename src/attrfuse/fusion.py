@@ -6,19 +6,20 @@ weight by ``ppv / prior(i)`` when ``j`` has the attribute and by
 observation mirrors this with the NPV. Uncertain outcomes and observations
 from unreliable bins are exact no-ops: their conditional factor reduces to the
 attribute prior itself, so the ratio is 1. The posterior is a product of these
-factors, so it depends only on how often each was adopted (:func:`tally`);
-``simulator.decide_episodes`` decides from those sums. The normalization
-constant is never computed; normalizing over the finite object set replaces
-it exactly.
+factors, so it depends only on how often each was adopted: :func:`decide`
+takes those counts (:func:`count_codes` makes them from classification
+codes), sums them (:func:`tally`) and decides. The normalization constant is
+never computed; normalizing over the finite object set replaces it exactly.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from attrfuse.catalog import CatalogStats, NonDiscriminativeAttributeError
+from attrfuse.streams import seeded_picks
 
 TIE_RELATIVE_TOLERANCE = 1e-9
 
@@ -91,3 +92,61 @@ def tie_sets(log_weights: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, n
     best_prior = np.where(tied, priors, -np.inf).max(axis=-1, keepdims=True)
     return tied, tied & (priors >= best_prior * (1.0 - TIE_RELATIVE_TOLERANCE))
 
+
+class Episodes(NamedTuple):
+    """What :func:`decide` decides; ``hits`` and ``log_weights`` are those after the last checkpoint."""
+
+    winners: np.ndarray  # (checkpoints, rows): the MAP object
+    random: np.ndarray  # (checkpoints, rows): whether a seeded pick broke a prior tie
+    tied: np.ndarray  # (checkpoints, rows, objects): the objects tied at the maximum posterior
+    hits: np.ndarray  # (rows, objects): zero-factor hits
+    log_weights: np.ndarray  # (rows, objects): the MAP log weights (map_log_weights)
+
+
+def count_codes(codes: np.ndarray, n_keys: int, checkpoints: Sequence[int]) -> np.ndarray:
+    """How often each of ``n_keys`` sorted keys' codes appears among each row's leading codes at each checkpoint.
+
+    ``codes`` (rows x draws) index the keys; the code ``n_keys`` (no key) is not counted. One running total
+    accumulates from checkpoint to checkpoint and is copied out at each: (checkpoints, rows, n_keys) int64.
+    """
+    rows, n_codes = codes.shape[0], n_keys + 1
+    offsets = n_codes * np.arange(rows)[:, None]
+    total = np.zeros((rows, n_codes), dtype=np.int64)
+    counts = np.empty((len(checkpoints), rows, n_keys), dtype=np.int64)
+    start = 0
+    for c, stop in enumerate(checkpoints):
+        total += np.bincount((codes[:, start:stop] + offsets).ravel(), minlength=total.size).reshape(total.shape)
+        counts[c] = total[:, :-1]
+        start = stop
+    return counts
+
+
+def decide(
+    counts: np.ndarray, table: np.ndarray, priors: np.ndarray, pick_keys: Callable[[np.ndarray], np.ndarray]
+) -> Episodes:
+    """MAP decisions of every row of ``counts`` (checkpoints x rows x keys, cumulative) at each checkpoint.
+
+    ``table`` holds the keys' log rows, shared or one per row, as :func:`tally` takes it; ``priors`` is one row of
+    objects or one per row. A zero prior marks a padded object: its log weight is ``-inf``, so it is never tied
+    while some object's weight is finite. A posterior tie goes to the best prior; a tie in the prior as well goes to
+    a seeded uniform pick. Every checkpoint is decided first; then :func:`~attrfuse.streams.seeded_picks` makes all
+    the picks in one pass, each row's in checkpoint order from its own Philox stream. ``pick_keys(rows)`` gives
+    those streams' keys, (len(rows), 2) uint64, for the rows with a random tie at some checkpoint; it is called
+    once, and not at all when no row has one.
+    """
+    log_prior = np.log(priors, out=np.full(priors.shape, -np.inf), where=priors > 0)
+    tied = np.empty((*counts.shape[:2], priors.shape[-1]), dtype=bool)
+    prior_best = np.empty_like(tied)
+    for c, counted in enumerate(counts):
+        hits, finite = tally(log_prior, counted, table)
+        log_weights = map_log_weights(hits, finite)
+        tied[c], prior_best[c] = tie_sets(log_weights, priors)
+    options = prior_best.sum(axis=-1)
+    winners = prior_best.argmax(axis=-1)
+    random = options > 1
+    picking = np.flatnonzero(random.any(axis=0))
+    if picking.size:
+        picks = seeded_picks(pick_keys(picking), options[:, picking])
+        # the pick-th prior-best object: the first whose running count of them exceeds the pick
+        winners[:, picking] = (prior_best[:, picking].cumsum(axis=-1) > picks[..., None]).argmax(axis=-1)
+    return Episodes(winners, random, tied, hits, log_weights)

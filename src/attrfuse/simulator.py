@@ -8,9 +8,9 @@ from standard normal draws that the harnesses take from their score streams
 (:mod:`attrfuse.streams`).
 
 Episodes run batched: every trial's draws are classified with vectorised
-threshold compares (:func:`classify_scores`), counted per factor key and
-decided together (:func:`decide_episodes`), which makes its seeded tie picks
-with :func:`attrfuse.streams.seeded_picks`. ``attrfuse fuse`` classifies its
+threshold compares (:func:`classify_scores`) into codes that
+:func:`attrfuse.fusion.count_codes` counts per factor key and
+:func:`attrfuse.fusion.decide` decides. ``attrfuse fuse`` classifies its
 observation lines as one row of the same :func:`classify_scores` call.
 """
 from __future__ import annotations
@@ -19,13 +19,13 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from attrfuse._fields import _attribute, _count, _integer, _list, _mapping, _number, _orientation, _rate, _scale
 from attrfuse._fields import _string, _target, read_field, read_json
-from attrfuse.catalog import CatalogError, CatalogStats, ObjectCatalog, load_catalog
+from attrfuse.catalog import CatalogError, ObjectCatalog, load_catalog
 from attrfuse.classifier import (
     DEFAULT_MIN_DETECTION_RATE,
     DEFAULT_TARGET_NPV,
@@ -33,14 +33,8 @@ from attrfuse.classifier import (
     ClassifierModel,
     calibrate_bins,
 )
-from attrfuse.fusion import (
-    FactorKey,
-    factor_table,
-    map_log_weights,
-    tally,
-    tie_sets,
-)
-from attrfuse.streams import CALIBRATION_STREAM, derived_rng, seeded_picks
+from attrfuse.fusion import FactorKey
+from attrfuse.streams import CALIBRATION_STREAM, derived_rng
 
 TrainingSets = Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (attribute, bin): positive, negative scores
 
@@ -298,62 +292,6 @@ def classify_scores(
     negative = ~positive & (signed >= theta_neg[column])
     codes = np.where(positive, code_pos[column], np.where(negative, code_neg[column], len(keys)))
     return codes, keys
-
-
-class Episodes(NamedTuple):
-    """What :func:`decide_episodes` decides; ``hits`` and ``log_weights`` are those after the last checkpoint."""
-
-    winners: np.ndarray  # (checkpoints, rows): the MAP object
-    random: np.ndarray  # (checkpoints, rows): whether a seeded pick broke a prior tie
-    tied: np.ndarray  # (checkpoints, rows, objects): the objects tied at the maximum posterior
-    hits: np.ndarray  # (rows, objects): zero-factor hits
-    log_weights: np.ndarray  # (rows, objects): the MAP log weights (fusion.map_log_weights)
-
-
-def decide_episodes(
-    codes: np.ndarray,
-    keys: Sequence[FactorKey],
-    catalog: ObjectCatalog,
-    stats: CatalogStats,
-    checkpoints: Sequence[int],
-    pick_keys: Callable[[np.ndarray], np.ndarray],
-) -> Episodes:
-    """MAP decisions of every row after each of one or more checkpoints' leading draws.
-
-    ``codes`` (rows x draws) come from :func:`classify_scores` or any other
-    source of codes into the sorted ``keys``. Counts accumulate from one
-    checkpoint to the next. A posterior tie goes to the best prior; a tie
-    in the prior as well goes to a seeded uniform pick. Every checkpoint is
-    decided first; then :func:`seeded_picks` makes all the picks in one
-    pass, each row's in checkpoint order from its own Philox stream.
-    ``pick_keys(rows)`` gives those streams' keys, (len(rows), 2) uint64,
-    for the rows with a random tie at some checkpoint; it is called once,
-    and not at all when no row has one.
-    """
-    table = factor_table(keys, stats)
-    log_prior = np.log(catalog.priors)
-    rows, n_codes = codes.shape[0], len(keys) + 1
-    offsets = n_codes * np.arange(rows)[:, None]
-    counts = np.zeros((rows, n_codes), dtype=np.int64)
-    tied = np.empty((len(checkpoints), rows, catalog.n_objects), dtype=bool)
-    prior_best = np.empty_like(tied)
-    start = 0
-    for c, stop in enumerate(checkpoints):
-        step = codes[:, start:stop] + offsets
-        counts += np.bincount(step.ravel(), minlength=counts.size).reshape(counts.shape)
-        start = stop
-        hits, finite = tally(log_prior, counts[:, :-1], table)
-        log_weights = map_log_weights(hits, finite)
-        tied[c], prior_best[c] = tie_sets(log_weights, catalog.priors)
-    options = prior_best.sum(axis=-1)
-    winners = prior_best.argmax(axis=-1)
-    random = options > 1
-    picking = np.flatnonzero(random.any(axis=0))
-    if picking.size:
-        picks = seeded_picks(pick_keys(picking), options[:, picking])
-        # the pick-th prior-best object: the first whose running count of them exceeds the pick
-        winners[:, picking] = (prior_best[:, picking].cumsum(axis=-1) > picks[..., None]).argmax(axis=-1)
-    return Episodes(winners, random, tied, hits, log_weights)
 
 
 def _schedule_entry(pair) -> tuple[int, int]:

@@ -8,20 +8,21 @@ are reproducible bit for bit and trials are independent. The purposes, and
 the key layout of each harness (``k`` a bin, ``t`` a trial, ``c`` a case);
 a new purpose or layout gets its row here:
 
-==================  ===============================  ==================================================
-harness             key                              draws
-==================  ===============================  ==================================================
-calibration         ``(s, CALIBRATION_STREAM)``      every training score (``calibrate``, exp2, exp3)
-exp1                ``(s, SCORE_STREAM, k)``         bin ``k``'s positive, then negative, KDE sample
-exp2                ``(s, SCORE_STREAM, t)``         trial ``t``'s test scores
-exp2                ``(s, PICK_STREAM, t, system)``  its tie picks; system 0 two-threshold, 1 single
-exp3                ``(s, SCORE_STREAM, k, t)``      trial ``t``'s test scores in bin ``k``
-exp3                ``(s, PICK_STREAM, k, t)``       its tie picks, the same stream for every system
-convergence         ``(s, SCORE_STREAM, t)``         trial ``t``'s outcome uniforms
-convergence         ``(s, PICK_STREAM, t)``          its tie picks
-exact recognition   ``(s, CASE_STREAM, c)``          case ``c``: catalog, priors, predictive values, views
-``fuse``            ``(s, PICK_STREAM)``             the decision's tie pick
-==================  ===============================  ==================================================
+==================  ====================================  =====================================================
+harness             key                                   draws
+==================  ====================================  =====================================================
+calibration         ``(s, CALIBRATION_STREAM)``           every training score (``calibrate``, exp2, exp3)
+exp1                ``(s, SCORE_STREAM, k)``              bin ``k``'s positive, then negative, KDE sample
+exp2                ``(s, SCORE_STREAM, t)``              trial ``t``'s test scores
+exp2                ``(s, PICK_STREAM, t, system)``       its tie picks; system 0 two-threshold, 1 single
+exp3                ``(s, SCORE_STREAM, k, t)``           trial ``t``'s test scores in bin ``k``
+exp3                ``(s, PICK_STREAM, k, t)``            its tie picks, the same stream for every system
+convergence         ``(s, SCORE_STREAM, t)``              trial ``t``'s outcome uniforms
+convergence         ``(s, PICK_STREAM, t)``               its tie picks
+exact recognition   ``(s, CASE_STREAM, c)``               case ``c``: catalog, priors, predictive values, views
+exact recognition   ``(s, PICK_STREAM, CASE_STREAM, c)``  its tie picks, never read
+``fuse``            ``(s, PICK_STREAM)``                  the decision's tie pick
+==================  ====================================  =====================================================
 
 A stream is fixed by its key at counter 0: :func:`stream_keys` computes many
 keys in one vectorised pass, :func:`stream_starts` sets one reused generator

@@ -10,8 +10,8 @@ and the MAP tie rule (``decide``) it decided by. The line-by-line
 observation reader and checks that ``attrfuse fuse`` ran before it read
 columns are the reference for the columnar reader, and the one-case
 exact-recognition path (``random_exact_recognition_case``: a catalog,
-``compute_stats`` and per-attribute floors, decided by ``decide_episodes``)
-is the reference for the padded pass, and the per-key loop
+``compute_stats`` and per-attribute floors, decided as one row by
+``decide_codes``) is the reference for the padded pass, and the per-key loop
 (``reference_tally``) is the reference for ``tally``'s integer hit
 product and buffered sums. The per-pair candidate sweep
 (``reference_sweep``: sorted classes counted with ``np.searchsorted``) and
@@ -40,6 +40,7 @@ import numpy as np
 from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, CalibrationError, ClassifierModel
 from attrfuse.experiments import _draw_exact_cases
+from attrfuse import fusion
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
 from attrfuse.simulator import _not_finite
 from attrfuse.theory import required_predictive_values
@@ -291,7 +292,7 @@ def factor_codes(observations):
 
 
 def random_exact_recognition_case(rng: np.random.Generator):
-    """One exact-recognition case from ``rng``, as ``decide_episodes`` reads it.
+    """One exact-recognition case from ``rng``, as :func:`decide_codes` reads it.
 
     Returns (catalog, stats, keys, ground_truth, observed) from the
     package's case draw. ``keys[i]`` is ``(i, outcome, value)``: the ground
@@ -316,6 +317,13 @@ def random_exact_recognition_case(rng: np.random.Generator):
     attributes = np.arange(n_attributes)
     observed = np.concatenate([attributes, np.repeat(attributes, counts[:n_attributes] - 1)])
     return catalog, stats, keys, ground_truth, observed
+
+
+def decide_codes(codes, keys, catalog, stats, checkpoints, pick_keys):
+    """The engine's decisions of rows of codes into the sorted ``keys``: ``fusion.count_codes`` at ``checkpoints``,
+    then ``fusion.decide`` on the catalog's key table and priors."""
+    counts = fusion.count_codes(codes, len(keys), checkpoints)
+    return fusion.decide(counts, factor_table(keys, stats), catalog.priors, pick_keys)
 
 
 def reference_tally(log_prior, counts, table):

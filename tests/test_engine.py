@@ -21,7 +21,6 @@ from attrfuse.simulator import (
     calibrate_from_sets,
     calibrate_scenario,
     classify_scores,
-    decide_episodes,
     draw_scores,
     draw_training_sets,
 )
@@ -32,6 +31,7 @@ from oracles import (
     classify,
     counted_posterior,
     decide,
+    decide_codes,
     make_observation,
     make_synthetic_model,
     sample_score,
@@ -86,7 +86,7 @@ def test_batch_rows_equal_one_row_posteriors_and_decisions(case, seed):
 
     half = codes.shape[1] // 2
     checkpoints = [half, codes.shape[1]]
-    episodes = decide_episodes(codes, keys, catalog, stats, checkpoints, lambda rows: stream_keys(seed, rows))
+    episodes = decide_codes(codes, keys, catalog, stats, checkpoints, lambda rows: stream_keys(seed, rows))
     # the engine's last-checkpoint rows are the batched tally's
     assert episodes.hits.tobytes() == hits.tobytes() and episodes.log_weights.tobytes() == batched.tobytes()
     for r, row in enumerate(codes):
@@ -282,7 +282,7 @@ def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
     truths = np.arange(trials) % catalog.n_objects
     scores = draw_scores(scenario, truths, attrs, bins, stream_draws(3, (SCORE_STREAM,), trials, len(columns)))
     codes, keys = classify_scores(models, attrs, bins, scores)
-    episodes = decide_episodes(codes, keys, catalog, stats, [len(columns)], lambda rows: stream_keys(3, PICK_STREAM, rows))
+    episodes = decide_codes(codes, keys, catalog, stats, [len(columns)], lambda rows: stream_keys(3, PICK_STREAM, rows))
     outcomes = [key[1] for key in keys] + ["uncertain"]
     for t, gt in enumerate(truths.tolist()):
         rng = derived_rng(3, SCORE_STREAM, t)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attrfuse.catalog import ObjectCatalog
+from attrfuse.catalog import ObjectCatalog, compute_stats, prior_stats
 from attrfuse.classifier import CalibrationError
-from attrfuse.simulator import CalibrationConfig, Scenario, ScenarioError, ScoreModel, decide_episodes
+from attrfuse.simulator import CalibrationConfig, Scenario, ScenarioError, ScoreModel
 from attrfuse.streams import CASE_STREAM, SCORE_STREAM, derived_rng, stream_keys, stream_starts
 from attrfuse.experiments import (
     EXP1_BANDWIDTH,
@@ -27,7 +27,7 @@ from attrfuse.experiments import (
     write_manifest,
 )
 from attrfuse.theory import required_predictive_values
-from oracles import random_exact_recognition_case
+from oracles import decide_codes, random_exact_recognition_case
 
 
 def flat_scenario(n_bins=3, seed=17, std=3.0):
@@ -178,7 +178,7 @@ class TestExperiment3:
 
 
 def assert_pass_decides_as_reference(cases, seed):
-    """Each case of :func:`decide_exact_cases` against the one-case reference decided by ``decide_episodes``.
+    """Each case of :func:`decide_exact_cases` against the one-case reference decided by ``decide_codes``.
 
     Returns each case's (objects, attributes).
     """
@@ -186,7 +186,7 @@ def assert_pass_decides_as_reference(cases, seed):
     shapes = []
     for c, key in enumerate(stream_keys(seed, CASE_STREAM, np.arange(cases))):
         catalog, stats, keys, truth, observed = random_exact_recognition_case(next(stream_starts(key[None])))
-        episodes = decide_episodes(observed[None], keys, catalog, stats, [observed.size], lambda _: key[None])
+        episodes = decide_codes(observed[None], keys, catalog, stats, [observed.size], lambda _: key[None])
         n = catalog.n_objects
         assert truths[c] == truth
         assert tied[c, :n].tolist() == episodes.tied[0, 0].tolist()
@@ -200,9 +200,27 @@ class TestTheoremSuites:
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40))
     @example(0, 1)
     @example(2994502579, 4)  # case 1's log weight cancels; off by 1.07e-12 unless the pass rescales as the catalog does
+    @example(77706, 8)  # case 7's log weight cancels; off by 2.7e-12 unless the attribute priors sum object by object
     @settings(max_examples=40, deadline=None)
     def test_pass_decides_each_case_as_the_reference(self, seed, cases):
         assert_pass_decides_as_reference(cases, seed)
+
+    def test_padded_prior_stats_equal_each_catalogs(self):
+        """The stats of the one-case catalogs, padded to 6 objects and 8 attributes, equal each catalog's bit for bit:
+        the attribute priors sum the objects in order, whatever the padding (a matmul's order depends on the shape,
+        and put case 7's last bit off)."""
+        keys = stream_keys(77706, CASE_STREAM, np.arange(8))
+        catalogs = [random_exact_recognition_case(next(stream_starts(key[None])))[0] for key in keys]
+        matrix, priors = np.zeros((len(catalogs), 6, 8), dtype=np.int8), np.zeros((len(catalogs), 6))
+        for c, catalog in enumerate(catalogs):
+            matrix[c, : catalog.n_objects, : catalog.n_attributes] = catalog.matrix
+            priors[c, : catalog.n_objects] = catalog.priors
+        padded = prior_stats(matrix, priors)
+        for c, catalog in enumerate(catalogs):
+            n, m, stats = catalog.n_objects, catalog.n_attributes, compute_stats(catalog)
+            for name in ("attribute_priors", "prior_ratio_pos", "prior_ratio_neg", "usable"):
+                assert getattr(padded, name)[c, :m].tobytes() == getattr(stats, name).tobytes(), (c, name)
+            assert padded.positive_mask[c, :m, :n].tobytes() == stats.positive_mask.tobytes()
 
     def test_pass_pads_a_small_case_beside_a_full_one(self):
         assert assert_pass_decides_as_reference(2, seed=2468) == [(2, 3), (6, 8)]

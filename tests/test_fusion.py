@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel
-from attrfuse.fusion import log_factor_rows, posterior, tally
-from attrfuse.simulator import classify_scores, decide_episodes
+from attrfuse.fusion import count_codes, decide, log_factor_rows, posterior, tally
+from attrfuse.simulator import classify_scores
 from attrfuse.streams import stream_keys
 
-from oracles import factor_codes, make_synthetic_model, posterior_oracle, reference_tally
+from oracles import decide_codes, factor_codes, make_synthetic_model, posterior_oracle, reference_tally
 
 
 def small_catalog(matrix, priors):
@@ -27,7 +28,7 @@ def small_catalog(matrix, priors):
 
 def decided(codes, keys, catalog, stats, seed=0):
     """The engine's decision of one row of codes into ``keys``, with ties picked from ``Philox(seed)``'s stream."""
-    return decide_episodes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: stream_keys(seed)[None])
+    return decide_codes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: stream_keys(seed)[None])
 
 
 def fused(catalog, stats, observations, seed=0):
@@ -262,9 +263,9 @@ class TestDecide:
             calls.append(rows.tolist())
             return stream_keys(5, rows)
 
-        episodes = decide_episodes(codes, keys, table1, table1_stats, [2], pick_keys)
+        episodes = decide_codes(codes, keys, table1, table1_stats, [2], pick_keys)
         assert calls == [[0, 2]] and episodes.random[0].tolist() == [True, False, True]
-        decide_episodes(codes[1:2], keys, table1, table1_stats, [2], pick_keys)
+        decide_codes(codes[1:2], keys, table1, table1_stats, [2], pick_keys)
         assert calls == [[0, 2]]
 
     def test_prior_breaks_tie(self):
@@ -336,3 +337,54 @@ def test_tally_equals_the_per_key_loop(inputs):
     expected_hits, expected_finite = reference_tally(*inputs)
     assert hits.dtype == np.int64 and np.array_equal(hits, expected_hits)
     assert finite.shape == expected_finite.shape and finite.tobytes() == expected_finite.tobytes()
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_count_codes_equal_a_counter_per_row(n_keys, rows, data):
+    """Each checkpoint's counts are a ``Counter`` of each row's leading codes; the no-key code is never counted."""
+    draws = data.draw(st.integers(0, 9))
+    codes = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, n_keys), min_size=draws, max_size=draws), min_size=rows, max_size=rows)),
+        dtype=np.intp,
+    ).reshape(rows, draws)
+    checkpoints = sorted(data.draw(st.lists(st.integers(0, draws), min_size=1, max_size=4)))
+    counts = count_codes(codes, n_keys, checkpoints)
+    assert counts.dtype == np.int64 and counts.shape == (len(checkpoints), rows, n_keys)
+    for c, stop in enumerate(checkpoints):
+        for r, row in enumerate(codes.tolist()):
+            seen = collections.Counter(row[:stop])
+            assert counts[c, r].tolist() == [seen[key] for key in range(n_keys)]
+
+
+def test_count_codes_at_equal_checkpoints_are_equal():
+    codes = np.array([[0, 2, 1, 2], [2, 2, 2, 0]])  # 2 keys: code 2 is uncertain
+    counts = count_codes(codes, 2, [1, 3, 3, 4])
+    assert counts.tolist() == [[[1, 0], [0, 0]], [[1, 1], [0, 0]], [[1, 1], [0, 0]], [[1, 1], [1, 0]]]
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_stacked_rows_decide_as_one_call_per_row(seed):
+    """Rows with their own key tables, priors (zero for a padded object) and pick streams, decided in one call,
+    equal one call per row with that row's table shared. Row 0 has no evidence and ties on equal priors, so its
+    stream picks the winner."""
+    rng = np.random.default_rng(seed)
+    rows, n_keys, n_objects = 8, 3, 4
+    tables = rng.choice([0.0, -0.5, math.log(2.0), -math.inf], size=(rows, n_keys, n_objects))
+    weights = rng.choice([0.0, 1.0, 1.0, 2.0], size=(rows, n_objects))
+    weights[:, 0] = 1.0
+    weights[0] = [1.0, 1.0, 1.0, 0.0]
+    priors = weights / weights.sum(axis=1, keepdims=True)
+    counts = rng.integers(0, 3, size=(3, rows, n_keys)).cumsum(axis=0)
+    counts[:, 0] = 0
+    keys = stream_keys(seed, np.arange(rows))
+    stacked = decide(counts, tables, priors, lambda picked: keys[picked])
+    assert stacked.random[:, 0].all()
+    for r in range(rows):
+        alone = decide(counts[:, r : r + 1], tables[r], priors[r], lambda _: keys[r][None])
+        assert stacked.winners[:, r].tolist() == alone.winners[:, 0].tolist()
+        assert stacked.random[:, r].tolist() == alone.random[:, 0].tolist()
+        assert stacked.tied[:, r].tolist() == alone.tied[:, 0].tolist()
+        assert stacked.hits[r].tolist() == alone.hits[0].tolist()
+        assert stacked.log_weights[r].tobytes() == alone.log_weights[0].tobytes()

@@ -23,7 +23,6 @@ from attrfuse.simulator import (
     _class_scores,
     calibrate_scenario,
     classify_scores,
-    decide_episodes,
     draw_scores,
     draw_training_sets,
     load_scenario,
@@ -31,7 +30,7 @@ from attrfuse.simulator import (
 from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, stream_draws, stream_keys
 
 from json_mutations import mutated
-from oracles import pair_record, reference_class_scores, reference_training_sets
+from oracles import decide_codes, pair_record, reference_class_scores, reference_training_sets
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 # the exp3 scenario with its catalog path made absolute, so that a copy loads from any directory
@@ -76,7 +75,7 @@ def episodes(scenario, models, truths, schedule, seed, key=()):
     attrs, bins = [i for i, _ in columns], [k for _, k in columns]
     z = stream_draws(seed, (SCORE_STREAM, *key), len(truths), len(columns))
     codes, keys = classify_scores(models, attrs, bins, draw_scores(scenario, np.asarray(truths), attrs, bins, z))
-    episodes = decide_episodes(
+    episodes = decide_codes(
         codes, keys, scenario.catalog, compute_stats(scenario.catalog), [len(columns)],
         lambda rows: stream_keys(seed, PICK_STREAM, *key, rows),
     )

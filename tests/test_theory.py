@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
 from attrfuse.experiments import exact_recognition_suite
-from attrfuse.simulator import decide_episodes
 from attrfuse.streams import stream_keys
 from attrfuse.theory import (
     certify_guaranteed_recognition,
@@ -14,7 +13,7 @@ from attrfuse.theory import (
     requirement_report,
 )
 
-from oracles import make_synthetic_model
+from oracles import decide_codes, make_synthetic_model
 
 
 def small_catalog(matrix, priors):
@@ -141,7 +140,7 @@ def engine_decision(catalog, models, pos, neg):
     keyed += [(i, "negative", models[i].calibrations[0].npv) for i in sorted(neg)]
     keys = sorted(keyed)
     codes = np.array([[keys.index(key) for key in keyed]], dtype=np.intp)
-    return decide_episodes(codes, keys, catalog, compute_stats(catalog), [codes.shape[1]], lambda _: stream_keys(0)[None])
+    return decide_codes(codes, keys, catalog, compute_stats(catalog), [codes.shape[1]], lambda _: stream_keys(0)[None])
 
 
 class TestFloorAgreement:
