@@ -9,7 +9,7 @@ each holds one part:
 - ``attrfuse.simulator``: scenarios, score draws and batched ternary classification.
 - ``attrfuse.streams``: the seeded Philox streams: every harness's key layout, and the draws and tie picks made from them.
 - ``attrfuse.fusion``: the decision engine: adopted-outcome counts, their posterior fold and the tie-broken MAP decision.
-- ``attrfuse.theory``: the predictive-value floors and false-rate bounds under which the decision is guaranteed.
+- ``attrfuse.theory``: the predictive-value floors under which the decision is guaranteed, and the certificate that checks them.
 - ``attrfuse.experiments``: the Monte Carlo harnesses of the three experiments and the theorem suites, with CSV output.
 - ``attrfuse.cli``: the ``attrfuse`` command: ``calibrate``, ``fuse``, ``exp1`` to ``exp3`` and ``theorems``.
 - ``attrfuse._fields``: the JSON input rules the three loaders share: the file reader, the field reader, the converters.

@@ -286,10 +286,12 @@ def _exp2_table(scenario, curve) -> list[str]:
 
 
 def _exp3_table(scenario, result) -> list[str]:
-    lines = ["bin        " + "".join(f"{name:<10}" for name in result.systems)]
-    for k, interval in enumerate(result.bins):
+    intervals = [str(interval) for interval in result.bins]
+    width = max(map(len, ["bin", *intervals])) + 1
+    lines = ["bin".ljust(width) + "".join(f"{name:<10}" for name in result.systems)]
+    for k, interval in enumerate(intervals):
         cells = "".join(f"{result.accuracy[k, s]:<10.4f}" for s in range(len(result.systems)))
-        lines.append(f"{str(interval):<11}{cells}")
+        lines.append(interval.ljust(width) + cells)
     return lines
 
 

@@ -43,7 +43,7 @@ from attrfuse.experiments import _draw_exact_cases
 from attrfuse import fusion
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
 from attrfuse.simulator import _not_finite
-from attrfuse.theory import required_predictive_values
+from attrfuse.theory import predictive_value_floors
 
 
 def posterior_oracle(priors, matrix, observations, ppv, npv):
@@ -297,7 +297,7 @@ def random_exact_recognition_case(rng: np.random.Generator):
     Returns (catalog, stats, keys, ground_truth, observed) from the
     package's case draw. ``keys[i]`` is ``(i, outcome, value)``: the ground
     truth's outcome of attribute ``i`` and its ppv or npv, placed by the
-    drawn uniform between the ``required_predictive_values`` floor and 1.
+    drawn uniform between the ``predictive_value_floors`` floor and 1.
     ``observed`` holds each attribute code once, then one more per repeat.
     """
     matrix, priors, uniforms, truth, counts = (a[0] for a in _draw_exact_cases([rng], 1))
@@ -310,7 +310,7 @@ def random_exact_recognition_case(rng: np.random.Generator):
         priors=raw / raw.sum(),
     )
     stats = compute_stats(catalog)
-    floors = np.array([required_predictive_values(stats, i) for i in range(n_attributes)])
+    floors = np.stack(predictive_value_floors(stats), axis=1)
     values = np.minimum(1.0, floors + uniforms[:n_attributes] * (1.0 - floors))
     ground_truth = int(truth)
     keys = [(i, "positive" if has else "negative", float(values[i, 1 - has])) for i, has in enumerate(catalog.matrix[ground_truth].tolist())]

@@ -333,6 +333,16 @@ def test_non_positive_trials_is_a_usage_error(repo_root, tmp_path, capsys, comma
     assert not any(tmp_path.iterdir())
 
 
+def test_exp3_table_columns_line_up(repo_root, tmp_path, capsys):
+    main(["exp3", "--scenario", str(repo_root / "scenarios" / "exp3.json"), "--trials", "5", "--out", str(tmp_path)])
+    header, *rows = capsys.readouterr().out.splitlines()[:-1]  # the last line names the written CSV
+    column = header.index("fine")
+    assert len(rows) == 5
+    for row in rows:
+        assert row[column - 1].isspace() and not row[column].isspace(), row
+        assert re.fullmatch(r"\d\.\d{4}", row[column:].split()[0]), row
+
+
 @pytest.mark.parametrize("command", ["calibrate", "fuse", "exp1", "exp2", "exp3", "theorems"])
 def test_negative_seed_is_a_usage_error(repo_root, exp2_models, tmp_path, capsys, command):
     obs = tmp_path / "obs.csv"

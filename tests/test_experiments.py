@@ -26,7 +26,7 @@ from attrfuse.experiments import (
     write_exp3_csv,
     write_manifest,
 )
-from attrfuse.theory import required_predictive_values
+from attrfuse.theory import predictive_value_floors
 from oracles import decide_codes, random_exact_recognition_case
 
 
@@ -251,7 +251,7 @@ class TestTheoremSuites:
         assert [i for i, _, _ in keys] == list(range(m))
         for i, outcome, value in keys:
             assert outcome == ("positive" if matrix[truth, i] else "negative")
-            floor = required_predictive_values(stats, i)[outcome == "negative"]
+            floor = predictive_value_floors(stats)[outcome == "negative"][i]
             assert floor <= value <= 1.0
         # each attribute code once, then at most 3 repeats
         assert observed[:m].tolist() == list(range(m))

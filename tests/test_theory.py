@@ -1,17 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
+from attrfuse.catalog import ObjectCatalog, compute_stats
+from attrfuse.classifier import BinCalibration
 from attrfuse.experiments import exact_recognition_suite
 from attrfuse.streams import stream_keys
-from attrfuse.theory import (
-    certify_guaranteed_recognition,
-    false_rate_bounds,
-    required_predictive_values,
-    requirement_report,
-)
+from attrfuse.theory import certify_guaranteed_recognition, predictive_value_floors
 
 from oracles import decide_codes, make_synthetic_model
 
@@ -30,14 +28,14 @@ class TestRequiredPredictiveValues:
     def test_equal_priors_reduce_to_attribute_prior(self, table1):
         stats = compute_stats(table1)
         i = table1.attribute_index("bottle shape")
-        ppv_bound, npv_bound = required_predictive_values(stats, i)
-        assert ppv_bound == pytest.approx(1 / 3, abs=1e-12)
-        assert npv_bound == pytest.approx(2 / 3, abs=1e-12)
+        ppv_floors, npv_floors = predictive_value_floors(stats)
+        assert ppv_floors[i] == pytest.approx(1 / 3, abs=1e-12)
+        assert npv_floors[i] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_ratio_four(self):
         cat = small_catalog([[1], [1], [0], [0]], [0.1, 0.1, 0.4, 0.4])
         stats = compute_stats(cat)
-        ppv_bound, _ = required_predictive_values(stats, 0)
+        ppv_bound = predictive_value_floors(stats)[0][0]
         # w = 0.2, ratio 4: bound = 0.8 / 1.6
         assert ppv_bound == pytest.approx(0.5, abs=1e-12)
 
@@ -48,15 +46,16 @@ class TestRequiredPredictiveValues:
             column = [1] * k + [0] * (n - k)
             cat = small_catalog(np.array(column)[:, None], np.full(n, 1 / n))
             stats = compute_stats(cat)
-            ppv_bound, npv_bound = required_predictive_values(stats, 0)
-            assert ppv_bound == pytest.approx(w_target, abs=1e-12)
-            assert npv_bound == pytest.approx(1 - w_target, abs=1e-12)
+            ppv_floors, npv_floors = predictive_value_floors(stats)
+            assert ppv_floors[0] == pytest.approx(w_target, abs=1e-12)
+            assert npv_floors[0] == pytest.approx(1 - w_target, abs=1e-12)
 
     def test_constant_attribute_rejected(self):
         cat = small_catalog([[1, 1], [0, 1]], [0.5, 0.5])
         stats = compute_stats(cat)
-        with pytest.raises(NonDiscriminativeAttributeError):
-            required_predictive_values(stats, 1)
+        ppv_floors, npv_floors = predictive_value_floors(stats)
+        assert np.isnan(ppv_floors[1]) and np.isnan(npv_floors[1])
+        assert not stats.usable[1]
 
     def test_bound_monotone_in_ratio_and_prior(self):
         def bound(r, w):
@@ -84,7 +83,7 @@ class TestRequiredPredictiveValues:
             priors /= priors.sum()
             cat = small_catalog(column[:, None], priors)
             stats = compute_stats(cat)
-            ppv_bound, _ = required_predictive_values(stats, 0)
+            ppv_bound = predictive_value_floors(stats)[0][0]
             w = stats.attribute_priors[0]
             ppv = float(rng.uniform(ppv_bound, 1.0))
             for j in np.flatnonzero(column):
@@ -133,6 +132,48 @@ class TestCertification:
         verdict = certify_guaranteed_recognition(table1, {}, pos, set())
         assert not verdict.guaranteed
 
+    def test_constant_attribute_not_guaranteed(self):
+        # every object has attribute 1; attribute 0 alone identifies object 0
+        cat = small_catalog([[1, 1], [0, 1]], [0.5, 0.5])
+        verdict = certify_guaranteed_recognition(cat, self.make_models(cat), {0, 1}, set())
+        assert not verdict.guaranteed and verdict.candidates == (0,)
+        assert verdict.reason == "attribute 1 is constant across the catalog"
+
+    def test_no_reliable_bin_not_guaranteed(self, table1):
+        models = self.make_models(table1)
+        i = table1.attribute_index("yellow color")
+        unreliable = BinCalibration(
+            theta_pos=None, theta_neg=None, ppv=None, npv=None,
+            detection_rate=0.0, true_negative_rate=0.0,
+            false_positive_rate=0.0, false_negative_rate=0.0, reliable=False,
+        )
+        models[i] = replace(models[i], calibrations={0: unreliable})
+        pos = {table1.attribute_index("bottle shape"), i}
+        verdict = certify_guaranteed_recognition(table1, models, pos, set())
+        assert not verdict.guaranteed and verdict.candidates == (table1.objects.index("7"),)
+        assert verdict.reason == f"attribute {i} has no reliable bin"
+
+    def test_unreliable_bins_ignored(self):
+        # bin 0 has no predictive values at all; the reliable bin 1 alone decides
+        cat = small_catalog([[1], [0]], [0.5, 0.5])
+        model = make_synthetic_model(0, 0.96, 0.96)
+        unreliable = replace(model.calibrations[0], ppv=None, npv=None, reliable=False)
+        models = {0: replace(model, calibrations={0: unreliable, 1: model.calibrations[0]})}
+        verdict = certify_guaranteed_recognition(cat, models, {0}, set())
+        assert verdict.guaranteed and verdict.object_index == 0
+
+    def test_every_reliable_bin_must_qualify(self):
+        # negative evidence identifies object 1; bin 1's NPV sits on the 1 - w = 0.5 floor
+        cat = small_catalog([[1], [0]], [0.5, 0.5])
+        model = make_synthetic_model(0, 0.96, 0.96)
+        weak = replace(model.calibrations[0], npv=0.5)
+        models = {0: replace(model, calibrations={0: model.calibrations[0], 1: weak})}
+        verdict = certify_guaranteed_recognition(cat, models, set(), {0})
+        assert not verdict.guaranteed and verdict.candidates == (1,)
+        assert verdict.reason == "attribute 0 bin 1: npv 0.500000 at or below bound 0.500000"
+        models[0] = replace(model, calibrations={0: model.calibrations[0], 1: replace(weak, npv=0.9)})
+        assert certify_guaranteed_recognition(cat, models, set(), {0}).guaranteed
+
 
 def engine_decision(catalog, models, pos, neg):
     """The engine's one-row decision on one adopted observation per attribute in ``pos`` and ``neg`` (bin 0)."""
@@ -151,19 +192,17 @@ class TestFloorAgreement:
         # A (prior 0.4) has the attribute, B (prior 0.6) lacks it: the PPV floor is 0.5
         cat = small_catalog([[1], [0]], [0.4, 0.6])
         models = {0: make_synthetic_model(0, ppv, 0.9)}
-        assert required_predictive_values(compute_stats(cat), 0)[0] == pytest.approx(0.5, abs=1e-15)
+        assert predictive_value_floors(compute_stats(cat))[0][0] == pytest.approx(0.5, abs=1e-15)
         episodes = engine_decision(cat, models, {0}, set())
         assert episodes.tied[0, 0].tolist() == [True, True] and episodes.winners[0, 0] == 1  # B, by its prior
         verdict = certify_guaranteed_recognition(cat, models, {0}, set())
         assert not verdict.guaranteed and "at or below bound" in verdict.reason
-        assert not requirement_report(models, compute_stats(cat)).overall_ok
 
     def test_above_the_floor_is_guaranteed(self):
         cat = small_catalog([[1], [0]], [0.4, 0.6])
         models = {0: make_synthetic_model(0, 0.500001, 0.9)}
         assert np.flatnonzero(engine_decision(cat, models, {0}, set()).tied[0, 0]).tolist() == [0]
         assert certify_guaranteed_recognition(cat, models, {0}, set()).guaranteed
-        assert requirement_report(models, compute_stats(cat)).overall_ok
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=150, deadline=None)
@@ -175,11 +214,11 @@ class TestFloorAgreement:
         if not (matrix.any(axis=0) & (1 - matrix).any(axis=0)).all():
             return
         cat = small_catalog(matrix, rng.dirichlet(np.ones(n_objects)) * 0.9 + 0.1 / n_objects)
-        stats = compute_stats(cat)
+        ppv_floors, npv_floors = predictive_value_floors(compute_stats(cat))
         scales = (1.0, 1.0, 1 + 1e-10, 1 + 3e-9, 1 + 1e-6, 1.05)
         models = {}
         for i in range(n_attributes):
-            ppv, npv = (min(1.0, floor * scales[int(rng.integers(len(scales)))]) for floor in required_predictive_values(stats, i))
+            ppv, npv = (min(1.0, floor * scales[int(rng.integers(len(scales)))]) for floor in (ppv_floors[i], npv_floors[i]))
             models[i] = make_synthetic_model(i, ppv, npv)
         truth = int(rng.integers(n_objects))
         pos = set(np.flatnonzero(matrix[truth]).tolist())
@@ -196,64 +235,6 @@ class TestRateBounds:
         assert cal.detection_rate / (cal.detection_rate + cal.false_positive_rate) == pytest.approx(0.96)
         assert cal.true_negative_rate / (cal.true_negative_rate + cal.false_negative_rate) == pytest.approx(0.9)
         assert m.calibrations.keys() == {0} and cal.reliable
-
-    def test_false_positive_upper(self, table1):
-        stats = compute_stats(table1)
-        i = table1.attribute_index("bottle shape")  # w = 1/3
-        model = make_synthetic_model(i, ppv=0.96, npv=0.9, detection_rate=0.5, true_negative_rate=0.5)
-        entry = false_rate_bounds(model, stats)[0]
-        assert entry.false_positive_upper == pytest.approx(0.04 / (2 / 3), abs=1e-12)
-        assert entry.false_negative_upper == pytest.approx(0.1 / (1 / 3), abs=1e-12)
-        assert entry.false_positive_ok and entry.false_negative_ok
-
-    def test_perfect_precision_forbids_false_positives(self, table1):
-        stats = compute_stats(table1)
-        i = table1.attribute_index("bottle shape")
-        model = make_synthetic_model(i, ppv=1.0, npv=0.96)
-        entry = false_rate_bounds(model, stats)[0]
-        assert entry.false_positive_upper == 0.0
-        assert entry.false_positive_ok
-
-    def test_constant_attribute_rejected(self):
-        cat = small_catalog([[1, 1], [0, 1]], [0.5, 0.5])
-        stats = compute_stats(cat)
-        with pytest.raises(NonDiscriminativeAttributeError):
-            false_rate_bounds(make_synthetic_model(1, 0.96, 0.96), stats)
-
-
-class TestRequirementReport:
-    def test_flags_and_overall(self, table1):
-        stats = compute_stats(table1)
-        models = {i: make_synthetic_model(i, 0.96, 0.96) for i in range(table1.n_attributes)}
-        report = requirement_report(models, stats)
-        assert report.overall_ok
-        assert len(report.entries) == table1.n_attributes
-
-        i = table1.attribute_index("cylinder")  # w = 5/9 > 0.5
-        models[i] = make_synthetic_model(i, ppv=0.5, npv=0.96)
-        report = requirement_report(models, stats)
-        assert not report.overall_ok
-        bad = [e for e in report.entries if e.attribute_index == i]
-        assert bad and not bad[0].ppv_ok and bad[0].npv_ok
-
-    def test_unreliable_bins_ignored(self, table1):
-        stats = compute_stats(table1)
-        weak = make_synthetic_model(0, 0.5, 0.5)
-        unreliable = {
-            0: weak.__class__(
-                attribute_index=0,
-                orientation=weak.orientation,
-                calibrations={
-                    0: weak.calibrations[0].__class__(
-                        theta_pos=None, theta_neg=None, ppv=None, npv=None,
-                        detection_rate=0.0, true_negative_rate=0.0,
-                        false_positive_rate=0.0, false_negative_rate=0.0, reliable=False,
-                    )
-                },
-            )
-        }
-        report = requirement_report(unreliable, stats)
-        assert report.overall_ok and report.entries == ()
 
 
 def test_exact_recognition_quick_suite():
