@@ -14,8 +14,8 @@ the stream's first 10^3 and 10 lines: ``fuse_10`` shows the per-call cost,
 and the step from ``fuse_1000`` to ``fuse_10000`` the per-line cost of the
 observation reader. ``fuse_tie`` is the same call on the four-line ``tie`` stream
 of ``tests/test_golden.py`` at ``--seed 0``: objects 7, 8 and 9 tie in the
-posterior and the prior, so the call pays the seeded pick's Philox pass,
-which no line of the other two streams reaches. ``calibrate_exp3`` is
+posterior and the prior, so the call builds the pick generator and draws
+the seeded pick, which no line of the other three streams reaches. ``calibrate_exp3`` is
 ``attrfuse calibrate`` through ``cli.main`` on the exp3 scenario: it loads
 the scenario, draws the training sets, calibrates every bin and writes the
 models. ``calibrate_exp3_x10`` is the same on a copy of the exp3 scenario

@@ -7,7 +7,7 @@ each holds one part:
 - ``attrfuse.catalog``: object catalogs, their priors and the prior statistics the later stages read.
 - ``attrfuse.classifier``: per-bin two-threshold calibration, and saving and loading the models.
 - ``attrfuse.simulator``: scenarios, score draws and batched ternary classification.
-- ``attrfuse.streams``: the seeded Philox streams: every harness's key layout, and the draws and tie picks made from them.
+- ``attrfuse.streams``: the seeded Philox streams: every harness's key layout, one generator per run and key, and the tie-pick rule.
 - ``attrfuse.fusion``: the decision engine: adopted-outcome counts, their posterior fold and the tie-broken MAP decision.
 - ``attrfuse.theory``: the predictive-value floors under which the decision is guaranteed, and the certificate that checks them.
 - ``attrfuse.experiments``: the Monte Carlo harnesses of the three experiments and the theorem suites, with CSV output.

@@ -15,8 +15,9 @@ classifiers with correct, uniquely identifying observations always produce
 the correct MAP winner, and (b) in the adversarial two-object scenario with
 complementary attributes, the error rate vanishes as observations accumulate.
 
-All runs derive per-trial Philox streams from one base seed, so repeated runs
-emit byte-identical CSV tables.
+Every run draws from one Philox generator per purpose (and bin) derived
+from its base seed, trial t reading row t of one array call on it, so
+repeated runs emit byte-identical CSV tables (:mod:`attrfuse.streams`).
 """
 from __future__ import annotations
 
@@ -46,8 +47,8 @@ from attrfuse.simulator import (
     draw_scores,
     draw_training_sets,
 )
-from attrfuse.streams import CALIBRATION_STREAM, CASE_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, stream_draws
-from attrfuse.streams import stream_keys, stream_starts
+from attrfuse.streams import CALIBRATION_STREAM, CASE_STREAM, PICK_STREAM, SCORE_STREAM, STREAM_LAYOUT, derived_rng
+from attrfuse.streams import uniform_picks
 from attrfuse.theory import predictive_value_floors
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy 2.0 renamed trapz to trapezoid
@@ -217,16 +218,14 @@ def experiment2_threshold_comparison(
     columns = attrs * k_values[-1]
     bins = [bin_index] * len(columns)
     ground_truths = np.arange(trials) % catalog.n_objects
-    z = stream_draws(seed, (SCORE_STREAM,), trials, len(columns))
+    z = derived_rng(seed, SCORE_STREAM).standard_normal((trials, len(columns)))
     scores = draw_scores(scenario, ground_truths, columns, bins, z)
     checkpoints = [k * len(attrs) for k in k_values]
+    pick = uniform_picks(derived_rng(seed, PICK_STREAM).random((trials, len(checkpoints))))
     episodes = []
-    for system, models in enumerate((two_models, single_models)):
+    for models in (two_models, single_models):
         codes, keys = classify_scores(models, columns, bins, scores)
-        episodes.append(decide(
-            count_codes(codes, len(keys), checkpoints), factor_table(keys, stats), catalog.priors,
-            lambda rows, system=system: stream_keys(seed, PICK_STREAM, rows, system),
-        ))
+        episodes.append(decide(count_codes(codes, len(keys), checkpoints), factor_table(keys, stats), catalog.priors, pick))
     wrong_two, wrong_single = (decided.winners != ground_truths for decided in episodes)
     wrong_tie = wrong_two & episodes[0].random
 
@@ -301,17 +300,15 @@ def experiment3_attribute_families(
     prefixes = np.concatenate([np.arange(width) for width in widths])
     ground_truths = np.arange(trials) % catalog.n_objects
     accuracy = np.zeros((scenario.n_bins, len(EXP3_SYSTEMS)))
-    # every bin's score draws, and every (bin, trial)'s pick key, in one call each
-    bin_axis = np.arange(scenario.n_bins)[:, None]
-    z_bins = stream_draws(seed, (SCORE_STREAM, bin_axis), trials, max(widths))
-    pick_keys = stream_keys(seed, PICK_STREAM, bin_axis, np.arange(trials))
-    for k, z in enumerate(z_bins):
+    for k in range(scenario.n_bins):
+        z = derived_rng(seed, SCORE_STREAM, k).standard_normal((trials, max(widths)))
+        # every system picks a trial's ties with the trial's one uniform in the bin
+        pick = uniform_picks(np.tile(derived_rng(seed, PICK_STREAM, k).random((trials, 1)), (len(EXP3_SYSTEMS), 1)))
         bins = [k] * len(columns)
         codes, keys = classify_scores(models, columns, bins, draw_scores(scenario, ground_truths, columns, bins, z[:, prefixes]))
         blocks = np.split(codes, np.cumsum(widths)[:-1], axis=1)
         counts = np.concatenate([count_codes(block, len(keys), [block.shape[1]]) for block in blocks], axis=1)
-        # every system picks a trial's ties from the trial's one stream (seed, PICK_STREAM, k, t)
-        episodes = decide(counts, factor_table(keys, stats), catalog.priors, lambda rows: pick_keys[k, rows % trials])
+        episodes = decide(counts, factor_table(keys, stats), catalog.priors, pick)
         accuracy[k] = (episodes.winners[0].reshape(len(EXP3_SYSTEMS), trials) == ground_truths).mean(axis=1)
 
     halfwidths = np.array([[halfwidth(a, trials) for a in row] for row in accuracy])
@@ -345,45 +342,53 @@ class TheoremReport:
         return self.exact_pass and self.convergence_pass
 
 
-def _draw_exact_cases(rngs: Iterable[np.random.Generator], cases: int):
-    """One small catalog with correct, uniquely identifying evidence per generator, padded to 6 objects and 8 attributes.
+def _draw_exact_cases(rng: np.random.Generator, cases: int):
+    """``cases`` small catalogs with correct, uniquely identifying evidence from ``rng``, padded to 6 objects and 8
+    attributes.
 
     Returns per case the 0/1 matrix, the raw priors (0 for an absent object),
     the uniforms that place each attribute's ppv and npv 2-100 % of the way
     from its floor to 1, the ground truth, and each attribute's observation
     count (0 for an absent one). A case has 2-6 objects and 3-8 attributes;
     each attribute is observed once, then 0-3 repeats each copy a uniformly
-    drawn earlier observation. The generators are taken one case at a time.
+    drawn earlier observation. Each quantity is one array call over the
+    cases, drawn for every slot and zeroed where absent; the columns are
+    redrawn, for the cases whose object rows are not distinct, until they are.
     """
-    columns, counts = np.zeros((cases, 8), dtype=np.int64), np.zeros((cases, 8), dtype=np.int64)
-    priors, uniforms, truth = np.zeros((cases, 6)), np.zeros((cases, 8, 2)), np.empty(cases, dtype=np.intp)
-    for c, rng in zip(range(cases), rngs):
-        n_objects, n_attributes = int(rng.integers(2, 7)), int(rng.integers(3, 9))
-        while True:  # column codes uniform over the mixed columns, kept when the rows differ
-            drawn = rng.integers(1, 2**n_objects - 1, size=n_attributes)
-            matrix = drawn >> np.arange(n_objects)[:, None] & 1
-            if len(set((matrix @ (1 << np.arange(n_attributes))).tolist())) == n_objects:
-                break
-        columns[c, :n_attributes] = drawn
-        priors[c, :n_objects] = rng.uniform(0.05, 1.0, size=n_objects)
-        uniforms[c, :n_attributes] = rng.uniform(0.02, 1.0, size=(n_attributes, 2))
-        truth[c] = rng.integers(n_objects)
-        observed = list(range(n_attributes))
-        for _ in range(int(rng.integers(0, 4))):
-            observed.append(observed[rng.integers(len(observed))])
-        counts[c] = np.bincount(observed, minlength=8)
-    return (columns[:, None, :] >> np.arange(6)[:, None] & 1).astype(np.int8), priors, uniforms, truth, counts
+    objects, attributes, repeat = np.arange(6), np.arange(8), np.arange(3)
+    n_objects, n_attributes = rng.integers(2, 7, size=cases), rng.integers(3, 9, size=cases)
+    present = attributes < n_attributes[:, None]
+    columns = np.zeros((cases, 8), dtype=np.int64)
+    pending = np.arange(cases)
+    while pending.size:  # column codes uniform over the mixed columns, kept when the rows differ
+        drawn = rng.integers(1, 2 ** n_objects[pending, None] - 1, size=(pending.size, 8))
+        columns[pending] = np.where(present[pending], drawn, 0)
+        rows = (columns[pending, None, :] >> objects[:, None] & 1) @ (1 << attributes)
+        rows = np.sort(np.where(objects < n_objects[pending, None], rows, -1 - objects), axis=1)  # absent: distinct
+        pending = pending[(rows[:, 1:] == rows[:, :-1]).any(axis=1)]
+    priors = np.where(objects < n_objects[:, None], rng.uniform(0.05, 1.0, size=(cases, 6)), 0.0)
+    uniforms = np.where(present[..., None], rng.uniform(0.02, 1.0, size=(cases, 8, 2)), 0.0)
+    truth = rng.integers(n_objects)
+    n_repeats = rng.integers(0, 4, size=cases)
+    # repeat j copies observation source[:, j] of those before it: the attributes, then repeats 0 to j - 1
+    source = rng.integers(n_attributes[:, None] + repeat)
+    copied = np.zeros((cases, 3), dtype=np.int64)
+    for j in repeat:
+        earlier = copied[np.arange(cases), np.clip(source[:, j] - n_attributes, 0, 2)]
+        copied[:, j] = np.where(source[:, j] < n_attributes, source[:, j], earlier)
+    repeats = (copied[..., None] == attributes) & (repeat < n_repeats[:, None])[..., None]
+    counts = present + repeats.sum(axis=1)
+    return (columns[:, None, :] >> objects[:, None] & 1).astype(np.int8), priors, uniforms, truth, counts
 
 
 def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ground truths, posterior-tied objects and MAP log weights of the cases drawn from streams ``(seed, CASE_STREAM, c)``.
+    """Ground truths, posterior-tied objects and MAP log weights of the cases drawn from stream ``(seed, CASE_STREAM)``.
 
     One :func:`~attrfuse.fusion.decide` call decides the cases as rows, each with its own key table and priors. A
     case keys each attribute with the truth's outcome, once per observation; the objects are padded to 6, and a
-    padded object is never tied. Prior ties pick from streams ``(seed, PICK_STREAM, CASE_STREAM, c)``, never read.
+    padded object is never tied. The winners are not read, so a prior tie takes its first option.
     """
-    case_keys = stream_keys(seed, CASE_STREAM, np.arange(cases))
-    matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases(stream_starts(case_keys), cases)
+    matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases(derived_rng(seed, CASE_STREAM), cases)
     priors = raw_priors / raw_priors.sum(axis=1, keepdims=True)
     priors /= priors.sum(axis=1, keepdims=True)  # the rescale ObjectCatalog applies to a normalized prior vector
     stats = prior_stats(matrix, priors)
@@ -395,7 +400,7 @@ def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     table[keyed] = log_factor_rows(
         stats.positive_mask[keyed], stats.attribute_priors[keyed], positive[keyed], np.where(positive, ppv, npv)[keyed]
     )
-    episodes = decide(counts[None], table, priors, lambda rows: stream_keys(seed, PICK_STREAM, CASE_STREAM, rows))
+    episodes = decide(counts[None], table, priors, lambda _, options: np.zeros_like(options))
     return truth, episodes.tied[0], episodes.log_weights
 
 
@@ -437,7 +442,7 @@ def convergence_suite(
     # each round draws one uniform per attribute; the ground truth has
     # attribute 0 and lacks attribute 1, and a uniform below the correct
     # outcome's rate gives it, below that plus the false rate the wrong one
-    u = stream_draws(seed, (SCORE_STREAM,), trials, 2 * k_values[-1], kind="random")
+    u = derived_rng(seed, SCORE_STREAM).random((trials, 2 * k_values[-1]))
     keys = sorted((i, outcome, float(ppv if outcome == "positive" else npv)) for i in (0, 1) for outcome in ("positive", "negative"))
     code = {key[:2]: n for n, key in enumerate(keys)}
     codes = np.empty(u.shape, dtype=np.intp)
@@ -448,7 +453,7 @@ def convergence_suite(
     )
     episodes = decide(
         count_codes(codes, len(keys), [2 * k for k in k_values]), factor_table(keys, stats), catalog.priors,
-        lambda rows: stream_keys(seed, PICK_STREAM, rows),
+        uniform_picks(derived_rng(seed, PICK_STREAM).random((trials, len(k_values)))),
     )
     wrong = episodes.winners != ground_truth
     return k_values, wrong.mean(axis=1)
@@ -476,8 +481,8 @@ def theorem_suites(
         detection_rate=detection_rate,
         true_negative_rate=true_negative_rate,
     )
-    # an error-free run at every checkpoint counts as converged
-    decreased = bool(error[0] > error[1] or error[0] == 0.0) if len(k_values) >= 2 else True
+    # no error at the second checkpoint counts as converged
+    decreased = bool(error[1] < error[0] or error[1] == 0.0) if len(k_values) >= 2 else True
     convergence_pass = decreased and bool(error[-1] < convergence_ceiling)
     return TheoremReport(
         exact_cases=cases,
@@ -554,7 +559,8 @@ def write_manifest(
     extra: dict | None = None,
     wall_s: float | None = None,
 ) -> Path:
-    """Run provenance: tool, python and numpy versions, seed, trials, scenario digest, harness wall time."""
+    """Run provenance: tool, python and numpy versions, seed, trials, stream layout, scenario digest, harness wall
+    time."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
@@ -565,6 +571,7 @@ def write_manifest(
         "experiment": experiment,
         "seed": seed,
         "trials": trials,
+        "stream_layout": STREAM_LAYOUT,
     }
     if wall_s is not None:
         record["wall_s"] = round(wall_s, 6)

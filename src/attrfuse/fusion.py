@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from attrfuse.catalog import CatalogStats, NonDiscriminativeAttributeError
-from attrfuse.streams import seeded_picks
 
 TIE_RELATIVE_TOLERANCE = 1e-9
 
@@ -122,17 +121,17 @@ def count_codes(codes: np.ndarray, n_keys: int, checkpoints: Sequence[int]) -> n
 
 
 def decide(
-    counts: np.ndarray, table: np.ndarray, priors: np.ndarray, pick_keys: Callable[[np.ndarray], np.ndarray]
+    counts: np.ndarray, table: np.ndarray, priors: np.ndarray, pick: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> Episodes:
     """MAP decisions of every row of ``counts`` (checkpoints x rows x keys, cumulative) at each checkpoint.
 
     ``table`` holds the keys' log rows, shared or one per row, as :func:`tally` takes it; ``priors`` is one row of
     objects or one per row. A zero prior marks a padded object: its log weight is ``-inf``, so it is never tied
     while some object's weight is finite. A posterior tie goes to the best prior; a tie in the prior as well goes to
-    a seeded uniform pick. Every checkpoint is decided first; then :func:`~attrfuse.streams.seeded_picks` makes all
-    the picks in one pass, each row's in checkpoint order from its own Philox stream. ``pick_keys(rows)`` gives
-    those streams' keys, (len(rows), 2) uint64, for the rows with a random tie at some checkpoint; it is called
-    once, and not at all when no row has one.
+    a seeded uniform pick. Every checkpoint is decided first; then ``pick(rows, options)`` makes the picks of the
+    rows with a random tie at some checkpoint, given how many prior-best objects each of them has at each
+    checkpoint (checkpoints x len(rows)), as picks in ``[0, options)`` of the same shape: the pick-th prior-best
+    object wins. It is called once, and not at all when no row has a random tie.
     """
     log_prior = np.log(priors, out=np.full(priors.shape, -np.inf), where=priors > 0)
     tied = np.empty((*counts.shape[:2], priors.shape[-1]), dtype=bool)
@@ -146,7 +145,7 @@ def decide(
     random = options > 1
     picking = np.flatnonzero(random.any(axis=0))
     if picking.size:
-        picks = seeded_picks(pick_keys(picking), options[:, picking])
+        picks = pick(picking, options[:, picking])
         # the pick-th prior-best object: the first whose running count of them exceeds the pick
         winners[:, picking] = (prior_best[:, picking].cumsum(axis=-1) > picks[..., None]).argmax(axis=-1)
     return Episodes(winners, random, tied, hits, log_weights)

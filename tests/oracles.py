@@ -9,8 +9,8 @@ bit, with the one-row posterior (``counted_posterior``: counts -> ``tally``)
 and the MAP tie rule (``decide``) it decided by. The line-by-line
 observation reader and checks that ``attrfuse fuse`` ran before it read
 columns are the reference for the columnar reader, and the one-case
-exact-recognition path (``random_exact_recognition_case``: a catalog,
-``compute_stats`` and per-attribute floors, decided as one row by
+exact-recognition path (``exact_recognition_cases``: a catalog,
+``compute_stats`` and per-attribute floors per case, decided as one row by
 ``decide_codes``) is the reference for the padded pass, and the per-key loop
 (``reference_tally``) is the reference for ``tally``'s integer hit
 product and buffered sums. The per-pair candidate sweep
@@ -26,6 +26,7 @@ exact-recognition case draw, but none of the batched code paths they
 check. ``make_synthetic_model`` builds the models
 with stated predictive values that the posterior and theory tests feed
 them, and ``factor_codes`` codes their outcomes as one engine row.
+``fuse_pick`` is ``attrfuse fuse``'s tie pick, the one-row decisions' pick.
 ``pair_record`` is no reference: it calls a batched calibration on one pair.
 """
 import json
@@ -43,6 +44,7 @@ from attrfuse.experiments import _draw_exact_cases
 from attrfuse import fusion
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
 from attrfuse.simulator import _not_finite
+from attrfuse.streams import PICK_STREAM, derived_rng
 from attrfuse.theory import predictive_value_floors
 
 
@@ -291,39 +293,47 @@ def factor_codes(observations):
     return np.array([[index.get(key, len(keys)) for key in observed]], dtype=np.intp), keys
 
 
-def random_exact_recognition_case(rng: np.random.Generator):
-    """One exact-recognition case from ``rng``, as :func:`decide_codes` reads it.
+def exact_recognition_cases(rng: np.random.Generator, cases: int):
+    """The ``cases`` exact-recognition cases drawn from ``rng``, one at a time, as :func:`decide_codes` reads them.
 
-    Returns (catalog, stats, keys, ground_truth, observed) from the
+    Yields (catalog, stats, keys, ground_truth, observed) per case of the
     package's case draw. ``keys[i]`` is ``(i, outcome, value)``: the ground
     truth's outcome of attribute ``i`` and its ppv or npv, placed by the
     drawn uniform between the ``predictive_value_floors`` floor and 1.
     ``observed`` holds each attribute code once, then one more per repeat.
     """
-    matrix, priors, uniforms, truth, counts = (a[0] for a in _draw_exact_cases([rng], 1))
-    n_objects, n_attributes = int((priors > 0).sum()), int((counts > 0).sum())
-    raw = priors[:n_objects]
-    catalog = ObjectCatalog(
-        objects=tuple(f"object-{j}" for j in range(n_objects)),
-        attributes=tuple(f"attr-{i}" for i in range(n_attributes)),
-        matrix=matrix[:n_objects, :n_attributes],
-        priors=raw / raw.sum(),
-    )
-    stats = compute_stats(catalog)
-    floors = np.stack(predictive_value_floors(stats), axis=1)
-    values = np.minimum(1.0, floors + uniforms[:n_attributes] * (1.0 - floors))
-    ground_truth = int(truth)
-    keys = [(i, "positive" if has else "negative", float(values[i, 1 - has])) for i, has in enumerate(catalog.matrix[ground_truth].tolist())]
-    attributes = np.arange(n_attributes)
-    observed = np.concatenate([attributes, np.repeat(attributes, counts[:n_attributes] - 1)])
-    return catalog, stats, keys, ground_truth, observed
+    for matrix, priors, uniforms, truth, counts in zip(*_draw_exact_cases(rng, cases)):
+        n_objects, n_attributes = int((priors > 0).sum()), int((counts > 0).sum())
+        raw = priors[:n_objects]
+        catalog = ObjectCatalog(
+            objects=tuple(f"object-{j}" for j in range(n_objects)),
+            attributes=tuple(f"attr-{i}" for i in range(n_attributes)),
+            matrix=matrix[:n_objects, :n_attributes],
+            priors=raw / raw.sum(),
+        )
+        stats = compute_stats(catalog)
+        floors = np.stack(predictive_value_floors(stats), axis=1)
+        values = np.minimum(1.0, floors + uniforms[:n_attributes] * (1.0 - floors))
+        ground_truth = int(truth)
+        keys = [
+            (i, "positive" if has else "negative", float(values[i, 1 - has]))
+            for i, has in enumerate(catalog.matrix[ground_truth].tolist())
+        ]
+        attributes = np.arange(n_attributes)
+        observed = np.concatenate([attributes, np.repeat(attributes, counts[:n_attributes] - 1)])
+        yield catalog, stats, keys, ground_truth, observed
 
 
-def decide_codes(codes, keys, catalog, stats, checkpoints, pick_keys):
+def decide_codes(codes, keys, catalog, stats, checkpoints, pick):
     """The engine's decisions of rows of codes into the sorted ``keys``: ``fusion.count_codes`` at ``checkpoints``,
     then ``fusion.decide`` on the catalog's key table and priors."""
     counts = fusion.count_codes(codes, len(keys), checkpoints)
-    return fusion.decide(counts, factor_table(keys, stats), catalog.priors, pick_keys)
+    return fusion.decide(counts, factor_table(keys, stats), catalog.priors, pick)
+
+
+def fuse_pick(seed):
+    """``attrfuse fuse``'s tie pick as a ``fusion.decide`` pick: ``integers(n)`` on the stream ``(seed, PICK_STREAM)``."""
+    return lambda rows, options: derived_rng(seed, PICK_STREAM).integers(options)
 
 
 def reference_tally(log_prior, counts, table):
@@ -414,8 +424,9 @@ def counted_posterior(catalog, stats, counts):
     return Posterior(counts, hits[0], finite[0], map_log_weights(hits[0], finite[0]))
 
 
-def decide(state, catalog, rng):
-    """Argmax over one posterior row; posterior ties fall back to the prior argmax, prior ties to a seeded uniform pick.
+def decide(state, catalog, u):
+    """Argmax over one posterior row; posterior ties fall back to the prior argmax, prior ties to the pick ``⌊u·n⌋``
+    among the ``n`` prior-best candidates, from the uniform ``u``.
 
     Weights within a relative ``TIE_RELATIVE_TOLERANCE`` of the maximum are
     tied, and so are the tied candidates' priors within it of the best one.
@@ -429,7 +440,7 @@ def decide(state, catalog, rng):
     options = [j for j in candidates if catalog.priors[j] >= best * (1.0 - TIE_RELATIVE_TOLERANCE)]
     if len(options) == 1:
         return Decision(options[0], candidates, "prior")
-    return Decision(options[int(rng.integers(len(options)))], candidates, "random")
+    return Decision(options[int(u * len(options))], candidates, "random")
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from attrfuse.experiments import (
     write_exp3_csv,
 )
 from attrfuse.simulator import calibrate_scenario, classify_scores, draw_training_sets
-from attrfuse.streams import CALIBRATION_STREAM, derived_rng, stream_keys
+from attrfuse.streams import CALIBRATION_STREAM, derived_rng
 
-from oracles import count_rates, decide_codes, factor_codes, make_synthetic_model, pair_record, posterior_oracle
+from oracles import count_rates, decide_codes, factor_codes, fuse_pick, make_synthetic_model, pair_record, posterior_oracle
 
 
 def _report(number: int, description: str, passed: bool):
@@ -44,7 +44,7 @@ def _catalog(matrix, priors):
 
 def _log_weights(catalog, stats, codes, keys):
     """The engine's MAP log weights of one row of codes into ``keys``."""
-    episodes = decide_codes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: stream_keys(0)[None])
+    episodes = decide_codes(codes, keys, catalog, stats, [codes.shape[1]], fuse_pick(0))
     return episodes.log_weights[0]
 
 

@@ -19,7 +19,7 @@ from attrfuse.catalog import (
 )
 from attrfuse.fusion import factor_table
 from json_mutations import mutated
-from oracles import random_exact_recognition_case
+from oracles import exact_recognition_cases
 
 TABLE1 = json.loads((Path(__file__).resolve().parents[1] / "catalogs" / "table1.json").read_text())
 
@@ -235,12 +235,12 @@ class TestStats:
     @settings(max_examples=40, deadline=None)
     def test_index_sets_partition(self, seed):
         # the exact-recognition case keys each attribute of the ground truth once, with its true outcome
-        catalog, stats, keys, truth, observed = random_exact_recognition_case(np.random.default_rng(seed))
-        pos = {i for i, outcome, _ in keys if outcome == "positive"}
-        neg = {i for i, outcome, _ in keys if outcome == "negative"}
-        assert pos | neg == set(observed.tolist()) == set(range(catalog.n_attributes))
-        assert not pos & neg
-        assert unique_candidates(catalog, pos, neg) == (truth,)
+        for catalog, stats, keys, truth, observed in exact_recognition_cases(np.random.default_rng(seed), 4):
+            pos = {i for i, outcome, _ in keys if outcome == "positive"}
+            neg = {i for i, outcome, _ in keys if outcome == "negative"}
+            assert pos | neg == set(observed.tolist()) == set(range(catalog.n_attributes))
+            assert not pos & neg
+            assert unique_candidates(catalog, pos, neg) == (truth,)
 
     def test_ranges(self, table1):
         stats = compute_stats(table1)

@@ -24,7 +24,7 @@ from attrfuse.simulator import (
     draw_scores,
     draw_training_sets,
 )
-from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, stream_draws, stream_keys
+from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, uniform_picks
 
 from oracles import (
     Observation,
@@ -86,7 +86,8 @@ def test_batch_rows_equal_one_row_posteriors_and_decisions(case, seed):
 
     half = codes.shape[1] // 2
     checkpoints = [half, codes.shape[1]]
-    episodes = decide_codes(codes, keys, catalog, stats, checkpoints, lambda rows: stream_keys(seed, rows))
+    u = derived_rng(seed).random((len(codes), len(checkpoints)))  # row r's pick uniform at each checkpoint
+    episodes = decide_codes(codes, keys, catalog, stats, checkpoints, uniform_picks(u))
     # the engine's last-checkpoint rows are the batched tally's
     assert episodes.hits.tobytes() == hits.tobytes() and episodes.log_weights.tobytes() == batched.tobytes()
     for r, row in enumerate(codes):
@@ -95,21 +96,11 @@ def test_batch_rows_equal_one_row_posteriors_and_decisions(case, seed):
         assert state.hits.tobytes() == hits[r].tobytes() and state.finite.tobytes() == finite[r].tobytes()
         assert list(state.counts) == [key for key, n in zip(keys, counts[r]) if n]
         assert batched[r].tobytes() == state.log_weights.tobytes()
-        pick = derived_rng(seed, r)  # the row's own stream, consumed over its checkpoints
         for c, stop in enumerate(checkpoints):
-            decision = decide(counted_posterior(catalog, stats, _row_counts(keys, row[:stop])), catalog, rng=pick)
+            decision = decide(counted_posterior(catalog, stats, _row_counts(keys, row[:stop])), catalog, u=u[r, c])
             assert episodes.winners[c, r] == decision.winner
             assert tuple(np.flatnonzero(episodes.tied[c, r]).tolist()) == decision.candidates
             assert episodes.random[c, r] == (decision.tie_broken_by == "random")
-
-
-def test_stream_draws_equal_scalar_calls():
-    for kind, scalar in (("standard_normal", "standard_normal"), ("random", "random")):
-        batched = stream_draws(11, (1, 2), 3, 7, kind=kind)
-        for t in range(3):
-            rng = derived_rng(11, 1, 2, t)
-            expected = [getattr(rng, scalar)() for _ in range(7)]
-            assert batched[t].tobytes() == np.array(expected).tobytes()
 
 
 def _two_attribute_scenario():
@@ -129,12 +120,13 @@ def _two_attribute_scenario():
 
 
 def test_draw_scores_equal_sample_score():
+    """Scores from one (rows, columns) block equal scalar draws of a fresh generator of the stream, row after row."""
     scenario = _two_attribute_scenario()
     attributes, bins = [0, 1, 1, 0, 1], [0] * 5
-    z = stream_draws(8, (1,), 3, len(attributes))
+    z = derived_rng(8, 1).standard_normal((3, len(attributes)))
     scores = draw_scores(scenario, np.array([0, 1, 2]), attributes, bins, z)
+    rng = derived_rng(8, 1)
     for gt in range(3):
-        rng = derived_rng(8, 1, gt)
         for c, i in enumerate(attributes):
             truth = "pos" if scenario.catalog.matrix[gt, i] else "neg"
             assert scores[gt, c] == sample_score(scenario, i, truth, 0, rng)
@@ -165,7 +157,10 @@ def test_classify_scores_equal_classify(orientation):
 
 # ---------------------------------------------------------------------------
 # The per-observation loops the engine replaced, kept as references: same
-# streams, same classify/update/decide calls per draw.
+# streams, same classify/update/decide calls per draw. Trial t reads row t of
+# the run's (trials, n) block: scalar draws of the run's one generator,
+# trial after trial, n per trial; each checkpoint reads the trial's next pick
+# uniform.
 
 
 def _reference_exp2(scenario, k_values, trials, seed):
@@ -176,10 +171,9 @@ def _reference_exp2(scenario, k_values, trials, seed):
     attrs = sorted(systems[0])
     bin_index = scenario.schedule[0][0] if scenario.schedule else 0
     wrong = np.zeros((3, len(k_values), trials), dtype=bool)  # two, single, two by random pick
+    rng, pick = derived_rng(seed, SCORE_STREAM), derived_rng(seed, PICK_STREAM)
     for t in range(trials):
         gt = t % catalog.n_objects
-        rng = derived_rng(seed, SCORE_STREAM, t)
-        picks = [derived_rng(seed, PICK_STREAM, t, s) for s in (0, 1)]
         states = [counted_posterior(catalog, stats, {})] * 2
         for k in range(1, k_values[-1] + 1):
             for i in attrs:
@@ -188,7 +182,8 @@ def _reference_exp2(scenario, k_values, trials, seed):
                     states[s] = update(states[s], make_observation(models[i], bin_index, score), models[i], catalog, stats)
             if k in k_values:
                 slot = k_values.index(k)
-                decisions = [decide(states[s], catalog, rng=picks[s]) for s in (0, 1)]
+                u = pick.random()  # both systems pick with the trial's uniform at the checkpoint
+                decisions = [decide(states[s], catalog, u=u) for s in (0, 1)]
                 for s in (0, 1):
                     wrong[s, slot, t] = decisions[s].winner != gt
                 wrong[2, slot, t] = wrong[0, slot, t] and decisions[0].tie_broken_by == "random"
@@ -203,16 +198,19 @@ def _reference_exp3(scenario, trials, rounds, seed):
     models = calibrate_scenario(scenario, derived_rng(seed, CALIBRATION_STREAM))
     correct = np.zeros((scenario.n_bins, 3, trials), dtype=bool)
     for k in range(scenario.n_bins):
+        rng, pick = derived_rng(seed, SCORE_STREAM, k), derived_rng(seed, PICK_STREAM, k)
         for t in range(trials):
             gt = t % catalog.n_objects
+            start, u = rng.bit_generator.state, pick.random()  # every system starts at the trial's row, with its uniform
+            # the last system, the union, reads the whole row, so the generator ends where row t ends
             for s, attrs in enumerate(systems):
-                rng = derived_rng(seed, SCORE_STREAM, k, t)
+                rng.bit_generator.state = start
                 state = counted_posterior(catalog, stats, {})
                 for _ in range(rounds):
                     for i in attrs:
                         score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
                         state = update(state, make_observation(models[i], k, score), models[i], catalog, stats)
-                correct[k, s, t] = decide(state, catalog, rng=derived_rng(seed, PICK_STREAM, k, t)).winner == gt
+                correct[k, s, t] = decide(state, catalog, u=u).winner == gt
     return correct.mean(axis=2)
 
 
@@ -223,8 +221,8 @@ def _reference_convergence(trials, seed, k_values, ppv, npv, d, s):
     q = 0.0 if ppv >= 1.0 else d * (1.0 - ppv) / ppv
     v = 0.0 if npv >= 1.0 else s * (1.0 - npv) / npv
     wrong = np.zeros((len(k_values), trials), dtype=bool)
+    rng, pick = derived_rng(seed, SCORE_STREAM), derived_rng(seed, PICK_STREAM)
     for t in range(trials):
-        rng, pick = derived_rng(seed, SCORE_STREAM, t), derived_rng(seed, PICK_STREAM, t)
         state = counted_posterior(catalog, stats, {})
         for k in range(1, k_values[-1] + 1):
             for i in (0, 1):
@@ -235,7 +233,7 @@ def _reference_convergence(trials, seed, k_values, ppv, npv, d, s):
                     outcome = "negative" if u < s else "positive" if u < s + q else "uncertain"
                 state = update(state, Observation(i, 0, outcome), models[i], catalog, stats)
             if k in k_values:
-                wrong[k_values.index(k), t] = decide(state, catalog, rng=pick).winner != 0
+                wrong[k_values.index(k), t] = decide(state, catalog, u=pick.random()).winner != 0
     return wrong.mean(axis=1)
 
 
@@ -280,17 +278,18 @@ def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):
     attrs, bins = [i for i, _ in columns], [k for _, k in columns]
     trials = 20
     truths = np.arange(trials) % catalog.n_objects
-    scores = draw_scores(scenario, truths, attrs, bins, stream_draws(3, (SCORE_STREAM,), trials, len(columns)))
+    scores = draw_scores(scenario, truths, attrs, bins, derived_rng(3, SCORE_STREAM).standard_normal((trials, len(columns))))
     codes, keys = classify_scores(models, attrs, bins, scores)
-    episodes = decide_codes(codes, keys, catalog, stats, [len(columns)], lambda rows: stream_keys(3, PICK_STREAM, rows))
+    u = derived_rng(3, PICK_STREAM).random((trials, 1))
+    episodes = decide_codes(codes, keys, catalog, stats, [len(columns)], uniform_picks(u))
     outcomes = [key[1] for key in keys] + ["uncertain"]
+    rng = derived_rng(3, SCORE_STREAM)
     for t, gt in enumerate(truths.tolist()):
-        rng = derived_rng(3, SCORE_STREAM, t)
         state = counted_posterior(catalog, stats, {})
         for c, (i, k) in enumerate(columns):
             score = sample_score(scenario, i, "pos" if catalog.matrix[gt, i] else "neg", k, rng)
             obs = make_observation(models[i], k, score)
             assert (scores[t, c], outcomes[codes[t, c]]) == (score, obs.outcome)
             state = update(state, obs, models[i], catalog, stats)
-        decision = decide(state, catalog, rng=derived_rng(3, PICK_STREAM, t))
+        decision = decide(state, catalog, u=u[t, 0])
         assert (episodes.winners[0, t], episodes.random[0, t]) == (decision.winner, decision.tie_broken_by == "random")

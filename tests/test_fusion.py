@@ -11,9 +11,9 @@ from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, com
 from attrfuse.classifier import BinCalibration, ClassifierModel
 from attrfuse.fusion import count_codes, decide, log_factor_rows, posterior, tally
 from attrfuse.simulator import classify_scores
-from attrfuse.streams import stream_keys
+from attrfuse.streams import uniform_picks
 
-from oracles import decide_codes, factor_codes, make_synthetic_model, posterior_oracle, reference_tally
+from oracles import decide_codes, factor_codes, fuse_pick, make_synthetic_model, posterior_oracle, reference_tally
 
 
 def small_catalog(matrix, priors):
@@ -27,8 +27,8 @@ def small_catalog(matrix, priors):
 
 
 def decided(codes, keys, catalog, stats, seed=0):
-    """The engine's decision of one row of codes into ``keys``, with ties picked from ``Philox(seed)``'s stream."""
-    return decide_codes(codes, keys, catalog, stats, [codes.shape[1]], lambda _: stream_keys(seed)[None])
+    """The engine's decision of one row of codes into ``keys``, with ties picked as ``fuse`` picks them at ``seed``."""
+    return decide_codes(codes, keys, catalog, stats, [codes.shape[1]], fuse_pick(seed))
 
 
 def fused(catalog, stats, observations, seed=0):
@@ -248,8 +248,9 @@ class TestDecide:
         assert first.winners[0, 0] in (6, 7, 8)
         assert first.winners.tobytes() == second.winners.tobytes()
 
-    def test_pick_keys_only_for_rows_with_random_ties(self, table1, table1_stats):
-        """``pick_keys`` is called once, with every row that breaks a tie by a pick, and never when no row does."""
+    def test_pick_only_for_rows_with_random_ties(self, table1, table1_stats):
+        """``pick`` is called once, with every row that breaks a tie by a pick and its option counts, and never when
+        no row does."""
         evidence = [
             (make_synthetic_model(table1.attribute_index(name), 0.96, 0.96), "positive")
             for name in ("bottle shape", "yellow color")
@@ -259,14 +260,15 @@ class TestDecide:
         codes = np.array([[uncertain, uncertain], row[0], [row[0, 0], uncertain]])  # 9-way tie, unique, 3-way tie
         calls = []
 
-        def pick_keys(rows):
-            calls.append(rows.tolist())
-            return stream_keys(5, rows)
+        def pick(rows, options):
+            calls.append((rows.tolist(), options.tolist()))
+            return options - 1  # the last option
 
-        episodes = decide_codes(codes, keys, table1, table1_stats, [2], pick_keys)
-        assert calls == [[0, 2]] and episodes.random[0].tolist() == [True, False, True]
-        decide_codes(codes[1:2], keys, table1, table1_stats, [2], pick_keys)
-        assert calls == [[0, 2]]
+        episodes = decide_codes(codes, keys, table1, table1_stats, [2], pick)
+        assert calls == [([0, 2], [[9, 3]])] and episodes.random[0].tolist() == [True, False, True]
+        assert episodes.winners[0].tolist() == [8, 6, 8]  # the last of objects 0-8, the unique 6, the last of 6-8
+        decide_codes(codes[1:2], keys, table1, table1_stats, [2], pick)
+        assert len(calls) == 1
 
     def test_prior_breaks_tie(self):
         """At the predictive-value floor the posterior ties, and the prior picks the object without the attribute."""
@@ -366,9 +368,9 @@ def test_count_codes_at_equal_checkpoints_are_equal():
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=50, deadline=None)
 def test_stacked_rows_decide_as_one_call_per_row(seed):
-    """Rows with their own key tables, priors (zero for a padded object) and pick streams, decided in one call,
+    """Rows with their own key tables, priors (zero for a padded object) and pick uniforms, decided in one call,
     equal one call per row with that row's table shared. Row 0 has no evidence and ties on equal priors, so its
-    stream picks the winner."""
+    uniforms pick the winner."""
     rng = np.random.default_rng(seed)
     rows, n_keys, n_objects = 8, 3, 4
     tables = rng.choice([0.0, -0.5, math.log(2.0), -math.inf], size=(rows, n_keys, n_objects))
@@ -378,11 +380,11 @@ def test_stacked_rows_decide_as_one_call_per_row(seed):
     priors = weights / weights.sum(axis=1, keepdims=True)
     counts = rng.integers(0, 3, size=(3, rows, n_keys)).cumsum(axis=0)
     counts[:, 0] = 0
-    keys = stream_keys(seed, np.arange(rows))
-    stacked = decide(counts, tables, priors, lambda picked: keys[picked])
+    u = rng.random((rows, counts.shape[0]))
+    stacked = decide(counts, tables, priors, uniform_picks(u))
     assert stacked.random[:, 0].all()
     for r in range(rows):
-        alone = decide(counts[:, r : r + 1], tables[r], priors[r], lambda _: keys[r][None])
+        alone = decide(counts[:, r : r + 1], tables[r], priors[r], uniform_picks(u[r : r + 1]))
         assert stacked.winners[:, r].tolist() == alone.winners[:, 0].tolist()
         assert stacked.random[:, r].tolist() == alone.random[:, 0].tolist()
         assert stacked.tied[:, r].tolist() == alone.tied[:, 0].tolist()

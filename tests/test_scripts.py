@@ -65,6 +65,17 @@ def test_manifests_differing_in_wall_time_and_scenario_path_only_are_equal(compa
     assert compare.differences(a, b) == ["exp2/manifest.json: key 'seed': 0 != 1"]
 
 
+def test_manifests_of_two_stream_layouts_differ(compare, tmp_path):
+    """A tree from the per-trial stream layout, whose manifests have no ``stream_layout``, is not equal to one from
+    the run layout."""
+    a, b = output_tree(tmp_path / "a"), output_tree(tmp_path / "b")
+    manifest = json.loads((a / "exp2" / "manifest.json").read_text())
+    (b / "exp2" / "manifest.json").write_text(json.dumps({**manifest, "stream_layout": "run"}))
+    assert compare.differences(a, b) == ["exp2/manifest.json: key 'stream_layout': '<missing>' != 'run'"]
+    (a / "exp2" / "manifest.json").write_text(json.dumps({**manifest, "stream_layout": "trial"}))
+    assert compare.differences(a, b) == ["exp2/manifest.json: key 'stream_layout': 'trial' != 'run'"]
+
+
 def test_main_exit_codes(compare, tmp_path, capsys):
     a, b = output_tree(tmp_path / "a"), output_tree(tmp_path / "b")
     assert compare.main([str(a), str(b)]) == 0

@@ -27,7 +27,7 @@ from attrfuse.simulator import (
     draw_training_sets,
     load_scenario,
 )
-from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, stream_draws, stream_keys
+from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, SCORE_STREAM, derived_rng, uniform_picks
 
 from json_mutations import mutated
 from oracles import decide_codes, pair_record, reference_class_scores, reference_training_sets
@@ -68,16 +68,16 @@ def episodes(scenario, models, truths, schedule, seed, key=()):
     """One engine episode per ground truth in ``truths``: codes, winners and random-pick flags.
 
     Each scheduled round observes every modeled attribute once. Trial ``t``
-    draws from stream ``(seed, SCORE_STREAM, *key, t)`` and picks ties from
-    ``(seed, PICK_STREAM, *key, t)``.
+    draws row ``t`` of the stream ``(seed, SCORE_STREAM, *key)`` and picks
+    ties with row ``t`` of ``(seed, PICK_STREAM, *key)``.
     """
     columns = [(i, k) for k, rounds in schedule for _ in range(rounds) for i in sorted(models)]
     attrs, bins = [i for i, _ in columns], [k for _, k in columns]
-    z = stream_draws(seed, (SCORE_STREAM, *key), len(truths), len(columns))
+    z = derived_rng(seed, SCORE_STREAM, *key).standard_normal((len(truths), len(columns)))
     codes, keys = classify_scores(models, attrs, bins, draw_scores(scenario, np.asarray(truths), attrs, bins, z))
     episodes = decide_codes(
         codes, keys, scenario.catalog, compute_stats(scenario.catalog), [len(columns)],
-        lambda rows: stream_keys(seed, PICK_STREAM, *key, rows),
+        uniform_picks(derived_rng(seed, PICK_STREAM, *key).random((len(truths), 1))),
     )
     return codes, episodes.winners[0], episodes.random[0]
 
@@ -230,8 +230,9 @@ class TestScenarioValidation:
 
 class TestSampling:
     def test_trial_scores_depend_only_on_their_stream(self):
+        """Trial ``t``'s row of a run's block does not depend on how many trials the run has."""
         scn = tiny_scenario()
-        few, many = (stream_draws(scn.seed, (SCORE_STREAM,), trials, 3) for trials in (4, 10))
+        few, many = (derived_rng(scn.seed, SCORE_STREAM).standard_normal((trials, 3)) for trials in (4, 10))
         assert np.array_equal(few, many[:4])
         scores = [draw_scores(scn, np.array([0]), [0, 1, 0], [0, 0, 0], z[3:4]) for z in (few, many)]
         assert np.array_equal(*scores)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration
 from attrfuse.experiments import exact_recognition_suite
-from attrfuse.streams import stream_keys
 from attrfuse.theory import certify_guaranteed_recognition, predictive_value_floors
 
-from oracles import decide_codes, make_synthetic_model
+from oracles import decide_codes, fuse_pick, make_synthetic_model
 
 
 def small_catalog(matrix, priors):
@@ -181,7 +180,7 @@ def engine_decision(catalog, models, pos, neg):
     keyed += [(i, "negative", models[i].calibrations[0].npv) for i in sorted(neg)]
     keys = sorted(keyed)
     codes = np.array([[keys.index(key) for key in keyed]], dtype=np.intp)
-    return decide_codes(codes, keys, catalog, compute_stats(catalog), [codes.shape[1]], lambda _: stream_keys(0)[None])
+    return decide_codes(codes, keys, catalog, compute_stats(catalog), [codes.shape[1]], fuse_pick(0))
 
 
 class TestFloorAgreement:
