@@ -4,7 +4,12 @@
 Prints one JSON object: the median wall time in seconds of three calls of
 each harness, keyed by harness and size. The sizes are those of the
 acceptance suite: convergence 4000 trials, exp3 1200, exp2 2500, exact
-recognition 1000 cases; ``experiment3_90`` is exp3 at 90 trials, the size of
+recognition 1000 cases. ``theorem_suites_4000`` is both theorem suites as
+``scripts/reproduce_results.py`` runs them: 4000 convergence trials and 1000
+exact-recognition cases at seed 99. ``theorem_suites_10`` is one perfbench
+``theorems`` op: 10 trials and 5 cases, checkpoints (5, 50, 200), ppv = npv =
+0.98 and detection and true-negative rates 0.5, where the per-call fixed
+costs weigh most. ``experiment3_90`` is exp3 at 90 trials, the size of
 one perfbench ``exp3_families`` op, where the per-bin fixed costs weigh most;
 ``experiment1_10000`` is exp1 at the 10^4 draws per bin and class that
 ``scripts/reproduce_results.py`` asks for. ``fuse_10000``
@@ -54,6 +59,7 @@ from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
+    theorem_suites,
 )
 from attrfuse.simulator import calibrate_scenario, draw_scores, draw_training_sets, load_scenario
 from attrfuse.streams import SCORE_STREAM, derived_rng
@@ -123,6 +129,11 @@ def harnesses(workdir: Path):
     exp3_models = load_models(workdir / "models.json", exp3.catalog)
     return {
         "convergence_suite_4000": lambda: convergence_suite(4000, SEED),
+        "theorem_suites_4000": lambda: theorem_suites(trials=4000, seed=SEED, exact_cases=1000),
+        "theorem_suites_10": lambda: theorem_suites(
+            trials=10, seed=SEED, exact_cases=5, k_checkpoints=(5, 50, 200), ppv=0.98, npv=0.98,
+            detection_rate=0.5, true_negative_rate=0.5,
+        ),
         "experiment3_1200": lambda: experiment3_attribute_families(exp3, trials=1200),
         "experiment3_90": lambda: experiment3_attribute_families(exp3, trials=90),
         "experiment2_2500": lambda: experiment2_threshold_comparison(exp2, trials=2500),

@@ -411,6 +411,16 @@ def exact_recognition_suite(cases: int, seed: int) -> tuple[int, int]:
     return int(correct.sum()), cases
 
 
+# The adversarial two-object scenario: each object has one of two complementary attributes, at equal priors.
+_ADVERSARIAL_CATALOG = ObjectCatalog(
+    objects=("first", "second"),
+    attributes=("mark-a", "mark-b"),
+    matrix=np.array([[1, 0], [0, 1]]),
+    priors=np.array([0.5, 0.5]),
+)
+_ADVERSARIAL_STATS = compute_stats(_ADVERSARIAL_CATALOG)
+
+
 def convergence_suite(
     trials: int,
     seed: int,
@@ -426,37 +436,53 @@ def convergence_suite(
     wrong object. Outcomes are drawn from rates consistent with the stated
     predictive values (false rates q = d(1-ppv)/ppv, v = s(1-npv)/npv under
     equal priors), and the error rate is recorded at each checkpoint.
+
+    Each round draws one uniform per attribute; the ground truth has
+    attribute 0 and lacks attribute 1. A uniform below the correct outcome's
+    rate gives that outcome, and one below the rate plus the false rate the
+    wrong one. So the counts are read off the uniforms: a key's count at a
+    checkpoint is how many rounds before it have their uniform below the
+    correct rate (the correct outcome), or below the rate plus the false rate
+    less those (the wrong one), summed per segment between checkpoints and
+    cumulated over them. ppv and npv must lie in (0, 1] and the rates in
+    [0, 1], checked before any draw, so no false rate is negative.
     """
-    catalog = ObjectCatalog(
-        objects=("first", "second"),
-        attributes=("mark-a", "mark-b"),
-        matrix=np.array([[1, 0], [0, 1]]),
-        priors=np.array([0.5, 0.5]),
-    )
-    stats = compute_stats(catalog)
+    for name, value, low in (
+        ("ppv", ppv, math.ulp(0.0)), ("npv", npv, math.ulp(0.0)),
+        ("detection_rate", detection_rate, 0.0), ("true_negative_rate", true_negative_rate, 0.0),
+    ):
+        if not low <= value <= 1.0:
+            raise ValueError(f"{name} must be a number in {'(0, 1]' if low else '[0, 1]'}, got {value!r}")
+    k_values = tuple(sorted(set(int(k) for k in k_checkpoints)))
+    if not k_values or k_values[0] < 0:
+        raise ValueError(f"k_checkpoints must hold at least one round count, none negative, got {k_checkpoints!r}")
     q = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
     v = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
-    k_values = tuple(sorted(set(int(k) for k in k_checkpoints)))
     ground_truth = 0
 
-    # each round draws one uniform per attribute; the ground truth has
-    # attribute 0 and lacks attribute 1, and a uniform below the correct
-    # outcome's rate gives it, below that plus the false rate the wrong one
     u = derived_rng(seed, SCORE_STREAM).random((trials, 2 * k_values[-1]))
     keys = sorted((i, outcome, float(ppv if outcome == "positive" else npv)) for i in (0, 1) for outcome in ("positive", "negative"))
-    code = {key[:2]: n for n, key in enumerate(keys)}
-    codes = np.empty(u.shape, dtype=np.intp)
-    has, lacks = u[:, 0::2], u[:, 1::2]
-    codes[:, 0::2] = np.select([has < detection_rate, has < detection_rate + v], [code[0, "positive"], code[0, "negative"]], len(keys))
-    codes[:, 1::2] = np.select(
-        [lacks < true_negative_rate, lacks < true_negative_rate + q], [code[1, "negative"], code[1, "positive"]], len(keys)
-    )
+    segments = list(zip((0, *k_values), k_values))
+
+    def below(x: np.ndarray, bound: float) -> np.ndarray:
+        """Per checkpoint and trial, how many of the rounds before the checkpoint have their uniform in ``x`` below
+        ``bound``."""
+        hit = x < bound
+        return np.cumsum([hit[:, start:stop].sum(axis=1, dtype=np.int64) for start, stop in segments], axis=0)
+
+    slot = {key[:2]: n for n, key in enumerate(keys)}
+    counts = np.empty((len(k_values), trials, len(keys)), dtype=np.int64)
+    for i, correct, wrong, rate, false_rate in (
+        (0, "positive", "negative", detection_rate, v), (1, "negative", "positive", true_negative_rate, q)
+    ):
+        right = below(u[:, i::2], rate)
+        counts[..., slot[i, correct]] = right
+        counts[..., slot[i, wrong]] = below(u[:, i::2], rate + false_rate) - right
     episodes = decide(
-        count_codes(codes, len(keys), [2 * k for k in k_values]), factor_table(keys, stats), catalog.priors,
+        counts, factor_table(keys, _ADVERSARIAL_STATS), _ADVERSARIAL_CATALOG.priors,
         uniform_picks(derived_rng(seed, PICK_STREAM).random((trials, len(k_values)))),
     )
-    wrong = episodes.winners != ground_truth
-    return k_values, wrong.mean(axis=1)
+    return k_values, (episodes.winners != ground_truth).mean(axis=1)
 
 
 def theorem_suites(
@@ -470,8 +496,10 @@ def theorem_suites(
     detection_rate: float = 0.5,
     true_negative_rate: float = 0.5,
 ) -> TheoremReport:
-    """Run both theorem harnesses and report pass/fail against their targets."""
-    correct, cases = exact_recognition_suite(exact_cases, seed)
+    """Run both theorem harnesses and report pass/fail against their targets.
+
+    The convergence suite runs first, so its argument checks come before any draw.
+    """
     k_values, error = convergence_suite(
         trials,
         seed,
@@ -481,6 +509,7 @@ def theorem_suites(
         detection_rate=detection_rate,
         true_negative_rate=true_negative_rate,
     )
+    correct, cases = exact_recognition_suite(exact_cases, seed)
     # no error at the second checkpoint counts as converged
     decreased = bool(error[1] < error[0] or error[1] == 0.0) if len(k_values) >= 2 else True
     convergence_pass = decreased and bool(error[-1] < convergence_ceiling)

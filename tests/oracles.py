@@ -13,7 +13,9 @@ exact-recognition path (``exact_recognition_cases``: a catalog,
 ``compute_stats`` and per-attribute floors per case, decided as one row by
 ``decide_codes``) is the reference for the padded pass, and the per-key loop
 (``reference_tally``) is the reference for ``tally``'s integer hit
-product and buffered sums. The per-pair candidate sweep
+product and buffered sums. The code matrix that the convergence suite
+counted through (``reference_convergence``: two ``np.select`` passes, then
+``count_codes``) is the reference for its counts read off the uniforms. The per-pair candidate sweep
 (``reference_sweep``: sorted classes counted with ``np.searchsorted``) and
 the two pick rules on it are the reference for the batched calibration
 sweep, record for record. The per-class ``Generator.normal`` loop
@@ -44,7 +46,7 @@ from attrfuse.experiments import _draw_exact_cases
 from attrfuse import fusion
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
 from attrfuse.simulator import _not_finite
-from attrfuse.streams import PICK_STREAM, derived_rng
+from attrfuse.streams import PICK_STREAM, SCORE_STREAM, derived_rng, uniform_picks
 from attrfuse.theory import predictive_value_floors
 
 
@@ -329,6 +331,33 @@ def decide_codes(codes, keys, catalog, stats, checkpoints, pick):
     then ``fusion.decide`` on the catalog's key table and priors."""
     counts = fusion.count_codes(codes, len(keys), checkpoints)
     return fusion.decide(counts, factor_table(keys, stats), catalog.priors, pick)
+
+
+def reference_convergence(trials, seed, k_checkpoints, ppv, npv, detection_rate, true_negative_rate):
+    """The convergence suite through a code matrix: each uniform coded by two ``np.select`` passes, the codes
+    counted by ``fusion.count_codes`` at the checkpoints and the counts decided by ``fusion.decide``.
+
+    Returns the counts (checkpoints x trials x keys) and the error at each checkpoint.
+    """
+    catalog = ObjectCatalog(("first", "second"), ("mark-a", "mark-b"), np.array([[1, 0], [0, 1]]), np.array([0.5, 0.5]))
+    q = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
+    v = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
+    k_values = tuple(sorted(set(int(k) for k in k_checkpoints)))
+    u = derived_rng(seed, SCORE_STREAM).random((trials, 2 * k_values[-1]))
+    keys = sorted((i, outcome, float(ppv if outcome == "positive" else npv)) for i in (0, 1) for outcome in ("positive", "negative"))
+    code = {key[:2]: n for n, key in enumerate(keys)}
+    codes = np.empty(u.shape, dtype=np.intp)
+    has, lacks = u[:, 0::2], u[:, 1::2]  # the ground truth, object 0, has attribute 0 and lacks attribute 1
+    codes[:, 0::2] = np.select(
+        [has < detection_rate, has < detection_rate + v], [code[0, "positive"], code[0, "negative"]], len(keys)
+    )
+    codes[:, 1::2] = np.select(
+        [lacks < true_negative_rate, lacks < true_negative_rate + q], [code[1, "negative"], code[1, "positive"]], len(keys)
+    )
+    counts = fusion.count_codes(codes, len(keys), [2 * k for k in k_values])
+    pick = uniform_picks(derived_rng(seed, PICK_STREAM).random((trials, len(k_values))))
+    episodes = fusion.decide(counts, factor_table(keys, compute_stats(catalog)), catalog.priors, pick)
+    return counts, (episodes.winners != 0).mean(axis=1)
 
 
 def fuse_pick(seed):

@@ -1,11 +1,15 @@
 """The batched episode engine against the one-observation, one-row path it replaced (``tests/oracles.py``)."""
+import contextlib
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attrfuse import experiments
 from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, ClassifierModel
 from attrfuse.experiments import (
@@ -34,6 +38,7 @@ from oracles import (
     decide_codes,
     make_observation,
     make_synthetic_model,
+    reference_convergence,
     sample_score,
     update,
 )
@@ -265,6 +270,48 @@ def test_exp3_equals_reference_loop(exp3_scenario, mirror):
 def test_convergence_equals_reference_loop(ppv, npv, d, s):
     k_values, error = convergence_suite(300, 8, k_checkpoints=(1, 4, 30), ppv=ppv, npv=npv, detection_rate=d, true_negative_rate=s)
     assert error.tobytes() == _reference_convergence(300, 8, k_values, ppv, npv, d, s).tobytes()
+
+
+predictive_values = st.one_of(st.just(1.0), st.floats(math.ulp(0.0), 1.0))
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# trial 0's first two uniforms at seed 6, taken as the rates: a uniform equal to its rate is not below it
+_ON_THE_RATE = derived_rng(6, SCORE_STREAM).random(2).tolist()
+
+
+@given(
+    trials=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    checkpoints=st.lists(st.integers(0, 30), min_size=1, max_size=5),
+    ppv=predictive_values,
+    npv=predictive_values,
+    d=rates,
+    s=rates,
+)
+@example(trials=40, seed=3, checkpoints=[9, 0, 4, 9], ppv=1.0, npv=1.0, d=0.6, s=0.3)
+@example(trials=25, seed=4, checkpoints=[12, 3], ppv=0.3, npv=0.4, d=0.9, s=0.8)  # rate + false rate >= 1 for both keys
+@example(trials=0, seed=5, checkpoints=[0], ppv=0.98, npv=0.98, d=0.5, s=0.5)
+@example(trials=5, seed=6, checkpoints=[3], ppv=0.6, npv=0.7, d=_ON_THE_RATE[0], s=_ON_THE_RATE[1])
+@settings(max_examples=150, deadline=None)
+def test_convergence_counts_equal_the_code_matrix(trials, seed, checkpoints, ppv, npv, d, s):
+    """The counts that the convergence suite reads off its uniforms, and its errors, equal those of the code matrix
+    its two ``np.select`` passes built and ``count_codes`` counted."""
+    passed = []
+
+    def spy(counts, *args):
+        passed.append(counts)
+        return engine_decide(counts, *args)
+
+    engine_decide = experiments.decide
+    # the mean over no trials warns, as numpy's mean of an empty slice does
+    warns = pytest.warns(RuntimeWarning) if trials == 0 else contextlib.nullcontext()
+    with mock.patch.object(experiments, "decide", spy), warns:
+        _, error = convergence_suite(
+            trials, seed, k_checkpoints=checkpoints, ppv=ppv, npv=npv, detection_rate=d, true_negative_rate=s
+        )
+        expected_counts, expected_error = reference_convergence(trials, seed, checkpoints, ppv, npv, d, s)
+    (counts,) = passed
+    assert counts.dtype == expected_counts.dtype and np.array_equal(counts, expected_counts)
+    assert error.tobytes() == expected_error.tobytes()
 
 
 def test_mixed_bin_schedule_equals_reference_loop(exp3_scenario):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,24 @@ class TestTheoremSuites:
         (full,), _ = recorded_decisions(monkeypatch, convergence_suite, trials=70, seed=8, k_checkpoints=(1, 4, 9))
         assert short.winners.shape == (3, 30)
         assert np.array_equal(short.winners, full.winners[:, :30])
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("ppv", 0.0), ("ppv", -0.5), ("npv", 1.5), ("npv", math.nan), ("detection_rate", 1.5),
+            ("true_negative_rate", -0.1), ("k_checkpoints", ()), ("k_checkpoints", (5, -1)),
+        ],
+    )
+    @pytest.mark.parametrize("harness", [convergence_suite, theorem_suites])
+    def test_impossible_arguments_rejected_before_any_draw(self, monkeypatch, harness, name, value):
+        """A predictive value outside (0, 1], a rate outside [0, 1], or no or a negative checkpoint, is a ValueError
+        that names the argument and its value, raised before any generator is built."""
+        def no_draw(*args):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(experiments, "derived_rng", no_draw)
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {re.escape(repr(value))}$"):
+            harness(trials=50, seed=1, **{name: value})
 
     def test_noise_free_classifiers_never_err(self):
         k_values, error = convergence_suite(

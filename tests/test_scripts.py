@@ -90,8 +90,12 @@ def test_main_exit_codes(compare, tmp_path, capsys):
 
 def test_harnesses_build_and_run(timing, tmp_path):
     harnesses = timing.harnesses(tmp_path)
-    assert {"fuse_tie", "fuse_10", "exact_recognition_suite_1000", "convergence_suite_4000"} <= set(harnesses)
+    assert {
+        "fuse_tie", "fuse_10", "exact_recognition_suite_1000", "convergence_suite_4000", "theorem_suites_10",
+        "theorem_suites_4000",
+    } <= set(harnesses)
     assert harnesses["fuse_tie"]() == 0 and harnesses["fuse_10"]() == 0
     decision = json.loads((tmp_path / "decision.json").read_text())
     assert decision["adopted_observations"] + decision["discarded_observations"] == 10
     assert harnesses["exact_recognition_suite_1000"]() == (1000, 1000)
+    assert harnesses["theorem_suites_10"]().all_pass
