@@ -224,23 +224,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-# A record field's list or map, its entries one per line at the depth ``json.dumps(..., indent=2)`` gives a record's
-# second level. With no indent the encoder runs in C; with one, CPython encodes in Python.
-_nested = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-
-
-def _record_text(record: Mapping[str, object]) -> str:
-    """``json.dumps(record, indent=2)``, byte for byte, of a record whose values are scalars or flat lists and maps,
-    each value encoded in C."""
-    fields = []
-    for key, value in record.items():
-        text = _nested(value)
-        if isinstance(value, (list, dict)) and value:
-            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
-        fields.append(f"  {_nested(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}"
-
-
 def _cmd_fuse(args) -> int:
     """Classify every observation line in one engine pass, count the adopted outcomes, and decide them as one row."""
     catalog = load_catalog(args.catalog)
@@ -281,7 +264,7 @@ def _cmd_fuse(args) -> int:
         "negative_counts": outcome_counts["negative"],
         "saturated": bool(episodes.hits.any()),
     }
-    text = _record_text(record)
+    text = json.dumps(record, indent=2)
     if args.out:
         with _writing(args.out):
             Path(args.out).write_text(text + "\n")

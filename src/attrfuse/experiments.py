@@ -447,12 +447,12 @@ def convergence_suite(
     cumulated over them. ppv and npv must lie in (0, 1] and the rates in
     [0, 1], checked before any draw, so no false rate is negative.
     """
-    for name, value, low in (
-        ("ppv", ppv, math.ulp(0.0)), ("npv", npv, math.ulp(0.0)),
-        ("detection_rate", detection_rate, 0.0), ("true_negative_rate", true_negative_rate, 0.0),
-    ):
-        if not low <= value <= 1.0:
-            raise ValueError(f"{name} must be a number in {'(0, 1]' if low else '[0, 1]'}, got {value!r}")
+    for name, value in (("ppv", ppv), ("npv", npv)):
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"{name} must be a number in (0, 1], got {value!r}")
+    for name, value in (("detection_rate", detection_rate), ("true_negative_rate", true_negative_rate)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
     k_values = tuple(sorted(set(int(k) for k in k_checkpoints)))
     if not k_values or k_values[0] < 0:
         raise ValueError(f"k_checkpoints must hold at least one round count, none negative, got {k_checkpoints!r}")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, load_catalog
 from attrfuse.classifier import load_models, save_models
-from attrfuse.cli import _read_observations, _record_text, main
+from attrfuse.cli import _read_observations, main
 from attrfuse.simulator import load_scenario
 from attrfuse.streams import PICK_STREAM, derived_rng
 from oracles import checked_observation_lines, make_synthetic_model
@@ -196,43 +196,6 @@ def test_fuse_on_a_header_only_file_is_the_prior_decision(tmp_path, capsys):
         }
         winners.append(record["winner"])
     assert set(winners) == {"p", "q"}
-
-
-names = st.text(max_size=6)
-counts_maps = st.dictionaries(names, st.integers(1, 10**6), max_size=4)
-
-
-@st.composite
-def decision_records(draw):
-    """Records shaped as ``fuse`` writes them: one or more candidates, and count maps that may be empty."""
-    objects = draw(st.lists(names, min_size=1, max_size=5, unique=True))
-    return {
-        "winner": objects[0],
-        "candidates": draw(st.lists(st.sampled_from(objects), min_size=1, max_size=len(objects), unique=True)),
-        "tie_broken_by": draw(st.sampled_from(["none", "prior", "random"])),
-        "posterior": {name: draw(st.floats(0.0, 1.0)) for name in objects},
-        "adopted_observations": draw(st.integers(0, 10**6)),
-        "discarded_observations": draw(st.integers(0, 10**6)),
-        "positive_counts": draw(counts_maps),
-        "negative_counts": draw(counts_maps),
-        "saturated": draw(st.booleans()),
-    }
-
-
-_RECORD = {
-    "winner": "bottle", "candidates": ["bottle"], "tie_broken_by": "none", "posterior": {"bottle": 1.0, "box": 0.0},
-    "adopted_observations": 0, "discarded_observations": 2, "positive_counts": {}, "negative_counts": {},
-    "saturated": False,
-}
-
-
-@given(decision_records())
-@example(_RECORD)  # one candidate, empty count maps
-@example(_RECORD | {"candidates": ["bottle", "box"], "positive_counts": {"red": 2}, "negative_counts": {"x\u00e9": 1}})
-@settings(max_examples=200, deadline=None)
-def test_decision_record_text_is_json_dumps(record):
-    """The C-encoded decision record is ``json.dumps(record, indent=2)`` byte for byte."""
-    assert _record_text(record) == json.dumps(record, indent=2)
 
 
 def test_fuse_reports_missing_obs_file(repo_root, exp2_models, tmp_path):
