@@ -140,34 +140,6 @@ def compute_stats(catalog: ObjectCatalog) -> CatalogStats:
     return prior_stats(catalog.matrix, catalog.priors)
 
 
-def unique_candidates(
-    catalog: ObjectCatalog,
-    cumulative_pos_set: frozenset[int] | set[int],
-    cumulative_neg_set: frozenset[int] | set[int],
-) -> tuple[int, ...]:
-    """Objects consistent with all adopted positive and negative attribute evidence.
-
-    Returns the sorted indices of objects whose positive attributes cover
-    ``cumulative_pos_set`` and whose negative attributes cover
-    ``cumulative_neg_set``. An empty result means the evidence is
-    contradictory; it is a legal return, not an error.
-    """
-    pos = frozenset(int(i) for i in cumulative_pos_set)
-    neg = frozenset(int(i) for i in cumulative_neg_set)
-    for i in pos | neg:
-        if not 0 <= i < catalog.n_attributes:
-            raise IndexError(f"attribute index {i} out of range")
-    if pos & neg:
-        raise ValueError(f"evidence sets overlap on attributes {sorted(pos & neg)}")
-    member = catalog.matrix.astype(bool)
-    keep = np.ones(catalog.n_objects, dtype=bool)
-    if pos:
-        keep &= member[:, sorted(pos)].all(axis=1)
-    if neg:
-        keep &= (~member[:, sorted(neg)]).all(axis=1)
-    return tuple(int(j) for j in np.flatnonzero(keep))
-
-
 def load_catalog(path: str | Path) -> ObjectCatalog:
     """Load a catalog file: keys ``objects`` ({id, prior} records), ``attributes``, ``matrix``.
 

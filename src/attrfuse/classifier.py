@@ -1,4 +1,4 @@
-"""Two-threshold score classifiers: per-bin calibration, ternary output, persistence.
+"""Two-threshold score classifiers: per-bin calibration, ternary classification of score arrays, persistence.
 
 A classifier for one attribute carries, per environment bin, a pair of score
 thresholds: one tuned for high positive predictive value, one for high
@@ -12,21 +12,21 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Literal, Mapping, NamedTuple, Sequence, get_args
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from attrfuse._fields import Orientation, _attribute, _bin, _boolean, _list, _mapping, _number, _number_or_null
 from attrfuse._fields import _orientation, _rate, _rate_or_null, read_field, read_json
 from attrfuse.catalog import ObjectCatalog
-
-Outcome = Literal["positive", "negative", "uncertain"]
+from attrfuse.fusion import FactorKey
 
 DEFAULT_TARGET_PPV = 0.96
 DEFAULT_TARGET_NPV = 0.96
 DEFAULT_MIN_DETECTION_RATE = 0.09
 
-_ORIENTATIONS = get_args(Orientation)
+# Each orientation's sign: a score times it is positive at or below the positive threshold times it.
+_SIGN: dict[Orientation, float] = {"lower_is_positive": 1.0, "higher_is_positive": -1.0}
 
 
 class CalibrationError(ValueError):
@@ -73,15 +73,12 @@ class ClassifierModel:
     calibrations: Mapping[int, BinCalibration]
 
     def __post_init__(self):
-        if self.orientation not in _ORIENTATIONS:
+        if self.orientation not in _SIGN:
             raise ValueError(f"unknown orientation {self.orientation!r}")
+        sign = _SIGN[self.orientation]
         for cal in self.calibrations.values():
-            if cal.reliable:
-                lo, hi = cal.theta_pos, cal.theta_neg
-                if self.orientation == "higher_is_positive":
-                    lo, hi = hi, lo
-                if lo > hi:
-                    raise ValueError("reliable calibration has crossed thresholds")
+            if cal.reliable and sign * cal.theta_pos > sign * cal.theta_neg:
+                raise ValueError("reliable calibration has crossed thresholds")
 
 
 # The score slots one sweep pass holds (pairs x the pass's longest pair). Pairs are batched in order up to it, so a
@@ -94,8 +91,8 @@ Pairs = Sequence[tuple]  # per bin: its positive and its negative scores, each a
 class _Sweep(NamedTuple):
     """Counts of a pass of labeled (positive, negative) score pairs at every threshold candidate, one row per pair.
 
-    Scores are negated under ``higher_is_positive``, so a sample is
-    classified positive at or below a candidate and negative at or above it.
+    Scores are multiplied by ``sign``, so a sample is classified positive at
+    or below a candidate and negative at or above it.
     Row ``r``'s scores are sorted into its first ``n_pos[r] + n_neg[r]``
     slots, and column ``c`` of ``candidates`` lies between sorted slots
     ``c - 1`` and ``c``. The candidates are where ``is_candidate`` holds:
@@ -105,7 +102,7 @@ class _Sweep(NamedTuple):
     are those ``np.searchsorted`` gives at its value.
     """
 
-    flip: bool
+    sign: float
     n_pos: np.ndarray  # (rows,)
     n_neg: np.ndarray
     candidates: np.ndarray  # (rows, slots + 1)
@@ -125,7 +122,7 @@ def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mid
 
 
-def _sweep(flat: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray, flip: bool) -> _Sweep:
+def _sweep(flat: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray, sign: float) -> _Sweep:
     """The sweep of the pairs whose scores follow each other in ``flat``, each pair's positives first.
 
     Each row is sorted once, and the running count of positives over the
@@ -138,7 +135,7 @@ def _sweep(flat: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray, flip: bool) -
     rows, slots = len(sizes), int(sizes.max())
     columns = np.arange(slots + 1)
     values = np.full((rows, slots + 1), np.inf)  # padding sorts last; the extra column ends each row's last run
-    values[columns < sizes[:, None]] = -flat if flip else flat  # each row's scores in its leading slots
+    values[columns < sizes[:, None]] = sign * flat  # each row's signed scores in its leading slots
     order = np.argsort(values, axis=1)
     values = np.take_along_axis(values, order, axis=1)
     positives = np.zeros((rows, slots + 2), dtype=np.int64)  # [r, c]: positives among row r's first c sorted slots
@@ -168,7 +165,7 @@ def _sweep(flat: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray, flip: bool) -
         strictly_below = np.where(onto_previous, run_starts, columns)
         below = np.take_along_axis(positives, strictly_below, axis=1)
     return _Sweep(
-        flip=flip,
+        sign=sign,
         n_pos=n_pos,
         n_neg=n_neg,
         candidates=candidates,
@@ -201,7 +198,7 @@ def _sweeps(pairs: Pairs, orientation: Orientation, check: Callable[[], None] = 
         return
     if problem := _sample_problem(*arrays[0]):
         raise CalibrationError(problem)
-    if orientation not in _ORIENTATIONS:
+    if orientation not in _SIGN:
         raise CalibrationError(f"unknown orientation {orientation!r}")
     check()
     n_pos = np.array([pos.size for pos, _ in arrays])
@@ -215,21 +212,22 @@ def _sweeps(pairs: Pairs, orientation: Orientation, check: Callable[[], None] = 
         flat = np.concatenate([a for pair in arrays[start:stop] for a in pair])
         if not (np.isfinite(flat).all() and n_pos[start:stop].all() and n_neg[start:stop].all()):
             raise CalibrationError(next(filter(None, (_sample_problem(*pair) for pair in arrays[start:stop]))))
-        yield _sweep(flat, n_pos[start:stop], n_neg[start:stop], orientation == "higher_is_positive")
+        yield _sweep(flat, n_pos[start:stop], n_neg[start:stop], _SIGN[orientation])
         start = stop
 
 
 def _records(sweep: _Sweep, i_pos: np.ndarray, i_neg: np.ndarray) -> list[BinCalibration]:
     """Each row's record with thresholds at candidate columns ``i_pos``/``i_neg`` (-1: no threshold).
 
+    Thresholds are the candidates times the sweep's sign, which unsigns them.
     Rates are the sweep's counts there. A predictive value is None when its
     threshold is missing or classifies no sample, and the record is reliable
     when both predictive values are defined.
     """
     rows = np.arange(len(i_pos))  # a column of -1 reads the last column, and the row ignores it
     columns = zip(*(a.tolist() for a in (
-        sweep.n_pos, sweep.n_neg, i_pos, i_neg, sweep.candidates[rows, i_pos], sweep.tp[rows, i_pos],
-        sweep.fp[rows, i_pos], sweep.candidates[rows, i_neg], sweep.tn[rows, i_neg], sweep.fn[rows, i_neg],
+        sweep.n_pos, sweep.n_neg, i_pos, i_neg, sweep.sign * sweep.candidates[rows, i_pos], sweep.tp[rows, i_pos],
+        sweep.fp[rows, i_pos], sweep.sign * sweep.candidates[rows, i_neg], sweep.tn[rows, i_neg], sweep.fn[rows, i_neg],
     )))
     records = []
     for n_pos, n_neg, p, n, theta_pos, tp, fp, theta_neg, tn, fn in columns:
@@ -240,13 +238,11 @@ def _records(sweep: _Sweep, i_pos: np.ndarray, i_neg: np.ndarray) -> list[BinCal
         else:
             detection, false_positive = tp / n_pos, fp / n_neg
             ppv = tp / (tp + fp) if tp + fp else None
-            theta_pos = -theta_pos if sweep.flip else theta_pos
         if n < 0:
             theta_neg = None
         else:
             true_negative, false_negative = tn / n_neg, fn / n_pos
             npv = tn / (tn + fn) if tn + fn else None
-            theta_neg = -theta_neg if sweep.flip else theta_neg
         records.append(BinCalibration(
             theta_pos=theta_pos,
             theta_neg=theta_neg,
@@ -343,6 +339,55 @@ def single_threshold_calibrations(pairs: Pairs, orientation: Orientation = "lowe
             i = np.where(tied, np.abs(s.candidates - target[:, None]), np.inf).argmin(axis=1)
         records += _records(s, i, i)
     return records
+
+
+def classify_scores(
+    models: Mapping[int, ClassifierModel],
+    attributes: Sequence[int],
+    bins: Sequence[int],
+    scores: np.ndarray,
+) -> tuple[np.ndarray, tuple[FactorKey, ...]]:
+    """Ternary outcomes of ``scores`` (rows x columns) as codes into sorted factor keys.
+
+    Column ``c`` is classified by ``models[attributes[c]]`` in bin
+    ``bins[c]``; each distinct (attribute, bin) pair is looked up once. The
+    code of an adopted outcome indexes its key; uncertain outcomes and
+    unreliable bins get ``len(keys)``, which :func:`attrfuse.fusion.count_codes`
+    does not count. Signed scores and thresholds are compared, and ties at a
+    threshold go to the positive side. A NaN score compares false and reads
+    as uncertain, so callers with external scores reject non-finite ones first.
+    """
+    attributes = np.asarray(attributes, dtype=np.intp)
+    bins = np.asarray(bins, dtype=np.intp)
+    low = bins.min(initial=0)
+    span = bins.max(initial=0) - low + 1
+    encoded, column = np.unique(attributes * span + (bins - low), return_inverse=True)
+    pairs = list(zip((encoded // span).tolist(), (encoded % span + low).tolist()))  # each distinct pair once
+    unknown = [k not in models[i].calibrations for i, k in pairs]
+    if any(unknown):  # name the first unknown pair in column order
+        raise ValueError(f"unknown bin index {bins[np.argmax(np.array(unknown)[column])]}")
+    sign = np.empty(len(pairs))
+    theta_pos = np.full(len(pairs), np.nan)  # nan never compares true: uncertain
+    theta_neg = np.full(len(pairs), np.nan)
+    adopted: list[tuple[FactorKey, FactorKey] | None] = []
+    for p, (i, k) in enumerate(pairs):
+        model = models[i]
+        cal = model.calibrations[k]
+        sign[p] = _SIGN[model.orientation]
+        adopted.append(((i, "positive", cal.ppv), (i, "negative", cal.npv)) if cal.reliable else None)
+        if cal.reliable:
+            theta_pos[p], theta_neg[p] = sign[p] * cal.theta_pos, sign[p] * cal.theta_neg
+    keys = tuple(sorted({key for pair in adopted if pair for key in pair}))
+    index = {key: n for n, key in enumerate(keys)}
+    unadopted = (len(keys), len(keys))
+    code_pos, code_neg = np.array(
+        [unadopted if pair is None else tuple(map(index.get, pair)) for pair in adopted], dtype=np.intp
+    ).reshape(-1, 2).T
+    signed = sign[column] * scores
+    positive = signed <= theta_pos[column]
+    negative = ~positive & (signed >= theta_neg[column])
+    codes = np.where(positive, code_pos[column], np.where(negative, code_neg[column], len(keys)))
+    return codes, keys
 
 
 # A bin record's fields, one per line at the depth ``json.dumps(..., indent=2)`` gives them in models.json. With no

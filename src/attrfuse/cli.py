@@ -18,7 +18,7 @@ import numpy as np
 
 from attrfuse._version import __version__
 from attrfuse.catalog import CatalogError, ObjectCatalog, compute_stats, load_catalog
-from attrfuse.classifier import ClassifierModel, ModelFileError, load_models, save_models
+from attrfuse.classifier import ClassifierModel, ModelFileError, classify_scores, load_models, save_models
 from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
@@ -30,8 +30,8 @@ from attrfuse.experiments import (
     write_manifest,
     write_theorem_csv,
 )
-from attrfuse.fusion import decide, factor_table, posterior
-from attrfuse.simulator import ScenarioError, calibrate_scenario, classify_scores, load_scenario
+from attrfuse.fusion import count_codes, decide, factor_table, posterior
+from attrfuse.simulator import ScenarioError, calibrate_scenario, load_scenario
 from attrfuse.streams import CALIBRATION_STREAM, PICK_STREAM, derived_rng
 
 
@@ -239,7 +239,7 @@ def _cmd_fuse(args) -> int:
             f"{obs_path}:{numbers[n]}: attribute index {attrs[n]} is constant across the catalog and cannot be fused"
         )
     # the engine row holds only the adopted keys: an unadopted one may belong to a catalog-constant attribute
-    counts = np.bincount(codes[0], minlength=len(keys) + 1)[:-1]
+    counts = count_codes(codes, len(keys), [codes.shape[1]])[0, 0]
     adopted = np.flatnonzero(counts).tolist()
     keys, counts = [keys[k] for k in adopted], counts[adopted]
     table = factor_table(keys, stats)

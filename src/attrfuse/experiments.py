@@ -33,7 +33,7 @@ import numpy as np
 
 from attrfuse._version import __version__
 from attrfuse.catalog import ObjectCatalog, compute_stats, prior_stats
-from attrfuse.classifier import CalibrationError, ClassifierModel, single_threshold_calibrations
+from attrfuse.classifier import CalibrationError, ClassifierModel, classify_scores, single_threshold_calibrations
 from attrfuse.fusion import count_codes, decide, factor_table, log_factor_rows
 from attrfuse.simulator import (
     Scenario,
@@ -43,7 +43,6 @@ from attrfuse.simulator import (
     _model_set,
     calibrate_from_sets,
     calibrate_scenario,
-    classify_scores,
     draw_scores,
     draw_training_sets,
 )
@@ -57,6 +56,13 @@ EXP1_BANDWIDTH = 3.0  # KDE kernel standard deviation, in score units
 EXP1_GRID_POINTS = 256
 EXP1_MASS_TOLERANCE = 0.01  # how far a class density's integral over the grid may be from 1
 EXP3_SYSTEMS = ("fine", "coarse", "all")
+
+
+def _check_counts(minimum: int, **counts: int) -> None:
+    """Raise a ValueError naming the first of ``counts`` below ``minimum``, and its value."""
+    for name, value in counts.items():
+        if not value >= minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 def halfwidth(rate: float, n: int) -> float:
@@ -116,6 +122,7 @@ def experiment1_distribution_shift(
         raise scenario.error(f"key 'kde_attribute': attribute {scenario.catalog.attributes[i]!r} is constant across the catalog")
     n_pos = counts[0] if n_pos is None else n_pos
     n_neg = counts[1] if n_neg is None else n_neg
+    _check_counts(1, n_pos=n_pos, n_neg=n_neg)
     pos_scores, neg_scores = zip(
         *(_class_scores(scenario, [(i, k, n_pos, n_neg)], derived_rng(seed, SCORE_STREAM, k))[0] for k in range(scenario.n_bins))
     )
@@ -201,8 +208,14 @@ def experiment2_threshold_comparison(
 
     Both estimators are trained on the same (biased) training draws and see
     the same test scores; each observation round scores every attribute once.
-    Ground truths cycle through the catalog.
+    Ground truths cycle through the catalog. ``trials`` must be at least 1
+    and ``k_list`` hold at least one K, none negative; K = 0 decides on the
+    priors alone. They are checked before any draw.
     """
+    _check_counts(1, trials=trials)
+    k_values = tuple(sorted(set(int(k) for k in k_list)))
+    if not k_values or k_values[0] < 0:
+        raise ValueError(f"k_list must hold at least one observation count, none negative, got {k_list!r}")
     if seed is None:
         seed = scenario.seed
     catalog = scenario.catalog
@@ -213,7 +226,6 @@ def experiment2_threshold_comparison(
     attrs = sorted(two_models)
     bin_index = scenario.schedule[0][0] if scenario.schedule else 0
 
-    k_values = tuple(sorted(set(int(k) for k in k_list)))
     # every round scores each attribute once; both estimators classify the same scores
     columns = attrs * k_values[-1]
     bins = [bin_index] * len(columns)
@@ -271,8 +283,12 @@ def experiment3_attribute_families(
     so a degenerate scenario where the families coincide yields exactly equal
     accuracies. Per bin, the three systems' columns are classified in one
     call, and their count rows, stacked, are decided in one
-    :func:`~attrfuse.fusion.decide` call.
+    :func:`~attrfuse.fusion.decide` call. ``trials`` must be at least 1 and
+    ``rounds_per_bin`` at least 0 (0 rounds decide on the priors alone),
+    checked before any draw.
     """
+    _check_counts(1, trials=trials)
+    _check_counts(0, rounds_per_bin=rounds_per_bin)
     for name in ("fine", "coarse", "color"):
         if name not in scenario.families:
             raise scenario.error(f"key 'families': scenario does not define attribute family {name!r}")
@@ -306,8 +322,9 @@ def experiment3_attribute_families(
         pick = uniform_picks(np.tile(derived_rng(seed, PICK_STREAM, k).random((trials, 1)), (len(EXP3_SYSTEMS), 1)))
         bins = [k] * len(columns)
         codes, keys = classify_scores(models, columns, bins, draw_scores(scenario, ground_truths, columns, bins, z[:, prefixes]))
-        blocks = np.split(codes, np.cumsum(widths)[:-1], axis=1)
-        counts = np.concatenate([count_codes(block, len(keys), [block.shape[1]]) for block in blocks], axis=1)
+        # each system's counts: those up to its block's end less those up to the block before it
+        counts = np.diff(count_codes(codes, len(keys), np.cumsum(widths).tolist()), axis=0, prepend=0)
+        counts = counts.reshape(1, len(EXP3_SYSTEMS) * trials, len(keys))  # one row per system and trial
         episodes = decide(counts, factor_table(keys, stats), catalog.priors, pick)
         accuracy[k] = (episodes.winners[0].reshape(len(EXP3_SYSTEMS), trials) == ground_truths).mean(axis=1)
 
@@ -386,8 +403,10 @@ def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
 
     One :func:`~attrfuse.fusion.decide` call decides the cases as rows, each with its own key table and priors. A
     case keys each attribute with the truth's outcome, once per observation; the objects are padded to 6, and a
-    padded object is never tied. The winners are not read, so a prior tie takes its first option.
+    padded object is never tied. The winners are not read, so a prior tie takes its first option. ``cases`` must be
+    at least 1, checked before any draw.
     """
+    _check_counts(1, cases=cases)
     matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases(derived_rng(seed, CASE_STREAM), cases)
     priors = raw_priors / raw_priors.sum(axis=1, keepdims=True)
     priors /= priors.sum(axis=1, keepdims=True)  # the rescale ObjectCatalog applies to a normalized prior vector
@@ -445,8 +464,10 @@ def convergence_suite(
     correct rate (the correct outcome), or below the rate plus the false rate
     less those (the wrong one), summed per segment between checkpoints and
     cumulated over them. ppv and npv must lie in (0, 1] and the rates in
-    [0, 1], checked before any draw, so no false rate is negative.
+    [0, 1], checked before any draw, so no false rate is negative; so is
+    ``trials``, which must be at least 1.
     """
+    _check_counts(1, trials=trials)
     for name, value in (("ppv", ppv), ("npv", npv)):
         if not 0.0 < value <= 1.0:
             raise ValueError(f"{name} must be a number in (0, 1], got {value!r}")
@@ -498,8 +519,10 @@ def theorem_suites(
 ) -> TheoremReport:
     """Run both theorem harnesses and report pass/fail against their targets.
 
-    The convergence suite runs first, so its argument checks come before any draw.
+    ``exact_cases`` is checked first, then the convergence suite runs with
+    its own argument checks, so every check comes before any draw.
     """
+    _check_counts(1, exact_cases=exact_cases)
     k_values, error = convergence_suite(
         trials,
         seed,

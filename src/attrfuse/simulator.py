@@ -1,4 +1,4 @@
-"""Synthetic, distance-dependent score generation and observation episodes.
+"""Synthetic, distance-dependent scenarios and score draws.
 
 Scenarios describe, per (attribute, truth label, environment bin), a Gaussian
 score distribution. Training draws may be biased (mean shift, spread scale)
@@ -7,11 +7,9 @@ Training scores come from the scenario's calibration stream, and test scores
 from standard normal draws that the harnesses take from their score streams
 (:mod:`attrfuse.streams`).
 
-Episodes run batched: every trial's draws are classified with vectorised
-threshold compares (:func:`classify_scores`) into codes that
-:func:`attrfuse.fusion.count_codes` counts per factor key and
-:func:`attrfuse.fusion.decide` decides. ``attrfuse fuse`` classifies its
-observation lines as one row of the same :func:`classify_scores` call.
+Each scenario calibrates its models from its training draws. The harnesses
+classify the test draws with :func:`attrfuse.classifier.classify_scores`
+and count and decide the codes in :mod:`attrfuse.fusion`.
 """
 from __future__ import annotations
 
@@ -33,7 +31,6 @@ from attrfuse.classifier import (
     ClassifierModel,
     calibrate_bins,
 )
-from attrfuse.fusion import FactorKey
 from attrfuse.streams import CALIBRATION_STREAM, derived_rng
 
 TrainingSets = Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (attribute, bin): positive, negative scores
@@ -244,54 +241,6 @@ def draw_scores(
         row, c = np.argwhere(~np.isfinite(scores))[0]
         raise _not_finite(scenario, attributes[c], "pos" if truth[row, c] else "neg", bins[c])
     return scores
-
-
-def classify_scores(
-    models: Mapping[int, ClassifierModel],
-    attributes: Sequence[int],
-    bins: Sequence[int],
-    scores: np.ndarray,
-) -> tuple[np.ndarray, tuple[FactorKey, ...]]:
-    """Ternary outcomes of ``scores`` (rows x columns) as codes into sorted factor keys.
-
-    Column ``c`` is classified by ``models[attributes[c]]`` in bin
-    ``bins[c]``; each distinct (attribute, bin) pair is looked up once. The
-    code of an adopted outcome indexes its key; uncertain outcomes and
-    unreliable bins get ``len(keys)``. Ties at a threshold go to the
-    positive side. A NaN score compares false and reads as uncertain, so
-    callers with external scores reject non-finite ones first.
-    """
-    attributes = np.asarray(attributes, dtype=np.intp)
-    bins = np.asarray(bins, dtype=np.intp)
-    low = bins.min(initial=0)
-    span = bins.max(initial=0) - low + 1
-    encoded, column = np.unique(attributes * span + (bins - low), return_inverse=True)
-    pairs = list(zip((encoded // span).tolist(), (encoded % span + low).tolist()))  # each distinct pair once
-    unknown = [k not in models[i].calibrations for i, k in pairs]
-    if any(unknown):  # name the first unknown pair in column order
-        raise ValueError(f"unknown bin index {bins[np.argmax(np.array(unknown)[column])]}")
-    sign = np.empty(len(pairs))
-    theta_pos = np.full(len(pairs), np.nan)  # nan never compares true: uncertain
-    theta_neg = np.full(len(pairs), np.nan)
-    adopted: list[tuple[FactorKey, FactorKey] | None] = []
-    for p, (i, k) in enumerate(pairs):
-        model = models[i]
-        cal = model.calibrations[k]
-        sign[p] = 1.0 if model.orientation == "lower_is_positive" else -1.0
-        adopted.append(((i, "positive", cal.ppv), (i, "negative", cal.npv)) if cal.reliable else None)
-        if cal.reliable:
-            theta_pos[p], theta_neg[p] = sign[p] * cal.theta_pos, sign[p] * cal.theta_neg
-    keys = tuple(sorted({key for pair in adopted if pair for key in pair}))
-    index = {key: n for n, key in enumerate(keys)}
-    unadopted = (len(keys), len(keys))
-    code_pos, code_neg = np.array(
-        [unadopted if pair is None else tuple(map(index.get, pair)) for pair in adopted], dtype=np.intp
-    ).reshape(-1, 2).T
-    signed = sign[column] * scores
-    positive = signed <= theta_pos[column]
-    negative = ~positive & (signed >= theta_neg[column])
-    codes = np.where(positive, code_pos[column], np.where(negative, code_neg[column], len(keys)))
-    return codes, keys
 
 
 def _schedule_entry(pair) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from attrfuse.catalog import CatalogStats, ObjectCatalog, compute_stats, unique_candidates
+from attrfuse.catalog import CatalogStats, ObjectCatalog, compute_stats
 from attrfuse.classifier import ClassifierModel
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE
 
@@ -64,11 +64,20 @@ def certify_guaranteed_recognition(
     with the evidence and (b) every involved attribute qualifies, strictly
     above its predictive-value floor, in every reliable bin of its model,
     so the conclusion does not depend on which bin the evidence came from.
+    The candidates are the objects with every attribute of ``pos_set`` and
+    none of ``neg_set``, in index order; an attribute index out of range is
+    an IndexError and overlapping sets a ValueError.
     """
     stats = compute_stats(catalog)
     pos = frozenset(int(i) for i in pos_set)
     neg = frozenset(int(i) for i in neg_set)
-    candidates = unique_candidates(catalog, pos, neg)
+    for i in pos | neg:
+        if not 0 <= i < catalog.n_attributes:
+            raise IndexError(f"attribute index {i} out of range")
+    if pos & neg:
+        raise ValueError(f"evidence sets overlap on attributes {sorted(pos & neg)}")
+    mask = stats.positive_mask
+    candidates = tuple(np.flatnonzero(mask[sorted(pos)].all(axis=0) & ~mask[sorted(neg)].any(axis=0)).tolist())
     if len(candidates) == 0:
         return CertificationVerdict(False, None, candidates, "evidence is contradictory: no consistent object")
     if len(candidates) > 1:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import calibrate_bins
+from attrfuse.classifier import calibrate_bins, classify_scores
 from attrfuse.fusion import posterior
 from attrfuse.experiments import (
     convergence_suite,
@@ -20,7 +20,7 @@ from attrfuse.experiments import (
     write_exp2_csv,
     write_exp3_csv,
 )
-from attrfuse.simulator import calibrate_scenario, classify_scores, draw_training_sets
+from attrfuse.simulator import calibrate_scenario, draw_training_sets
 from attrfuse.streams import CALIBRATION_STREAM, derived_rng
 
 from oracles import count_rates, decide_codes, factor_codes, fuse_pick, make_synthetic_model, pair_record, posterior_oracle

@@ -15,9 +15,9 @@ from attrfuse.catalog import (
     compute_stats,
     load_catalog,
     prior_stats,
-    unique_candidates,
 )
 from attrfuse.fusion import factor_table
+from attrfuse.theory import certify_guaranteed_recognition
 from json_mutations import mutated
 from oracles import exact_recognition_cases
 
@@ -194,26 +194,31 @@ class TestPriorRatios:
         assert prior_ratios(cat, 0) == (1.0, 1.0)
 
 
+def candidates(catalog, pos, neg):
+    """The certificate's candidates: the objects with every attribute of ``pos`` and none of ``neg``."""
+    return certify_guaranteed_recognition(catalog, {}, pos, neg).candidates
+
+
 class TestUniqueCandidates:
     def test_bottle_and_yellow(self, table1):
         pos = {table1.attribute_index("bottle shape"), table1.attribute_index("yellow color")}
-        assert unique_candidates(table1, pos, set()) == (table1.objects.index("7"),)
+        assert candidates(table1, pos, set()) == (table1.objects.index("7"),)
 
     def test_vacuous_evidence(self, table1):
-        assert unique_candidates(table1, set(), set()) == tuple(range(9))
+        assert candidates(table1, set(), set()) == tuple(range(9))
 
     def test_contradictory_evidence(self, table1):
         pos = {table1.attribute_index("cylinder"), table1.attribute_index("gable top carton shape")}
-        assert unique_candidates(table1, pos, set()) == ()
+        assert candidates(table1, pos, set()) == ()
 
     def test_negative_evidence(self, table1):
         # everything non-red, non-blue, non-yellow: only object 5 has no color
         neg = {table1.attribute_index(a) for a in ("red color", "blue color", "yellow color")}
-        assert unique_candidates(table1, set(), neg) == (table1.objects.index("5"),)
+        assert candidates(table1, set(), neg) == (table1.objects.index("5"),)
 
     def test_overlapping_sets_rejected(self, table1):
         with pytest.raises(ValueError):
-            unique_candidates(table1, {0}, {0})
+            candidates(table1, {0}, {0})
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -225,8 +230,8 @@ class TestUniqueCandidates:
         pos_small = frozenset(attrs[:1])
         pos_large = frozenset(attrs[:2])
         neg = frozenset(attrs[2:3])
-        larger = set(unique_candidates(cat, pos_large, neg))
-        smaller = set(unique_candidates(cat, pos_small, neg))
+        larger = set(candidates(cat, pos_large, neg))
+        smaller = set(candidates(cat, pos_small, neg))
         assert larger <= smaller
 
 
@@ -240,7 +245,7 @@ class TestStats:
             neg = {i for i, outcome, _ in keys if outcome == "negative"}
             assert pos | neg == set(observed.tolist()) == set(range(catalog.n_attributes))
             assert not pos & neg
-            assert unique_candidates(catalog, pos, neg) == (truth,)
+            assert candidates(catalog, pos, neg) == (truth,)
 
     def test_ranges(self, table1):
         stats = compute_stats(table1)

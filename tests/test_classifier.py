@@ -22,11 +22,12 @@ from attrfuse.classifier import (
     ModelFileError,
     ClassifierModel,
     calibrate_bins,
+    classify_scores,
     load_models,
     save_models,
     single_threshold_calibrations,
 )
-from attrfuse.simulator import calibrate_from_sets, calibrate_scenario, classify_scores, draw_training_sets
+from attrfuse.simulator import calibrate_from_sets, calibrate_scenario, draw_training_sets
 from attrfuse.streams import derived_rng
 
 from json_mutations import mutated
@@ -230,6 +231,43 @@ class TestSingleThresholdBaseline:
     @settings(max_examples=80, deadline=None)
     def test_matches_loop_oracle(self, pos, neg):
         assert pair_record(single_threshold_calibrations, pos, neg).theta_pos == bayes_threshold_oracle(pos, neg)[0]
+
+
+@pytest.mark.parametrize("orientation", ["lower_is_positive", "higher_is_positive"])
+class TestCrossedThresholds:
+    """A reliable bin's thresholds may meet, but the positive one may not lie past the negative one: above it under
+    ``lower_is_positive``, below it under ``higher_is_positive``."""
+
+    @staticmethod
+    def reliable(orientation, apart):
+        """A reliable record whose thresholds lie ``apart`` from each other in the orientation's positive direction:
+        a negative distance crosses them."""
+        step = apart if orientation == "lower_is_positive" else -apart
+        return BinCalibration(5.0, 5.0 + step, 0.97, 0.97, 0.5, 0.5, 0.01, 0.01, True)
+
+    @pytest.mark.parametrize("apart", [0.0, 2.0])
+    def test_uncrossed_thresholds_accepted(self, orientation, apart):
+        model = ClassifierModel(0, orientation, {0: self.reliable(orientation, apart)})
+        assert outcomes(model, 0, [5.0]) == ["positive"]  # a score on the positive threshold is positive
+
+    @pytest.mark.parametrize("apart", [-2.0, -1e-9])
+    def test_crossed_thresholds_rejected(self, orientation, apart):
+        with pytest.raises(ValueError, match="^reliable calibration has crossed thresholds$"):
+            ClassifierModel(0, orientation, {0: self.reliable(orientation, apart)})
+
+    def test_loaded_crossed_thresholds_rejected(self, orientation, tmp_path):
+        """A models file whose reliable bin has crossed thresholds is a ModelFileError naming the file and attribute;
+        the same file with them met loads."""
+        catalog = ObjectCatalog(("a", "b"), ("mark",), np.array([[1], [0]]), np.array([0.5, 0.5]))
+        path = tmp_path / "models.json"
+        save_models({0: ClassifierModel(0, orientation, {0: self.reliable(orientation, 0.0)})}, catalog, path)
+        assert load_models(path, catalog)[0].calibrations[0] == self.reliable(orientation, 0.0)
+        raw = json.loads(path.read_text())
+        raw["models"][0]["bins"][0]["theta_neg"] = self.reliable(orientation, -2.0).theta_neg
+        path.write_text(json.dumps(raw))
+        message = f"{path}: attribute 'mark': reliable calibration has crossed thresholds"
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+            load_models(path, catalog)
 
 
 class TestPersistence:

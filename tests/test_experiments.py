@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from attrfuse.experiments import (
     EXP3_SYSTEMS,
     convergence_suite,
     decide_exact_cases,
+    exact_recognition_suite,
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
@@ -366,6 +368,57 @@ class TestTheoremSuites:
         assert [sorted({shape[axis] for shape in shapes}) for axis in range(3)] == [
             [2, 3, 4, 5, 6], [3, 4, 5, 6, 7, 8], [0, 1, 2, 3]
         ]
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize(
+        "harness, kwargs, name, value",
+        [
+            ("convergence", {}, "trials", -3),
+            ("convergence", {}, "trials", 0),
+            ("theorems", {}, "trials", 0),
+            ("theorems", {"trials": 50}, "exact_cases", 0),
+            ("exact", {}, "cases", -1),
+            ("exact", {}, "cases", 0),
+            ("exp1", {"n_neg": 5}, "n_pos", -1),
+            ("exp1", {"n_neg": 0}, "n_pos", 0),
+            ("exp1", {"n_pos": 5}, "n_neg", 0),
+            ("exp2", {"trials": 50}, "k_list", (-1, 2)),
+            ("exp2", {"trials": 50}, "k_list", ()),
+            ("exp2", {}, "trials", -1),
+            ("exp2", {}, "trials", 0),
+            ("exp3", {}, "trials", -1),
+            ("exp3", {}, "trials", 0),
+            ("exp3", {"trials": 50}, "rounds_per_bin", -1),
+        ],
+    )
+    def test_bad_counts_rejected_before_any_draw(
+        self, monkeypatch, exp1_scenario, exp2_scenario, exp3_scenario, harness, kwargs, name, value
+    ):
+        """A trial, case or sample count below 1, no or a negative K, or negative rounds, is a ValueError that names
+        the argument and its value, raised before any generator is built."""
+        def no_draw(*args):
+            raise AssertionError("drew before checking the arguments")
+
+        run = {
+            "convergence": partial(convergence_suite, seed=1),
+            "theorems": partial(theorem_suites, seed=1),
+            "exact": partial(exact_recognition_suite, seed=1),
+            "exp1": partial(experiment1_distribution_shift, exp1_scenario),
+            "exp2": partial(experiment2_threshold_comparison, exp2_scenario),
+            "exp3": partial(experiment3_attribute_families, exp3_scenario),
+        }[harness]
+        monkeypatch.setattr(experiments, "derived_rng", no_draw)
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {re.escape(repr(value))}$"):
+            run(**kwargs, **{name: value})
+
+    def test_no_observations_decide_on_the_priors(self, exp2_scenario, exp3_scenario):
+        """K = 0 and 0 rounds per bin are legal: every trial is decided on the priors alone."""
+        curve = experiment2_threshold_comparison(exp2_scenario, k_list=(0, 2), trials=30)
+        assert curve.k_values == (0, 2)
+        assert curve.two_threshold_error[0] == curve.single_threshold_error[0]  # both estimators decide the priors
+        result = experiment3_attribute_families(exp3_scenario, trials=30, rounds_per_bin=0)
+        assert (result.accuracy == result.accuracy[:, :1]).all()  # no system sees a score
 
 
 class TestOutputs:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attrfuse.catalog import NonDiscriminativeAttributeError, ObjectCatalog, compute_stats
-from attrfuse.classifier import BinCalibration, ClassifierModel
+from attrfuse.classifier import BinCalibration, ClassifierModel, classify_scores
 from attrfuse.fusion import count_codes, decide, log_factor_rows, posterior, tally
-from attrfuse.simulator import classify_scores
 from attrfuse.streams import uniform_picks
 
 from oracles import decide_codes, factor_codes, fuse_pick, make_synthetic_model, posterior_oracle, reference_tally

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
-from attrfuse.classifier import single_threshold_calibrations
+from attrfuse.classifier import classify_scores, single_threshold_calibrations
 from attrfuse.simulator import (
     CalibrationConfig,
     Scenario,
@@ -22,7 +22,6 @@ from attrfuse.simulator import (
     TrainingBias,
     _class_scores,
     calibrate_scenario,
-    classify_scores,
     draw_scores,
     draw_training_sets,
     load_scenario,
