@@ -9,7 +9,8 @@ recognition 1000 cases. ``theorem_suites_4000`` is both theorem suites as
 exact-recognition cases at seed 99. ``theorem_suites_10`` is one perfbench
 ``theorems`` op: 10 trials and 5 cases, checkpoints (5, 50, 200), ppv = npv =
 0.98 and detection and true-negative rates 0.5, where the per-call fixed
-costs weigh most. ``experiment3_90`` is exp3 at 90 trials, the size of
+costs weigh most; ``convergence_suite_10`` and ``exact_recognition_suite_5``
+are its two halves, timed apart. ``experiment3_90`` is exp3 at 90 trials, the size of
 one perfbench ``exp3_families`` op, where the per-bin fixed costs weigh most;
 ``experiment1_10000`` is exp1 at the 10^4 draws per bin and class that
 ``scripts/reproduce_results.py`` asks for. ``fuse_10000``
@@ -134,6 +135,10 @@ def harnesses(workdir: Path):
             trials=10, seed=SEED, exact_cases=5, k_checkpoints=(5, 50, 200), ppv=0.98, npv=0.98,
             detection_rate=0.5, true_negative_rate=0.5,
         ),
+        "convergence_suite_10": lambda: convergence_suite(
+            10, SEED, k_checkpoints=(5, 50, 200), ppv=0.98, npv=0.98, detection_rate=0.5, true_negative_rate=0.5
+        ),
+        "exact_recognition_suite_5": lambda: exact_recognition_suite(5, SEED),
         "experiment3_1200": lambda: experiment3_attribute_families(exp3, trials=1200),
         "experiment3_90": lambda: experiment3_attribute_families(exp3, trials=90),
         "experiment2_2500": lambda: experiment2_threshold_comparison(exp2, trials=2500),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import platform
 from dataclasses import dataclass
 from functools import partial
@@ -58,11 +59,26 @@ EXP1_MASS_TOLERANCE = 0.01  # how far a class density's integral over the grid m
 EXP3_SYSTEMS = ("fine", "coarse", "all")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer: its type has ``__index__``, which ``operator.index`` calls, and
+    it is not a bool."""
+    return hasattr(type(value), "__index__") and not isinstance(value, (bool, np.bool_))
+
+
 def _check_counts(minimum: int, **counts: int) -> None:
-    """Raise a ValueError naming the first of ``counts`` below ``minimum``, and its value."""
+    """Raise a ValueError naming the first of ``counts`` that is not an integer of at least ``minimum``, and its
+    value."""
     for name, value in counts.items():
-        if not value >= minimum:
-            raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+        if not (_is_integer(value) and value >= minimum):
+            raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _checkpoints(name: str, values: Sequence[int], counted: str) -> tuple[int, ...]:
+    """The distinct ``values`` in ascending order; a ValueError naming ``name`` and ``values`` unless they hold at
+    least one integer count of ``counted``, none negative."""
+    if not (len(values) and all(_is_integer(v) and v >= 0 for v in values)):
+        raise ValueError(f"{name} must hold at least one integer {counted} count, none negative, got {values!r}")
+    return tuple(sorted({operator.index(v) for v in values}))
 
 
 def halfwidth(rate: float, n: int) -> float:
@@ -208,14 +224,12 @@ def experiment2_threshold_comparison(
 
     Both estimators are trained on the same (biased) training draws and see
     the same test scores; each observation round scores every attribute once.
-    Ground truths cycle through the catalog. ``trials`` must be at least 1
-    and ``k_list`` hold at least one K, none negative; K = 0 decides on the
-    priors alone. They are checked before any draw.
+    Ground truths cycle through the catalog. ``trials`` must be an integer of
+    at least 1 and ``k_list`` hold at least one integer K, none negative;
+    K = 0 decides on the priors alone. They are checked before any draw.
     """
     _check_counts(1, trials=trials)
-    k_values = tuple(sorted(set(int(k) for k in k_list)))
-    if not k_values or k_values[0] < 0:
-        raise ValueError(f"k_list must hold at least one observation count, none negative, got {k_list!r}")
+    k_values = _checkpoints("k_list", k_list, "observation")
     if seed is None:
         seed = scenario.seed
     catalog = scenario.catalog
@@ -283,9 +297,9 @@ def experiment3_attribute_families(
     so a degenerate scenario where the families coincide yields exactly equal
     accuracies. Per bin, the three systems' columns are classified in one
     call, and their count rows, stacked, are decided in one
-    :func:`~attrfuse.fusion.decide` call. ``trials`` must be at least 1 and
-    ``rounds_per_bin`` at least 0 (0 rounds decide on the priors alone),
-    checked before any draw.
+    :func:`~attrfuse.fusion.decide` call. ``trials`` must be an integer of at
+    least 1 and ``rounds_per_bin`` one of at least 0 (0 rounds decide on the
+    priors alone), checked before any draw.
     """
     _check_counts(1, trials=trials)
     _check_counts(0, rounds_per_bin=rounds_per_bin)
@@ -359,6 +373,13 @@ class TheoremReport:
         return self.exact_pass and self.convergence_pass
 
 
+# The exact-recognition cases' fixed arrays: the object, attribute and repeat slots, each attribute's bit in an object
+# row code, and the distinct negative row codes of the absent objects.
+_OBJECTS, _ATTRIBUTES, _REPEATS = np.arange(6), np.arange(8), np.arange(3)
+_ATTRIBUTE_BITS = 1 << _ATTRIBUTES
+_ABSENT_ROWS = -1 - _OBJECTS
+
+
 def _draw_exact_cases(rng: np.random.Generator, cases: int):
     """``cases`` small catalogs with correct, uniquely identifying evidence from ``rng``, padded to 6 objects and 8
     attributes.
@@ -371,31 +392,35 @@ def _draw_exact_cases(rng: np.random.Generator, cases: int):
     drawn earlier observation. Each quantity is one array call over the
     cases, drawn for every slot and zeroed where absent; the columns are
     redrawn, for the cases whose object rows are not distinct, until they are.
+    What does not change between redraw rounds, the slot masks and each
+    case's bound on its column codes, is computed once before them.
     """
-    objects, attributes, repeat = np.arange(6), np.arange(8), np.arange(3)
     n_objects, n_attributes = rng.integers(2, 7, size=cases), rng.integers(3, 9, size=cases)
-    present = attributes < n_attributes[:, None]
+    present = _ATTRIBUTES < n_attributes[:, None]
+    exists = _OBJECTS < n_objects[:, None]
+    mixed_bound = 2 ** n_objects[:, None] - 1  # the all-ones column code, excluded as the draw's upper bound
     columns = np.zeros((cases, 8), dtype=np.int64)
-    pending = np.arange(cases)
+    pending = case = np.arange(cases)
     while pending.size:  # column codes uniform over the mixed columns, kept when the rows differ
-        drawn = rng.integers(1, 2 ** n_objects[pending, None] - 1, size=(pending.size, 8))
-        columns[pending] = np.where(present[pending], drawn, 0)
-        rows = (columns[pending, None, :] >> objects[:, None] & 1) @ (1 << attributes)
-        rows = np.sort(np.where(objects < n_objects[pending, None], rows, -1 - objects), axis=1)  # absent: distinct
+        drawn = np.where(present[pending], rng.integers(1, mixed_bound[pending], size=(pending.size, 8)), 0)
+        columns[pending] = drawn
+        rows = (drawn[:, None, :] >> _OBJECTS[:, None] & 1) @ _ATTRIBUTE_BITS
+        rows = np.sort(np.where(exists[pending], rows, _ABSENT_ROWS), axis=1)  # absent: distinct
         pending = pending[(rows[:, 1:] == rows[:, :-1]).any(axis=1)]
-    priors = np.where(objects < n_objects[:, None], rng.uniform(0.05, 1.0, size=(cases, 6)), 0.0)
+    priors = np.where(exists, rng.uniform(0.05, 1.0, size=(cases, 6)), 0.0)
     uniforms = np.where(present[..., None], rng.uniform(0.02, 1.0, size=(cases, 8, 2)), 0.0)
     truth = rng.integers(n_objects)
     n_repeats = rng.integers(0, 4, size=cases)
-    # repeat j copies observation source[:, j] of those before it: the attributes, then repeats 0 to j - 1
-    source = rng.integers(n_attributes[:, None] + repeat)
-    copied = np.zeros((cases, 3), dtype=np.int64)
-    for j in repeat:
-        earlier = copied[np.arange(cases), np.clip(source[:, j] - n_attributes, 0, 2)]
+    # repeat j copies observation source[:, j] of those before it: the attributes, then repeats 0 to j - 1;
+    # source[:, 0] is below n_attributes, so repeat 0 copies an attribute
+    source = rng.integers(n_attributes[:, None] + _REPEATS)
+    copied = source.copy()
+    for j in _REPEATS[1:]:
+        earlier = copied[case, np.clip(source[:, j] - n_attributes, 0, 2)]
         copied[:, j] = np.where(source[:, j] < n_attributes, source[:, j], earlier)
-    repeats = (copied[..., None] == attributes) & (repeat < n_repeats[:, None])[..., None]
+    repeats = (copied[..., None] == _ATTRIBUTES) & (_REPEATS < n_repeats[:, None])[..., None]
     counts = present + repeats.sum(axis=1)
-    return (columns[:, None, :] >> objects[:, None] & 1).astype(np.int8), priors, uniforms, truth, counts
+    return (columns[:, None, :] >> _OBJECTS[:, None] & 1).astype(np.int8), priors, uniforms, truth, counts
 
 
 def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,7 +429,7 @@ def decide_exact_cases(cases: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     One :func:`~attrfuse.fusion.decide` call decides the cases as rows, each with its own key table and priors. A
     case keys each attribute with the truth's outcome, once per observation; the objects are padded to 6, and a
     padded object is never tied. The winners are not read, so a prior tie takes its first option. ``cases`` must be
-    at least 1, checked before any draw.
+    an integer of at least 1, checked before any draw.
     """
     _check_counts(1, cases=cases)
     matrix, raw_priors, uniforms, truth, counts = _draw_exact_cases(derived_rng(seed, CASE_STREAM), cases)
@@ -464,8 +489,9 @@ def convergence_suite(
     correct rate (the correct outcome), or below the rate plus the false rate
     less those (the wrong one), summed per segment between checkpoints and
     cumulated over them. ppv and npv must lie in (0, 1] and the rates in
-    [0, 1], checked before any draw, so no false rate is negative; so is
-    ``trials``, which must be at least 1.
+    [0, 1], checked before any draw, so no false rate is negative; so are
+    ``trials``, which must be an integer of at least 1, and
+    ``k_checkpoints``, which must hold at least one integer, none negative.
     """
     _check_counts(1, trials=trials)
     for name, value in (("ppv", ppv), ("npv", npv)):
@@ -474,9 +500,7 @@ def convergence_suite(
     for name, value in (("detection_rate", detection_rate), ("true_negative_rate", true_negative_rate)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-    k_values = tuple(sorted(set(int(k) for k in k_checkpoints)))
-    if not k_values or k_values[0] < 0:
-        raise ValueError(f"k_checkpoints must hold at least one round count, none negative, got {k_checkpoints!r}")
+    k_values = _checkpoints("k_checkpoints", k_checkpoints, "round")
     q = 0.0 if ppv >= 1.0 else detection_rate * (1.0 - ppv) / ppv
     v = 0.0 if npv >= 1.0 else true_negative_rate * (1.0 - npv) / npv
     ground_truth = 0

@@ -60,24 +60,32 @@ def factor_table(keys: Sequence[FactorKey], stats: CatalogStats) -> np.ndarray:
 
 
 def tally(log_prior: np.ndarray, counts: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``counts`` (rows x keys, keys in sorted order): zero-factor hits and finite log sums.
+    """Per row of ``counts`` (..., rows x keys, keys in sorted order): zero-factor hits and finite log sums.
 
+    ``counts`` may carry leading axes, such as checkpoints before the rows;
+    every leading index is tallied in the same pass, as if on its own.
     ``table`` holds the keys' log rows (keys x objects), or one such table
     per row of ``counts`` (rows x keys x objects); ``log_prior`` is one row
     of objects, or one per row of ``counts``. The hits are one integer
     product of the counts with the zero-factor mask, exact in int64. The
     finite sums add each key's term in key order, the count taken as a
     float as numpy's mixed multiply takes it; a zero count adds +-0.0, so a
-    row's sums equal those over its nonzero keys alone, bit for bit.
+    row's sums equal those over its nonzero keys alone, bit for bit. The
+    sums are formed objects first, so that each key's term is one multiply
+    over every row, and returned as a (..., rows, objects) view.
     """
     zero = np.isneginf(table)
-    finite_table = np.where(zero, 0.0, table)
-    hits = (counts[:, None, :] @ zero.astype(np.int64))[:, 0]
-    finite = np.broadcast_to(log_prior, hits.shape).copy()
+    hits = (counts[..., None, :] @ zero.astype(np.int64))[..., 0, :]
+    lead = tuple(range(counts.ndim - 1))
+    finite = np.broadcast_to(log_prior, hits.shape).transpose(-1, *lead).copy()  # objects x ... x rows
+    columns = counts.transpose(-1, *lead).astype(float, order="C")  # keys x ... x rows
+    factors = np.where(zero, 0.0, table).transpose(-2, -1, *range(table.ndim - 2))  # keys x objects [x rows]
+    # each key's factors as they broadcast against finite's objects x ... x rows
+    factors = factors.reshape(factors.shape[:2] + (1,) * (counts.ndim - table.ndim + 1) + factors.shape[2:])
     term = np.empty_like(finite)
-    for key, count in enumerate(counts.T.astype(float)[..., None]):
-        finite += np.multiply(count, finite_table[..., key, :], out=term)
-    return hits, finite
+    for count, factor in zip(columns, factors):
+        finite += np.multiply(count, factor, out=term)
+    return hits, finite.transpose(*range(1, counts.ndim), 0)
 
 
 def map_log_weights(hits: np.ndarray, finite: np.ndarray) -> np.ndarray:
@@ -123,23 +131,22 @@ def count_codes(codes: np.ndarray, n_keys: int, checkpoints: Sequence[int]) -> n
 def decide(
     counts: np.ndarray, table: np.ndarray, priors: np.ndarray, pick: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> Episodes:
-    """MAP decisions of every row of ``counts`` (checkpoints x rows x keys, cumulative) at each checkpoint.
+    """MAP decisions of every row of ``counts`` (checkpoints x rows x keys, cumulative, a leading axis as
+    :func:`tally` takes it) at each checkpoint.
 
     ``table`` holds the keys' log rows, shared or one per row, as :func:`tally` takes it; ``priors`` is one row of
     objects or one per row. A zero prior marks a padded object: its log weight is ``-inf``, so it is never tied
     while some object's weight is finite. A posterior tie goes to the best prior; a tie in the prior as well goes to
-    a seeded uniform pick. Every checkpoint is decided first; then ``pick(rows, options)`` makes the picks of the
-    rows with a random tie at some checkpoint, given how many prior-best objects each of them has at each
-    checkpoint (checkpoints x len(rows)), as picks in ``[0, options)`` of the same shape: the pick-th prior-best
-    object wins. It is called once, and not at all when no row has a random tie.
+    a seeded uniform pick. Every checkpoint is tallied and decided in one pass over the checkpoint axis, each as if
+    on its own; then ``pick(rows, options)`` makes the picks of the rows with a random tie at some checkpoint, given
+    how many prior-best objects each of them has at each checkpoint (checkpoints x len(rows)), as picks in
+    ``[0, options)`` of the same shape: the pick-th prior-best object wins. It is called once, and not at all when
+    no row has a random tie.
     """
     log_prior = np.log(priors, out=np.full(priors.shape, -np.inf), where=priors > 0)
-    tied = np.empty((*counts.shape[:2], priors.shape[-1]), dtype=bool)
-    prior_best = np.empty_like(tied)
-    for c, counted in enumerate(counts):
-        hits, finite = tally(log_prior, counted, table)
-        log_weights = map_log_weights(hits, finite)
-        tied[c], prior_best[c] = tie_sets(log_weights, priors)
+    hits, finite = tally(log_prior, counts, table)
+    log_weights = map_log_weights(hits, finite)
+    tied, prior_best = tie_sets(log_weights, priors)
     options = prior_best.sum(axis=-1)
     winners = prior_best.argmax(axis=-1)
     random = options > 1
@@ -148,4 +155,4 @@ def decide(
         picks = pick(picking, options[:, picking])
         # the pick-th prior-best object: the first whose running count of them exceeds the pick
         winners[:, picking] = (prior_best[:, picking].cumsum(axis=-1) > picks[..., None]).argmax(axis=-1)
-    return Episodes(winners, random, tied, hits, log_weights)
+    return Episodes(winners, random, tied, hits[-1], log_weights[-1])

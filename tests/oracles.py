@@ -11,7 +11,9 @@ observation reader and checks that ``attrfuse fuse`` ran before it read
 columns are the reference for the columnar reader, and the one-case
 exact-recognition path (``exact_recognition_cases``: a catalog,
 ``compute_stats`` and per-attribute floors per case, decided as one row by
-``decide_codes``) is the reference for the padded pass, and the per-key loop
+``decide_codes``) is the reference for the padded pass, the case draw that
+rebuilt every array in each redraw round (``reference_exact_draw``) is the
+reference for the package's case draw, and the per-key loop
 (``reference_tally``) is the reference for ``tally``'s integer hit
 product and buffered sums. The code matrix that the convergence suite
 counted through (``reference_convergence``: two ``np.select`` passes, then
@@ -23,9 +25,8 @@ sweep, record for record. The per-class ``Generator.normal`` loop
 for the one-call training draw, and ``json.dumps(..., indent=2)``
 (``reference_models_text``) for the models writer. These references may import package
 types (the models and scenarios they read), the
-``factor_table``/``tally``/``map_log_weights`` sums and the shared
-exact-recognition case draw, but none of the batched code paths they
-check. ``make_synthetic_model`` builds the models
+``factor_table``/``tally``/``map_log_weights`` sums, but none of the
+batched code paths they check. ``make_synthetic_model`` builds the models
 with stated predictive values that the posterior and theory tests feed
 them, and ``factor_codes`` codes their outcomes as one engine row.
 ``fuse_pick`` is ``attrfuse fuse``'s tie pick, the one-row decisions' pick.
@@ -42,7 +43,6 @@ import numpy as np
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import BinCalibration, CalibrationError, ClassifierModel
-from attrfuse.experiments import _draw_exact_cases
 from attrfuse import fusion
 from attrfuse.fusion import TIE_RELATIVE_TOLERANCE, factor_table, map_log_weights, tally
 from attrfuse.simulator import _not_finite
@@ -295,16 +295,50 @@ def factor_codes(observations):
     return np.array([[index.get(key, len(keys)) for key in observed]], dtype=np.intp), keys
 
 
+def reference_exact_draw(rng: np.random.Generator, cases: int):
+    """The exact-recognition case draw with every array built in each redraw round, and every repeat, repeat 0 too,
+    resolved in the copy loop: the package's ``_draw_exact_cases`` must return the same arrays, dtypes included.
+
+    Returns per case the 0/1 matrix (padded to 6 objects and 8 attributes),
+    the raw priors (0 for an absent object), the ppv and npv uniforms, the
+    ground truth and each attribute's observation count (0 for an absent one).
+    """
+    objects, attributes, repeat = np.arange(6), np.arange(8), np.arange(3)
+    n_objects, n_attributes = rng.integers(2, 7, size=cases), rng.integers(3, 9, size=cases)
+    present = attributes < n_attributes[:, None]
+    columns = np.zeros((cases, 8), dtype=np.int64)
+    pending = np.arange(cases)
+    while pending.size:  # column codes uniform over the mixed columns, kept when the rows differ
+        drawn = rng.integers(1, 2 ** n_objects[pending, None] - 1, size=(pending.size, 8))
+        columns[pending] = np.where(present[pending], drawn, 0)
+        rows = (columns[pending, None, :] >> objects[:, None] & 1) @ (1 << attributes)
+        rows = np.sort(np.where(objects < n_objects[pending, None], rows, -1 - objects), axis=1)  # absent: distinct
+        pending = pending[(rows[:, 1:] == rows[:, :-1]).any(axis=1)]
+    priors = np.where(objects < n_objects[:, None], rng.uniform(0.05, 1.0, size=(cases, 6)), 0.0)
+    uniforms = np.where(present[..., None], rng.uniform(0.02, 1.0, size=(cases, 8, 2)), 0.0)
+    truth = rng.integers(n_objects)
+    n_repeats = rng.integers(0, 4, size=cases)
+    # repeat j copies observation source[:, j] of those before it: the attributes, then repeats 0 to j - 1
+    source = rng.integers(n_attributes[:, None] + repeat)
+    copied = np.zeros((cases, 3), dtype=np.int64)
+    for j in repeat:
+        earlier = copied[np.arange(cases), np.clip(source[:, j] - n_attributes, 0, 2)]
+        copied[:, j] = np.where(source[:, j] < n_attributes, source[:, j], earlier)
+    repeats = (copied[..., None] == attributes) & (repeat < n_repeats[:, None])[..., None]
+    counts = present + repeats.sum(axis=1)
+    return (columns[:, None, :] >> objects[:, None] & 1).astype(np.int8), priors, uniforms, truth, counts
+
+
 def exact_recognition_cases(rng: np.random.Generator, cases: int):
     """The ``cases`` exact-recognition cases drawn from ``rng``, one at a time, as :func:`decide_codes` reads them.
 
-    Yields (catalog, stats, keys, ground_truth, observed) per case of the
-    package's case draw. ``keys[i]`` is ``(i, outcome, value)``: the ground
-    truth's outcome of attribute ``i`` and its ppv or npv, placed by the
-    drawn uniform between the ``predictive_value_floors`` floor and 1.
+    Yields (catalog, stats, keys, ground_truth, observed) per case of
+    :func:`reference_exact_draw`. ``keys[i]`` is ``(i, outcome, value)``:
+    the ground truth's outcome of attribute ``i`` and its ppv or npv, placed
+    by the drawn uniform between the ``predictive_value_floors`` floor and 1.
     ``observed`` holds each attribute code once, then one more per repeat.
     """
-    for matrix, priors, uniforms, truth, counts in zip(*_draw_exact_cases(rng, cases)):
+    for matrix, priors, uniforms, truth, counts in zip(*reference_exact_draw(rng, cases)):
         n_objects, n_attributes = int((priors > 0).sum()), int((counts > 0).sum())
         raw = priors[:n_objects]
         catalog = ObjectCatalog(

@@ -32,7 +32,7 @@ from attrfuse.experiments import (
     write_manifest,
 )
 from attrfuse.theory import predictive_value_floors
-from oracles import decide_codes, exact_recognition_cases
+from oracles import decide_codes, exact_recognition_cases, reference_exact_draw
 
 
 def flat_scenario(n_bins=3, seed=17, std=3.0):
@@ -359,6 +359,16 @@ class TestTheoremSuites:
             assert observed[:m].tolist() == list(range(m))
             assert observed.size - m <= 3 and set(observed[m:].tolist()) <= set(range(m))
 
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=100, deadline=None)
+    def test_case_draw_equals_the_reference_draw(self, seed, cases):
+        """The case draw, with its fixed arrays built once, returns the reference draw's arrays, dtypes included."""
+        drawn = experiments._draw_exact_cases(derived_rng(seed, CASE_STREAM), cases)
+        expected = reference_exact_draw(derived_rng(seed, CASE_STREAM), cases)
+        for array, reference in zip(drawn, expected, strict=True):
+            assert array.dtype == reference.dtype and array.shape == reference.shape
+            assert np.array_equal(array, reference)
+
     def test_case_sizes_cover_their_ranges(self):
         """One array draw of 400 cases gives every object count 2-6, attribute count 3-8 and repeat count 0-3."""
         shapes = {
@@ -390,13 +400,22 @@ class TestCountChecks:
             ("exp3", {}, "trials", -1),
             ("exp3", {}, "trials", 0),
             ("exp3", {"trials": 50}, "rounds_per_bin", -1),
+            # counts that are not integers: numpy's bare TypeError, or a K truncated by int()
+            ("convergence", {}, "trials", 2.5),
+            ("convergence", {}, "trials", True),
+            ("convergence", {"trials": 50}, "k_checkpoints", (5.5, 50)),
+            ("theorems", {"trials": 50}, "exact_cases", 2.0),
+            ("exact", {}, "cases", 2.5),
+            ("exp2", {"trials": 50}, "k_list", (1.7,)),
+            ("exp3", {"trials": 50}, "rounds_per_bin", 1.5),
         ],
     )
     def test_bad_counts_rejected_before_any_draw(
         self, monkeypatch, exp1_scenario, exp2_scenario, exp3_scenario, harness, kwargs, name, value
     ):
-        """A trial, case or sample count below 1, no or a negative K, or negative rounds, is a ValueError that names
-        the argument and its value, raised before any generator is built."""
+        """A trial, case or sample count below 1, no or a negative K, negative rounds, or a count that is not an
+        integer (a float or a bool), is a ValueError that names the argument and its value, raised before any
+        generator is built."""
         def no_draw(*args):
             raise AssertionError("drew before checking the arguments")
 
@@ -411,6 +430,14 @@ class TestCountChecks:
         monkeypatch.setattr(experiments, "derived_rng", no_draw)
         with pytest.raises(ValueError, match=rf"^{name} must .*, got {re.escape(repr(value))}$"):
             run(**kwargs, **{name: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        """numpy integers are counts: they run as the equal Python integers do."""
+        k_values, error = convergence_suite(np.int64(20), 1, k_checkpoints=(np.int64(5), 50))
+        expected_k, expected_error = convergence_suite(20, 1, k_checkpoints=(5, 50))
+        assert k_values == expected_k and all(type(k) is int for k in k_values)
+        assert error.tobytes() == expected_error.tobytes()
+        assert exact_recognition_suite(np.int64(3), 1) == (3, 3)
 
     def test_no_observations_decide_on_the_priors(self, exp2_scenario, exp3_scenario):
         """K = 0 and 0 rounds per bin are legal: every trial is decided on the priors alone."""

@@ -319,23 +319,30 @@ def test_factor_rows_take_libm_log():
 @st.composite
 def tally_inputs(draw):
     """A log prior, counts and a key table for :func:`tally`: one shared table or one per row, with zero
-    counts and ``-inf`` (zero-factor) entries drawn about half the time."""
+    counts and ``-inf`` (zero-factor) entries drawn about half the time. The counts have a leading checkpoint axis
+    of 1-3 checkpoints, or none."""
     rows, keys, objects = draw(st.integers(1, 12)), draw(st.integers(0, 8)), draw(st.integers(1, 7))
-    per_row = draw(st.booleans())
+    checkpoints, per_row = draw(st.integers(0, 3)), draw(st.booleans())
     log_value = st.one_of(st.floats(-40.0, 40.0), st.just(-math.inf))
     table = draw(arrays(float, (rows, keys, objects) if per_row else (keys, objects), elements=log_value))
     log_prior_value = st.one_of(st.floats(-9.0, 0.0), st.just(-math.inf))
     log_prior = draw(arrays(float, (rows, objects) if per_row else (objects,), elements=log_prior_value))
-    counts = draw(arrays(np.int64, (rows, keys), elements=st.one_of(st.just(0), st.integers(1, 40))))
+    shape = (checkpoints, rows, keys) if checkpoints else (rows, keys)
+    counts = draw(arrays(np.int64, shape, elements=st.one_of(st.just(0), st.integers(1, 40))))
     return log_prior, counts, table
 
 
 @given(tally_inputs())
 @settings(max_examples=300, deadline=None)
 def test_tally_equals_the_per_key_loop(inputs):
-    """The integer hit product and buffered sums give the per-key loop's hits exactly and its finite sums bit for bit."""
+    """The integer hit product and buffered sums give the per-key loop's hits exactly and its finite sums bit for bit,
+    at every checkpoint of a leading axis as if tallied on its own."""
+    log_prior, counts, table = inputs
     hits, finite = tally(*inputs)
-    expected_hits, expected_finite = reference_tally(*inputs)
+    leading = counts if counts.ndim == 3 else [counts]
+    per_checkpoint = [reference_tally(log_prior, counted, table) for counted in leading]
+    shape = (*counts.shape[:-1], log_prior.shape[-1])
+    expected_hits, expected_finite = (np.stack(part).reshape(shape) for part in zip(*per_checkpoint))
     assert hits.dtype == np.int64 and np.array_equal(hits, expected_hits)
     assert finite.shape == expected_finite.shape and finite.tobytes() == expected_finite.tobytes()
 
@@ -389,3 +396,59 @@ def test_stacked_rows_decide_as_one_call_per_row(seed):
         assert stacked.tied[:, r].tolist() == alone.tied[:, 0].tolist()
         assert stacked.hits[r].tolist() == alone.hits[0].tolist()
         assert stacked.log_weights[r].tobytes() == alone.log_weights[0].tobytes()
+
+
+@st.composite
+def decide_inputs(draw):
+    """Counts at 1-4 checkpoints, a shared or per-row key table with ``-inf`` entries, shared or per-row priors with
+    zeros (padded objects), and pick uniforms (rows x checkpoints). Table entries and priors come from small sets,
+    so posterior and prior ties are common."""
+    checkpoints, rows, keys, objects = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 6), (0, 4), (1, 5)))
+    entry = st.sampled_from([0.0, -0.5, math.log(2.0), -math.inf])
+    table = draw(arrays(float, (rows, keys, objects) if draw(st.booleans()) else (keys, objects), elements=entry))
+    weight = st.sampled_from([0.0, 1.0, 1.0, 2.0])
+    weights = draw(arrays(float, (rows, objects) if draw(st.booleans()) else (objects,), elements=weight))
+    weights[..., 0] = 1.0  # every row has an object
+    counts = draw(arrays(np.int64, (checkpoints, rows, keys), elements=st.integers(0, 3)))
+    u = draw(arrays(float, (rows, checkpoints), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    return counts, table, weights / weights.sum(axis=-1, keepdims=True), u
+
+
+@given(decide_inputs())
+@settings(max_examples=300, deadline=None)
+def test_decide_over_checkpoints_equals_one_call_per_checkpoint(inputs):
+    """One ``decide`` over C checkpoints equals C one-checkpoint calls: winners, random ties and tie sets per
+    checkpoint, and the last checkpoint's hits and log weights bit for bit. Its one pick call gets the rows with a
+    random tie at some checkpoint and, per checkpoint, their options: those the one-checkpoint call passed for a row
+    with a random tie there, 1 for any other."""
+    counts, table, priors, u = inputs
+
+    def recorded(picks, calls):
+        def pick(rows, options):
+            calls.append((rows.tolist(), options.tolist()))
+            return picks(rows, options)
+        return pick
+
+    together_calls, alone_calls = [], []
+    together = decide(counts, table, priors, recorded(uniform_picks(u), together_calls))
+    alone = [
+        decide(counts[c : c + 1], table, priors, recorded(uniform_picks(u[:, c : c + 1]), alone_calls))
+        for c in range(len(counts))
+    ]
+    for c, decided_alone in enumerate(alone):
+        assert together.winners[c].tolist() == decided_alone.winners[0].tolist()
+        assert together.random[c].tolist() == decided_alone.random[0].tolist()
+        assert together.tied[c].tolist() == decided_alone.tied[0].tolist()
+    assert together.hits.dtype == np.int64 and together.hits.tobytes() == alone[-1].hits.tobytes()
+    assert together.log_weights.tobytes() == alone[-1].log_weights.tobytes()
+
+    picking = np.flatnonzero(together.random.any(axis=0)).tolist()
+    assert len(together_calls) == (1 if picking else 0)
+    if picking:
+        options = np.ones((len(counts), len(picking)), dtype=np.int64)
+        alone_calls = iter(alone_calls)
+        for c, decided_alone in enumerate(alone):
+            if decided_alone.random[0].any():
+                rows, (row_options,) = next(alone_calls)
+                options[c, np.searchsorted(picking, rows)] = row_options
+        assert together_calls == [(picking, options.tolist())]

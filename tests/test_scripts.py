@@ -92,10 +92,15 @@ def test_harnesses_build_and_run(timing, tmp_path):
     harnesses = timing.harnesses(tmp_path)
     assert {
         "fuse_tie", "fuse_10", "exact_recognition_suite_1000", "convergence_suite_4000", "theorem_suites_10",
-        "theorem_suites_4000",
+        "theorem_suites_4000", "convergence_suite_10", "exact_recognition_suite_5",
     } <= set(harnesses)
     assert harnesses["fuse_tie"]() == 0 and harnesses["fuse_10"]() == 0
     decision = json.loads((tmp_path / "decision.json").read_text())
     assert decision["adopted_observations"] + decision["discarded_observations"] == 10
     assert harnesses["exact_recognition_suite_1000"]() == (1000, 1000)
-    assert harnesses["theorem_suites_10"]().all_pass
+    report = harnesses["theorem_suites_10"]()
+    assert report.all_pass
+    # its two halves, timed apart
+    k_values, error = harnesses["convergence_suite_10"]()
+    assert (k_values, tuple(error.tolist())) == (report.convergence_k, report.convergence_error)
+    assert harnesses["exact_recognition_suite_5"]() == (report.exact_correct, report.exact_cases)
