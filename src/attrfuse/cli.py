@@ -13,6 +13,7 @@ import sys
 import time
 from collections.abc import Callable, Mapping
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -73,15 +74,39 @@ def _scores(fields: list[str]) -> np.ndarray:
         return np.fromiter(map(float, map(str.strip, fields)), float, len(fields))
 
 
-def _stop_at_parse_error(
-    path: Path, lines: list[str], numbers: np.ndarray, bin_fields: list[str], score_fields: list[str]
-) -> None:
-    """Stop the run at the first line whose stripped bin or score Python's ``int`` or ``float`` does not read."""
-    for n, (bin_field, score_field) in enumerate(zip(bin_fields, score_fields)):
+def _stop_at_first_bad_line(
+    path: Path, lines: list[str], numbers: np.ndarray, catalog: ObjectCatalog, models: Mapping[int, ClassifierModel]
+) -> NoReturn:
+    """Stop the run at the first bad line among the observation lines ``lines``, numbered ``numbers``.
+
+    The first line, in file order, without 3 fields or whose stripped bin or
+    score Python's ``int`` or ``float`` does not read stops the run. Failing
+    that, the first line to fail a check does, with the first check it fails:
+    a known attribute, a calibrated model for it, a finite score and a bin its
+    model calibrates. A file with no bad line is an AssertionError: only a
+    file that the columnar pass flagged comes here.
+    """
+    rows = []
+    for line_no, line in zip(numbers.tolist(), lines):
+        fields = [field.strip() for field in line.split(",")]
+        if len(fields) != 3:
+            raise SystemExit(f"{path}:{line_no}: expected `attribute,bin,score`, got {line!r}")
         try:
-            int(bin_field.strip()), float(score_field.strip())
+            rows.append((line_no, fields[0], int(fields[1]), float(fields[2])))
         except ValueError:
-            raise SystemExit(f"{path}:{numbers[n]}: could not parse bin/score in {lines[numbers[n] - 1]!r}") from None
+            raise SystemExit(f"{path}:{line_no}: could not parse bin/score in {line!r}") from None
+    for line_no, attribute_id, bin_index, score in rows:
+        try:
+            i = catalog.attribute_index(attribute_id)
+        except CatalogError as exc:
+            raise SystemExit(f"{path}:{line_no}: {exc}") from None
+        if i not in models:
+            raise SystemExit(f"{path}:{line_no}: no calibrated model for attribute {attribute_id!r}")
+        if not math.isfinite(score):
+            raise SystemExit(f"{path}:{line_no}: score must be finite, got {score!r}")
+        if bin_index not in models[i].calibrations:
+            raise SystemExit(f"{path}:{line_no}: unknown bin index {bin_index}")
+    raise AssertionError(f"{path}: the columnar pass flagged a file without a bad observation line")
 
 
 def _read_observations(
@@ -97,13 +122,9 @@ def _read_observations(
     converted in one numpy call. Each attribute field is one dictionary
     lookup among the catalog's ids, and each bin field one among the decimal
     forms of the calibrated bins; only the distinct fields that miss are
-    stripped, parsed with ``int`` and looked up again. A malformed file is
-    walked line by line to name its first line with the wrong field count or
-    an unparsable bin or score. Then the checks are, in order: a known
-    attribute, a calibrated model for it, a finite score and a bin its model
-    calibrates, as one gather from an (attribute, bin) table; the first
-    failing line in file order stops the run with the message of its first
-    failing check.
+    stripped, parsed with ``int`` and looked up again. The checks are one
+    gather from an (attribute, bin) table and one finiteness test. This pass
+    only detects a bad file: :func:`_stop_at_first_bad_line` names its line.
     """
     try:
         data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
@@ -118,22 +139,16 @@ def _read_observations(
     numbers = np.arange(1, len(lines) + 1)
     # a line with 3 fields is not blank, so without a "#" every line is an observation or header line
     fields = None if "#" in text else _fields(lines)
-    misfit = None  # the first line without 3 fields
     if fields is None:
         kept_mask = ~np.fromiter(map(_SKIPPED, map(_FIRST, map(str.strip, lines))), bool, len(lines))
-        kept = list(itertools.compress(lines, kept_mask.tolist()))
+        lines = list(itertools.compress(lines, kept_mask.tolist()))
         numbers = np.flatnonzero(kept_mask) + 1
-        fields = _fields(kept)
-        if fields is None:
-            misfit = next(n for n, line in enumerate(kept) if line.count(",") != 2)
-            fields = ",".join(kept[:misfit]).split(",") if misfit else []
-    start = len(list(itertools.takewhile(lambda row: tuple(map(str.strip, row)) == _HEADER, zip(*[iter(fields)] * 3))))
-    numbers = numbers[start:]
+        fields = _fields(lines)
+    start = len(list(itertools.takewhile(lambda line: tuple(map(str.strip, line.split(","))) == _HEADER, lines)))
+    lines, numbers = lines[start:], numbers[start:]
+    if fields is None:
+        _stop_at_first_bad_line(path, lines, numbers, catalog, models)
     attribute_fields, bin_fields, score_fields = (fields[3 * start + c :: 3] for c in range(3))
-    if misfit is not None:
-        _stop_at_parse_error(path, lines, numbers, bin_fields, score_fields)
-        line_no = numbers[misfit - start]
-        raise SystemExit(f"{path}:{line_no}: expected `attribute,bin,score`, got {lines[line_no - 1]!r}")
     bin_values = sorted({k for model in models.values() for k in model.calibrations})
     bin_column = {k: j for j, k in enumerate(bin_values)}
     try:
@@ -143,37 +158,16 @@ def _read_observations(
             lambda field: bin_column.get(int(field.strip()), _MISSED),
         )
     except ValueError:
-        _stop_at_parse_error(path, lines, numbers, bin_fields, score_fields)
-        raise
+        _stop_at_first_bad_line(path, lines, numbers, catalog, models)
     # a padded catalog id never equals a stripped field, so only ids equal to their own strip() can match
     index = {a: i for i, a in enumerate(catalog.attributes) if a == a.strip()}
     attributes = _codes(index, attribute_fields, lambda field: index.get(field.strip(), _MISSED))
     known = np.zeros((catalog.n_attributes + 1, len(bin_values) + 1), dtype=bool)  # False in the last row and column
     for i, model in models.items():
         known[i, :-1] = [k in model.calibrations for k in bin_values]
-    failed = ~known[attributes, bins] | ~np.isfinite(scores)
-    if failed.any():
-        n = int(np.argmax(failed))
-        message = _first_failed_check(
-            catalog, models, attribute_fields[n].strip(), int(bin_fields[n].strip()), float(scores[n])
-        )
-        raise SystemExit(f"{path}:{numbers[n]}: {message}")
+    if not (known[attributes, bins] & np.isfinite(scores)).all():
+        _stop_at_first_bad_line(path, lines, numbers, catalog, models)
     return numbers, attributes, np.array(bin_values, dtype=np.intp)[bins], scores
-
-
-def _first_failed_check(
-    catalog: ObjectCatalog, models: Mapping[int, ClassifierModel], attribute_id: str, bin_index: int, score: float
-) -> str:
-    """The message of the first check that one observation line fails."""
-    try:
-        i = catalog.attribute_index(attribute_id)
-    except CatalogError as exc:
-        return str(exc)
-    if i not in models:
-        return f"no calibrated model for attribute {attribute_id!r}"
-    if not math.isfinite(score):
-        return f"score must be finite, got {score!r}"
-    return f"unknown bin index {bin_index}"
 
 
 def _seed(text: str) -> int:

@@ -530,12 +530,15 @@ def convergence_suite(
     return k_values, (episodes.winners != ground_truth).mean(axis=1)
 
 
+# the most convergence error at the last checkpoint that passes the theorem suites
+CONVERGENCE_CEILING = 0.02
+
+
 def theorem_suites(
     trials: int = 2000,
     seed: int = 0,
     exact_cases: int = 1000,
     k_checkpoints: Sequence[int] = (5, 50, 200),
-    convergence_ceiling: float = 0.02,
     ppv: float = 0.98,
     npv: float = 0.98,
     detection_rate: float = 0.5,
@@ -559,7 +562,7 @@ def theorem_suites(
     correct, cases = exact_recognition_suite(exact_cases, seed)
     # no error at the second checkpoint counts as converged
     decreased = bool(error[1] < error[0] or error[1] == 0.0) if len(k_values) >= 2 else True
-    convergence_pass = decreased and bool(error[-1] < convergence_ceiling)
+    convergence_pass = decreased and bool(error[-1] < CONVERGENCE_CEILING)
     return TheoremReport(
         exact_cases=cases,
         exact_correct=correct,
@@ -567,7 +570,7 @@ def theorem_suites(
         convergence_trials=trials,
         convergence_k=k_values,
         convergence_error=tuple(float(e) for e in error),
-        convergence_ceiling=convergence_ceiling,
+        convergence_ceiling=CONVERGENCE_CEILING,
         convergence_pass=convergence_pass,
     )
 

@@ -18,7 +18,7 @@ exp2                ``(s, SCORE_STREAM)``        (trials, rounds x attributes) n
 exp2                ``(s, PICK_STREAM)``         (trials, checkpoints) uniforms: its tie picks, shared by both systems
 exp3                ``(s, SCORE_STREAM, k)``     (trials, widest system's columns) normals in bin ``k``; each system
                                                  reads a prefix of a trial's row
-exp3                ``(s, PICK_STREAM, k)``      (trials,) uniforms: a trial's tie pick in bin ``k``, every system's
+exp3                ``(s, PICK_STREAM, k)``      (trials, 1) uniforms: a trial's tie pick in bin ``k``, every system's
 convergence         ``(s, SCORE_STREAM)``        (trials, 2 x rounds) uniforms: trial ``t``'s outcomes
 convergence         ``(s, PICK_STREAM)``         (trials, checkpoints) uniforms: its tie picks
 exact recognition   ``(s, CASE_STREAM)``         every case, one array call per quantity (its prior ties pick the

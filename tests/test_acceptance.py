@@ -8,6 +8,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from attrfuse.catalog import ObjectCatalog, compute_stats
 from attrfuse.classifier import calibrate_bins, classify_scores
@@ -90,10 +91,11 @@ def test_criterion_1_exhaustive_small_case_oracle():
     )
 
 
-def test_criterion_2_exact_recognition_thousand_cases():
+@pytest.mark.parametrize("seed", [2024, *range(8)])
+def test_criterion_2_exact_recognition_thousand_cases(seed):
     """Bound-satisfying classifiers with correct unique evidence never miss."""
     start = time.monotonic()
-    correct, cases = exact_recognition_suite(1000, seed=2024)
+    correct, cases = exact_recognition_suite(1000, seed=seed)
     elapsed = time.monotonic() - start
     _report(
         2,
@@ -102,11 +104,12 @@ def test_criterion_2_exact_recognition_thousand_cases():
     )
 
 
-def test_criterion_3_convergence_worst_case():
+@pytest.mark.parametrize("seed", [99, *range(8)])
+def test_criterion_3_convergence_worst_case(seed):
     """Two complementary objects, ppv=npv=0.98, detection 0.5: error vanishes with K."""
     start = time.monotonic()
     k_values, error = convergence_suite(
-        trials=4000, seed=99, k_checkpoints=(5, 50, 200),
+        trials=4000, seed=seed, k_checkpoints=(5, 50, 200),
         ppv=0.98, npv=0.98, detection_rate=0.5, true_negative_rate=0.5,
     )
     elapsed = time.monotonic() - start
@@ -148,9 +151,10 @@ def test_criterion_4_threshold_comparison(exp2_scenario, tmp_path):
     )
 
 
-def test_criterion_5_attribute_families(exp3_scenario, tmp_path):
+@pytest.mark.parametrize("seed", [pytest.param(None, id="scenario"), *range(8)])
+def test_criterion_5_attribute_families(exp3_scenario, tmp_path, seed):
     """All-attribute system dominates; coarse beats fine in the farthest bin."""
-    result = experiment3_attribute_families(exp3_scenario, trials=1200, rounds_per_bin=3)
+    result = experiment3_attribute_families(exp3_scenario, trials=1200, rounds_per_bin=3, seed=seed)
     write_exp3_csv(result, tmp_path)
     fine, coarse, alla = (result.accuracy[:, i] for i in range(3))
     hw_fine, hw_coarse, hw_all = (result.halfwidths[:, i] for i in range(3))

@@ -16,6 +16,7 @@ from attrfuse.cli import _read_observations, main
 from attrfuse.simulator import load_scenario
 from attrfuse.streams import PICK_STREAM, derived_rng
 from oracles import checked_observation_lines, make_synthetic_model
+from test_golden import FUSE_STREAMS
 
 BOM = b"\xef\xbb\xbf"
 
@@ -258,6 +259,10 @@ _BREAK = st.sampled_from([b"\n", b"\r\n", b"\r", b"\x0c", "\x85".encode(), "\u20
 @example(lines=[(b"box shape,0", b"\n"), (b"box shape,0,1.5,2", b"\n")], fuzz=[], bom=False, padded_id=False)
 @example(lines=[(b"\x1fbox shape\x1f,\x1f0\x1f,\x1f1.5\x1f", b"\n")], fuzz=[], bom=False, padded_id=False)
 @example(lines=[(b"box shape,0,1.5", b"\n"), (b" cup shape ,0,1.5", b"\n")], fuzz=[], bom=False, padded_id=True)
+# a line without 3 fields is named before an earlier line's unknown bin (the exp2 models calibrate bin 0 alone)
+@example(lines=[(b"box shape,9,1.0", b"\n"), (b"box shape,0", b"\n")], fuzz=[], bom=False, padded_id=False)
+# a header line after the first observation is an observation line, and its bin does not parse
+@example(lines=[(b"box shape,0,1.5", b"\n"), (b"attribute,bin,score", b"\n")], fuzz=[], bom=False, padded_id=False)
 @given(
     lines=st.lists(st.tuples(_ODD_LINE, _BREAK), max_size=8),
     fuzz=st.lists(st.tuples(st.integers(0, 8), st.tuples(_FUSE_LINE, _BREAK)), max_size=2),
@@ -297,6 +302,29 @@ def test_columnar_reader_matches_line_reader(repo_root, exp2_models, lines, fuzz
         return zip(*(column.tolist() for column in _read_observations(obs, catalog, models)))
 
     assert outcome(columnar) == expected
+
+
+def test_valid_files_never_enter_the_walk(repo_root, exp2_models, tmp_path, monkeypatch):
+    """The columnar pass alone reads a valid file, odd spellings included: the line-by-line walk only names a bad
+    line."""
+    def walk(*args):
+        raise AssertionError("a valid file entered the line-by-line walk")
+
+    monkeypatch.setattr("attrfuse.cli._stop_at_first_bad_line", walk)
+    exp3_models = tmp_path / "exp3_models.json"
+    main(["calibrate", "--scenario", str(repo_root / "scenarios" / "exp3.json"), "--out", str(exp3_models)])
+    table1, exp2 = (load_catalog(repo_root / "catalogs" / f"{name}.json") for name in ("table1", "exp2"))
+    files = [(table1, load_models(exp3_models, table1), text) for text in FUSE_STREAMS.values()] + [
+        (exp2, load_models(exp2_models, exp2), text) for text in (
+            "\n# a comment, with, commas\nattribute,bin,score\n attribute , bin,score\t\n\nbox shape,0,1.5\n \n#\ncup shape,0,-2.5\n",
+            "\x1fbox shape\xa0,\xa0+0\x1f,\x1f1.5\xa0\n\xa0cup shape,0_0,\x1f-2.5\nbottle shape,\u0660,3\n",
+        )
+    ]
+    for catalog, models, text in files:
+        obs = tmp_path / "obs.csv"
+        obs.write_text(text)
+        rows = list(zip(*(column.tolist() for column in _read_observations(obs, catalog, models))))
+        assert rows == checked_observation_lines(obs, catalog, models) != [], text
 
 
 @pytest.mark.parametrize(
