@@ -28,12 +28,16 @@ models. ``calibrate_exp3_x10`` is the same on a copy of the exp3 scenario
 with 10x its per-object training counts, where each of the 50 calibrated
 sets holds 1800 scores. ``draw_training_sets_exp3_x10`` is one
 ``draw_training_sets`` call on that copy: the training draw alone, 90,000
-scores. ``load_catalog_table1``, ``load_scenario_exp3`` and
+scores. ``calibrate_from_sets_exp3`` and ``calibrate_from_sets_exp3_x10`` are
+one ``calibrate_from_sets`` call on the training sets of the exp3 scenario and
+of that copy, and ``single_threshold_exp2`` one ``single_threshold_models``
+call on exp2's (its baseline): the calibration sweep alone, on sets drawn
+outside the timed call. ``load_catalog_table1``, ``load_scenario_exp3`` and
 ``load_models_exp3`` are one call of each loader on the shipped table 1
 catalog, the shipped exp3 scenario and the models calibrated from it, the
 files every ``fuse`` and ``calibrate`` call reads, and ``save_models_exp3``
 is one call of the writer on those models. The scenario files are
-loaded, and the models, the streams and the scenario copy written, once,
+loaded, the training sets drawn, and the models, the streams and the scenario copy written, once,
 outside the timed calls; every timed call writes into one temporary
 directory.
 
@@ -60,9 +64,10 @@ from attrfuse.experiments import (
     experiment1_distribution_shift,
     experiment2_threshold_comparison,
     experiment3_attribute_families,
+    single_threshold_models,
     theorem_suites,
 )
-from attrfuse.simulator import calibrate_scenario, draw_scores, draw_training_sets, load_scenario
+from attrfuse.simulator import calibrate_from_sets, calibrate_scenario, draw_scores, draw_training_sets, load_scenario
 from attrfuse.streams import SCORE_STREAM, derived_rng
 
 REPO = Path(__file__).resolve().parents[1]
@@ -126,7 +131,7 @@ def harnesses(workdir: Path):
     exp2 = load_scenario(REPO / "scenarios" / "exp2.json")
     exp3 = load_scenario(REPO / "scenarios" / "exp3.json")
     fuse = fuse_argvs(exp3, workdir)
-    exp3_x10 = scaled_exp3(10, workdir)
+    exp3_x10 = load_scenario(scaled_exp3(10, workdir))
     exp3_models = load_models(workdir / "models.json", exp3.catalog)
     return {
         "convergence_suite_4000": lambda: convergence_suite(4000, SEED),
@@ -151,9 +156,12 @@ def harnesses(workdir: Path):
         ),
         "calibrate_exp3_x10": functools.partial(
             quiet,
-            ["calibrate", "--scenario", str(exp3_x10), "--out", str(workdir / "calibrated.json")],
+            ["calibrate", "--scenario", str(exp3_x10.path), "--out", str(workdir / "calibrated.json")],
         ),
-        "draw_training_sets_exp3_x10": functools.partial(draw_training_sets, load_scenario(exp3_x10)),
+        "draw_training_sets_exp3_x10": functools.partial(draw_training_sets, exp3_x10),
+        "calibrate_from_sets_exp3": functools.partial(calibrate_from_sets, exp3, draw_training_sets(exp3)),
+        "calibrate_from_sets_exp3_x10": functools.partial(calibrate_from_sets, exp3_x10, draw_training_sets(exp3_x10)),
+        "single_threshold_exp2": functools.partial(single_threshold_models, exp2, draw_training_sets(exp2)),
         "load_catalog_table1": functools.partial(load_catalog, REPO / "catalogs" / "table1.json"),
         "load_scenario_exp3": functools.partial(load_scenario, REPO / "scenarios" / "exp3.json"),
         "load_models_exp3": functools.partial(load_models, workdir / "models.json", exp3.catalog),  # fuse_argvs saved it

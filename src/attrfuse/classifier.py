@@ -82,8 +82,13 @@ class ClassifierModel:
 
 
 # The score slots one sweep pass holds (pairs x the pass's longest pair). Pairs are batched in order up to it, so a
-# pass's arrays stay near a megabyte however large the training sets; a longer pair gets a pass of its own.
-_PASS_SLOTS = 2**13
+# pass's arrays stay in cache however large the training sets; a longer pair gets a pass of its own. A pass keeps
+# only the counts its picks read, so twice the 2**13 slots of a pass that kept all four counts still fits, and
+# measured faster; 2**15 and 2**16 were no faster at 10x the exp3 training counts.
+_PASS_SLOTS = 2**14
+
+# Half the largest float: the sum of two finite scores can overflow only where one of them lies beyond it.
+_HALF_MAX = np.finfo(float).max / 2
 
 Pairs = Sequence[tuple]  # per bin: its positive and its negative scores, each array-like
 
@@ -99,7 +104,11 @@ class _Sweep(NamedTuple):
     column 0, a sentinel below the lowest score, and the column after each
     run of equal scores, the midpoint to the next score or a sentinel above
     the highest. So a row's candidates ascend along it. The counts at each
-    are those ``np.searchsorted`` gives at its value.
+    are those ``np.searchsorted`` gives at its value. The four counts of a
+    candidate follow from them: ``tp``, ``fp = at_or_below - tp``,
+    ``tn = n_neg - (strictly_below - below)`` and ``fn = n_pos - below``.
+    ``at_or_below`` and ``strictly_below`` are the one row of column
+    indices, shared by every row, unless some candidate lands on a score.
     """
 
     sign: float
@@ -108,9 +117,9 @@ class _Sweep(NamedTuple):
     candidates: np.ndarray  # (rows, slots + 1)
     is_candidate: np.ndarray
     tp: np.ndarray  # positives at or below the candidate
-    fp: np.ndarray  # negatives at or below it
-    tn: np.ndarray  # negatives at or above it
-    fn: np.ndarray  # positives at or above it
+    below: np.ndarray  # positives strictly below it
+    at_or_below: np.ndarray  # slots at or below it: (slots + 1,) or (rows, slots + 1)
+    strictly_below: np.ndarray  # slots strictly below it: (slots + 1,) or (rows, slots + 1)
 
 
 def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,8 +154,12 @@ def _sweep(flat: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray, sign: float) 
     is_candidate[:, 1:] = values[:, :-1] != values[:, 1:]
     candidates = np.empty(values.shape)
     candidates[:, 0] = values[:, 0] - 1.0
-    candidates[:, 1:] = _midpoint(values[:, :-1], values[:, 1:])
-    candidates[np.arange(rows), sizes] = values[np.arange(rows), sizes - 1] + 1.0
+    highest = values[np.arange(rows), sizes - 1]
+    if (values[:, 0] < -_HALF_MAX).any() or (highest > _HALF_MAX).any():  # a midpoint's sum may overflow
+        candidates[:, 1:] = _midpoint(values[:, :-1], values[:, 1:])
+    else:
+        candidates[:, 1:] = 0.5 * (values[:, :-1] + values[:, 1:])
+    candidates[np.arange(rows), sizes] = highest + 1.0
 
     # slots at or below a candidate, and strictly below it: c at column c, unless the candidate lands on a run
     at_or_below = strictly_below = columns
@@ -164,17 +177,7 @@ def _sweep(flat: np.ndarray, n_pos: np.ndarray, n_neg: np.ndarray, sign: float) 
         run_starts[:, 1:] = np.maximum.accumulate(np.where(is_candidate, columns, 0), axis=1)[:, :-1]
         strictly_below = np.where(onto_previous, run_starts, columns)
         below = np.take_along_axis(positives, strictly_below, axis=1)
-    return _Sweep(
-        sign=sign,
-        n_pos=n_pos,
-        n_neg=n_neg,
-        candidates=candidates,
-        is_candidate=is_candidate,
-        tp=tp,
-        fp=at_or_below - tp,
-        tn=n_neg[:, None] - (strictly_below - below),
-        fn=n_pos[:, None] - below,
-    )
+    return _Sweep(sign, n_pos, n_neg, candidates, is_candidate, tp, below, at_or_below, strictly_below)
 
 
 def _sample_problem(pos: np.ndarray, neg: np.ndarray) -> str | None:
@@ -225,9 +228,12 @@ def _records(sweep: _Sweep, i_pos: np.ndarray, i_neg: np.ndarray) -> list[BinCal
     when both predictive values are defined.
     """
     rows = np.arange(len(i_pos))  # a column of -1 reads the last column, and the row ignores it
+    tp, below = sweep.tp[rows, i_pos], sweep.below[rows, i_neg]
+    at_or_below = np.broadcast_to(sweep.at_or_below, sweep.tp.shape)[rows, i_pos]
+    strictly_below = np.broadcast_to(sweep.strictly_below, sweep.tp.shape)[rows, i_neg]
     columns = zip(*(a.tolist() for a in (
-        sweep.n_pos, sweep.n_neg, i_pos, i_neg, sweep.sign * sweep.candidates[rows, i_pos], sweep.tp[rows, i_pos],
-        sweep.fp[rows, i_pos], sweep.sign * sweep.candidates[rows, i_neg], sweep.tn[rows, i_neg], sweep.fn[rows, i_neg],
+        sweep.n_pos, sweep.n_neg, i_pos, i_neg, sweep.sign * sweep.candidates[rows, i_pos], tp, at_or_below - tp,
+        sweep.sign * sweep.candidates[rows, i_neg], sweep.n_neg - (strictly_below - below), sweep.n_pos - below,
     )))
     records = []
     for n_pos, n_neg, p, n, theta_pos, tp, fp, theta_neg, tn, fn in columns:
@@ -267,11 +273,6 @@ def _last(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=1), mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1), -1)
 
 
-def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """``count / total``, and 0 where ``total`` is 0."""
-    return np.divide(count, total, out=np.zeros(count.shape), where=total > 0)
-
-
 def calibrate_bins(
     pairs: Pairs,
     orientation: Orientation = "lower_is_positive",
@@ -305,11 +306,13 @@ def calibrate_bins(
 
     records = []
     for s in _sweeps(pairs, orientation, check):
-        predicted_neg = s.tn + s.fn
-        qualifies_neg = s.is_candidate & (predicted_neg >= 1) & (_share(s.tn, predicted_neg) >= target_npv)
-        i_neg = _first(qualifies_neg & (s.tn / s.n_neg[:, None] >= min_detection_rate))
-        predicted_pos = s.tp + s.fp
-        qualifies_pos = s.is_candidate & (predicted_pos >= 1) & (_share(s.tp, predicted_pos) >= target_ppv)
+        # tp + fp is at_or_below, and tn + fn is every slot not strictly below; a share over no slot is nan, which
+        # fails every target, as all targets are positive
+        tn = s.n_neg[:, None] - (s.strictly_below - s.below)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qualifies_neg = s.is_candidate & (tn / ((s.n_pos + s.n_neg)[:, None] - s.strictly_below) >= target_npv)
+            qualifies_pos = s.is_candidate & (s.tp / s.at_or_below >= target_ppv)
+        i_neg = _first(qualifies_neg & (tn / s.n_neg[:, None] >= min_detection_rate))
         qualifies_pos &= s.tp / s.n_pos[:, None] >= min_detection_rate
         # the positive threshold is at or inside the negative one, where there is one
         cap = np.where(i_neg >= 0, s.candidates[np.arange(len(i_neg)), i_neg], np.inf)
@@ -331,7 +334,7 @@ def single_threshold_calibrations(pairs: Pairs, orientation: Orientation = "lowe
     """
     records = []
     for s in _sweeps(pairs, orientation):
-        errors = np.where(s.is_candidate, (s.n_pos[:, None] - s.tp) + s.fp, np.iinfo(np.int64).max)
+        errors = np.where(s.is_candidate, (s.n_pos[:, None] - s.tp) + (s.at_or_below - s.tp), np.iinfo(np.int64).max)
         tied = errors == errors.min(axis=1, keepdims=True)
         rows = np.arange(len(tied))
         target = _midpoint(s.candidates[rows, _first(tied)], s.candidates[rows, _last(tied)])

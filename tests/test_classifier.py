@@ -146,6 +146,21 @@ class TestCalibrateBin:
         assert single.theta_pos == flip * (0.5 * 1e308 + 0.5 * 1.7e308)
         # the tied candidates are the low sentinel and 0; the untied ones lie more than the float range above them
         assert pair_record(single_threshold_calibrations, [-flip * 1.7e308], [flip * 1.7e308, flip * 1.75e308], orientation).theta_pos == -flip * 1.7e308
+        # the mirror: the oriented scores lie beyond half the float range below zero, not above it
+        low = ([-flip * 1.79e308, -flip * 1.7e308], [-flip * 1e308])
+        mirror = pair_record(calibrate_bins, *low, orientation)
+        assert mirror.theta_pos == mirror.theta_neg == flip * (0.5 * -1.7e308 + 0.5 * -1e308)
+        assert mirror.reliable and mirror.ppv == mirror.npv == 1.0
+        assert pair_record(single_threshold_calibrations, *low, orientation).theta_pos == mirror.theta_pos
+        # each huge pair in a pass of ordinary pairs, before them and after them, gets its one-pair record
+        rng = np.random.default_rng(5)
+        ordinary = [(rng.normal(0, 1, n), rng.normal(2, 1, m)) for n, m in ((5, 7), (12, 3), (1, 1))]
+        for huge in (([flip * 1e308], [flip * 1.7e308, flip * 1.79e308]), low):
+            for pairs in ([huge, *ordinary], [*ordinary, huge]):
+                for calibrate in (calibrate_bins, single_threshold_calibrations):
+                    assert _bits(calibrate(pairs, orientation)) == _bits(
+                        pair_record(calibrate, pos, neg, orientation) for pos, neg in pairs
+                    )
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(3)
@@ -532,6 +547,27 @@ def test_batched_sweep_matches_per_pair_reference(pairs, orientation, target_ppv
         one = single_threshold_calibrations(pairs, orientation)
     assert _bits(two) == _bits([reference_calibrate_bin(p, n, orientation, target_ppv, target_npv, floor) for p, n in pairs])
     assert _bits(one) == _bits([reference_single_threshold(p, n, orientation) for p, n in pairs])
+
+
+@pytest.mark.parametrize("orientation", ["lower_is_positive", "higher_is_positive"])
+def test_sweep_shares_the_column_row_unless_a_candidate_lands_on_a_score(orientation):
+    """A pass where no candidate lands on a score counts its slots at or below, and strictly below, each candidate
+    in the one row of column indices that every pair shares; adjacent doubles make them (pairs x slots) arrays.
+    Either way every record is the per-pair reference's."""
+    sign = -1.0 if orientation == "higher_is_positive" else 1.0
+    rng = np.random.default_rng(7)
+    plain = [(sign * rng.normal(0, 1, 6), sign * rng.normal(2, 1, 9)), (sign * rng.normal(0, 1, 4), [sign * 3.0])]
+    up = np.nextafter(1.0, 2.0)  # the midpoints of 1.0, up and np.nextafter(up, 2.0) round onto 1.0 and onto the third
+    colliding = [*plain, (sign * np.array([1.0, up]), sign * np.array([np.nextafter(up, 2.0), 3.0]))]
+    for pairs, shape in ((plain, (16,)), (colliding, (3, 16))):
+        (sweep,) = classifier._sweeps(pairs, orientation)
+        assert sweep.at_or_below.shape == sweep.strictly_below.shape == shape
+        assert _bits(calibrate_bins(pairs, orientation)) == _bits(
+            reference_calibrate_bin(pos, neg, orientation) for pos, neg in pairs
+        )
+        assert _bits(single_threshold_calibrations(pairs, orientation)) == _bits(
+            reference_single_threshold(pos, neg, orientation) for pos, neg in pairs
+        )
 
 
 @pytest.mark.parametrize(

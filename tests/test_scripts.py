@@ -92,7 +92,8 @@ def test_harnesses_build_and_run(timing, tmp_path):
     harnesses = timing.harnesses(tmp_path)
     assert {
         "fuse_tie", "fuse_10", "exact_recognition_suite_1000", "convergence_suite_4000", "theorem_suites_10",
-        "theorem_suites_4000", "convergence_suite_10", "exact_recognition_suite_5",
+        "theorem_suites_4000", "convergence_suite_10", "exact_recognition_suite_5", "calibrate_from_sets_exp3",
+        "calibrate_from_sets_exp3_x10", "single_threshold_exp2",
     } <= set(harnesses)
     assert harnesses["fuse_tie"]() == 0 and harnesses["fuse_10"]() == 0
     decision = json.loads((tmp_path / "decision.json").read_text())
@@ -104,3 +105,9 @@ def test_harnesses_build_and_run(timing, tmp_path):
     k_values, error = harnesses["convergence_suite_10"]()
     assert (k_values, tuple(error.tolist())) == (report.convergence_k, report.convergence_error)
     assert harnesses["exact_recognition_suite_5"]() == (report.exact_correct, report.exact_cases)
+    # the sweep rows calibrate the training sets that the calibrate rows draw
+    catalog = timing.load_scenario(timing.REPO / "scenarios" / "exp3.json").catalog
+    for scale in ("exp3", "exp3_x10"):
+        assert harnesses[f"calibrate_{scale}"]() == 0
+        assert harnesses[f"calibrate_from_sets_{scale}"]() == timing.load_models(tmp_path / "calibrated.json", catalog)
+    assert harnesses["single_threshold_exp2"]()  # every record reliable, or it raises
